@@ -26,7 +26,6 @@ from .optics_model import (
     mgo_linbo3_crystal,
     nonlinear_sigma,
     pump_amplitude,
-    sample_reflectivity,
     wavelength_to_omega,
 )
 from .biphoton import (

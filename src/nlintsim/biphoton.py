@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coherence import _pump_quadrature, _ridge
 from .optics_model import (
     AnalysisError,
     C_NM_FS,
@@ -22,6 +23,7 @@ from .optics_model import (
     PumpPulse,
     SINC_GAUSS_ALPHA,
     TWO_PI,
+    _trapezoid_weights,
     pump_amplitude,
     sinc,
 )
@@ -29,36 +31,17 @@ from .optics_model import (
 NORMALIZATION_TOL = 1e-6
 
 
-def biphoton_exact(
-    crystal: CrystalParams,
-    pump: PumpPulse,
-    omega_s,
-    omega_i,
-    include_phase: bool = False,
-):
-    """Sinc-kernel pair amplitude i sigma L F(ws + wi) sinc(dk L / 2).
-
-    ``include_phase`` multiplies in the separable first-order propagation
-    phase exp[i (N_p wp + N_s ws + N_i wi) L] (detuning part only; the
-    constant carrier phase is omitted). It cancels in |.|^2 and in Schmidt
-    spectra and is off by default.
-    """
+def biphoton_exact(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i):
+    """Sinc-kernel pair amplitude i sigma L F(ws + wi) sinc(dk L / 2)."""
     ws = np.asarray(omega_s, dtype=float)
     wi = np.asarray(omega_i, dtype=float)
     sig_l = crystal.sigma * crystal.length_mm
-    amp = (
+    return (
         1j
         * sig_l
         * pump_amplitude(pump, ws + wi)
         * sinc(crystal.phase_mismatch(ws, wi) * crystal.length_mm / 2.0)
     )
-    if include_phase:
-        n_s = crystal.N_i - crystal.D
-        n_p = crystal.D_plus + (n_s + crystal.N_i) / 2.0
-        amp = amp * np.exp(
-            1j * (n_p * (ws + wi) + n_s * ws + crystal.N_i * wi) * crystal.length_mm
-        )
-    return amp
 
 
 def biphoton_gaussian(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i):
@@ -149,20 +132,37 @@ def fwhm_interpolated(x: np.ndarray, y: np.ndarray) -> float:
     i = int(np.argmax(y))
     if i == 0 or i == y.size - 1:
         raise AnalysisError("peak at grid edge, FWHM undefined")
-    half = y[i] / 2.0
-    j = i
-    while j > 0 and y[j] > half:
-        j -= 1
-    if y[j] > half:
-        raise AnalysisError("left half-maximum crossing outside grid")
-    xl = x[j] + (x[j + 1] - x[j]) * (half - y[j]) / (y[j + 1] - y[j])
-    k = i
-    while k < y.size - 1 and y[k] > half:
-        k += 1
-    if y[k] > half:
-        raise AnalysisError("right half-maximum crossing outside grid")
-    xr = x[k - 1] + (x[k] - x[k - 1]) * (half - y[k - 1]) / (y[k] - y[k - 1])
+    return _half_max_width(x, y, i)
+
+
+def _half_max_width(
+    x: np.ndarray, y: np.ndarray, i: int, stop_at_neighbor: bool = False
+) -> float:
+    """Width between the half-height crossings on both flanks of the peak at ``i``.
+
+    Each flank is walked outward to its first sample at or below half height
+    and the crossing is interpolated linearly. Raises AnalysisError when a
+    crossing lies outside the grid or, with ``stop_at_neighbor``, when a flank
+    climbs into a neighboring peak before reaching half height.
+    """
+    xl = _half_max_crossing(x, y, i, -1, stop_at_neighbor)
+    xr = _half_max_crossing(x, y, i, 1, stop_at_neighbor)
     return float(xr - xl)
+
+
+def _half_max_crossing(x, y, i: int, step: int, stop_at_neighbor: bool):
+    """Interpolated x where y first falls to y[i] / 2, walking from ``i`` by ``step``."""
+    side = "left" if step < 0 else "right"
+    half = y[i] / 2.0
+    k = i
+    while 0 < k < y.size - 1 and y[k] > half:
+        k += step
+        if stop_at_neighbor and y[k] > half and y[k] > y[k - step]:
+            raise AnalysisError(f"{side} flank climbs into a neighboring peak")
+    if y[k] > half:
+        raise AnalysisError(f"{side} half-maximum crossing outside grid")
+    a = min(k, k - step)  # same anchor on both flanks: it sets the last bit of a width
+    return x[a] + (x[a + 1] - x[a]) * (half - y[a]) / (y[a + 1] - y[a])
 
 
 def bandwidth_nm(fwhm_rad_fs: float, lambda0_nm: float) -> float:
@@ -188,61 +188,24 @@ def signal_spectrum(
     crystal: CrystalParams,
     pump: PumpPulse,
     kernel: str = "exact",
-    n_signal: int = 4097,
-    n_pump: int | None = None,
     resolution: float = 1.0,
 ) -> SignalSpectrum:
     """Signal marginal by direct quadrature in pump-centered variables.
 
     Integrates |amp(ws, wi)|^2 over wi after substituting u = ws + wi, which
-    keeps the pump Gaussian resolved for arbitrarily narrowband pumps. This is
-    the production marginal; ``marginal_spectrum`` on a square grid matches it
+    keeps the pump Gaussian resolved for arbitrarily narrowband pumps; it is
+    PairCorrelator's pump quadrature at r = 1 and T2 = 0. This is the
+    production marginal; ``marginal_spectrum`` on a square grid matches it
     wherever that grid is resolvable. ``resolution`` scales both axis
     densities at fixed spans.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     t0 = pump.t0_fs
-    dl = crystal.dl
-    if kernel == "exact":
-        ridge = abs(1.0 - 2.0 * crystal.D_plus / crystal.D) / 2.0
-        d_plus = crystal.D_plus
-    elif kernel == "gaussian":
-        ridge = 0.5
-        d_plus = 0.0
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}, expected 'exact' or 'gaussian'")
-    half_s = max(24.0 / dl, 6.0 / t0) + ridge * 8.0 / t0
-    n_signal = max(257, int(n_signal * resolution) | 1)
-    ws = np.linspace(-half_s, half_s, n_signal)
-
-    # pump-axis step: resolve both the Gaussian and the sinc variation in u
-    b_u = abs(d_plus - crystal.D / 2.0) * crystal.length_mm / 2.0
-    h_u = (min(0.5 / t0, np.pi / (8.0 * b_u)) if b_u > 0 else 0.5 / t0) / resolution
-    half_u = 8.0 / t0
-    if n_pump is None:
-        n_pump = max(33, int(np.ceil(2.0 * half_u / h_u)) | 1)
-    u = np.linspace(-half_u, half_u, n_pump)
-    w_u = np.full(n_pump, u[1] - u[0])
-    w_u[0] *= 0.5
-    w_u[-1] *= 0.5
-    gauss = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2))
-
-    dens = np.empty(n_signal)
-    chunk = max(1, int(4e6 / n_pump))
-    for a in range(0, n_signal, chunk):
-        b = min(a + chunk, n_signal)
-        wm = 2.0 * ws[a:b, None] - u[None, :]  # ws - wi
-        arg = (d_plus * u[None, :] + crystal.D * wm / 2.0) * crystal.length_mm / 2.0
-        if kernel == "exact":
-            pm = sinc(arg) ** 2
-        else:
-            pm = np.exp(-2.0 * (SINC_GAUSS_ALPHA * arg) ** 2)
-        dens[a:b] = pm @ (gauss * w_u)
-    w_s = np.full(n_signal, ws[1] - ws[0])
-    w_s[0] *= 0.5
-    w_s[-1] *= 0.5
-    dens = dens / np.sum(dens * w_s)
+    half_s = max(24.0 / crystal.dl, 6.0 / t0) + _ridge(crystal, kernel) * 8.0 / t0
+    ws = np.linspace(-half_s, half_s, max(257, int(4097 * resolution) | 1))
+    dens = _pump_quadrature(crystal, pump, ws, kernel=kernel, resolution=resolution)
+    dens = dens / np.sum(dens * _trapezoid_weights(ws))
     width = fwhm_interpolated(ws, dens)
     return SignalSpectrum(
         omega_s=ws,

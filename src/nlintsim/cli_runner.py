@@ -126,9 +126,12 @@ _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0":
 
 def _as_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ScenarioError(f"[{section}] {key}: not a number: {raw!r}") from None
+    if not np.isfinite(value):
+        raise ScenarioError(f"[{section}] {key}: not a finite number: {raw!r}")
+    return value
 
 
 def _as_int(section: str, key: str, raw: str) -> int:
@@ -328,6 +331,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         raise ScenarioError("[grid] points must be at least 256")
     hw = get("grid", "half_width_rad_fs")
     grid_half_width = _as_float("grid", "half_width_rad_fs", hw) if hw else None
+    if grid_half_width is not None and grid_half_width <= 0:
+        raise ScenarioError("[grid] half_width_rad_fs must be positive")
     kernel = get("grid", "kernel", "exact")
     if kernel not in ("exact", "gaussian"):
         raise ScenarioError(f"[grid] kernel: expected exact or gaussian, got {kernel!r}")
@@ -341,10 +346,13 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     if lo is not None and lo >= hi:
         raise ScenarioError("[scan] delta_z_min_mm must be below delta_z_max_mm")
     pts_raw = get("scan", "points")
+    scan_points = _as_int("scan", "points", pts_raw) if pts_raw else None
+    if scan_points is not None and scan_points < 2:
+        raise ScenarioError("[scan] points must be at least 2")
     scan = ScanSpec(
         delta_z_min_mm=lo,
         delta_z_max_mm=hi,
-        points=_as_int("scan", "points", pts_raw) if pts_raw else None,
+        points=scan_points,
         fringes=_as_bool("scan", "fringes", get("scan", "fringes", "true")),
     )
 
@@ -493,10 +501,6 @@ def export_series(columns: list[str], rows, fmt: str) -> str:
     raise ValueError(f"unknown export format {fmt!r}")
 
 
-def _series_name(base: str, fmt: str) -> str:
-    return f"{base}.{fmt}"
-
-
 def _jsi_csv(js: biphoton.JointSpectrum, stride: int) -> str:
     ws = js.grid.omega_s[::stride]
     wi = js.grid.omega_i[::stride]
@@ -580,7 +584,8 @@ def _task_g1_scan(scenario: Scenario, points: int):
     window = _scan_window(scenario)
     dz = oct_scan.scan_axis(
         crystal, scenario.sample, fringes=False,
-        n_points=scenario.scan.points or 401, window_mm=window,
+        n_points=401 if scenario.scan.points is None else scenario.scan.points,
+        window_mm=window,
     )
     resolution = points / 2048.0
     g = coherence.g1_scan(
@@ -588,7 +593,7 @@ def _task_g1_scan(scenario: Scenario, points: int):
         resolution=resolution, include_carrier=True,
     )
     rows = list(zip(dz, np.abs(g), np.angle(g)))
-    name = _series_name("g1_scan", scenario.output_format)
+    name = f"g1_scan.{scenario.output_format}"
     files = {name: export_series(["delta_z_mm", "g1_abs", "g1_phase"], rows, scenario.output_format)}
     sub = dz[:: max(1, dz.size // 64)]
     g_half = coherence.g1_scan(
@@ -637,7 +642,7 @@ def _task_oct_scan(scenario: Scenario, points: int):
         }
     flux_norm = ifg.flux / ifg.n_signal
     rows = list(zip(ifg.delta_z_mm, flux_norm, ifg.envelope))
-    name = _series_name("interferogram", scenario.output_format)
+    name = f"interferogram.{scenario.output_format}"
     files = {
         name: export_series(
             ["delta_z_mm", "flux_norm", "envelope"], rows, scenario.output_format
@@ -666,7 +671,7 @@ def _task_spectrum(scenario: Scenario, points: int):
     omega_s0 = crystal.omega_s0
     lam_nm = 2.0 * np.pi * C_NM_FS / (omega_s0 + spectrum.omega_s)
     rows = list(zip(spectrum.omega_s, lam_nm, spectrum.density))
-    name = _series_name("spectrum", scenario.output_format)
+    name = f"spectrum.{scenario.output_format}"
     files = {
         name: export_series(
             ["omega_s_rad_fs", "wavelength_nm", "density"], rows, scenario.output_format
@@ -702,8 +707,8 @@ def run_scenario(
     Deterministic: identical scenario text yields bit-identical data files and
     an identical manifest digest. Tasks run concurrently when the
     NLINT_SIM_WORKERS environment variable is above 1. On task failure its
-    partial outputs are removed and the error is re-raised annotated with the
-    task name.
+    partial outputs are removed and the original exception propagates with a
+    note naming the task.
     """
     points = grid_points if grid_points is not None else scenario.grid_points
     target = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)
@@ -720,7 +725,10 @@ def run_scenario(
         try:
             files, conv, extras = _TASK_FN[task](scenario, points)
         except Exception as exc:
-            raise type(exc)(f"task {task}: {exc}") from exc
+            # what BaseException.add_note does (Python 3.11+): the exception
+            # keeps its type and constructor arguments
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), f"task {task}"]
+            raise
         return task, files, conv, extras, time.perf_counter() - t0
 
     workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
@@ -824,10 +832,10 @@ def main(argv=None) -> int:
             scenario, out_dir=args.out, grid_points=args.grid_points
         )
     except (ScenarioError, GridResolutionError, AnalysisError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return 1
     except NumericalConsistencyError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
         return 2
 
     out = Path(args.out) if args.out else Path(scenario.output_dir)
@@ -843,6 +851,11 @@ def main(argv=None) -> int:
         print("error: grid convergence gate exceeded", file=sys.stderr)
         return 2
     return 0
+
+
+def _describe(exc: Exception) -> str:
+    """Exception text prefixed by its notes, e.g. "task g1_scan: <message>"."""
+    return ": ".join([*getattr(exc, "__notes__", ()), str(exc)])
 
 
 def cli_entry() -> None:

@@ -24,13 +24,13 @@ from .optics_model import (
     BilayerSample,
     C_MM_FS,
     CrystalParams,
-    FrequencyGrid,
     InterferometerGeometry,
     NumericalConsistencyError,
     PumpPulse,
+    SINC_GAUSS_ALPHA,
     SampleModel,
     TWO_PI,
-    sample_reflectivity,
+    _trapezoid_weights,
     sinc,
 )
 
@@ -173,46 +173,21 @@ class PairCorrelator:
         length = crystal.length_mm
         phase_rate = abs(t1_max_fs) + abs(t2_fs) + abs(extra_idler_delay_fs) + 1.0
 
-        ridge = abs(1.0 - 2.0 * crystal.D_plus / crystal.D) / 2.0
-        half_s = 2.0 * TAIL_SINC_ARG / dl + ridge * 8.0 / t0
+        half_s = 2.0 * TAIL_SINC_ARG / dl + _ridge(crystal, "exact") * 8.0 / t0
         h_s = min(TWO_PI / dl / 8.0, 0.4 / phase_rate) / resolution
         n_s = int(np.ceil(2.0 * half_s / h_s)) | 1
         self.omega_s = np.linspace(-half_s, half_s, n_s)
-        w_s = np.full(n_s, self.omega_s[1] - self.omega_s[0])
-        w_s[0] *= 0.5
-        w_s[-1] *= 0.5
-
-        b_u = abs(crystal.D_plus - crystal.D / 2.0) * length / 2.0
-        h_u = min(
-            0.5 / t0,
-            np.pi / (8.0 * b_u) if b_u > 0 else np.inf,
-            0.4 / (abs(t2_fs) + abs(extra_idler_delay_fs) + 1.0),
-        ) / resolution
-        half_u = 8.0 / t0
-        n_u = max(33, int(np.ceil(2.0 * half_u / h_u)) | 1)
-        u = np.linspace(-half_u, half_u, n_u)
-        w_u = np.full(n_u, u[1] - u[0])
-        w_u[0] *= 0.5
-        w_u[-1] *= 0.5
-        pump_row = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2)) * w_u
-
-        # idler-side reduction: R(ws) = sum_u pump(u) sinc^2(dk L/2) r*(wi) e^{i wi T2}
-        r_inner = np.empty(n_s, dtype=complex)
-        chunk = max(1, int(4e6 / n_u))
-        for a in range(0, n_s, chunk):
-            b = min(a + chunk, n_s)
-            ws_blk = self.omega_s[a:b, None]
-            arg = (
-                crystal.D_plus * u[None, :]
-                + crystal.D * (2.0 * ws_blk - u[None, :]) / 2.0
-            ) * (length / 2.0)
-            wi = u[None, :] - ws_blk
-            block = sinc(arg) ** 2 * np.conj(sample_reflectivity(sample, wi))
-            if t2_fs != 0.0:
-                block = block * np.exp(1j * wi * t2_fs)
-            r_inner[a:b] = block @ pump_row
+        r_inner = _pump_quadrature(
+            crystal, pump, self.omega_s,
+            sample=sample,
+            t2_fs=t2_fs,
+            extra_delay_fs=extra_idler_delay_fs,
+            resolution=resolution,
+        )
         # sigma cancels against the analytic flux normalization 2 pi sigma^2 L/|D|
-        self._reduced = r_inner * w_s * (length * abs(crystal.D) / TWO_PI)
+        self._reduced = (
+            r_inner * _trapezoid_weights(self.omega_s) * (length * abs(crystal.D) / TWO_PI)
+        )
 
     def correlation(self, t1_fs) -> np.ndarray:
         """Normalized complex correlation (carrier phase excluded) at delays T1."""
@@ -239,21 +214,16 @@ def g1_numeric(
     pump: PumpPulse,
     geometry: InterferometerGeometry,
     sample: SampleModel,
-    grid: FrequencyGrid | None = None,
     *,
-    resolution: float | None = None,
+    resolution: float = 1.0,
     include_carrier: bool = True,
 ) -> complex:
     """Normalized complex correlation for one geometry by quadrature.
 
-    A supplied FrequencyGrid only sets the integration density (its point
-    count relative to 2048); the integration axes themselves are pump-adaptive
-    as described on PairCorrelator. With ``include_carrier`` the result
-    carries the full fringe phase; for a lossless path |g1_numeric| matches
-    g1_analytic to quadrature accuracy.
+    The integration axes are pump-adaptive as described on PairCorrelator.
+    With ``include_carrier`` the result carries the full fringe phase; for a
+    lossless path |g1_numeric| matches g1_analytic to quadrature accuracy.
     """
-    if resolution is None:
-        resolution = grid.n_points / 2048.0 if grid is not None else 1.0
     timing = timing_from_geometry(geometry, crystal)
     extra = _max_sample_delay(sample)
     corr = PairCorrelator(
@@ -304,3 +274,72 @@ def _max_sample_delay(sample: SampleModel) -> float:
     if isinstance(sample, BilayerSample):
         return sample.tau_fs
     return 0.0
+
+
+def _walkoff(crystal: CrystalParams, kernel: str) -> float:
+    """Pump walk-off D_plus kept by ``kernel``; the Gaussian stand-in drops it."""
+    if kernel == "exact":
+        return crystal.D_plus
+    if kernel == "gaussian":
+        return 0.0
+    raise ValueError(f"unknown kernel {kernel!r}, expected 'exact' or 'gaussian'")
+
+
+def _ridge(crystal: CrystalParams, kernel: str) -> float:
+    """Signal detuning per unit pump detuning along the phase-matching ridge dk = 0."""
+    return abs(1.0 - 2.0 * _walkoff(crystal, kernel) / crystal.D) / 2.0
+
+
+def _pump_quadrature(
+    crystal: CrystalParams,
+    pump: PumpPulse,
+    omega_s: np.ndarray,
+    *,
+    kernel: str = "exact",
+    sample: SampleModel | None = None,
+    t2_fs: float = 0.0,
+    extra_delay_fs: float = 0.0,
+    resolution: float = 1.0,
+) -> np.ndarray:
+    """Idler-side integral of the pair kernel over the pump detuning u = ws + wi.
+
+        R(ws) = sum_u w_u |F(u)|^2 PM(dk L / 2) r*(wi) e^{i wi T2},  wi = u - ws
+
+    PM is sinc^2 for the exact kernel and exp(-2 (alpha x)^2) for the Gaussian
+    one; ``sample=None`` stands for r = 1. The u axis spans the pump band
+    +-8/T0 with a step that resolves the pump Gaussian, the phase-matching
+    variation along u and the idler phase over T2 plus the sample delay, so it
+    stays resolved for any pulse duration. ``resolution`` divides the step.
+    """
+    t0 = pump.t0_fs
+    length = crystal.length_mm
+    d_plus = _walkoff(crystal, kernel)
+    b_u = abs(d_plus - crystal.D / 2.0) * length / 2.0
+    h_u = min(
+        0.5 / t0,
+        np.pi / (8.0 * b_u) if b_u > 0 else np.inf,
+        0.4 / (abs(t2_fs) + abs(extra_delay_fs) + 1.0),
+    ) / resolution
+    half_u = 8.0 / t0
+    n_u = max(33, int(np.ceil(2.0 * half_u / h_u)) | 1)
+    u = np.linspace(-half_u, half_u, n_u)
+    pump_row = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2)) * _trapezoid_weights(u)
+
+    rows = []
+    chunk = max(1, int(4e6 / n_u))
+    for a in range(0, omega_s.size, chunk):
+        ws_blk = omega_s[a : a + chunk, None]
+        arg = (
+            d_plus * u[None, :] + crystal.D * (2.0 * ws_blk - u[None, :]) / 2.0
+        ) * (length / 2.0)
+        if kernel == "exact":
+            block = sinc(arg) ** 2
+        else:
+            block = np.exp(-2.0 * (SINC_GAUSS_ALPHA * arg) ** 2)
+        wi = u[None, :] - ws_blk
+        if sample is not None:
+            block = block * np.conj(sample.reflectivity(wi))
+        if t2_fs != 0.0:
+            block = block * np.exp(1j * wi * t2_fs)
+        rows.append(block @ pump_row)
+    return np.concatenate(rows)

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
-from .biphoton import fwhm_interpolated
+from .biphoton import _half_max_width, fwhm_interpolated
 from .coherence import (
     carrier_phase,
     g1_envelope,
@@ -210,13 +209,18 @@ def envelope_peaks(ifg: Interferogram) -> PeakReport:
         raise AnalysisError(
             "envelope clipped at scan edge; widen the delay window"
         )
-    idx, _ = find_peaks(env, height=PEAK_FLOOR * top)
+    idx = _local_maxima(env, PEAK_FLOOR * top)
     if idx.size == 0:
         raise AnalysisError("no envelope peaks above threshold")
     positions = dz[idx]
     separations = np.diff(positions) * 1e3
 
-    widths = [_peak_fwhm(dz, env, int(i)) for i in idx]
+    widths = []
+    for i in idx:
+        try:
+            widths.append(_half_max_width(dz, env, int(i), stop_at_neighbor=True) * 1e3)
+        except AnalysisError:
+            widths.append(float("nan"))
 
     resolved = False
     if idx.size >= 2:
@@ -233,25 +237,20 @@ def envelope_peaks(ifg: Interferogram) -> PeakReport:
     )
 
 
-def _peak_fwhm(x: np.ndarray, y: np.ndarray, i: int) -> float:
-    half = y[i] / 2.0
-    j = i
-    while j > 0 and y[j] > half:
-        j -= 1
-        if y[j] > y[j + 1] and y[j] > half:  # climbing into a neighbor
-            return float("nan")
-    if y[j] > half:
-        return float("nan")
-    xl = x[j] + (x[j + 1] - x[j]) * (half - y[j]) / (y[j + 1] - y[j])
-    k = i
-    while k < y.size - 1 and y[k] > half:
-        k += 1
-        if y[k] > y[k - 1] and y[k] > half:
-            return float("nan")
-    if y[k] > half:
-        return float("nan")
-    xr = x[k - 1] + (x[k] - x[k - 1]) * (half - y[k - 1]) / (y[k] - y[k - 1])
-    return float((xr - xl) * 1e3)
+def _local_maxima(y: np.ndarray, height: float) -> np.ndarray:
+    """Indices of the local maxima of ``y`` that reach ``height``.
+
+    A flat top counts once, at its middle sample (the left one of an even
+    run), and the end samples are never maxima; the result equals that of
+    scipy.signal.find_peaks(y, height=height).
+    """
+    rise = y[1:] > y[:-1]
+    fall = y[1:] < y[:-1]
+    steps = np.flatnonzero(y[1:] != y[:-1])  # a NaN ends a flat run, as in find_peaks
+    # a rising step followed by a falling one brackets a maximum or flat top
+    top = rise[steps[:-1]] & fall[steps[1:]]
+    peaks = (steps[:-1][top] + 1 + steps[1:][top]) // 2
+    return peaks[y[peaks] >= height]
 
 
 def predicted_peak_shift(crystal: CrystalParams) -> float:

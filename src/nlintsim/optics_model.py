@@ -346,11 +346,6 @@ class TabulatedSample:
 SampleModel = UniformSample | BilayerSample | TabulatedSample
 
 
-def sample_reflectivity(sample: SampleModel, omega_i):
-    """Complex spectral reflectivity r at idler detuning ``omega_i`` [rad/fs]."""
-    return sample.reflectivity(omega_i)
-
-
 # Grid sizing: spectral features are the pump band (~8/T0 wide in the pump
 # detuning) and the phase-matching band (~16/(|D|L) per axis); the grid must
 # put at least MIN_POINTS_PER_FEATURE steps across the narrower one.

@@ -100,27 +100,6 @@ def test_gaussian_kernel_factorizes_at_unit_gamma():
     assert np.allclose(lhs, rhs, rtol=1e-12)
 
 
-def test_exact_kernel_phase_flag_is_observable_free():
-    # the optional separable propagation phase moves no intensity and no
-    # Schmidt weight
-    pump = PumpPulse(212.0)
-    grid = make_frequency_grid(CRYSTAL, pump, 512)
-    ws, wi = grid.omega_s[:, None], grid.omega_i[None, :]
-    plain = biphoton_exact(CRYSTAL, pump, ws, wi)
-    phased = biphoton_exact(CRYSTAL, pump, ws, wi, include_phase=True)
-    assert np.allclose(np.abs(phased), np.abs(plain), rtol=1e-12)
-    w = np.outer(grid.weights_s, grid.weights_i)
-
-    def k_of(amp):
-        m = amp * np.sqrt(w)
-        m = m / np.linalg.norm(m)
-        s = np.linalg.svd(m, compute_uv=False)
-        lam = s ** 2
-        return 1.0 / np.sum(lam ** 2)
-
-    assert k_of(phased) == pytest.approx(k_of(plain), rel=1e-9)
-
-
 def test_kernel_ratio_at_unit_mismatch():
     # peak-normalized Gaussian/exact ratio where dk L/2 = 1: exp(-alpha^2)/sinc(1)
     pump = PumpPulse(212.0)

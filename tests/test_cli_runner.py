@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +119,48 @@ def test_round_trip_canonical():
         assert parse_scenario(render_scenario(s)) == s
 
 
+def _grid_line(line):
+    return MINIMAL.replace("points = 512", f"points = 512\n{line}")
+
+
+INVALID_NUMBERS = [
+    pytest.param(MINIMAL.replace("t0_fs = 212.0", "t0_fs = nan"), "[pump] t0_fs", id="t0-nan"),
+    pytest.param(
+        MINIMAL.replace("length_mm = 5.0", "length_mm = inf"), "[crystal] length_mm",
+        id="length-inf",
+    ),
+    pytest.param(MINIMAL + "\n[geometry]\nz1_mm = -inf\n", "[geometry] z1_mm", id="z1-inf"),
+    pytest.param(MINIMAL + "\n[sample]\nr_abs = nan\n", "[sample] r_abs", id="r-nan"),
+    pytest.param(
+        MINIMAL + "\n[scan]\ndelta_z_min_mm = nan\ndelta_z_max_mm = 0.1\n",
+        "[scan] delta_z_min_mm", id="dz-min-nan",
+    ),
+    pytest.param(
+        MINIMAL + "\n[scan]\ndelta_z_min_mm = -0.1\ndelta_z_max_mm = inf\n",
+        "[scan] delta_z_max_mm", id="dz-max-inf",
+    ),
+    pytest.param(MINIMAL + "\n[scan]\npoints = 0\n", "[scan] points", id="scan-points-0"),
+    pytest.param(MINIMAL + "\n[scan]\npoints = 1\n", "[scan] points", id="scan-points-1"),
+    pytest.param(
+        _grid_line("half_width_rad_fs = 0"), "[grid] half_width_rad_fs", id="half-width-0"
+    ),
+    pytest.param(
+        _grid_line("half_width_rad_fs = -1"), "[grid] half_width_rad_fs", id="half-width-neg"
+    ),
+]
+
+
+@pytest.mark.parametrize("text,field", INVALID_NUMBERS)
+def test_invalid_number_rejected_before_compute(tmp_path, capsys, text, field):
+    with pytest.raises(ScenarioError, match=re.escape(field)):
+        parse_scenario(text)
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- exports
 
 def test_export_series_empty_is_header_only():
@@ -194,6 +240,37 @@ def test_run_scenario_json_format(tmp_path):
     assert payload["columns"] == ["delta_z_mm", "flux_norm", "envelope"]
 
 
+class _TwoArgError(RuntimeError):
+    """Built from two arguments, like numpy's out-of-memory error."""
+
+    def __init__(self, shape, dtype):
+        super().__init__(f"cannot allocate {shape} of {dtype}")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_task_failure_keeps_exception_type(tmp_path, monkeypatch, workers):
+    def fail(scenario, points):
+        raise _TwoArgError((4096, 4096), "complex128")
+
+    monkeypatch.setitem(cli._TASK_FN, "schmidt", fail)
+    monkeypatch.setenv(cli.WORKERS_ENV, workers)
+    with pytest.raises(_TwoArgError) as info:
+        run_scenario(parse_scenario(MINIMAL), out_dir=tmp_path)
+    assert type(info.value) is _TwoArgError
+    assert info.value.__notes__ == ["task schmidt"]
+
+
+def test_cli_names_the_failing_task(tmp_path, monkeypatch, capsys):
+    def fail(scenario, points):
+        raise cli.AnalysisError("no half-maximum crossing")
+
+    monkeypatch.setitem(cli._TASK_FN, "schmidt", fail)
+    scen = tmp_path / "s.ini"
+    scen.write_text(MINIMAL)
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 1
+    assert "error: task schmidt: no half-maximum crossing" in capsys.readouterr().err
+
+
 def test_run_scenario_grid_override_changes_density(tmp_path):
     s = parse_scenario(MINIMAL)
     manifest = run_scenario(s, out_dir=tmp_path, grid_points=640)
@@ -267,3 +344,28 @@ def test_worker_count_env_preserves_results(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.WORKERS_ENV, "2")
     m_pool = run_scenario(s, out_dir=tmp_path / "pool")
     assert m_pool.digest == m_serial.digest
+
+
+# ---------------------------------------------------------------- packaging
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(*args):
+    path = os.pathsep.join(p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_python_m_nlintsim_presets():
+    proc = _python("-m", "nlintsim", "presets")
+    assert proc.returncode == 0, proc.stderr
+    assert "mgo_linbo3" in proc.stdout
+    assert "Warning" not in proc.stderr
+
+
+def test_import_without_scipy():
+    proc = _python("-c", "import sys; sys.modules['scipy'] = None; import nlintsim")
+    assert proc.returncode == 0, proc.stderr

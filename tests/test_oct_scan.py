@@ -3,6 +3,8 @@ import pytest
 
 from nlintsim.coherence import synchronize_pump_path
 from nlintsim.oct_scan import (
+    Interferogram,
+    _local_maxima,
     axial_resolution,
     default_scan_range,
     envelope_peaks,
@@ -167,6 +169,65 @@ def test_envelope_peaks_rejects_clipped_scan():
     ifg = interferogram_bilayer(crystal, QUASI_CW, synced(crystal), sample, dz)
     with pytest.raises(AnalysisError, match="clipped"):
         envelope_peaks(ifg)
+
+
+def _double_hump(dip):
+    """Two unit peaks whose valley between them sits at ``dip``."""
+    dz = np.linspace(-1.0, 1.0, 201)
+    env = np.zeros(dz.size)
+    env[40:161] = np.interp(dz[40:161], [-0.6, -0.2, 0.0, 0.2, 0.6], [0.0, 1.0, dip, 1.0, 0.0])
+    return Interferogram(dz, 1.0 + env, env, 1.0, False)
+
+
+def test_peak_width_stops_at_neighbor_but_fwhm_spans_shoulder():
+    # a valley above half height swallows each peak's inner crossing: the
+    # per-peak width is undefined, while the global FWHM runs between the
+    # outer half-height crossings at -0.4 and +0.4 mm
+    ifg = _double_hump(dip=0.7)
+    report = envelope_peaks(ifg)
+    assert report.positions_mm == pytest.approx((-0.2, 0.2))
+    assert all(np.isnan(w) for w in report.fwhm_um)
+    assert axial_resolution(ifg) == pytest.approx(800.0, rel=1e-9)
+    deep = envelope_peaks(_double_hump(dip=0.2))
+    assert deep.fwhm_um == pytest.approx((325.0, 325.0), rel=1e-9)
+    assert deep.resolved
+
+
+def _flat_tops():
+    y = np.zeros(40)
+    y[5:7] = 1.0        # even flat top: scipy takes the left middle sample
+    y[12:15] = 0.8      # odd flat top
+    y[20:23] = 0.5
+    y[23] = 0.9         # flat step that rises again: not a maximum
+    y[30:] = 0.7        # flat run to the last sample: not a maximum
+    return y
+
+
+PEAK_CASES = {
+    "flat_tops": (_flat_tops(), 0.1),
+    "height_is_inclusive": (np.array([0.0, 0.5, 0.0, 0.4, 0.0, 0.6, 0.0]), 0.5),
+    "noisy_gaussians": (
+        np.exp(-np.linspace(-4, 4, 500) ** 2)
+        + 0.6 * np.exp(-(np.linspace(-4, 4, 500) - 2.5) ** 2 * 9)
+        + 0.02 * np.random.default_rng(7).standard_normal(500),
+        0.1,
+    ),
+    "quantized": (np.round(np.sin(np.linspace(0, 12, 300)) ** 2, 1), 0.0),
+    "monotone": (np.linspace(0.0, 1.0, 50), 0.0),
+    "constant": (np.ones(10), 0.0),
+    "edge_maxima_only": (np.array([1.0, 0.0, 0.0, 1.0]), 0.0),
+    "three_points": (np.array([0.0, 1.0, 0.0]), 0.5),
+    "two_points": (np.array([0.0, 1.0]), 0.0),
+    "empty": (np.array([]), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PEAK_CASES))
+def test_local_maxima_match_scipy_find_peaks(case):
+    signal = pytest.importorskip("scipy.signal")
+    y, height = PEAK_CASES[case]
+    expected, _ = signal.find_peaks(y, height=height)
+    assert _local_maxima(y, height).tolist() == expected.tolist()
 
 
 def test_predicted_peak_shift_reference_values():

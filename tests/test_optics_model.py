@@ -15,7 +15,6 @@ from nlintsim.optics_model import (
     mgo_linbo3_crystal,
     nonlinear_sigma,
     pump_amplitude,
-    sample_reflectivity,
     wavelength_to_omega,
 )
 
@@ -115,7 +114,7 @@ GLASS_SLAB = BilayerSample.from_fresnel(
 def test_bilayer_single_interface_degenerate():
     s = BilayerSample(r0=-0.2, r1=0.0, d0_um=35.0, n0=1.5, omega_carrier=1.2)
     w = np.linspace(-0.1, 0.1, 7)
-    assert np.allclose(sample_reflectivity(s, w), -0.2)
+    assert np.allclose(s.reflectivity(w), -0.2)
 
 
 def test_glass_slab_delay():
@@ -137,7 +136,7 @@ def test_glass_slab_fresnel_coefficients():
 
 def test_sample_passivity_on_grid():
     w = np.linspace(-0.5, 0.5, 2001)
-    assert np.all(np.abs(sample_reflectivity(GLASS_SLAB, w)) <= 1.0 + 1e-12)
+    assert np.all(np.abs(GLASS_SLAB.reflectivity(w)) <= 1.0 + 1e-12)
 
 
 def test_sample_passivity_enforced():
@@ -149,9 +148,9 @@ def test_sample_passivity_enforced():
 
 def test_tabulated_interpolation_and_range():
     s = TabulatedSample(omega=(-1.0, 0.0, 1.0), r=(0.2, 0.5 + 0.1j, 0.4))
-    assert sample_reflectivity(s, 0.5) == pytest.approx(0.45 + 0.05j)
+    assert s.reflectivity(0.5) == pytest.approx(0.45 + 0.05j)
     with pytest.raises(ValueError):
-        sample_reflectivity(s, 1.5)
+        s.reflectivity(1.5)
 
 
 # ---------------------------------------------------------------- gamma
