@@ -122,37 +122,23 @@ _SECTION_KEYS = {
 }
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
-def _as_float(section: str, key: str, raw: str) -> float:
+def _build(section: str, factory, *args, **kwargs):
+    """``factory(*args, **kwargs)`` with its ValueError reported under ``[section]``."""
     try:
-        value = float(raw)
-    except ValueError:
-        raise ScenarioError(f"[{section}] {key}: not a number: {raw!r}") from None
-    if not np.isfinite(value):
-        raise ScenarioError(f"[{section}] {key}: not a finite number: {raw!r}")
-    return value
-
-
-def _as_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"[{section}] {key}: not an integer: {raw!r}") from None
-
-
-def _as_bool(section: str, key: str, raw: str) -> bool:
-    try:
-        return _BOOL[raw.strip().lower()]
-    except KeyError:
-        raise ScenarioError(f"[{section}] {key}: not a boolean: {raw!r}") from None
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"[{section}] invalid parameters: {exc}") from exc
 
 
 def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     """Parse and validate scenario text into a Scenario.
 
     Unknown sections or keys are rejected; invariant violations are reported
-    with their field path. ``base_dir`` anchors relative tabulated-sample
+    with their field path. A key given with an empty value is an error, not a
+    request for its default. ``base_dir`` anchors relative tabulated-sample
     paths.
     """
     cp = configparser.ConfigParser(
@@ -171,194 +157,171 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             if key not in _SECTION_KEYS[section]:
                 raise ScenarioError(f"unknown key [{section}] {key}")
 
-    def get(section, key, default=None):
-        if cp.has_section(section) and key in cp[section]:
-            return cp[section][key].strip()
-        return default
+    def given(section, key):
+        return cp.has_section(section) and key in cp[section]
+
+    def get(section, key, kind=str, default=None):
+        """The value of ``key`` as ``kind``, or ``default`` when the key is absent."""
+        if not given(section, key):
+            return default
+        raw = cp[section][key].strip()
+        if kind is str:
+            if not raw:
+                raise ScenarioError(f"[{section}] {key}: empty value")
+            return raw
+        try:
+            value = _BOOL[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            raise ScenarioError(f"[{section}] {key}: not {_KIND_NAMES[kind]}: {raw!r}") from None
+        if kind is float and not np.isfinite(value):
+            raise ScenarioError(f"[{section}] {key}: not a finite number: {raw!r}")
+        return value
 
     # crystal
     if not cp.has_section("crystal"):
         raise ScenarioError("missing required section [crystal]")
     preset = get("crystal", "preset")
-    try:
-        if preset is not None:
-            if preset not in CRYSTAL_PRESETS:
-                raise ScenarioError(
-                    f"[crystal] preset: unknown preset {preset!r}; "
-                    f"available: {', '.join(sorted(CRYSTAL_PRESETS))}"
-                )
-            length = _as_float("crystal", "length_mm", get("crystal", "length_mm", "5.0"))
-            crystal = CRYSTAL_PRESETS[preset](length_mm=length)
-            if get("crystal", "sigma") is not None:
-                crystal = dataclasses.replace(
-                    crystal, sigma=_as_float("crystal", "sigma", get("crystal", "sigma"))
-                )
-        else:
-            required = (
-                "length_mm", "d_fs_per_mm", "d_plus_fs_per_mm", "n_i_fs_per_mm",
-                "lambda_p_nm", "lambda_s_nm", "lambda_i_nm",
+    if preset is not None:
+        if preset not in CRYSTAL_PRESETS:
+            raise ScenarioError(
+                f"[crystal] preset: unknown preset {preset!r}; "
+                f"available: {', '.join(sorted(CRYSTAL_PRESETS))}"
             )
-            missing = [k for k in required if get("crystal", k) is None]
-            if missing:
-                raise ScenarioError(
-                    f"[crystal] missing keys without preset: {', '.join(missing)}"
-                )
-            crystal = CrystalParams(
-                length_mm=_as_float("crystal", "length_mm", get("crystal", "length_mm")),
-                D=_as_float("crystal", "d_fs_per_mm", get("crystal", "d_fs_per_mm")),
-                D_plus=_as_float(
-                    "crystal", "d_plus_fs_per_mm", get("crystal", "d_plus_fs_per_mm")
-                ),
-                N_i=_as_float("crystal", "n_i_fs_per_mm", get("crystal", "n_i_fs_per_mm")),
-                lambda_p_nm=_as_float("crystal", "lambda_p_nm", get("crystal", "lambda_p_nm")),
-                lambda_s_nm=_as_float("crystal", "lambda_s_nm", get("crystal", "lambda_s_nm")),
-                lambda_i_nm=_as_float("crystal", "lambda_i_nm", get("crystal", "lambda_i_nm")),
-                sigma=_as_float("crystal", "sigma", get("crystal", "sigma", "0.01")),
+        crystal = _build(
+            "crystal", CRYSTAL_PRESETS[preset],
+            length_mm=get("crystal", "length_mm", float, 5.0),
+            sigma=get("crystal", "sigma", float, 0.01),
+        )
+    else:
+        required = (
+            "length_mm", "d_fs_per_mm", "d_plus_fs_per_mm", "n_i_fs_per_mm",
+            "lambda_p_nm", "lambda_s_nm", "lambda_i_nm",
+        )
+        missing = [k for k in required if not given("crystal", k)]
+        if missing:
+            raise ScenarioError(
+                f"[crystal] missing keys without preset: {', '.join(missing)}"
             )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"[crystal] invalid parameters: {exc}") from exc
+        crystal = _build(
+            "crystal", CrystalParams,
+            length_mm=get("crystal", "length_mm", float),
+            D=get("crystal", "d_fs_per_mm", float),
+            D_plus=get("crystal", "d_plus_fs_per_mm", float),
+            N_i=get("crystal", "n_i_fs_per_mm", float),
+            lambda_p_nm=get("crystal", "lambda_p_nm", float),
+            lambda_s_nm=get("crystal", "lambda_s_nm", float),
+            lambda_i_nm=get("crystal", "lambda_i_nm", float),
+            sigma=get("crystal", "sigma", float, 0.01),
+        )
 
     # pump
     if not cp.has_section("pump"):
         raise ScenarioError("missing required section [pump]")
-    t0_fs = get("pump", "t0_fs")
-    t0_ps = get("pump", "t0_ps")
-    if (t0_fs is None) == (t0_ps is None):
+    if given("pump", "t0_fs") == given("pump", "t0_ps"):
         raise ScenarioError("[pump] give exactly one of t0_fs or t0_ps")
-    try:
-        if t0_fs is not None:
-            pump = PumpPulse(t0_fs=_as_float("pump", "t0_fs", t0_fs))
-        else:
-            pump = PumpPulse.from_ps(_as_float("pump", "t0_ps", t0_ps))
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"[pump] invalid parameters: {exc}") from exc
+    if given("pump", "t0_fs"):
+        pump = _build("pump", PumpPulse, get("pump", "t0_fs", float))
+    else:
+        pump = _build("pump", PumpPulse.from_ps, get("pump", "t0_ps", float))
 
     # geometry
-    zp2_raw = get("geometry", "zp2_mm")
-    sync_raw = get("geometry", "synchronize")
-    if zp2_raw is not None and sync_raw is not None and _as_bool(
-        "geometry", "synchronize", sync_raw
-    ):
+    synchronize = get("geometry", "synchronize", bool, not given("geometry", "zp2_mm"))
+    if synchronize and given("geometry", "zp2_mm"):
         raise ScenarioError("[geometry] zp2_mm conflicts with synchronize = true")
-    synchronize = (
-        _as_bool("geometry", "synchronize", sync_raw)
-        if sync_raw is not None
-        else zp2_raw is None
-    )
-    try:
-        geometry = InterferometerGeometry(
-            z1_mm=_as_float("geometry", "z1_mm", get("geometry", "z1_mm", "0.0")),
-            z2_mm=_as_float("geometry", "z2_mm", get("geometry", "z2_mm", "0.0")),
-            z3_mm=_as_float("geometry", "z3_mm", get("geometry", "z3_mm", "0.0")),
-            zp1_mm=_as_float("geometry", "zp1_mm", get("geometry", "zp1_mm", "0.0")),
-            zp2_mm=_as_float("geometry", "zp2_mm", zp2_raw or "0.0"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"[geometry] invalid parameters: {exc}") from exc
+    geometry = _build("geometry", InterferometerGeometry, **{
+        key: get("geometry", key, float, 0.0)
+        for key in ("z1_mm", "z2_mm", "z3_mm", "zp1_mm", "zp2_mm")
+    })
 
     # sample
     sample_file = None
-    stype = get("sample", "type", "uniform")
-    try:
-        if stype == "uniform":
-            r_abs = _as_float("sample", "r_abs", get("sample", "r_abs", "1.0"))
-            r_phase = _as_float("sample", "r_phase_rad", get("sample", "r_phase_rad", "0.0"))
-            sample: SampleModel = UniformSample(r=r_abs * np.exp(1j * r_phase))
-        elif stype == "bilayer":
-            thickness = get("sample", "thickness_um")
-            n_slab = get("sample", "n_slab")
-            if thickness is None or n_slab is None:
-                raise ScenarioError("[sample] bilayer needs thickness_um and n_slab")
-            d0 = _as_float("sample", "thickness_um", thickness)
-            n0 = _as_float("sample", "n_slab", n_slab)
-            if get("sample", "r0") is not None:
-                if get("sample", "r1") is None:
-                    raise ScenarioError("[sample] bilayer with r0 also needs r1")
-                sample = BilayerSample(
-                    r0=_as_float("sample", "r0", get("sample", "r0")),
-                    r1=_as_float("sample", "r1", get("sample", "r1")),
-                    d0_um=d0,
-                    n0=n0,
-                    omega_carrier=crystal.omega_i0,
-                )
-            else:
-                n_before = _as_float("sample", "n_before", get("sample", "n_before", "1.0"))
-                n_after = get("sample", "n_after")
-                if n_after is None:
-                    raise ScenarioError(
-                        "[sample] bilayer needs either (r0, r1) or n_after"
-                    )
-                sample = BilayerSample.from_fresnel(
-                    n_before=n_before,
-                    n_slab=n0,
-                    n_after=_as_float("sample", "n_after", n_after),
-                    d0_um=d0,
-                    omega_carrier=crystal.omega_i0,
-                )
-        elif stype == "tabulated":
-            sample_file = get("sample", "file")
-            if sample_file is None:
-                raise ScenarioError("[sample] tabulated needs file")
-            path = Path(base_dir or ".") / sample_file
-            if not path.exists():
-                raise ScenarioError(f"[sample] file: no such file: {path}")
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            if table.shape[1] < 3:
-                raise ScenarioError(
-                    "[sample] file must have columns omega_rad_fs, r_real, r_imag"
-                )
-            sample = TabulatedSample(
-                omega=tuple(table[:, 0]),
-                r=tuple(table[:, 1] + 1j * table[:, 2]),
+    stype = get("sample", "type", str, "uniform")
+    if stype == "uniform":
+        r_abs = get("sample", "r_abs", float, 1.0)
+        r_phase = get("sample", "r_phase_rad", float, 0.0)
+        sample: SampleModel = _build("sample", UniformSample, r_abs * np.exp(1j * r_phase))
+    elif stype == "bilayer":
+        if not (given("sample", "thickness_um") and given("sample", "n_slab")):
+            raise ScenarioError("[sample] bilayer needs thickness_um and n_slab")
+        d0 = get("sample", "thickness_um", float)
+        n0 = get("sample", "n_slab", float)
+        if given("sample", "r0"):
+            if not given("sample", "r1"):
+                raise ScenarioError("[sample] bilayer with r0 also needs r1")
+            sample = _build(
+                "sample", BilayerSample,
+                r0=get("sample", "r0", float),
+                r1=get("sample", "r1", float),
+                d0_um=d0,
+                n0=n0,
+                omega_carrier=crystal.omega_i0,
             )
         else:
-            raise ScenarioError(
-                f"[sample] type: unknown type {stype!r} "
-                "(expected uniform, bilayer or tabulated)"
+            n_before = get("sample", "n_before", float, 1.0)
+            if not given("sample", "n_after"):
+                raise ScenarioError("[sample] bilayer needs either (r0, r1) or n_after")
+            sample = _build(
+                "sample", BilayerSample.from_fresnel,
+                n_before=n_before,
+                n_slab=n0,
+                n_after=get("sample", "n_after", float),
+                d0_um=d0,
+                omega_carrier=crystal.omega_i0,
             )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"[sample] invalid parameters: {exc}") from exc
+    elif stype == "tabulated":
+        sample_file = get("sample", "file")
+        if sample_file is None:
+            raise ScenarioError("[sample] tabulated needs file")
+        path = Path(base_dir or ".") / sample_file
+        if not path.exists():
+            raise ScenarioError(f"[sample] file: no such file: {path}")
+        table = _build("sample", np.loadtxt, path, delimiter=",", skiprows=1, ndmin=2)
+        if table.shape[1] < 3:
+            raise ScenarioError(
+                "[sample] file must have columns omega_rad_fs, r_real, r_imag"
+            )
+        sample = _build(
+            "sample", TabulatedSample,
+            omega=tuple(table[:, 0]),
+            r=tuple(table[:, 1] + 1j * table[:, 2]),
+        )
+    else:
+        raise ScenarioError(
+            f"[sample] type: unknown type {stype!r} "
+            "(expected uniform, bilayer or tabulated)"
+        )
 
     # grid
-    grid_points = _as_int("grid", "points", get("grid", "points", "2048"))
+    grid_points = get("grid", "points", int, 2048)
     if grid_points < 256:
         raise ScenarioError("[grid] points must be at least 256")
-    hw = get("grid", "half_width_rad_fs")
-    grid_half_width = _as_float("grid", "half_width_rad_fs", hw) if hw else None
+    grid_half_width = get("grid", "half_width_rad_fs", float)
     if grid_half_width is not None and grid_half_width <= 0:
         raise ScenarioError("[grid] half_width_rad_fs must be positive")
-    kernel = get("grid", "kernel", "exact")
+    kernel = get("grid", "kernel", str, "exact")
     if kernel not in ("exact", "gaussian"):
         raise ScenarioError(f"[grid] kernel: expected exact or gaussian, got {kernel!r}")
 
     # scan
-    lo_raw, hi_raw = get("scan", "delta_z_min_mm"), get("scan", "delta_z_max_mm")
-    if (lo_raw is None) != (hi_raw is None):
+    if given("scan", "delta_z_min_mm") != given("scan", "delta_z_max_mm"):
         raise ScenarioError("[scan] give both delta_z_min_mm and delta_z_max_mm or neither")
-    lo = _as_float("scan", "delta_z_min_mm", lo_raw) if lo_raw else None
-    hi = _as_float("scan", "delta_z_max_mm", hi_raw) if hi_raw else None
+    lo = get("scan", "delta_z_min_mm", float)
+    hi = get("scan", "delta_z_max_mm", float)
     if lo is not None and lo >= hi:
         raise ScenarioError("[scan] delta_z_min_mm must be below delta_z_max_mm")
-    pts_raw = get("scan", "points")
-    scan_points = _as_int("scan", "points", pts_raw) if pts_raw else None
+    scan_points = get("scan", "points", int)
     if scan_points is not None and scan_points < 2:
         raise ScenarioError("[scan] points must be at least 2")
     scan = ScanSpec(
         delta_z_min_mm=lo,
         delta_z_max_mm=hi,
         points=scan_points,
-        fringes=_as_bool("scan", "fringes", get("scan", "fringes", "true")),
+        fringes=get("scan", "fringes", bool, True),
     )
 
     # tasks
     run_raw = get("tasks", "run")
-    if not run_raw:
+    if run_raw is None:
         raise ScenarioError("missing [tasks] run = <task, ...>")
     tasks = tuple(t.strip() for t in run_raw.split(",") if t.strip())
     if not tasks:
@@ -372,10 +335,10 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         raise ScenarioError("[tasks] run: duplicate task names")
 
     # output
-    fmt = get("output", "format", "csv")
+    fmt = get("output", "format", str, "csv")
     if fmt not in ("csv", "json"):
         raise ScenarioError(f"[output] format: expected csv or json, got {fmt!r}")
-    stride = _as_int("output", "jsi_stride", get("output", "jsi_stride", "1"))
+    stride = get("output", "jsi_stride", int, 1)
     if stride < 1:
         raise ScenarioError("[output] jsi_stride must be >= 1")
 
@@ -391,7 +354,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         kernel=kernel,
         scan=scan,
         tasks=tasks,
-        output_dir=get("output", "directory", "out"),
+        output_dir=get("output", "directory", str, "out"),
         output_format=fmt,
         jsi_stride=stride,
     )
@@ -520,25 +483,40 @@ def _scan_window(scenario: Scenario) -> tuple[float, float] | None:
     return (scenario.scan.delta_z_min_mm, scenario.scan.delta_z_max_mm)
 
 
-def _grid(scenario: Scenario, points: int):
-    return make_frequency_grid(
+def _jsa(scenario: Scenario, points: int) -> biphoton.JointSpectrum:
+    grid = make_frequency_grid(
         scenario.crystal, scenario.pump, points, half_width=scenario.grid_half_width
     )
+    return biphoton.joint_spectral_intensity(
+        scenario.kernel, scenario.crystal, scenario.pump, grid
+    )
+
+
+def _halved_resolution(
+    scenario: Scenario, points: int, dz: np.ndarray, g1_abs: np.ndarray
+) -> dict:
+    """Convergence entry of a scan task from the |g1| it computed on ``dz``.
+
+    Only the half-resolution correlator (points / 4096) is built, on every
+    (dz.size // 64)-th delay; the delta is the largest change of |g1| there.
+    """
+    sub = slice(None, None, max(1, dz.size // 64))
+    half = coherence.g1_scan(
+        scenario.crystal, scenario.pump, scenario.effective_geometry(), scenario.sample,
+        dz[sub], resolution=points / 4096.0, include_carrier=False,
+    )
+    delta = float(np.max(np.abs(g1_abs[sub] - np.abs(half))))
+    return {"delta": delta, "method": "halved-resolution"}
 
 
 def _task_joint_spectrum(scenario: Scenario, points: int):
-    js = biphoton.joint_spectral_intensity(
-        scenario.kernel, scenario.crystal, scenario.pump, _grid(scenario, points)
-    )
+    js = _jsa(scenario, points)
     files = {"joint_spectrum.csv": _jsi_csv(js, scenario.jsi_stride)}
     # convergence: coarsen the grid when still resolvable, otherwise compare the
     # grid marginal bandwidth against the pump-adaptive reference quadrature
     m_fine = biphoton.marginal_spectrum(js, scenario.crystal).fwhm_nm
     try:
-        coarse = biphoton.joint_spectral_intensity(
-            scenario.kernel, scenario.crystal, scenario.pump,
-            _grid(scenario, max(256, points // 2)),
-        )
+        coarse = _jsa(scenario, max(256, points // 2))
         m_coarse = biphoton.marginal_spectrum(coarse, scenario.crystal).fwhm_nm
         delta = abs(m_fine - m_coarse) / m_fine
         method = "coarsen"
@@ -551,10 +529,7 @@ def _task_joint_spectrum(scenario: Scenario, points: int):
 
 
 def _task_schmidt(scenario: Scenario, points: int):
-    js = biphoton.joint_spectral_intensity(
-        scenario.kernel, scenario.crystal, scenario.pump, _grid(scenario, points)
-    )
-    report = biphoton.schmidt_analysis(js)
+    report = biphoton.schmidt_analysis(_jsa(scenario, points))
     coeffs = [float(v) for v in report.coefficients if v > 1e-12]
     payload = {
         "coefficients": coeffs,
@@ -563,12 +538,7 @@ def _task_schmidt(scenario: Scenario, points: int):
     }
     files = {"schmidt.json": json.dumps(payload, indent=2) + "\n"}
     try:
-        coarse = biphoton.schmidt_analysis(
-            biphoton.joint_spectral_intensity(
-                scenario.kernel, scenario.crystal, scenario.pump,
-                _grid(scenario, max(256, points // 2)),
-            )
-        )
+        coarse = biphoton.schmidt_analysis(_jsa(scenario, max(256, points // 2)))
         delta = abs(report.schmidt_number_K - coarse.schmidt_number_K) / report.schmidt_number_K
         method = "coarsen"
     except GridResolutionError:
@@ -587,25 +557,15 @@ def _task_g1_scan(scenario: Scenario, points: int):
         n_points=401 if scenario.scan.points is None else scenario.scan.points,
         window_mm=window,
     )
-    resolution = points / 2048.0
     g = coherence.g1_scan(
         crystal, pump, geometry, scenario.sample, dz,
-        resolution=resolution, include_carrier=True,
+        resolution=points / 2048.0, include_carrier=True,
     )
-    rows = list(zip(dz, np.abs(g), np.angle(g)))
+    g_abs = np.abs(g)
+    rows = list(zip(dz, g_abs, np.angle(g)))
     name = f"g1_scan.{scenario.output_format}"
     files = {name: export_series(["delta_z_mm", "g1_abs", "g1_phase"], rows, scenario.output_format)}
-    sub = dz[:: max(1, dz.size // 64)]
-    g_half = coherence.g1_scan(
-        crystal, pump, geometry, scenario.sample, sub,
-        resolution=resolution / 2.0, include_carrier=False,
-    )
-    g_sub = coherence.g1_scan(
-        crystal, pump, geometry, scenario.sample, sub,
-        resolution=resolution, include_carrier=False,
-    )
-    delta = float(np.max(np.abs(np.abs(g_sub) - np.abs(g_half))))
-    return files, {"delta": delta, "method": "halved-resolution"}, {}
+    return files, _halved_resolution(scenario, points, dz, g_abs), {}
 
 
 def _task_oct_scan(scenario: Scenario, points: int):
@@ -622,24 +582,11 @@ def _task_oct_scan(scenario: Scenario, points: int):
         )
         conv = {"delta": 0.0, "method": "analytic"}
     else:
-        resolution = points / 2048.0
         ifg = oct_scan.interferogram_numeric(
             crystal, pump, geometry, scenario.sample, dz,
-            fringes=scenario.scan.fringes, resolution=resolution,
+            fringes=scenario.scan.fringes, resolution=points / 2048.0,
         )
-        sub = dz[:: max(1, dz.size // 64)]
-        a = oct_scan.interferogram_numeric(
-            crystal, pump, geometry, scenario.sample, sub,
-            fringes=False, resolution=resolution,
-        )
-        b = oct_scan.interferogram_numeric(
-            crystal, pump, geometry, scenario.sample, sub,
-            fringes=False, resolution=resolution / 2.0,
-        )
-        conv = {
-            "delta": float(np.max(np.abs(a.flux - b.flux)) / ifg.n_signal),
-            "method": "halved-resolution",
-        }
+        conv = _halved_resolution(scenario, points, dz, ifg.envelope)
     flux_norm = ifg.flux / ifg.n_signal
     rows = list(zip(ifg.delta_z_mm, flux_norm, ifg.envelope))
     name = f"interferogram.{scenario.output_format}"
@@ -767,8 +714,9 @@ def run_scenario(
             raise
         manifest_files[task] = written
         seconds[task] = round(secs, 6)
-        conv["flagged"] = bool(
-            np.isfinite(conv["delta"]) and conv["delta"] > CONVERGENCE_GATE
+        # NaN fails the gate; only a check that could not run may report none
+        conv["flagged"] = conv["method"] != "unavailable" and not (
+            conv["delta"] <= CONVERGENCE_GATE
         )
         conv["gate"] = CONVERGENCE_GATE
         convergence[task] = conv

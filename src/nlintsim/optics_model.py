@@ -80,6 +80,9 @@ class CrystalParams:
     sigma: float = 0.01
 
     def __post_init__(self):
+        _require_finite("crystal", self)
+        if self.sigma < 0:
+            raise ValueError(f"gain coefficient sigma must be >= 0, got {self.sigma}")
         if not self.length_mm > 0:
             raise ValueError(f"crystal length must be positive, got {self.length_mm}")
         if self.D == 0:
@@ -120,6 +123,12 @@ class CrystalParams:
         return self.D_plus * (omega_s + omega_i) + self.D * (omega_s - omega_i) / 2.0
 
 
+def _require_finite(kind: str, params) -> None:
+    for name, v in dataclasses.asdict(params).items():
+        if not np.isfinite(v):
+            raise ValueError(f"{kind} field {name} must be finite, got {v}")
+
+
 def mgo_linbo3_crystal(length_mm: float, sigma: float = 0.01) -> CrystalParams:
     """Reference MgO-doped LiNbO3 crystal, type-0, 532 nm -> 810 + 1550 nm.
 
@@ -146,6 +155,7 @@ class PumpPulse:
     t0_fs: float
 
     def __post_init__(self):
+        _require_finite("pump", self)
         if not self.t0_fs > 0:
             raise ValueError(f"pump duration must be positive, got {self.t0_fs}")
 
@@ -227,9 +237,7 @@ class InterferometerGeometry:
     zp2_mm: float = 0.0
 
     def __post_init__(self):
-        for name, v in dataclasses.asdict(self).items():
-            if not np.isfinite(v):
-                raise ValueError(f"geometry field {name} must be finite, got {v}")
+        _require_finite("geometry", self)
 
 
 @dataclass(frozen=True)
@@ -240,6 +248,7 @@ class UniformSample:
 
     def __post_init__(self):
         object.__setattr__(self, "r", complex(self.r))
+        _require_finite("sample", self)
         if abs(self.r) > 1.0 + 1e-12:
             raise ValueError(f"|r| = {abs(self.r)} exceeds 1 (sample must be passive)")
 
@@ -263,6 +272,7 @@ class BilayerSample:
     omega_carrier: float
 
     def __post_init__(self):
+        _require_finite("sample", self)
         if abs(self.r0) + abs(self.r1) > 1.0 + 1e-12:
             raise ValueError(
                 f"|r0| + |r1| = {abs(self.r0) + abs(self.r1)} exceeds 1 "
@@ -324,6 +334,8 @@ class TabulatedSample:
         r = np.asarray(self.r, dtype=complex)
         if w.ndim != 1 or w.size < 2 or w.shape != r.shape:
             raise ValueError("tabulated sample needs matching 1-d omega and r arrays")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(r))):
+            raise ValueError("tabulated omega and r must be finite")
         if np.any(np.diff(w) <= 0):
             raise ValueError("tabulated omega grid must be strictly ascending")
         if np.any(np.abs(r) > 1.0 + 1e-12):

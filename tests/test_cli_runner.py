@@ -114,7 +114,9 @@ def test_zp2_conflicts_with_synchronize():
 
 
 def test_round_trip_canonical():
-    for text in (MINIMAL, OCT_SCENARIO):
+    bundled = [path.read_text() for path in sorted(SCENARIO_DIR.glob("*.ini"))]
+    assert len(bundled) == 9
+    for text in (MINIMAL, OCT_SCENARIO, *bundled):
         s = parse_scenario(text)
         assert parse_scenario(render_scenario(s)) == s
 
@@ -147,6 +149,14 @@ INVALID_NUMBERS = [
     pytest.param(
         _grid_line("half_width_rad_fs = -1"), "[grid] half_width_rad_fs", id="half-width-neg"
     ),
+    pytest.param(
+        MINIMAL + "\n[scan]\ndelta_z_min_mm =\ndelta_z_max_mm = 0.3\n",
+        "[scan] delta_z_min_mm", id="dz-min-empty",
+    ),
+    pytest.param(
+        _grid_line("half_width_rad_fs ="), "[grid] half_width_rad_fs", id="half-width-empty"
+    ),
+    pytest.param(MINIMAL + "\n[scan]\npoints =\n", "[scan] points", id="scan-points-empty"),
 ]
 
 
@@ -269,6 +279,46 @@ def test_cli_names_the_failing_task(tmp_path, monkeypatch, capsys):
     scen.write_text(MINIMAL)
     assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 1
     assert "error: task schmidt: no half-maximum crossing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,flagged", [
+    ("halved-resolution", True),
+    ("unavailable", False),
+])
+def test_nan_delta_fails_the_gate(tmp_path, monkeypatch, capsys, method, flagged):
+    def nan_delta(scenario, points):
+        return {}, {"delta": float("nan"), "method": method}, {}
+
+    monkeypatch.setitem(cli._TASK_FN, "schmidt", nan_delta)
+    manifest = run_scenario(parse_scenario(MINIMAL), out_dir=tmp_path / "direct")
+    assert manifest.convergence["schmidt"]["flagged"] is flagged
+    assert manifest.convergence_ok is not flagged
+    scen = tmp_path / "s.ini"
+    scen.write_text(MINIMAL)
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == (2 if flagged else 0)
+
+
+UNIFORM_OCT = MINIMAL.replace("run = schmidt", "run = oct_scan") + "\n[scan]\nfringes = false\n"
+
+
+@pytest.mark.parametrize("text,builds", [
+    pytest.param(MINIMAL.replace("run = schmidt", "run = g1_scan"), 2, id="g1-scan"),
+    pytest.param(UNIFORM_OCT, 2, id="oct-scan-numeric"),
+    pytest.param(OCT_SCENARIO.replace("run = oct_scan, g1_scan", "run = oct_scan"), 0,
+                 id="oct-scan-bilayer"),
+])
+def test_scan_task_builds_one_full_resolution_correlator(tmp_path, monkeypatch, text, builds):
+    built = []
+
+    class CountingCorrelator(cli.coherence.PairCorrelator):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["resolution"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli.coherence, "PairCorrelator", CountingCorrelator)
+    run_scenario(parse_scenario(text), out_dir=tmp_path)
+    assert len(built) == builds
+    assert sorted(built) == [0.125, 0.25][:builds]
 
 
 def test_run_scenario_grid_override_changes_density(tmp_path):

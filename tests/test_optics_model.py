@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,44 @@ def test_crystal_rejects_degenerate_parameters():
 def test_geometry_rejects_nonfinite():
     with pytest.raises(ValueError):
         InterferometerGeometry(z1_mm=np.inf)
+
+
+def _crystal(**changes):
+    return lambda: dataclasses.replace(CRYSTAL, **changes)
+
+
+def _bilayer(**changes):
+    fields = dict(r0=-0.2, r1=0.1, d0_um=20.0, n0=1.5, omega_carrier=1.2)
+    return lambda: BilayerSample(**{**fields, **changes})
+
+
+NONFINITE_PARAMETERS = [
+    pytest.param(_crystal(length_mm=np.inf), id="crystal-length-inf"),
+    pytest.param(_crystal(D=np.nan), id="crystal-D-nan"),
+    pytest.param(_crystal(D_plus=np.nan), id="crystal-D-plus-nan"),
+    pytest.param(_crystal(lambda_p_nm=np.nan), id="crystal-lambda-p-nan"),
+    pytest.param(_crystal(N_i=np.inf), id="crystal-N-i-inf"),
+    pytest.param(_crystal(sigma=np.nan), id="crystal-sigma-nan"),
+    pytest.param(_crystal(sigma=-1.0), id="crystal-sigma-negative"),
+    pytest.param(lambda: PumpPulse(np.inf), id="pump-inf"),
+    pytest.param(lambda: UniformSample(np.nan), id="uniform-nan"),
+    pytest.param(_bilayer(r0=np.nan), id="bilayer-r0-nan"),
+    pytest.param(_bilayer(d0_um=np.nan), id="bilayer-d0-nan"),
+    pytest.param(
+        lambda: TabulatedSample(omega=(-1.0, np.nan, 1.0), r=(0.2, 0.3, 0.4)),
+        id="tabulated-omega-nan",
+    ),
+    pytest.param(
+        lambda: TabulatedSample(omega=(-1.0, 0.0, 1.0), r=(0.2, np.nan, 0.4)),
+        id="tabulated-r-nan",
+    ),
+]
+
+
+@pytest.mark.parametrize("build", NONFINITE_PARAMETERS)
+def test_model_rejects_nonfinite_parameters(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 # ---------------------------------------------------------------- grid
