@@ -275,6 +275,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         path = Path(base_dir or ".") / sample_file
         if not path.exists():
             raise ScenarioError(f"[sample] file: no such file: {path}")
+        if not path.is_file():
+            raise ScenarioError(f"[sample] file: not a file: {path}")
         table = _build("sample", np.loadtxt, path, delimiter=",", skiprows=1, ndmin=2)
         if table.shape[1] < 3:
             raise ScenarioError(
@@ -497,15 +499,14 @@ def _halved_resolution(
 ) -> dict:
     """Convergence entry of a scan task from the |g1| it computed on ``dz``.
 
-    Only the half-resolution correlator (points / 4096) is built, on every
-    (dz.size // 64)-th delay; the delta is the largest change of |g1| there.
+    Only the half-resolution correlator (points / 4096) is built; the delta is
+    the largest change of |g1| over every delay of the scan.
     """
-    sub = slice(None, None, max(1, dz.size // 64))
     half = coherence.g1_scan(
         scenario.crystal, scenario.pump, scenario.effective_geometry(), scenario.sample,
-        dz[sub], resolution=points / 4096.0, include_carrier=False,
+        dz, resolution=points / 4096.0, include_carrier=False,
     )
-    delta = float(np.max(np.abs(g1_abs[sub] - np.abs(half))))
+    delta = float(np.max(np.abs(g1_abs - np.abs(half))))
     return {"delta": delta, "method": "halved-resolution"}
 
 
@@ -769,7 +770,7 @@ def main(argv=None) -> int:
         return 0
 
     path = Path(args.scenario)
-    if not path.exists():
+    if not path.is_file():
         print(f"error: no such scenario file: {path}", file=sys.stderr)
         return 1
     try:

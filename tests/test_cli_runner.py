@@ -157,6 +157,10 @@ INVALID_NUMBERS = [
         _grid_line("half_width_rad_fs ="), "[grid] half_width_rad_fs", id="half-width-empty"
     ),
     pytest.param(MINIMAL + "\n[scan]\npoints =\n", "[scan] points", id="scan-points-empty"),
+    pytest.param(
+        MINIMAL + f"\n[sample]\ntype = tabulated\nfile = {Path(__file__).parent}\n",
+        "[sample] file: not a file", id="sample-file-is-directory",
+    ),
 ]
 
 
@@ -345,6 +349,14 @@ def test_cli_run_ok(tmp_path, capsys):
 
 def test_cli_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ini")]) == 1
+
+
+@pytest.mark.parametrize("name", ["nope.ini", "a_directory.ini"])
+def test_cli_scenario_path_not_a_file(tmp_path, capsys, name):
+    (tmp_path / "a_directory.ini").mkdir()
+    assert main(["run", str(tmp_path / name), "--out", str(tmp_path / "out")]) == 1
+    assert "error: no such scenario file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_validation_error(tmp_path, capsys):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from nlintsim.coherence import (
+    CHIRP_Z_PHASE_TOL,
+    PairCorrelator,
     g1_analytic,
     g1_envelope,
     g1_numeric,
@@ -13,8 +15,10 @@ from nlintsim.coherence import (
     tri,
 )
 from nlintsim.optics_model import (
+    BilayerSample,
     C_MM_FS,
     InterferometerGeometry,
+    NumericalConsistencyError,
     PumpPulse,
     TabulatedSample,
     UniformSample,
@@ -217,6 +221,76 @@ def test_tabulated_sample_must_cover_quadrature_band():
     narrow = TabulatedSample(omega=(-0.1, 0.1), r=(0.5, 0.5))
     with pytest.raises(ValueError, match="outside tabulated range"):
         g1_numeric(CRYSTAL, pump, geom, narrow)
+
+
+# ---------------------------------------------------------------- delay transform
+
+SLAB = BilayerSample.from_fresnel(1.0, 1.5, 1.3, d0_um=20.0, omega_carrier=CRYSTAL.omega_i0)
+_TAB_W = np.linspace(-8.0, 8.0, 4001)
+TABULATED = TabulatedSample(
+    omega=tuple(_TAB_W), r=tuple(0.6 * np.exp(-(_TAB_W ** 2) + 5j * _TAB_W))
+)
+SCAN_T1 = np.linspace(-300.0, 400.0, 257)
+
+
+def transform_case(
+    sample=MIRROR, t1=SCAN_T1, t2_fs=0.0, resolution=1.0, extra=0.0,
+    crystal=CRYSTAL, pump=PumpPulse(500.0),
+):
+    corr = PairCorrelator(
+        crystal, pump, sample, t2_fs=t2_fs, t1_max_fs=400.0,
+        resolution=resolution, extra_idler_delay_fs=extra,
+    )
+    return corr, np.asarray(t1, dtype=float)
+
+
+CHIRP_Z_CASES = [
+    pytest.param({}, id="mirror"),
+    pytest.param({"sample": UniformSample(0.5 * np.exp(0.7j))}, id="lossy"),
+    pytest.param({"sample": SLAB, "extra": SLAB.tau_fs}, id="bilayer"),
+    pytest.param({"sample": TABULATED}, id="tabulated"),
+    pytest.param({"t2_fs": 35.0}, id="unsynchronized"),
+    pytest.param({"resolution": 0.5}, id="half-resolution"),
+    pytest.param({"t1": SCAN_T1[::-1]}, id="descending"),
+    pytest.param({"t1": []}, id="no-delays"),
+    pytest.param({"t1": [123.0]}, id="one-delay"),
+    pytest.param({"t1": [-50.0, 80.0]}, id="two-delays"),
+    # chirp phases reach a N^2 / 2 ~ 2e9 rad over N ~ 1e5 signal frequencies
+    pytest.param(
+        {"t1": [-400.0, 0.0, 400.0], "crystal": mgo_linbo3_crystal(0.5), "pump": PumpPulse(1e5)},
+        id="three-delays-wide-band",
+    ),
+]
+
+
+@pytest.mark.parametrize("case", CHIRP_Z_CASES)
+def test_chirp_z_matches_direct_sum(case):
+    corr, t1 = transform_case(**case)
+    fast = corr.correlation(t1)
+    assert fast.shape == t1.shape
+    np.testing.assert_array_equal(fast, corr._chirp_z(t1))
+    direct = corr._direct_sum(t1)
+    assert np.max(np.abs(fast - direct), initial=0.0) <= 1e-9
+    if t1.size > 1:
+        assert np.max(np.abs(direct)) > 1e-3  # the comparison is not between zeros
+
+
+def test_uneven_delays_take_the_direct_sum():
+    corr, t1 = transform_case(t1=np.array([0.0, 0.01, 0.03]) / C_MM_FS)
+    assert abs(t1[1] - (t1[0] + t1[2]) / 2) * np.max(np.abs(corr.omega_s)) > CHIRP_Z_PHASE_TOL
+    np.testing.assert_array_equal(corr.correlation(t1), corr._direct_sum(t1))
+
+
+def test_chirp_z_path_keeps_the_bound_check(monkeypatch):
+    corr, t1 = transform_case()
+    corr._reduced = 2.0 * corr._reduced
+
+    def forbidden(t1):
+        raise AssertionError("a uniform axis must not take the direct sum")
+
+    monkeypatch.setattr(corr, "_direct_sum", forbidden)
+    with pytest.raises(NumericalConsistencyError, match="exceeds 1"):
+        corr.correlation(t1)
 
 
 # ---------------------------------------------------------------- photon number
