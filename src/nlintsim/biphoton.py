@@ -3,8 +3,10 @@
 Two kernels are provided. The exact kernel keeps the sinc phase matching and
 the pump walk-off D_plus; the Gaussian kernel replaces sinc(x) by
 exp(-(alpha x)^2) and sets D_plus = 0, which makes the two-mode structure
-analytically Gaussian. Separable unit-modulus phase factors are omitted from
-both since they drop out of every intensity and Schmidt observable.
+analytically Gaussian. Separable unit-modulus phase factors, the exact
+kernel's global factor i among them, are omitted from both since they drop
+out of every intensity and Schmidt observable, so the grid amplitude is real.
+The Schmidt coefficients are the eigenvalues of the amplitude's Gram matrix.
 """
 
 from __future__ import annotations
@@ -33,12 +35,16 @@ NORMALIZATION_TOL = 1e-6
 
 def biphoton_exact(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i):
     """Sinc-kernel pair amplitude i sigma L F(ws + wi) sinc(dk L / 2)."""
+    return 1j * _exact_real(crystal, pump, omega_s, omega_i)
+
+
+def _exact_real(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i):
+    """``biphoton_exact`` without its global factor i: sigma L F sinc(dk L / 2)."""
     ws = np.asarray(omega_s, dtype=float)
     wi = np.asarray(omega_i, dtype=float)
     sig_l = crystal.sigma * crystal.length_mm
     return (
-        1j
-        * sig_l
+        sig_l
         * pump_amplitude(pump, ws + wi)
         * sinc(crystal.phase_mismatch(ws, wi) * crystal.length_mm / 2.0)
     )
@@ -65,7 +71,11 @@ def biphoton_gaussian(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i)
 
 @dataclass(frozen=True)
 class JointSpectrum:
-    """Discretized pair amplitude on a FrequencyGrid (signal rows, idler columns)."""
+    """Discretized pair amplitude on a FrequencyGrid (signal rows, idler columns).
+
+    ``joint_spectral_intensity`` stores a real amplitude; a caller may pass a
+    complex one, which every method here accepts as well.
+    """
 
     grid: FrequencyGrid
     amplitude: np.ndarray
@@ -90,16 +100,16 @@ def joint_spectral_intensity(
     pump: PumpPulse,
     grid: FrequencyGrid,
 ) -> JointSpectrum:
-    """Pair amplitude on ``grid``, normalized to unit quadrature sum.
+    """Real pair amplitude on ``grid``, normalized to unit quadrature sum.
 
-    ``kernel`` is "exact" or "gaussian".
+    ``kernel`` is "exact" (stored without its global factor i) or "gaussian".
     """
     ws = grid.omega_s[:, None]
     wi = grid.omega_i[None, :]
     if kernel == "exact":
-        amp = biphoton_exact(crystal, pump, ws, wi)
+        amp = _exact_real(crystal, pump, ws, wi)
     elif kernel == "gaussian":
-        amp = biphoton_gaussian(crystal, pump, ws, wi).astype(complex)
+        amp = biphoton_gaussian(crystal, pump, ws, wi)
     else:
         raise ValueError(f"unknown kernel {kernel!r}, expected 'exact' or 'gaussian'")
     w = np.outer(grid.weights_s, grid.weights_i)
@@ -234,8 +244,10 @@ class SchmidtReport:
 def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
     """Schmidt decomposition of the quadrature-weighted amplitude matrix.
 
-    The amplitude is scaled by sqrt(dws dwi) so the singular values converge
-    with grid refinement; lambda_n are the squared singular values,
+    The amplitude is scaled by sqrt(dws dwi) so the coefficients converge with
+    grid refinement. lambda_n are the eigenvalues, in descending order, of the
+    Gram matrix m m^H of that weighted matrix m: real symmetric for the real
+    amplitude of ``joint_spectral_intensity``, Hermitian for a complex one.
     K = 1 / sum lambda^2, E = -sum lambda log2 lambda.
     """
     if not js.normalized:
@@ -244,13 +256,13 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
         np.outer(js.grid.weights_s, js.grid.weights_i)
     )
     try:
-        svals = np.linalg.svd(m, compute_uv=False)
+        # conj() of a real array is the array itself, so m @ m.T runs as syrk
+        lam = np.linalg.eigvalsh(m @ m.conj().T)[::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericalConsistencyError(
             f"Schmidt decomposition failed on a {m.shape[0]}x{m.shape[1]} grid "
             f"(step_s={js.grid.step_s:.3e}, step_i={js.grid.step_i:.3e}): {exc}"
         ) from exc
-    lam = svals ** 2
     lam = lam[lam > 1e-18]
     k = 1.0 / float(np.sum(lam ** 2))
     entropy = -float(np.sum(lam * np.log2(lam)))

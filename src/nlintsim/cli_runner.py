@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextvars
 import dataclasses
 import hashlib
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +33,7 @@ from .optics_model import (
     CrystalParams,
     GridResolutionError,
     InterferometerGeometry,
+    MIN_GRID_POINTS,
     NumericalConsistencyError,
     PumpPulse,
     SampleModel,
@@ -295,8 +298,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
 
     # grid
     grid_points = get("grid", "points", int, 2048)
-    if grid_points < 256:
-        raise ScenarioError("[grid] points must be at least 256")
+    if grid_points < MIN_GRID_POINTS:
+        raise ScenarioError(f"[grid] points must be at least {MIN_GRID_POINTS}")
     grid_half_width = get("grid", "half_width_rad_fs", float)
     if grid_half_width is not None and grid_half_width <= 0:
         raise ScenarioError("[grid] half_width_rad_fs must be positive")
@@ -485,13 +488,41 @@ def _scan_window(scenario: Scenario) -> tuple[float, float] | None:
     return (scenario.scan.delta_z_min_mm, scenario.scan.delta_z_max_mm)
 
 
-def _jsa(scenario: Scenario, points: int) -> biphoton.JointSpectrum:
-    grid = make_frequency_grid(
-        scenario.crystal, scenario.pump, points, half_width=scenario.grid_half_width
-    )
-    return biphoton.joint_spectral_intensity(
-        scenario.kernel, scenario.crystal, scenario.pump, grid
-    )
+class _JsaMemo:
+    """The JSAs of one ``run_scenario`` call, each grid size built once.
+
+    A task asking for a size another task is building waits for that build.
+    A failed build stores nothing, so the next caller builds and raises anew.
+    """
+
+    def __init__(self, scenario: Scenario):
+        self._scenario = scenario
+        self._lock = threading.Lock()
+        self._size_locks: dict[int, threading.Lock] = {}
+        self._built: dict[int, biphoton.JointSpectrum] = {}
+
+    def __call__(self, points: int) -> biphoton.JointSpectrum:
+        with self._lock:
+            size_lock = self._size_locks.setdefault(points, threading.Lock())
+        with size_lock:
+            if points not in self._built:
+                s = self._scenario
+                grid = make_frequency_grid(
+                    s.crystal, s.pump, points, half_width=s.grid_half_width
+                )
+                self._built[points] = biphoton.joint_spectral_intensity(
+                    s.kernel, s.crystal, s.pump, grid
+                )
+            return self._built[points]
+
+
+# the memo of the run_scenario call executing the current task; a context
+# variable, so the task functions keep their (scenario, points) signature
+_run_jsa: contextvars.ContextVar[_JsaMemo] = contextvars.ContextVar("run_jsa")
+
+
+def _jsa(points: int) -> biphoton.JointSpectrum:
+    return _run_jsa.get()(points)
 
 
 def _halved_resolution(
@@ -511,13 +542,13 @@ def _halved_resolution(
 
 
 def _task_joint_spectrum(scenario: Scenario, points: int):
-    js = _jsa(scenario, points)
+    js = _jsa(points)
     files = {"joint_spectrum.csv": _jsi_csv(js, scenario.jsi_stride)}
     # convergence: coarsen the grid when still resolvable, otherwise compare the
     # grid marginal bandwidth against the pump-adaptive reference quadrature
     m_fine = biphoton.marginal_spectrum(js, scenario.crystal).fwhm_nm
     try:
-        coarse = _jsa(scenario, max(256, points // 2))
+        coarse = _jsa(max(MIN_GRID_POINTS, points // 2))
         m_coarse = biphoton.marginal_spectrum(coarse, scenario.crystal).fwhm_nm
         delta = abs(m_fine - m_coarse) / m_fine
         method = "coarsen"
@@ -530,7 +561,7 @@ def _task_joint_spectrum(scenario: Scenario, points: int):
 
 
 def _task_schmidt(scenario: Scenario, points: int):
-    report = biphoton.schmidt_analysis(_jsa(scenario, points))
+    report = biphoton.schmidt_analysis(_jsa(points))
     coeffs = [float(v) for v in report.coefficients if v > 1e-12]
     payload = {
         "coefficients": coeffs,
@@ -539,7 +570,7 @@ def _task_schmidt(scenario: Scenario, points: int):
     }
     files = {"schmidt.json": json.dumps(payload, indent=2) + "\n"}
     try:
-        coarse = biphoton.schmidt_analysis(_jsa(scenario, max(256, points // 2)))
+        coarse = biphoton.schmidt_analysis(_jsa(max(MIN_GRID_POINTS, points // 2)))
         delta = abs(report.schmidt_number_K - coarse.schmidt_number_K) / report.schmidt_number_K
         method = "coarsen"
     except GridResolutionError:
@@ -654,11 +685,15 @@ def run_scenario(
 
     Deterministic: identical scenario text yields bit-identical data files and
     an identical manifest digest. Tasks run concurrently when the
-    NLINT_SIM_WORKERS environment variable is above 1. On task failure its
-    partial outputs are removed and the original exception propagates with a
-    note naming the task.
+    NLINT_SIM_WORKERS environment variable is above 1; ``joint_spectrum`` and
+    ``schmidt`` share each JSA, built once per call. A grid size below
+    MIN_GRID_POINTS is rejected before anything is computed or written. On
+    task failure its partial outputs are removed and the original exception
+    propagates with a note naming the task.
     """
     points = grid_points if grid_points is not None else scenario.grid_points
+    if points < MIN_GRID_POINTS:
+        raise ScenarioError(f"grid points must be at least {MIN_GRID_POINTS}, got {points}")
     target = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)
     try:
         target.mkdir(parents=True, exist_ok=True)
@@ -668,8 +703,11 @@ def run_scenario(
     except OSError as exc:
         raise ScenarioError(f"output directory not writable: {target}: {exc}") from exc
 
+    jsa = _JsaMemo(scenario)
+
     def run_one(task: str):
         t0 = time.perf_counter()
+        token = _run_jsa.set(jsa)
         try:
             files, conv, extras = _TASK_FN[task](scenario, points)
         except Exception as exc:
@@ -677,6 +715,8 @@ def run_scenario(
             # keeps its type and constructor arguments
             exc.__notes__ = [*getattr(exc, "__notes__", ()), f"task {task}"]
             raise
+        finally:
+            _run_jsa.reset(token)
         return task, files, conv, extras, time.perf_counter() - t0
 
     workers = int(os.environ.get(WORKERS_ENV, "1") or "1")

@@ -364,6 +364,7 @@ SampleModel = UniformSample | BilayerSample | TabulatedSample
 PUMP_FEATURE_WIDTH = 8.0
 PHASEMATCH_FEATURE_WIDTH = 16.0
 MIN_POINTS_PER_FEATURE = 8
+MIN_GRID_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -427,8 +428,10 @@ def make_frequency_grid(
     Raises GridResolutionError when fewer than MIN_POINTS_PER_FEATURE steps
     fall across the narrower of the pump and phase-matching widths.
     """
-    if n_points < 256:
-        raise GridResolutionError(f"n_points must be at least 256, got {n_points}")
+    if n_points < MIN_GRID_POINTS:
+        raise GridResolutionError(
+            f"n_points must be at least {MIN_GRID_POINTS}, got {n_points}"
+        )
     if half_width is None:
         half_width = grid_half_width(crystal, pump)
     step = 2.0 * half_width / (n_points - 1)

@@ -261,3 +261,46 @@ def test_schmidt_near_unity_iff_numerically_rank_one():
     rep2 = schmidt_analysis(joint_spectral_intensity("gaussian", CRYSTAL, pump2, grid2))
     assert abs(rep2.schmidt_number_K - 1.0) > 1e-3
     assert rep2.coefficients[1] / rep2.coefficients[0] > 1e-3
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+@pytest.mark.parametrize("gamma", [0.5, 2.0 ** -0.25, 2.0, 10.0])
+def test_schmidt_spectrum_matches_double_gaussian(gamma, n):
+    # Law, Walmsley & Eberly (2000): lambda_n = (1 - mu^2) mu^(2n), mu = (gamma-1)/(gamma+1)
+    pump = PumpPulse(SINC_GAUSS_ALPHA * CRYSTAL.dl / (2.0 * np.sqrt(2.0) * gamma))
+    grid = make_frequency_grid(CRYSTAL, pump, n)
+    lam = schmidt_analysis(joint_spectral_intensity("gaussian", CRYSTAL, pump, grid)).coefficients
+    mu = (gamma - 1.0) / (gamma + 1.0)
+    expected = (1.0 - mu ** 2) * mu ** (2 * np.arange(400))
+    expected = expected[expected >= 1e-12]
+    lam = lam[lam >= 1e-12]
+    assert lam.size == expected.size
+    assert np.max(np.abs(lam - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel,chirp", [
+    pytest.param("gaussian", False, id="gaussian-real"),
+    pytest.param("exact", False, id="exact-real"),
+    pytest.param("exact", True, id="exact-complex"),
+])
+def test_schmidt_matches_svd_oracle(kernel, chirp):
+    pump = PumpPulse(212.0)
+    grid = make_frequency_grid(CRYSTAL, pump, 512)
+    js = joint_spectral_intensity(kernel, CRYSTAL, pump, grid)
+    assert js.amplitude.dtype == np.float64
+    if chirp:
+        # exp(i beta ws wi) does not factorize; beta = 1e5 fs^2 is about 9 rad
+        # at one rms width on both axes
+        phase = np.exp(1e5j * grid.omega_s[:, None] * grid.omega_i[None, :])
+        js = JointSpectrum(grid=grid, amplitude=js.amplitude * phase, normalized=True)
+    m = js.amplitude * np.sqrt(np.outer(grid.weights_s, grid.weights_i))
+    if chirp:
+        gram = m @ m.conj().T
+        assert np.max(np.abs(gram.imag)) > 0.1 * np.max(np.abs(gram))
+    oracle = np.linalg.svd(m, compute_uv=False) ** 2
+    report = schmidt_analysis(js)
+    lam = report.coefficients
+    assert np.max(np.abs(lam - oracle[: lam.size])) <= 1e-12
+    assert np.max(oracle[lam.size:], initial=0.0) <= 1e-12
+    k_oracle = 1.0 / np.sum(oracle[oracle > 1e-18] ** 2)
+    assert report.schmidt_number_K == pytest.approx(k_oracle, rel=1e-12, abs=0.0)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,66 @@ def test_cli_grid_points_too_small(tmp_path):
     scen = tmp_path / "s.ini"
     scen.write_text(MINIMAL)
     assert main(["run", str(scen), "--out", str(tmp_path / "o"), "--grid-points", "64"]) == 1
+
+
+TABULATED_OCT = """
+[crystal]
+preset = mgo_linbo3
+length_mm = 0.5
+
+[pump]
+t0_ps = 100.0
+
+[sample]
+type = tabulated
+file = r.csv
+
+[tasks]
+run = oct_scan
+"""
+
+
+@pytest.mark.parametrize("scenario,points", [
+    pytest.param("g1_quasi_cw.ini", "100", id="g1-scan-100"),
+    pytest.param("oct_long_crystal_pulsed.ini", "-5", id="oct-bilayer-negative"),
+    pytest.param("oct_long_crystal_pulsed.ini", "0", id="oct-bilayer-zero"),
+    pytest.param(None, "255", id="oct-tabulated-255"),
+])
+def test_grid_points_override_rejected_before_compute(tmp_path, capsys, scenario, points):
+    if scenario is None:
+        (tmp_path / "r.csv").write_text("omega,re,im\n-2,0.2,0\n2,0.2,0\n")
+        path = tmp_path / "s.ini"
+        path.write_text(TABULATED_OCT)
+    else:
+        path = SCENARIO_DIR / scenario
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--grid-points", points]) == 1
+    assert f"grid points must be at least 256, got {points}" in capsys.readouterr().err
+    assert not out.exists()
+    s = parse_scenario(path.read_text(), base_dir=path.parent)
+    with pytest.raises(ScenarioError, match="grid points must be at least 256"):
+        run_scenario(s, out_dir=out, grid_points=int(points))
+    assert not out.exists()
+
+
+def test_run_builds_each_jsa_once(tmp_path, monkeypatch):
+    built = []
+    build = cli.biphoton.joint_spectral_intensity
+
+    def counting(kernel, crystal, pump, grid):
+        built.append(grid.n_points)
+        time.sleep(0.2)  # a concurrent task asks for the same grid meanwhile
+        return build(kernel, crystal, pump, grid)
+
+    monkeypatch.setattr(cli.biphoton, "joint_spectral_intensity", counting)
+    s = parse_scenario(MINIMAL.replace("run = schmidt", "run = joint_spectrum, schmidt"))
+    m_serial = run_scenario(s, out_dir=tmp_path / "serial")
+    assert sorted(built) == [256, 512]
+    # a second run builds its own JSAs, with two tasks at once asking for each
+    monkeypatch.setenv(cli.WORKERS_ENV, "2")
+    m_pool = run_scenario(s, out_dir=tmp_path / "pool")
+    assert sorted(built) == [256, 256, 512, 512]
+    assert m_pool.digest == m_serial.digest
 
 
 # ---------------------------------------------------------------- shipped recipes
