@@ -43,6 +43,7 @@ from .coherence import (
     PairCorrelator,
     Timing,
     g1_analytic,
+    g1_closed_form,
     g1_envelope,
     g1_numeric,
     g1_scan,

@@ -248,7 +248,9 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
     grid refinement. lambda_n are the eigenvalues, in descending order, of the
     Gram matrix m m^H of that weighted matrix m: real symmetric for the real
     amplitude of ``joint_spectral_intensity``, Hermitian for a complex one.
-    K = 1 / sum lambda^2, E = -sum lambda log2 lambda.
+    Only lambda above the Gram matrix's rounding floor N eps lambda_1 (N grid
+    points, eps the float64 machine epsilon) are kept; those below it are
+    noise. K = 1 / sum lambda^2, E = -sum lambda log2 lambda.
     """
     if not js.normalized:
         raise ValueError("schmidt_analysis requires a normalized JointSpectrum")
@@ -263,7 +265,7 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
             f"Schmidt decomposition failed on a {m.shape[0]}x{m.shape[1]} grid "
             f"(step_s={js.grid.step_s:.3e}, step_i={js.grid.step_i:.3e}): {exc}"
         ) from exc
-    lam = lam[lam > 1e-18]
+    lam = lam[lam > lam.size * np.finfo(float).eps * lam[0]]
     k = 1.0 / float(np.sum(lam ** 2))
     entropy = -float(np.sum(lam * np.log2(lam)))
     return SchmidtReport(

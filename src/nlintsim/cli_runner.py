@@ -450,11 +450,21 @@ def _fmt9(x) -> str:
     return format(float(x), ".9g")
 
 
+def _require_finite(series: str, values) -> None:
+    """Fail closed: a series about to be written must hold only finite numbers."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalConsistencyError(f"series {series} holds a non-finite value")
+
+
 def export_series(columns: list[str], rows, fmt: str) -> str:
     """Serialize a column-oriented series; CSV header row or a JSON object.
 
     Floats carry 9 significant digits; an empty series yields just the header.
+    A NaN or infinite value raises NumericalConsistencyError naming its column.
     """
+    rows = list(rows)
+    for name, column in zip(columns, zip(*rows)):
+        _require_finite(name, column)
     if fmt == "csv":
         out = [",".join(columns)]
         for row in rows:
@@ -473,6 +483,8 @@ def _jsi_csv(js: biphoton.JointSpectrum, stride: int) -> str:
     ws = js.grid.omega_s[::stride]
     wi = js.grid.omega_i[::stride]
     inten = js.intensity[::stride, ::stride]
+    for name, values in (("omega_s", ws), ("omega_i", wi), ("intensity", inten)):
+        _require_finite(name, values)
     lines = ["omega_s\\omega_i," + ",".join(_fmt9(v) for v in wi)]
     for k, row in enumerate(inten):
         lines.append(_fmt9(ws[k]) + "," + ",".join(_fmt9(v) for v in row))
@@ -528,7 +540,7 @@ def _jsa(points: int) -> biphoton.JointSpectrum:
 def _halved_resolution(
     scenario: Scenario, points: int, dz: np.ndarray, g1_abs: np.ndarray
 ) -> dict:
-    """Convergence entry of a scan task from the |g1| it computed on ``dz``.
+    """Convergence entry of a numeric-route scan task from the |g1| it computed on ``dz``.
 
     Only the half-resolution correlator (points / 4096) is built; the delta is
     the largest change of |g1| over every delay of the scan.
@@ -568,6 +580,8 @@ def _task_schmidt(scenario: Scenario, points: int):
         "schmidt_number_K": float(report.schmidt_number_K),
         "entropy_bits": float(report.entropy_bits),
     }
+    for key, value in payload.items():
+        _require_finite(key, value)
     files = {"schmidt.json": json.dumps(payload, indent=2) + "\n"}
     try:
         coarse = biphoton.schmidt_analysis(_jsa(max(MIN_GRID_POINTS, points // 2)))
@@ -581,41 +595,50 @@ def _task_schmidt(scenario: Scenario, points: int):
 
 
 def _task_g1_scan(scenario: Scenario, points: int):
-    crystal, pump = scenario.crystal, scenario.pump
+    crystal, pump, sample = scenario.crystal, scenario.pump, scenario.sample
     geometry = scenario.effective_geometry()
     window = _scan_window(scenario)
     dz = oct_scan.scan_axis(
-        crystal, scenario.sample, fringes=False,
+        crystal, sample, fringes=False,
         n_points=401 if scenario.scan.points is None else scenario.scan.points,
         window_mm=window,
     )
-    g = coherence.g1_scan(
-        crystal, pump, geometry, scenario.sample, dz,
-        resolution=points / 2048.0, include_carrier=True,
-    )
-    g_abs = np.abs(g)
-    rows = list(zip(dz, g_abs, np.angle(g)))
+    if isinstance(sample, TabulatedSample):
+        g = coherence.g1_scan(
+            crystal, pump, geometry, sample, dz,
+            resolution=points / 2048.0, include_carrier=True,
+        )
+        conv = _halved_resolution(scenario, points, dz, np.abs(g))
+    else:
+        g = coherence.g1_closed_form(crystal, pump, geometry, sample, dz)
+        conv = {"delta": 0.0, "method": "analytic"}
+    rows = list(zip(dz, np.abs(g), np.angle(g)))
     name = f"g1_scan.{scenario.output_format}"
     files = {name: export_series(["delta_z_mm", "g1_abs", "g1_phase"], rows, scenario.output_format)}
-    return files, _halved_resolution(scenario, points, dz, g_abs), {}
+    return files, conv, {}
 
 
 def _task_oct_scan(scenario: Scenario, points: int):
-    crystal, pump = scenario.crystal, scenario.pump
+    crystal, pump, sample = scenario.crystal, scenario.pump, scenario.sample
     geometry = scenario.effective_geometry()
     window = _scan_window(scenario)
     dz = oct_scan.scan_axis(
-        crystal, scenario.sample, fringes=scenario.scan.fringes,
+        crystal, sample, fringes=scenario.scan.fringes,
         n_points=scenario.scan.points, window_mm=window,
     )
-    if isinstance(scenario.sample, BilayerSample):
+    conv = {"delta": 0.0, "method": "analytic"}
+    if isinstance(sample, BilayerSample):
         ifg = oct_scan.interferogram_bilayer(
-            crystal, pump, geometry, scenario.sample, dz, fringes=scenario.scan.fringes
+            crystal, pump, geometry, sample, dz, fringes=scenario.scan.fringes
         )
-        conv = {"delta": 0.0, "method": "analytic"}
+    elif isinstance(sample, UniformSample):
+        ifg = oct_scan._interferogram(
+            crystal, geometry, dz, scenario.scan.fringes,
+            lambda axis: coherence.g1_closed_form(crystal, pump, geometry, sample, axis),
+        )
     else:
         ifg = oct_scan.interferogram_numeric(
-            crystal, pump, geometry, scenario.sample, dz,
+            crystal, pump, geometry, sample, dz,
             fringes=scenario.scan.fringes, resolution=points / 2048.0,
         )
         conv = _halved_resolution(scenario, points, dz, ifg.envelope)
@@ -687,13 +710,21 @@ def run_scenario(
     an identical manifest digest. Tasks run concurrently when the
     NLINT_SIM_WORKERS environment variable is above 1; ``joint_spectrum`` and
     ``schmidt`` share each JSA, built once per call. A grid size below
-    MIN_GRID_POINTS is rejected before anything is computed or written. On
+    MIN_GRID_POINTS or a NLINT_SIM_WORKERS that is not an integer is rejected
+    before anything is computed or written. A task whose written series holds
+    a non-finite value fails with NumericalConsistencyError, and no file of
+    the run is written. On
     task failure its partial outputs are removed and the original exception
     propagates with a note naming the task.
     """
     points = grid_points if grid_points is not None else scenario.grid_points
     if points < MIN_GRID_POINTS:
         raise ScenarioError(f"grid points must be at least {MIN_GRID_POINTS}, got {points}")
+    workers_raw = os.environ.get(WORKERS_ENV, "").strip()
+    try:
+        workers = int(workers_raw) if workers_raw else 1
+    except ValueError:
+        raise ScenarioError(f"{WORKERS_ENV}: not an integer: {workers_raw!r}") from None
     target = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)
     try:
         target.mkdir(parents=True, exist_ok=True)
@@ -719,7 +750,6 @@ def run_scenario(
             _run_jsa.reset(token)
         return task, files, conv, extras, time.perf_counter() - t0
 
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
     results = {}
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

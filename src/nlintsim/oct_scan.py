@@ -171,12 +171,30 @@ def interferogram_numeric(
     their mutual interference, unlike the per-interface envelope sum of the
     closed form. Fluxes of the two routes agree pointwise.
     """
+    return _interferogram(
+        crystal, geometry, delta_z_mm, fringes,
+        lambda dz: g1_scan(
+            crystal, pump, geometry, sample, dz,
+            resolution=resolution, include_carrier=True,
+        ),
+    )
+
+
+def _interferogram(
+    crystal: CrystalParams,
+    geometry: InterferometerGeometry,
+    delta_z_mm: np.ndarray,
+    fringes: bool,
+    correlation,
+) -> Interferogram:
+    """Depth scan from ``correlation(dz)``, the complex g1 with its carrier.
+
+    The pump path must be synchronized; that is checked before the
+    correlation is evaluated. The envelope is |g1|.
+    """
     _require_synchronized(geometry, crystal)
     dz = np.asarray(delta_z_mm, dtype=float)
-    g = g1_scan(
-        crystal, pump, geometry, sample, dz,
-        resolution=resolution, include_carrier=True,
-    )
+    g = correlation(dz)
     n_s = photon_number(crystal)
     envelope = np.abs(g)
     if fringes:

@@ -278,6 +278,15 @@ def test_schmidt_spectrum_matches_double_gaussian(gamma, n):
     assert np.max(np.abs(lam - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("kernel", ["gaussian", "exact"])
+def test_schmidt_coefficients_stop_at_rounding_floor(kernel):
+    # eigenvalues below N eps lambda_1 are rounding noise of the Gram matrix
+    pump = PumpPulse(SINC_GAUSS_ALPHA * CRYSTAL.dl / (2.0 * np.sqrt(2.0) * 2.0))
+    grid = make_frequency_grid(CRYSTAL, pump, 2048)
+    lam = schmidt_analysis(joint_spectral_intensity(kernel, CRYSTAL, pump, grid)).coefficients
+    assert lam.size <= 2 * np.count_nonzero(lam > 1e-12)
+
+
 @pytest.mark.parametrize("kernel,chirp", [
     pytest.param("gaussian", False, id="gaussian-real"),
     pytest.param("exact", False, id="exact-real"),

@@ -304,15 +304,22 @@ def test_nan_delta_fails_the_gate(tmp_path, monkeypatch, capsys, method, flagged
 
 
 UNIFORM_OCT = MINIMAL.replace("run = schmidt", "run = oct_scan") + "\n[scan]\nfringes = false\n"
+TABULATED_SAMPLE = "\n[sample]\ntype = tabulated\nfile = r.csv\n"
 
 
 @pytest.mark.parametrize("text,builds", [
-    pytest.param(MINIMAL.replace("run = schmidt", "run = g1_scan"), 2, id="g1-scan"),
-    pytest.param(UNIFORM_OCT, 2, id="oct-scan-numeric"),
+    pytest.param(MINIMAL.replace("run = schmidt", "run = g1_scan"), 0, id="g1-scan"),
+    pytest.param(UNIFORM_OCT, 0, id="oct-scan-numeric"),
     pytest.param(OCT_SCENARIO.replace("run = oct_scan, g1_scan", "run = oct_scan"), 0,
                  id="oct-scan-bilayer"),
+    pytest.param(MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE, 2,
+                 id="g1-scan-tabulated"),
+    pytest.param(UNIFORM_OCT + TABULATED_SAMPLE, 2, id="oct-scan-tabulated"),
 ])
 def test_scan_task_builds_one_full_resolution_correlator(tmp_path, monkeypatch, text, builds):
+    # uniform and bilayer samples take the closed form; a tabulated one is the
+    # numeric route: one full-resolution and one half-resolution correlator
+    (tmp_path / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n8,0.5,0.1\n")
     built = []
 
     class CountingCorrelator(cli.coherence.PairCorrelator):
@@ -321,9 +328,88 @@ def test_scan_task_builds_one_full_resolution_correlator(tmp_path, monkeypatch, 
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(cli.coherence, "PairCorrelator", CountingCorrelator)
-    run_scenario(parse_scenario(text), out_dir=tmp_path)
+    manifest = run_scenario(parse_scenario(text, base_dir=tmp_path), out_dir=tmp_path / "out")
     assert len(built) == builds
     assert sorted(built) == [0.125, 0.25][:builds]
+    method = "halved-resolution" if builds else "analytic"
+    assert [entry["method"] for entry in manifest.convergence.values()] == [method]
+
+
+@pytest.mark.parametrize("value,code", [
+    pytest.param("two", 1, id="not-an-integer"),
+    pytest.param("", 0, id="empty-means-one"),
+])
+def test_workers_env_checked_before_output(tmp_path, monkeypatch, capsys, value, code):
+    monkeypatch.setenv(cli.WORKERS_ENV, value)
+    scen = tmp_path / "s.ini"
+    scen.write_text(MINIMAL)
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out", str(out)]) == code
+    if code:
+        assert f"{cli.WORKERS_ENV}: not an integer: 'two'" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ScenarioError, match=cli.WORKERS_ENV):
+            run_scenario(parse_scenario(MINIMAL), out_dir=out)
+        assert not out.exists()
+    else:
+        assert (out / "schmidt.json").exists()
+
+
+# each factory takes the real function and returns a stand-in with a NaN or
+# inf in one series that its task writes
+def _nan_closed_form(original):
+    def fake(crystal, pump, geometry, sample, delta_z_mm, **kwargs):
+        return np.full(np.size(delta_z_mm), complex(np.nan, 0.0))
+    return fake
+
+
+def _nan_spectrum(original):
+    def fake(*args, **kwargs):
+        spectrum = original(*args, **kwargs)
+        return dataclasses.replace(spectrum, density=np.full_like(spectrum.density, np.nan))
+    return fake
+
+
+def _inf_jsa(original):
+    def fake(*args):
+        js = original(*args)
+        amplitude = js.amplitude.copy()
+        amplitude[0, 0] = np.inf
+        return dataclasses.replace(js, amplitude=amplitude)
+    return fake
+
+
+def _nan_schmidt(original):
+    def fake(js):
+        return cli.biphoton.SchmidtReport(
+            coefficients=np.array([1.0]), schmidt_number_K=np.nan, entropy_bits=0.0
+        )
+    return fake
+
+
+@pytest.mark.parametrize("task,owner,name,factory,series", [
+    pytest.param("g1_scan", "coherence", "g1_closed_form", _nan_closed_form, "g1_abs",
+                 id="g1-scan"),
+    pytest.param("spectrum", "biphoton", "signal_spectrum", _nan_spectrum, "density",
+                 id="spectrum"),
+    pytest.param("joint_spectrum", "biphoton", "joint_spectral_intensity", _inf_jsa,
+                 "intensity", id="jsi-slice"),
+    pytest.param("schmidt", "biphoton", "schmidt_analysis", _nan_schmidt,
+                 "schmidt_number_K", id="schmidt-json"),
+])
+def test_non_finite_output_fails_closed(tmp_path, monkeypatch, capsys, task, owner, name,
+                                        factory, series):
+    module = getattr(cli, owner)
+    monkeypatch.setattr(module, name, factory(getattr(module, name)))
+    scen = tmp_path / "s.ini"
+    scen.write_text(MINIMAL.replace(
+        "run = schmidt", "run = joint_spectrum, schmidt, g1_scan, spectrum"
+    ))
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure: task {task}: series {series} holds a non-finite value" in err
+    assert list(out.iterdir()) == []
 
 
 def test_run_scenario_grid_override_changes_density(tmp_path):

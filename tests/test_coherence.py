@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nlintsim.coherence import (
     CHIRP_Z_PHASE_TOL,
     PairCorrelator,
+    carrier_phase,
     g1_analytic,
+    g1_closed_form,
     g1_envelope,
     g1_numeric,
     g1_scan,
@@ -14,6 +18,7 @@ from nlintsim.coherence import (
     timing_from_geometry,
     tri,
 )
+from nlintsim.oct_scan import default_scan_range
 from nlintsim.optics_model import (
     BilayerSample,
     C_MM_FS,
@@ -221,6 +226,51 @@ def test_tabulated_sample_must_cover_quadrature_band():
     narrow = TabulatedSample(omega=(-0.1, 0.1), r=(0.5, 0.5))
     with pytest.raises(ValueError, match="outside tabulated range"):
         g1_numeric(CRYSTAL, pump, geom, narrow)
+
+
+# ---------------------------------------------------------------- closed form vs numeric
+
+THIN = mgo_linbo3_crystal(0.5)
+LOSSY = UniformSample(0.7 * np.exp(0.4j))
+THIN_SLAB = BilayerSample.from_fresnel(1.0, 1.5, 1.3, d0_um=5.0, omega_carrier=THIN.omega_i0)
+
+
+@pytest.mark.parametrize("include_carrier", [False, True])
+@pytest.mark.parametrize("sample,t0_fs,t2_fs", [
+    pytest.param(LOSSY, 1e5, -267.0, id="uniform-quasi-cw-t2"),
+    pytest.param(LOSSY, 100.0, -100.0, id="uniform-100fs-t2"),
+    pytest.param(THIN_SLAB, 1e5, 0.0, id="bilayer-quasi-cw"),
+    pytest.param(THIN_SLAB, 100.0, 0.0, id="bilayer-100fs"),
+])
+def test_closed_form_matches_numeric_scan(sample, t0_fs, t2_fs, include_carrier):
+    # the numeric route differs only by its sinc^2 tail cut, ~|r| / (pi TAIL_SINC_ARG)
+    pump = PumpPulse(t0_fs)
+    synced = synced_geometry(THIN)
+    geom = dataclasses.replace(synced, zp2_mm=synced.zp2_mm + t2_fs * C_MM_FS)
+    assert timing_from_geometry(geom, THIN).t2_fs == pytest.approx(t2_fs, abs=1e-6)
+    dz = np.linspace(*default_scan_range(THIN, sample), 121)
+    closed = g1_closed_form(THIN, pump, geom, sample, dz, include_carrier=include_carrier)
+    numeric = g1_scan(THIN, pump, geom, sample, dz, include_carrier=include_carrier)
+    assert np.max(np.abs(closed - numeric)) < 1e-4
+    assert np.max(np.abs(closed)) > 0.2  # the comparison is not between zeros
+
+
+def test_closed_form_phase_is_carrier_minus_arg_r():
+    pump = PumpPulse(2000.0)
+    geom = synced_geometry(CRYSTAL)
+    dz = np.linspace(*default_scan_range(CRYSTAL, LOSSY), 401)
+    env = g1_envelope(dz / C_MM_FS, 0.0, CRYSTAL, pump)
+    g = g1_closed_form(CRYSTAL, pump, geom, LOSSY, dz)
+    np.testing.assert_allclose(np.abs(g), 0.7 * env, rtol=1e-15, atol=0.0)
+    inside = env > 0
+    assert 0 < np.count_nonzero(inside) < dz.size
+    expected = carrier_phase(CRYSTAL, geom, dz[inside]) - 0.4
+    assert np.max(np.abs(np.angle(g[inside] * np.exp(-1j * expected)))) < 1e-9
+    assert np.all(np.angle(g[~inside]) == 0.0)  # never the -pi of a signed zero
+    mirror = g1_closed_form(CRYSTAL, pump, geom, MIRROR, dz)
+    np.testing.assert_allclose(np.abs(mirror), env, rtol=1e-15, atol=0.0)
+    with pytest.raises(TypeError, match="TabulatedSample"):
+        g1_closed_form(CRYSTAL, pump, geom, TABULATED, dz)
 
 
 # ---------------------------------------------------------------- delay transform
