@@ -59,6 +59,7 @@ from .oct_scan import (
     axial_resolution,
     envelope_peaks,
     interferogram_bilayer,
+    interferogram_closed_form,
     interferogram_numeric,
     predicted_peak_shift,
     scan_axis,

@@ -632,9 +632,8 @@ def _task_oct_scan(scenario: Scenario, points: int):
             crystal, pump, geometry, sample, dz, fringes=scenario.scan.fringes
         )
     elif isinstance(sample, UniformSample):
-        ifg = oct_scan._interferogram(
-            crystal, geometry, dz, scenario.scan.fringes,
-            lambda axis: coherence.g1_closed_form(crystal, pump, geometry, sample, axis),
+        ifg = oct_scan.interferogram_closed_form(
+            crystal, pump, geometry, sample, dz, fringes=scenario.scan.fringes
         )
     else:
         ifg = oct_scan.interferogram_numeric(

@@ -125,17 +125,16 @@ def g1_closed_form(
     geometry: InterferometerGeometry,
     sample: SampleModel,
     delta_z_mm: np.ndarray,
-    *,
-    include_carrier: bool = True,
 ) -> np.ndarray:
-    """Complex correlation over a path-delay scan, exact for uniform and bilayer samples.
+    """Complex correlation with its carrier over a path-delay scan.
 
-    A uniform sample gives r* g1_envelope(T1, T2); a bilayer adds a second
-    interface term, r0 g1_envelope(T1, T2) + r1 e^{-i w0 tau}
-    g1_envelope(T1 + tau, T2 - tau). The scan and carrier conventions are
-    those of ``g1_scan``, which reproduces this to within its sinc^2 tail cut
-    of about |r| / (pi TAIL_SINC_ARG). Where the correlation vanishes it is
-    +0, so its phase reads 0 there.
+    Exact for uniform and bilayer samples. A uniform sample gives
+    r* g1_envelope(T1, T2); a bilayer adds a second interface term,
+    r0* g1_envelope(T1, T2) + r1* e^{-i w0 tau} g1_envelope(T1 + tau, T2 - tau).
+    Both are multiplied by e^{i carrier_phase}. The scan and conjugation
+    conventions are those of ``g1_scan``, which reproduces this to within its
+    sinc^2 tail cut of about |r| / (pi TAIL_SINC_ARG). Where the correlation
+    vanishes it is +0, so its phase reads 0 there.
     """
     dz = np.asarray(delta_z_mm, dtype=float)
     t1 = dz / C_MM_FS
@@ -144,15 +143,14 @@ def g1_closed_form(
         g = np.conj(sample.r) * g1_envelope(t1, t2, crystal, pump)
     elif isinstance(sample, BilayerSample):
         tau = sample.tau_fs
-        g = sample.r0 * g1_envelope(t1, t2, crystal, pump) + (
-            sample.r1 * np.exp(-1j * sample.omega_carrier * tau)
+        g = np.conj(sample.r0) * g1_envelope(t1, t2, crystal, pump) + (
+            np.conj(sample.r1) * np.exp(-1j * sample.omega_carrier * tau)
         ) * g1_envelope(t1 + tau, t2 - tau, crystal, pump)
     else:
         raise TypeError(
             f"no closed form for a {type(sample).__name__}; use g1_scan"
         )
-    if include_carrier:
-        g = g * np.exp(1j * carrier_phase(crystal, geometry, dz))
+    g = g * np.exp(1j * carrier_phase(crystal, geometry, dz))
     # products with zero leave signed zeros, whose angle can read +-pi
     return np.where(g == 0, 0j, g)
 

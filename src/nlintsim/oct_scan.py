@@ -5,8 +5,8 @@ The detected flux at one beam splitter port against the path delay dz is
     N(dz) = N_s1 [ 1 + sum_k r_k |g1|(T1 + tau_k, T2 - tau_k) sin(phi_k(dz)) ]
 
 with one term per sample interface (tau_0 = 0) and carriers phi_k that
-advance by ws0/c per unit of scanned path. The closed form covers two-layer
-samples; the numeric route accepts any spectral reflectivity.
+advance by ws0/c per unit of scanned path. The closed form covers uniform
+and two-layer samples; the numeric route accepts any spectral reflectivity.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .biphoton import _half_max_width, fwhm_interpolated
 from .coherence import (
-    carrier_phase,
+    g1_closed_form,
     g1_envelope,
     g1_scan,
     photon_number,
@@ -130,29 +130,36 @@ def interferogram_bilayer(
     """
     if not isinstance(sample, BilayerSample):
         raise TypeError("interferogram_bilayer needs a BilayerSample")
+    return interferogram_closed_form(crystal, pump, geometry, sample, delta_z_mm, fringes)
+
+
+def interferogram_closed_form(
+    crystal: CrystalParams,
+    pump: PumpPulse,
+    geometry: InterferometerGeometry,
+    sample: SampleModel,
+    delta_z_mm: np.ndarray,
+    fringes: bool = True,
+) -> Interferogram:
+    """Closed-form depth scan for a uniform or two-interface sample.
+
+    Requires a synchronized pump path (T2 = 0). The flux follows from
+    ``g1_closed_form``; the envelope is the per-interface sum
+    |r0| |g1|(T1, 0) + |r1| |g1|(T1 + tau, -tau), or |r| |g1|(T1, 0) for a
+    uniform sample.
+    """
     t2 = _require_synchronized(geometry, crystal)
     dz = np.asarray(delta_z_mm, dtype=float)
-    t1 = dz / C_MM_FS
-    tau = sample.tau_fs
-    env0 = g1_envelope(t1, t2, crystal, pump)
-    env1 = g1_envelope(t1 + tau, t2 - tau, crystal, pump)
-    n_s = photon_number(crystal)
-    envelope = abs(sample.r0) * env0 + abs(sample.r1) * env1
-    if fringes:
-        phi_a = carrier_phase(crystal, geometry, dz)
-        phi_b = phi_a - sample.omega_carrier * tau
-        flux = n_s * (
-            1.0 + sample.r0 * env0 * np.sin(phi_a) + sample.r1 * env1 * np.sin(phi_b)
-        )
+    g = g1_closed_form(crystal, pump, geometry, sample, dz)
+    if isinstance(sample, BilayerSample):
+        t1 = dz / C_MM_FS
+        tau = sample.tau_fs
+        envelope = abs(sample.r0) * g1_envelope(t1, t2, crystal, pump) + abs(
+            sample.r1
+        ) * g1_envelope(t1 + tau, t2 - tau, crystal, pump)
     else:
-        flux = n_s * (1.0 + envelope)
-    return Interferogram(
-        delta_z_mm=dz.copy(),
-        flux=flux,
-        envelope=envelope,
-        n_signal=n_s,
-        fringes_rendered=fringes,
-    )
+        envelope = np.abs(g)
+    return _interferogram(crystal, dz, g, envelope, fringes)
 
 
 def interferogram_numeric(
@@ -171,38 +178,27 @@ def interferogram_numeric(
     their mutual interference, unlike the per-interface envelope sum of the
     closed form. Fluxes of the two routes agree pointwise.
     """
-    return _interferogram(
-        crystal, geometry, delta_z_mm, fringes,
-        lambda dz: g1_scan(
-            crystal, pump, geometry, sample, dz,
-            resolution=resolution, include_carrier=True,
-        ),
+    _require_synchronized(geometry, crystal)
+    dz = np.asarray(delta_z_mm, dtype=float)
+    g = g1_scan(
+        crystal, pump, geometry, sample, dz,
+        resolution=resolution, include_carrier=True,
     )
+    return _interferogram(crystal, dz, g, np.abs(g), fringes)
 
 
 def _interferogram(
     crystal: CrystalParams,
-    geometry: InterferometerGeometry,
     delta_z_mm: np.ndarray,
+    g: np.ndarray,
+    envelope: np.ndarray,
     fringes: bool,
-    correlation,
 ) -> Interferogram:
-    """Depth scan from ``correlation(dz)``, the complex g1 with its carrier.
-
-    The pump path must be synchronized; that is checked before the
-    correlation is evaluated. The envelope is |g1|.
-    """
-    _require_synchronized(geometry, crystal)
-    dz = np.asarray(delta_z_mm, dtype=float)
-    g = correlation(dz)
+    """Depth scan from the complex g1 with its carrier on the delay axis."""
     n_s = photon_number(crystal)
-    envelope = np.abs(g)
-    if fringes:
-        flux = n_s * (1.0 + g.imag)
-    else:
-        flux = n_s * (1.0 + envelope)
+    flux = n_s * (1.0 + (g.imag if fringes else envelope))
     return Interferogram(
-        delta_z_mm=dz.copy(),
+        delta_z_mm=delta_z_mm.copy(),
         flux=flux,
         envelope=envelope,
         n_signal=n_s,

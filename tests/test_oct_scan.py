@@ -9,6 +9,7 @@ from nlintsim.oct_scan import (
     default_scan_range,
     envelope_peaks,
     interferogram_bilayer,
+    interferogram_closed_form,
     interferogram_numeric,
     predicted_peak_shift,
     scan_axis,
@@ -147,6 +148,19 @@ def test_numeric_matches_bilayer(length_mm, t0_fs):
     closed = interferogram_bilayer(crystal, pump, geom, sample, dz)
     numeric = interferogram_numeric(crystal, pump, geom, sample, dz)
     assert np.max(np.abs(numeric.flux - closed.flux)) < 1e-3 * closed.n_signal
+
+
+def test_numeric_matches_uniform_closed_form():
+    crystal = mgo_linbo3_crystal(0.5)
+    pump = PumpPulse(100.0)
+    sample = UniformSample(0.7 * np.exp(0.4j))
+    geom = synced(crystal)
+    dz = np.linspace(*default_scan_range(crystal, sample), 301)
+    closed = interferogram_closed_form(crystal, pump, geom, sample, dz)
+    numeric = interferogram_numeric(crystal, pump, geom, sample, dz)
+    assert np.max(np.abs(numeric.flux - closed.flux)) < 1e-3 * closed.n_signal
+    assert np.max(np.abs(numeric.envelope - closed.envelope)) < 1e-3
+    assert closed.envelope.max() == pytest.approx(0.7, rel=1e-12)
 
 
 def test_numeric_mirror_single_peak_at_zero():
