@@ -42,10 +42,8 @@ from .biphoton import (
 from .coherence import (
     PairCorrelator,
     Timing,
-    g1_analytic,
     g1_closed_form,
     g1_envelope,
-    g1_numeric,
     g1_scan,
     geometry_for_delta_z,
     photon_number,

@@ -72,6 +72,7 @@ class Scenario:
     synchronize: bool
     sample: SampleModel
     sample_file: str | None
+    r_polar: tuple[float, float] | None  # a uniform sample's (r_abs, r_phase_rad) as given
     grid_points: int
     grid_half_width: float | None
     kernel: str
@@ -139,10 +140,11 @@ def _build(section: str, factory, *args, **kwargs):
 def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     """Parse and validate scenario text into a Scenario.
 
-    Unknown sections or keys are rejected; invariant violations are reported
-    with their field path. A key given with an empty value is an error, not a
-    request for its default. ``base_dir`` anchors relative tabulated-sample
-    paths.
+    Unknown sections or keys are rejected, and so are known keys this
+    scenario does not use (say ``n_after`` on a bilayer given by r0 and r1);
+    invariant violations are reported with their field path. A key given with
+    an empty value is an error, not a request for its default. ``base_dir``
+    anchors relative tabulated-sample paths.
     """
     cp = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
@@ -163,8 +165,11 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     def given(section, key):
         return cp.has_section(section) and key in cp[section]
 
+    used = set()
+
     def get(section, key, kind=str, default=None):
         """The value of ``key`` as ``kind``, or ``default`` when the key is absent."""
+        used.add((section, key))
         if not given(section, key):
             return default
         raw = cp[section][key].strip()
@@ -237,11 +242,12 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     })
 
     # sample
-    sample_file = None
+    sample_file = r_polar = None
     stype = get("sample", "type", str, "uniform")
     if stype == "uniform":
         r_abs = get("sample", "r_abs", float, 1.0)
         r_phase = get("sample", "r_phase_rad", float, 0.0)
+        r_polar = (r_abs, r_phase)
         sample: SampleModel = _build("sample", UniformSample, r_abs * np.exp(1j * r_phase))
     elif stype == "bilayer":
         if not (given("sample", "thickness_um") and given("sample", "n_slab")):
@@ -346,6 +352,12 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     stride = get("output", "jsi_stride", int, 1)
     if stride < 1:
         raise ScenarioError("[output] jsi_stride must be >= 1")
+    output_dir = get("output", "directory", str, "out")
+
+    for section in cp.sections():
+        for key in cp[section]:
+            if (section, key) not in used:
+                raise ScenarioError(f"[{section}] {key}: not used by this scenario")
 
     return Scenario(
         crystal=crystal,
@@ -354,12 +366,13 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         synchronize=synchronize,
         sample=sample,
         sample_file=sample_file,
+        r_polar=r_polar,
         grid_points=grid_points,
         grid_half_width=grid_half_width,
         kernel=kernel,
         scan=scan,
         tasks=tasks,
-        output_dir=get("output", "directory", str, "out"),
+        output_dir=output_dir,
         output_format=fmt,
         jsi_stride=stride,
     )
@@ -397,11 +410,8 @@ def render_scenario(scenario: Scenario) -> str:
     lines.append("[sample]")
     s = scenario.sample
     if isinstance(s, UniformSample):
-        lines += [
-            "type = uniform",
-            f"r_abs = {float(abs(s.r))!r}",
-            f"r_phase_rad = {float(np.angle(s.r))!r}",
-        ]
+        r_abs, r_phase = scenario.r_polar
+        lines += ["type = uniform", f"r_abs = {r_abs!r}", f"r_phase_rad = {r_phase!r}"]
     elif isinstance(s, BilayerSample):
         lines += [
             "type = bilayer",
@@ -626,21 +636,17 @@ def _task_oct_scan(scenario: Scenario, points: int):
         crystal, sample, fringes=scenario.scan.fringes,
         n_points=scenario.scan.points, window_mm=window,
     )
-    conv = {"delta": 0.0, "method": "analytic"}
-    if isinstance(sample, BilayerSample):
-        ifg = oct_scan.interferogram_bilayer(
-            crystal, pump, geometry, sample, dz, fringes=scenario.scan.fringes
-        )
-    elif isinstance(sample, UniformSample):
-        ifg = oct_scan.interferogram_closed_form(
-            crystal, pump, geometry, sample, dz, fringes=scenario.scan.fringes
-        )
-    else:
+    if isinstance(sample, TabulatedSample):
         ifg = oct_scan.interferogram_numeric(
             crystal, pump, geometry, sample, dz,
             fringes=scenario.scan.fringes, resolution=points / 2048.0,
         )
         conv = _halved_resolution(scenario, points, dz, ifg.envelope)
+    else:
+        ifg = oct_scan.interferogram_closed_form(
+            crystal, pump, geometry, sample, dz, fringes=scenario.scan.fringes
+        )
+        conv = {"delta": 0.0, "method": "analytic"}
     flux_norm = ifg.flux / ifg.n_signal
     rows = list(zip(ifg.delta_z_mm, flux_norm, ifg.envelope))
     name = f"interferogram.{scenario.output_format}"

@@ -8,11 +8,17 @@ envelope of width |D|L and a Gaussian of width set by the pump duration:
 with T1 = (z3 - z1 + z2)/c + N_i L and T2 = (zp2 - zp1 - z2)/c - N_i L.
 
 The closed form is exact with first-order dispersion, for factorable and
-frequency-entangled pairs alike. ``g1_closed_form`` extends it to the complex
-correlation of a uniform sample, r* times the envelope, and of a bilayer, a
-sum of two shifted envelopes. The scenario runner takes it for both, reports
-their scan convergence as ``analytic``, and sends only tabulated samples down
-the numeric route.
+frequency-entangled pairs alike. A layered sample reflects through its echoes
+(``optics_model.echoes``), one term (r_k, w0 tau_k, tau_k) per interface with
+r(w) = sum_k r_k e^{i (w0 + w) tau_k}: one for a uniform sample, two for a
+bilayer. Each echo shifts the envelope by its delay, so ``g1_closed_form`` is
+the echo sum
+
+    g1 = sum_k r_k* e^{-i w0 tau_k} g1_envelope(T1 + tau_k, T2 - tau_k)
+
+times the carrier. The scenario runner takes it for every layered sample,
+reports its scan convergence as ``analytic``, and sends only tabulated
+samples, which have no echoes, down the numeric route.
 
 The numeric route integrates the pair kernels of the two sources over the
 signal/idler detunings with the sample reflectivity folded in, and supports
@@ -32,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optics_model import (
-    BilayerSample,
     C_MM_FS,
     CrystalParams,
     InterferometerGeometry,
@@ -41,8 +46,8 @@ from .optics_model import (
     SINC_GAUSS_ALPHA,
     SampleModel,
     TWO_PI,
-    UniformSample,
     _trapezoid_weights,
+    echoes,
     sinc,
 )
 
@@ -128,36 +133,27 @@ def g1_closed_form(
 ) -> np.ndarray:
     """Complex correlation with its carrier over a path-delay scan.
 
-    Exact for uniform and bilayer samples. A uniform sample gives
-    r* g1_envelope(T1, T2); a bilayer adds a second interface term,
-    r0* g1_envelope(T1, T2) + r1* e^{-i w0 tau} g1_envelope(T1 + tau, T2 - tau).
-    Both are multiplied by e^{i carrier_phase}. The scan and conjugation
-    conventions are those of ``g1_scan``, which reproduces this to within its
-    sinc^2 tail cut of about |r| / (pi TAIL_SINC_ARG). Where the correlation
-    vanishes it is +0, so its phase reads 0 there.
+    The echo sum of the module docstring, exact for uniform and bilayer
+    samples. The scan and conjugation conventions are those of ``g1_scan``,
+    which reproduces this to within its sinc^2 tail cut of about
+    |r| / (pi TAIL_SINC_ARG). Where the correlation vanishes it is +0, so its
+    phase reads 0 there.
     """
-    dz = np.asarray(delta_z_mm, dtype=float)
-    t1 = dz / C_MM_FS
-    t2 = timing_from_geometry(geometry, crystal).t2_fs
-    if isinstance(sample, UniformSample):
-        g = np.conj(sample.r) * g1_envelope(t1, t2, crystal, pump)
-    elif isinstance(sample, BilayerSample):
-        tau = sample.tau_fs
-        g = np.conj(sample.r0) * g1_envelope(t1, t2, crystal, pump) + (
-            np.conj(sample.r1) * np.exp(-1j * sample.omega_carrier * tau)
-        ) * g1_envelope(t1 + tau, t2 - tau, crystal, pump)
-    else:
+    terms = echoes(sample)
+    if not terms:
         raise TypeError(
             f"no closed form for a {type(sample).__name__}; use g1_scan"
         )
+    dz = np.asarray(delta_z_mm, dtype=float)
+    t1 = dz / C_MM_FS
+    t2 = timing_from_geometry(geometry, crystal).t2_fs
+    g = sum(
+        np.conj(r) * np.exp(-1j * phase) * g1_envelope(t1 + tau, t2 - tau, crystal, pump)
+        for r, phase, tau in terms
+    )
     g = g * np.exp(1j * carrier_phase(crystal, geometry, dz))
     # products with zero leave signed zeros, whose angle can read +-pi
     return np.where(g == 0, 0j, g)
-
-
-def g1_analytic(timing: Timing, crystal: CrystalParams, pump: PumpPulse) -> float:
-    """Closed-form |g1| in [0, 1] at the delays of ``timing``."""
-    return float(g1_envelope(timing.t1_fs, timing.t2_fs, crystal, pump))
 
 
 def photon_number(crystal: CrystalParams) -> float:
@@ -302,38 +298,6 @@ class PairCorrelator:
         return conv * _chirp(c, k) * np.exp(1j * (t1 + self.t2_fs) * ws[0])
 
 
-def g1_numeric(
-    crystal: CrystalParams,
-    pump: PumpPulse,
-    geometry: InterferometerGeometry,
-    sample: SampleModel,
-    *,
-    resolution: float = 1.0,
-    include_carrier: bool = True,
-) -> complex:
-    """Normalized complex correlation for one geometry by quadrature.
-
-    The integration axes are pump-adaptive as described on PairCorrelator.
-    With ``include_carrier`` the result carries the full fringe phase; for a
-    lossless path |g1_numeric| matches g1_analytic to quadrature accuracy.
-    """
-    timing = timing_from_geometry(geometry, crystal)
-    extra = _max_sample_delay(sample)
-    corr = PairCorrelator(
-        crystal,
-        pump,
-        sample,
-        t2_fs=timing.t2_fs,
-        t1_max_fs=abs(timing.t1_fs),
-        resolution=resolution,
-        extra_idler_delay_fs=extra,
-    )
-    g = corr.correlation(timing.t1_fs)[0]
-    if include_carrier:
-        g = g * np.exp(1j * carrier_phase(crystal, geometry, timing.delta_z_mm))
-    return complex(g)
-
-
 def g1_scan(
     crystal: CrystalParams,
     pump: PumpPulse,
@@ -386,9 +350,8 @@ def _axis_deviation(x: np.ndarray) -> float:
 
 
 def _max_sample_delay(sample: SampleModel) -> float:
-    if isinstance(sample, BilayerSample):
-        return sample.tau_fs
-    return 0.0
+    """The largest echo delay tau_k [fs]; 0 for a sample without echoes."""
+    return max((tau for _, _, tau in echoes(sample)), default=0.0)
 
 
 def _walkoff(crystal: CrystalParams, kernel: str) -> float:

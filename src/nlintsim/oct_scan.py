@@ -5,8 +5,9 @@ The detected flux at one beam splitter port against the path delay dz is
     N(dz) = N_s1 [ 1 + sum_k r_k |g1|(T1 + tau_k, T2 - tau_k) sin(phi_k(dz)) ]
 
 with one term per sample interface (tau_0 = 0) and carriers phi_k that
-advance by ws0/c per unit of scanned path. The closed form covers uniform
-and two-layer samples; the numeric route accepts any spectral reflectivity.
+advance by ws0/c per unit of scanned path: the echo sum of ``coherence``.
+The closed form covers every sample with echoes (uniform and two-layer); the
+numeric route accepts any spectral reflectivity.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .biphoton import _half_max_width, fwhm_interpolated
 from .coherence import (
+    _max_sample_delay,
     g1_closed_form,
     g1_envelope,
     g1_scan,
@@ -31,6 +33,7 @@ from .optics_model import (
     InterferometerGeometry,
     PumpPulse,
     SampleModel,
+    echoes,
 )
 
 SYNC_TOL_FS = 1e-6
@@ -88,9 +91,7 @@ def default_scan_range(
     the sample round-trip delay for buried interfaces.
     """
     dl_mm = crystal.dl * C_MM_FS
-    tau_mm = 0.0
-    if isinstance(sample, BilayerSample):
-        tau_mm = sample.tau_fs * C_MM_FS
+    tau_mm = _max_sample_delay(sample) * C_MM_FS
     lo = -(dl_mm + tau_mm) * (1.0 + pad)
     hi = dl_mm * (1.0 + pad)
     return lo, hi
@@ -144,21 +145,17 @@ def interferogram_closed_form(
     """Closed-form depth scan for a uniform or two-interface sample.
 
     Requires a synchronized pump path (T2 = 0). The flux follows from
-    ``g1_closed_form``; the envelope is the per-interface sum
-    |r0| |g1|(T1, 0) + |r1| |g1|(T1 + tau, -tau), or |r| |g1|(T1, 0) for a
-    uniform sample.
+    ``g1_closed_form``; the envelope is the per-echo sum
+    sum_k |r_k| |g1|(T1 + tau_k, -tau_k).
     """
     t2 = _require_synchronized(geometry, crystal)
     dz = np.asarray(delta_z_mm, dtype=float)
     g = g1_closed_form(crystal, pump, geometry, sample, dz)
-    if isinstance(sample, BilayerSample):
-        t1 = dz / C_MM_FS
-        tau = sample.tau_fs
-        envelope = abs(sample.r0) * g1_envelope(t1, t2, crystal, pump) + abs(
-            sample.r1
-        ) * g1_envelope(t1 + tau, t2 - tau, crystal, pump)
-    else:
-        envelope = np.abs(g)
+    t1 = dz / C_MM_FS
+    envelope = sum(
+        abs(r) * g1_envelope(t1 + tau, t2 - tau, crystal, pump)
+        for r, _, tau in echoes(sample)
+    )
     return _interferogram(crystal, dz, g, envelope, fringes)
 
 

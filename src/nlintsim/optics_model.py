@@ -358,6 +358,19 @@ class TabulatedSample:
 SampleModel = UniformSample | BilayerSample | TabulatedSample
 
 
+def echoes(sample: SampleModel) -> tuple:
+    """Interface terms (r_k, w0 tau_k, tau_k) with r(w) = sum_k r_k e^{i (w0 + w) tau_k}.
+
+    One for a uniform sample, two for a bilayer, none for a table.
+    """
+    if isinstance(sample, UniformSample):
+        return ((sample.r, 0.0, 0.0),)
+    if isinstance(sample, BilayerSample):
+        tau = sample.tau_fs
+        return ((sample.r0, 0.0, 0.0), (sample.r1, sample.omega_carrier * tau, tau))
+    return ()
+
+
 # Grid sizing: spectral features are the pump band (~8/T0 wide in the pump
 # detuning) and the phase-matching band (~16/(|D|L) per axis); the grid must
 # put at least MIN_POINTS_PER_FEATURE steps across the narrower one.

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlintsim.cli_runner as cli
 from nlintsim.cli_runner import (
@@ -174,6 +176,54 @@ def test_invalid_number_rejected_before_compute(tmp_path, capsys, text, field):
     assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+R_PAIR = "\n[sample]\ntype = bilayer\nr0 = 0.2\nr1 = 0.3\nthickness_um = 20\nn_slab = 1.5\n"
+
+
+@pytest.mark.parametrize("text,field", [
+    pytest.param(
+        MINIMAL.replace("length_mm = 5.0", "length_mm = 5.0\nd_fs_per_mm = 100.0"),
+        "[crystal] d_fs_per_mm", id="preset-with-d",
+    ),
+    pytest.param(MINIMAL + "\n[sample]\nr0 = 0.5\n", "[sample] r0", id="uniform-with-r0"),
+    pytest.param(
+        MINIMAL + "\n[sample]\ntype = uniform\nthickness_um = 20\n",
+        "[sample] thickness_um", id="uniform-with-thickness",
+    ),
+    pytest.param(MINIMAL + "\n[sample]\nfile = r.csv\n", "[sample] file", id="uniform-with-file"),
+    pytest.param(MINIMAL + R_PAIR + "n_before = 1.0\n", "[sample] n_before",
+                 id="r-pair-with-n-before"),
+    pytest.param(MINIMAL + R_PAIR + "n_after = 1.3\n", "[sample] n_after",
+                 id="r-pair-with-n-after"),
+    pytest.param(
+        MINIMAL + "\n[sample]\ntype = bilayer\nr1 = 0.3\nthickness_um = 20\nn_slab = 1.5\n"
+        "n_after = 1.3\n",
+        "[sample] r1", id="fresnel-with-r1",
+    ),
+])
+def test_unused_key_rejected_before_compute(tmp_path, capsys, text, field):
+    message = f"{field}: not used by this scenario"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        parse_scenario(text)
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r_abs=st.floats(0.0, 1.0),
+    r_phase=st.floats(-np.pi, np.pi),
+)
+def test_lossy_uniform_round_trip(r_abs, r_phase):
+    text = MINIMAL + f"\n[sample]\nr_abs = {r_abs!r}\nr_phase_rad = {r_phase!r}\n"
+    s = parse_scenario(text)
+    canonical = render_scenario(s)
+    assert parse_scenario(canonical) == s
+    assert render_scenario(parse_scenario(canonical)) == canonical
 
 
 # ---------------------------------------------------------------- exports

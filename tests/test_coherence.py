@@ -7,10 +7,8 @@ from nlintsim.coherence import (
     CHIRP_Z_PHASE_TOL,
     PairCorrelator,
     carrier_phase,
-    g1_analytic,
     g1_closed_form,
     g1_envelope,
-    g1_numeric,
     g1_scan,
     geometry_for_delta_z,
     photon_number,
@@ -117,15 +115,16 @@ def test_tri_is_fourier_pair_of_sinc_squared():
 def test_g1_analytic_peak_and_support():
     geom = geometry_for_delta_z(synced_geometry(CRYSTAL), CRYSTAL, 0.0)
     pump = PumpPulse.from_ps(100.0)
-    assert g1_analytic(timing_from_geometry(geom, CRYSTAL), CRYSTAL, pump) == pytest.approx(
-        1.0, abs=1e-9
-    )
+
+    def at(geometry):
+        t = timing_from_geometry(geometry, CRYSTAL)
+        return g1_envelope(t.t1_fs, t.t2_fs, CRYSTAL, pump)
+
+    assert at(geom) == pytest.approx(1.0, abs=1e-9)
     at_edge = geometry_for_delta_z(geom, CRYSTAL, CRYSTAL.dl * C_MM_FS)
-    assert g1_analytic(
-        timing_from_geometry(at_edge, CRYSTAL), CRYSTAL, pump
-    ) == pytest.approx(0.0, abs=1e-12)
+    assert at(at_edge) == pytest.approx(0.0, abs=1e-12)
     beyond = geometry_for_delta_z(geom, CRYSTAL, 1.5 * CRYSTAL.dl * C_MM_FS)
-    assert g1_analytic(timing_from_geometry(beyond, CRYSTAL), CRYSTAL, pump) == 0.0
+    assert at(beyond) == 0.0
 
 
 def test_envelope_regimes():
@@ -174,27 +173,30 @@ def test_numeric_matches_closed_form(t0_fs):
 def test_numeric_single_point_with_carrier():
     pump = PumpPulse(500.0)
     geom = geometry_for_delta_z(synced_geometry(CRYSTAL), CRYSTAL, 0.02)
-    g = g1_numeric(CRYSTAL, pump, geom, MIRROR)
     t = timing_from_geometry(geom, CRYSTAL)
-    assert abs(g) == pytest.approx(g1_analytic(t, CRYSTAL, pump), abs=1e-3)
+    g = g1_scan(CRYSTAL, pump, geom, MIRROR, [t.delta_z_mm])[0]
+    assert abs(g) == pytest.approx(g1_envelope(t.t1_fs, t.t2_fs, CRYSTAL, pump), abs=1e-3)
 
 
 def test_numeric_accepts_grid_as_density_hint():
     pump = PumpPulse(500.0)
     geom = geometry_for_delta_z(synced_geometry(CRYSTAL), CRYSTAL, 0.0)
     grid = make_frequency_grid(CRYSTAL, pump, 1024)
-    g = g1_numeric(
-        CRYSTAL, pump, geom, MIRROR,
+    g = g1_scan(
+        CRYSTAL, pump, geom, MIRROR, [timing_from_geometry(geom, CRYSTAL).delta_z_mm],
         resolution=grid.n_points / 2048, include_carrier=False,
-    )
+    )[0]
     assert abs(g) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_absorbing_sample_kills_coherence():
+    # at dz = 0, inside the |T1| <= |D|L support, where a mirror is coherent
     pump = PumpPulse(500.0)
     geom = synced_geometry(CRYSTAL)
-    g = g1_numeric(CRYSTAL, pump, geom, UniformSample(0.0), include_carrier=False)
-    assert abs(g) < 1e-12
+    mirror = g1_scan(CRYSTAL, pump, geom, MIRROR, [0.0], include_carrier=False)[0]
+    absorber = g1_scan(CRYSTAL, pump, geom, UniformSample(0.0), [0.0], include_carrier=False)[0]
+    assert abs(mirror) > 0.99
+    assert absorber == 0
 
 
 def test_uniform_loss_linearity():
@@ -225,7 +227,7 @@ def test_tabulated_sample_must_cover_quadrature_band():
     geom = synced_geometry(CRYSTAL)
     narrow = TabulatedSample(omega=(-0.1, 0.1), r=(0.5, 0.5))
     with pytest.raises(ValueError, match="outside tabulated range"):
-        g1_numeric(CRYSTAL, pump, geom, narrow)
+        g1_scan(CRYSTAL, pump, geom, narrow, [0.0])
 
 
 # ---------------------------------------------------------------- closed form vs numeric
