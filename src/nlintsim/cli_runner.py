@@ -293,8 +293,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             )
         sample = _build(
             "sample", TabulatedSample,
-            omega=tuple(table[:, 0]),
-            r=tuple(table[:, 1] + 1j * table[:, 2]),
+            omega=table[:, 0],
+            r=table[:, 1] + 1j * table[:, 2],
         )
     else:
         raise ScenarioError(
@@ -460,6 +460,11 @@ def _fmt9(x) -> str:
     return format(float(x), ".9g")
 
 
+def _round9(values) -> list[float]:
+    """Values rounded to the 9 significant digits every written float carries."""
+    return [float(_fmt9(v)) for v in values]
+
+
 def _require_finite(series: str, values) -> None:
     """Fail closed: a series about to be written must hold only finite numbers."""
     if not np.all(np.isfinite(values)):
@@ -483,7 +488,7 @@ def export_series(columns: list[str], rows, fmt: str) -> str:
     if fmt == "json":
         payload = {
             "columns": list(columns),
-            "rows": [[float(_fmt9(v)) for v in row] for row in rows],
+            "rows": [_round9(row) for row in rows],
         }
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown export format {fmt!r}")
@@ -658,9 +663,9 @@ def _task_oct_scan(scenario: Scenario, points: int):
     report = oct_scan.envelope_peaks(ifg)
     files["peaks.json"] = json.dumps(
         {
-            "positions_mm": list(report.positions_mm),
-            "separations_um": list(report.separations_um),
-            "fwhm_um": list(report.fwhm_um),
+            "positions_mm": _round9(report.positions_mm),
+            "separations_um": _round9(report.separations_um),
+            "fwhm_um": _round9(report.fwhm_um),
             "resolved": report.resolved,
         },
         indent=2,

@@ -24,7 +24,9 @@ The numeric route integrates the pair kernels of the two sources over the
 signal/idler detunings with the sample reflectivity folded in, and supports
 arbitrary r(w). It reproduces the closed form to within its sinc^2 tail cut
 and stays the closed form's test oracle. The idler integral is
-reduced once per correlator; the remaining signal-frequency sum over a
+reduced once per correlator (``_pump_quadrature``) as a real phase-matching
+block, built from 1-D trig values, against r*(wi) e^{i wi T2} read once per
+point of one 1-D idler lattice; the remaining signal-frequency sum over a
 uniform delay axis is a chirp-z transform (Bluestein's algorithm), so a scan
 of K delays over N signal frequencies costs O((N + K) log(N + K)) rather
 than O(N K).
@@ -61,6 +63,14 @@ G1_BOUND_TOL = 1e-6
 # Largest phase error [rad] the chirp-z transform may make by treating the
 # delay axis as exactly uniform; a less uniform axis takes the direct sum.
 CHIRP_Z_PHASE_TOL = 1e-9
+
+# Below this |argument| sinc takes sin of the summed argument itself; above it,
+# the sine comes from 1-D trig values, whose few-ulp error divided by the
+# argument stays under about 1e-13 relative.
+DIRECT_SINC_ARG = 1e-2
+
+# Elements of one (ws, u) block of the idler reduction.
+QUADRATURE_BLOCK = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -368,6 +378,90 @@ def _ridge(crystal: CrystalParams, kernel: str) -> float:
     return abs(1.0 - 2.0 * _walkoff(crystal, kernel) / crystal.D) / 2.0
 
 
+def _u_axis(
+    crystal: CrystalParams,
+    pump: PumpPulse,
+    *,
+    kernel: str = "exact",
+    t2_fs: float = 0.0,
+    extra_delay_fs: float = 0.0,
+    resolution: float = 1.0,
+    lattice_step: float | None = None,
+) -> tuple[np.ndarray, int]:
+    """Pump-detuning axis u = ws + wi of the idler reduction, and its lattice ratio m.
+
+    The axis spans the pump band +-8/T0 with a step that resolves the pump
+    Gaussian, the phase-matching variation along u and the idler phase over
+    T2 plus the sample delay, so it stays resolved for any pulse duration;
+    ``resolution`` divides the step. Without ``lattice_step`` the axis is that
+    uniform span and m is 0. Given the signal step h_s, the step is refined
+    to h = h_s / m for the smallest whole m that is no coarser, and the axis
+    becomes u_j = j h, so that every wi = u_j - ws_n lies on one lattice of
+    step h.
+    """
+    t0 = pump.t0_fs
+    b_u = abs(_walkoff(crystal, kernel) - crystal.D / 2.0) * crystal.length_mm / 2.0
+    h_u = min(
+        0.5 / t0,
+        np.pi / (8.0 * b_u) if b_u > 0 else np.inf,
+        0.4 / (abs(t2_fs) + abs(extra_delay_fs) + 1.0),
+    ) / resolution
+    half_u = 8.0 / t0
+    n_u = max(33, int(np.ceil(2.0 * half_u / h_u)) | 1)
+    if lattice_step is None:
+        return np.linspace(-half_u, half_u, n_u), 0
+    m = int(np.ceil(lattice_step / (2.0 * half_u / (n_u - 1))))
+    h = lattice_step / m
+    half_j = int(np.ceil(half_u / h))
+    return np.arange(-half_j, half_j + 1) * h, m
+
+
+def _kernel_args(
+    crystal: CrystalParams, kernel: str, omega_s: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D parts b_n, a_j of the phase-matching argument dk L / 2 = a_j + b_n.
+
+    a = (D_plus - D/2) u L/2 and b = D ws L/2.
+    """
+    half_l = crystal.length_mm / 2.0
+    a = (_walkoff(crystal, kernel) - crystal.D / 2.0) * half_l * u
+    b = crystal.D * half_l * omega_s
+    return b, a
+
+
+def _kernel_block(kernel: str, b: np.ndarray, a: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """PM(a_j + b_n) over the (ws, u) block: sinc^2, or the Gaussian stand-in.
+
+    Built in ``work[0]``, with ``work[1]`` (same shape) as scratch, so that
+    chunks reuse one allocation. sin(a + b) = sin b cos a + cos b sin a is
+    two outer products of 1-D trig values. The identity's error of a few ulp
+    is divided by the argument, so below DIRECT_SINC_ARG the sine is taken
+    of the summed argument itself.
+    """
+    block, arg = work
+    if kernel == "gaussian":
+        np.add.outer(b, a, out=arg)
+        arg *= SINC_GAUSS_ALPHA
+        np.multiply(arg, arg, out=block)
+        block *= -2.0
+        return np.exp(block, out=block)
+    np.multiply.outer(np.sin(b), np.cos(a), out=block)
+    block += np.multiply.outer(np.cos(b), np.sin(a), out=arg)
+    np.add.outer(b, a, out=arg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block /= arg
+    # only rows whose argument range reaches zero can hold a small argument
+    ridge = np.flatnonzero(
+        (b > -a.max() - DIRECT_SINC_ARG) & (b < -a.min() + DIRECT_SINC_ARG)
+    )
+    near_arg, rows = arg[ridge], block[ridge]
+    near = np.abs(near_arg) < DIRECT_SINC_ARG
+    rows[near] = sinc(near_arg[near])
+    block[ridge] = rows
+    block *= block
+    return block
+
+
 def _pump_quadrature(
     crystal: CrystalParams,
     pump: PumpPulse,
@@ -381,43 +475,67 @@ def _pump_quadrature(
 ) -> np.ndarray:
     """Idler-side integral of the pair kernel over the pump detuning u = ws + wi.
 
-        R(ws) = sum_u w_u |F(u)|^2 PM(dk L / 2) r*(wi) e^{i wi T2},  wi = u - ws
+        R(ws) = sum_u w_u |F(u)|^2 PM(dk L / 2) f(wi),  f(wi) = r*(wi) e^{i wi T2},  wi = u - ws
 
     PM is sinc^2 for the exact kernel and exp(-2 (alpha x)^2) for the Gaussian
-    one; ``sample=None`` stands for r = 1. The u axis spans the pump band
-    +-8/T0 with a step that resolves the pump Gaussian, the phase-matching
-    variation along u and the idler phase over T2 plus the sample delay, so it
-    stays resolved for any pulse duration. ``resolution`` divides the step.
-    """
-    t0 = pump.t0_fs
-    length = crystal.length_mm
-    d_plus = _walkoff(crystal, kernel)
-    b_u = abs(d_plus - crystal.D / 2.0) * length / 2.0
-    h_u = min(
-        0.5 / t0,
-        np.pi / (8.0 * b_u) if b_u > 0 else np.inf,
-        0.4 / (abs(t2_fs) + abs(extra_delay_fs) + 1.0),
-    ) / resolution
-    half_u = 8.0 / t0
-    n_u = max(33, int(np.ceil(2.0 * half_u / h_u)) | 1)
-    u = np.linspace(-half_u, half_u, n_u)
-    pump_row = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2)) * _trapezoid_weights(u)
+    one, a real block (``_kernel_block``) over the u axis of ``_u_axis``.
+    With ``sample=None`` (r = 1) the block is reduced against the weighted
+    pump row by a real matvec.
 
-    rows = []
-    chunk = max(1, int(4e6 / n_u))
-    for a in range(0, omega_s.size, chunk):
-        ws_blk = omega_s[a : a + chunk, None]
-        arg = (
-            d_plus * u[None, :] + crystal.D * (2.0 * ws_blk - u[None, :]) / 2.0
-        ) * (length / 2.0)
-        if kernel == "exact":
-            block = sinc(arg) ** 2
-        else:
-            block = np.exp(-2.0 * (SINC_GAUSS_ALPHA * arg) ** 2)
-        wi = u[None, :] - ws_blk
-        if sample is not None:
-            block = block * np.conj(sample.reflectivity(wi))
+    With a sample, ``omega_s`` must be uniform and u is the lattice axis:
+    row n reads the idler lattice points k = j - n m. Each chunk of rows
+    evaluates f once on the points it reads, min(m, n_u) per row plus the
+    last row's tail (which the next chunk reuses), and sees them as the
+    (ws, u) block through a strided view with row stride -min(m, n_u). The
+    real weighted block is reduced against that view's (re, im) pairs, so
+    no complex block and no 2-D interpolation is formed.
+    """
+    n_s = omega_s.size
+    u, m = _u_axis(
+        crystal, pump, kernel=kernel, t2_fs=t2_fs, extra_delay_fs=extra_delay_fs,
+        resolution=resolution,
+        lattice_step=None if sample is None else (omega_s[-1] - omega_s[0]) / (n_s - 1),
+    )
+    t0 = pump.t0_fs
+    n_u = u.size
+    pump_row = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2)) * _trapezoid_weights(u)
+    b, a = _kernel_args(crystal, kernel, omega_s, u)
+    chunk = min(n_s, max(1, QUADRATURE_BLOCK // n_u))
+    work = np.empty((2, chunk, n_u))
+    if sample is None:
+        return np.concatenate([
+            _kernel_block(kernel, b[lo : lo + chunk], a, work[:, : min(chunk, n_s - lo)])
+            @ pump_row
+            for lo in range(0, n_s, chunk)
+        ])
+
+    p = min(m, n_u)
+    half_j = n_u // 2
+    h = u[-1] / half_j
+    out = np.empty(n_s, dtype=complex)
+    shared = np.empty(0, dtype=complex)  # lattice points the next chunk also reads
+    for lo in range(0, n_s, chunk):
+        hi = min(lo + chunk, n_s)
+        rows = hi - lo
+        # fresh point q is lattice point k = (q // p - (hi - 1)) m + q % p - half_j
+        fresh = (rows - 1) * p + n_u - shared.size
+        row_off = (np.arange(-(-fresh // p)) - (hi - 1)) * (m * h) - omega_s[0]
+        wi = np.add.outer(row_off, (np.arange(p) - half_j) * h).ravel()[:fresh]
+        f = np.empty(fresh + shared.size, dtype=complex)
+        np.conjugate(sample.reflectivity(wi), out=f[:fresh])
         if t2_fs != 0.0:
-            block = block * np.exp(1j * wi * t2_fs)
-        rows.append(block @ pump_row)
-    return np.concatenate(rows)
+            f[:fresh] *= np.exp(1j * t2_fs * wi)
+        f[fresh:] = shared
+        shared = f[: n_u - p].copy()
+        pairs = f.view(np.float64)
+        step = pairs.itemsize
+        view = np.lib.stride_tricks.as_strided(
+            pairs[2 * (rows - 1) * p :],
+            shape=(rows, n_u, 2),
+            strides=(-2 * p * step, 2 * step, step),
+            writeable=False,
+        )
+        block = _kernel_block(kernel, b[lo:hi], a, work[:, :rows])
+        block *= pump_row
+        out[lo:hi] = (block[:, None, :] @ view).view(complex).ravel()
+    return out

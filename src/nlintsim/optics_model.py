@@ -14,7 +14,7 @@ are detunings from the respective carriers unless suffixed ``0``.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -323,15 +323,18 @@ class TabulatedSample:
 
     Queries are linearly interpolated; anything outside the tabulated range
     raises. Tables must cover the full quadrature band of the kernel that
-    consumes them.
+    consumes them. ``omega`` and ``r`` may be given as any 1-d sequences and
+    are kept as tuples; queries read array copies made once.
     """
 
     omega: tuple
     r: tuple
+    _omega: np.ndarray = field(init=False, repr=False, compare=False)
+    _r: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.omega, dtype=float)
-        r = np.asarray(self.r, dtype=complex)
+        w = np.array(self.omega, dtype=float)
+        r = np.array(self.r, dtype=complex)
         if w.ndim != 1 or w.size < 2 or w.shape != r.shape:
             raise ValueError("tabulated sample needs matching 1-d omega and r arrays")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(r))):
@@ -340,19 +343,22 @@ class TabulatedSample:
             raise ValueError("tabulated omega grid must be strictly ascending")
         if np.any(np.abs(r) > 1.0 + 1e-12):
             raise ValueError("tabulated |r| exceeds 1 (sample must be passive)")
-        object.__setattr__(self, "omega", tuple(float(x) for x in w))
-        object.__setattr__(self, "r", tuple(complex(x) for x in r))
+        w.setflags(write=False)
+        r.setflags(write=False)
+        object.__setattr__(self, "omega", tuple(w.tolist()))
+        object.__setattr__(self, "r", tuple(r.tolist()))
+        object.__setattr__(self, "_omega", w)
+        object.__setattr__(self, "_r", r)
 
     def reflectivity(self, omega_i):
         w = np.asarray(omega_i, dtype=float)
-        grid = np.asarray(self.omega)
-        vals = np.asarray(self.r)
-        if np.any(w < grid[0]) or np.any(w > grid[-1]):
+        grid = self._omega
+        if w.size and (w.min() < grid[0] or w.max() > grid[-1]):
             raise ValueError(
                 f"reflectivity query outside tabulated range "
                 f"[{grid[0]:.6g}, {grid[-1]:.6g}] rad/fs"
             )
-        return np.interp(w, grid, vals.real) + 1j * np.interp(w, grid, vals.imag)
+        return np.interp(w, grid, self._r)
 
 
 SampleModel = UniformSample | BilayerSample | TabulatedSample

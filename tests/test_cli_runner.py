@@ -282,6 +282,23 @@ def test_run_scenario_oct_outputs(tmp_path):
     assert manifest.convergence_ok
 
 
+def test_peaks_json_carries_nine_significant_digits(tmp_path, monkeypatch):
+    report = cli.oct_scan.PeakReport(
+        positions_mm=(-0.04257523722473311, -5.1857778087249784e-05),
+        separations_um=(42.52337944664586,),
+        fwhm_um=(float("nan"), 28.96301264881709),
+        resolved=False,
+    )
+    monkeypatch.setattr(cli.oct_scan, "envelope_peaks", lambda ifg: report)
+    run_scenario(parse_scenario(OCT_SCENARIO), out_dir=tmp_path)
+    text = (tmp_path / "peaks.json").read_text()
+    assert "NaN" in text
+    peaks = json.loads(text)
+    assert peaks["positions_mm"] == [-0.0425752372, -5.18577781e-05]
+    assert peaks["separations_um"] == [42.5233794]
+    assert np.isnan(peaks["fwhm_um"][0]) and peaks["fwhm_um"][1] == 28.9630126
+
+
 def test_run_scenario_joint_spectrum_bundle(tmp_path):
     text = MINIMAL.replace("run = schmidt", "run = joint_spectrum, g1_scan")
     s = parse_scenario(text)

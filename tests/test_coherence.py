@@ -3,9 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nlintsim import coherence
 from nlintsim.coherence import (
     CHIRP_Z_PHASE_TOL,
     PairCorrelator,
+    _kernel_args,
+    _pump_quadrature,
+    _u_axis,
+    _walkoff,
     carrier_phase,
     g1_closed_form,
     g1_envelope,
@@ -23,8 +28,10 @@ from nlintsim.optics_model import (
     InterferometerGeometry,
     NumericalConsistencyError,
     PumpPulse,
+    SINC_GAUSS_ALPHA,
     TabulatedSample,
     UniformSample,
+    _trapezoid_weights,
     make_frequency_grid,
     mgo_linbo3_crystal,
     pump_amplitude,
@@ -348,6 +355,130 @@ def test_chirp_z_path_keeps_the_bound_check(monkeypatch):
     monkeypatch.setattr(corr, "_direct_sum", forbidden)
     with pytest.raises(NumericalConsistencyError, match="exceeds 1"):
         corr.correlation(t1)
+
+
+# ---------------------------------------------------------------- idler reduction
+
+def reference_quadrature(crystal, pump, omega_s, u, *, kernel="exact", sample=None, t2_fs=0.0):
+    """The idler reduction term by term: np.sinc over the (ws, u) block and r* interpolated on it."""
+    t0 = pump.t0_fs
+    d_plus = _walkoff(crystal, kernel)
+    pump_row = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2)) * _trapezoid_weights(u)
+    rows = []
+    chunk = max(1, int(4e6 / u.size))
+    for a in range(0, omega_s.size, chunk):
+        ws = omega_s[a : a + chunk, None]
+        arg = (d_plus * u + crystal.D * (2.0 * ws - u) / 2.0) * (crystal.length_mm / 2.0)
+        if kernel == "exact":
+            block = sinc(arg) ** 2
+        else:
+            block = np.exp(-2.0 * (SINC_GAUSS_ALPHA * arg) ** 2)
+        wi = u - ws
+        if sample is not None:
+            block = block * np.conj(sample.reflectivity(wi))
+        if t2_fs != 0.0:
+            block = block * np.exp(1j * wi * t2_fs)
+        rows.append(block @ pump_row)
+    return np.concatenate(rows)
+
+
+def reference_on_build_axes(crystal, pump, omega_s, *, kernel="exact", sample=None,
+                            t2_fs=0.0, extra_delay_fs=0.0, resolution=1.0):
+    """``reference_quadrature`` on the u axis ``_pump_quadrature`` builds for the same call."""
+    h_s = (omega_s[-1] - omega_s[0]) / (omega_s.size - 1)
+    u, _ = _u_axis(
+        crystal, pump, kernel=kernel, t2_fs=t2_fs, extra_delay_fs=extra_delay_fs,
+        resolution=resolution, lattice_step=None if sample is None else h_s,
+    )
+    return reference_quadrature(crystal, pump, omega_s, u, kernel=kernel, sample=sample, t2_fs=t2_fs)
+
+
+def assert_matches_reference(omega_s, *, crystal=CRYSTAL, pump=PumpPulse(500.0), **kw):
+    fast = _pump_quadrature(crystal, pump, omega_s, **kw)
+    ref = reference_on_build_axes(crystal, pump, omega_s, **kw)
+    assert fast.dtype == ref.dtype
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(ref)) > 0  # the comparison is not between zeros
+
+
+SIGNAL_AXIS = np.linspace(-3.0, 3.0, 3001)
+
+REDUCTION_CASES = [
+    pytest.param({"sample": MIRROR}, id="mirror"),
+    pytest.param({"sample": UniformSample(0.5 * np.exp(0.7j))}, id="lossy"),
+    pytest.param({"sample": SLAB, "extra_delay_fs": SLAB.tau_fs}, id="bilayer"),
+    pytest.param({"sample": TABULATED}, id="tabulated"),
+    pytest.param({"sample": TABULATED, "t2_fs": 35.0}, id="t2-35fs"),
+    pytest.param({"sample": SLAB, "resolution": 0.5}, id="half-resolution"),
+    # m > n_u: the rows read disjoint runs of lattice points
+    pytest.param({"sample": SLAB, "pump": PumpPulse(1e5)}, id="quasi-cw"),
+    pytest.param({}, id="no-sample-exact"),
+    pytest.param({"kernel": "gaussian"}, id="no-sample-gaussian"),
+]
+
+
+@pytest.mark.parametrize("block", [20_000, coherence.QUADRATURE_BLOCK])
+@pytest.mark.parametrize("case", REDUCTION_CASES)
+def test_reduction_matches_reference(case, block, monkeypatch):
+    # the small block splits the axis into chunks that share lattice points
+    monkeypatch.setattr(coherence, "QUADRATURE_BLOCK", block)
+    assert_matches_reference(SIGNAL_AXIS, **case)
+
+
+@pytest.mark.parametrize("sample", [None, SLAB], ids=["no-sample", "bilayer"])
+def test_reduction_near_zero_argument(sample):
+    pump = PumpPulse(500.0)
+    lattice = None if sample is None else 1e-3
+    u, _ = _u_axis(CRYSTAL, pump, lattice_step=lattice)
+    j0 = u.size // 2 + 3  # near the pump peak, where a_j is not 0
+    _, a = _kernel_args(CRYSTAL, "exact", np.zeros(1), u)
+    ws0 = -(a[j0] + 3e-10) / (CRYSTAL.D * CRYSTAL.length_mm / 2.0)
+    omega_s = ws0 + np.arange(-20, 21) * 1e-3
+    h_s = (omega_s[-1] - omega_s[0]) / (omega_s.size - 1)
+    u, _ = _u_axis(CRYSTAL, pump, lattice_step=None if sample is None else h_s)
+    b, a = _kernel_args(CRYSTAL, "exact", omega_s, u)
+    assert 0 < abs(b[20] + a[j0]) < 1e-9
+    assert_matches_reference(omega_s, sample=sample, pump=pump)
+
+
+@pytest.mark.parametrize("t0_fs", [500.0, 1e5], ids=["m-below-n_u", "m-above-n_u"])
+def test_reduction_reads_each_lattice_point_once(t0_fs, monkeypatch):
+    pump = PumpPulse(t0_fs)
+    monkeypatch.setattr(coherence, "QUADRATURE_BLOCK", 20_000)
+    seen = []
+    reflectivity = TabulatedSample.reflectivity
+
+    def counting(self, omega_i):
+        seen.append(np.size(omega_i))
+        return reflectivity(self, omega_i)
+
+    monkeypatch.setattr(TabulatedSample, "reflectivity", counting)
+    _pump_quadrature(CRYSTAL, pump, SIGNAL_AXIS, sample=TABULATED)
+    h_s = SIGNAL_AXIS[1] - SIGNAL_AXIS[0]
+    u, m = _u_axis(CRYSTAL, pump, lattice_step=h_s)
+    assert len(seen) > 1
+    assert sum(seen) <= SIGNAL_AXIS.size * min(m, u.size) + u.size
+
+
+def test_tabulated_slab_moves_less_than_halved_resolution(monkeypatch):
+    # a tabulated glass slab over the whole correlator band, like the benchmark's
+    crystal, pump = mgo_linbo3_crystal(1.0), PumpPulse(100.0)
+    slab = BilayerSample.from_fresnel(1.0, 1.5, 1.3, 20.0, crystal.omega_i0)
+    ridge = coherence._ridge(crystal, "exact")
+    band = 1.05 * (2.0 * coherence.TAIL_SINC_ARG / crystal.dl + (ridge + 1.0) * 8.0 / pump.t0_fs)
+    w = np.linspace(-band, band, int(2.0 * band * slab.tau_fs * 64 / (2.0 * np.pi)) + 1)
+    table = TabulatedSample(omega=w, r=slab.reflectivity(w))
+    geom = synced_geometry(crystal)
+    dz = np.linspace(*default_scan_range(crystal, slab), 161)
+
+    def scan(resolution):
+        return np.abs(g1_scan(crystal, pump, geom, table, dz, resolution=resolution))
+
+    new = scan(1.0)
+    monkeypatch.setattr(coherence, "_pump_quadrature", reference_on_build_axes)
+    old, old_half = scan(1.0), scan(0.5)
+    assert np.max(old) > 0.1
+    assert np.max(np.abs(new - old)) <= np.max(np.abs(old - old_half))
 
 
 # ---------------------------------------------------------------- photon number

@@ -155,6 +155,21 @@ def test_tabulated_interpolation_and_range():
         s.reflectivity(1.5)
 
 
+def test_tabulated_sample_from_arrays():
+    w = np.linspace(-1.0, 1.0, 101)
+    r = 0.5 * np.exp(1j * w ** 2)
+    s = TabulatedSample(omega=w, r=r)
+    from_tuples = TabulatedSample(omega=tuple(float(x) for x in w), r=tuple(complex(x) for x in r))
+    assert s == from_tuples and hash(s) == hash(from_tuples)
+    assert s.omega == from_tuples.omega and type(s.r[0]) is complex
+    assert "_omega" not in repr(s)
+    q = np.linspace(-1.0, 1.0, 997)
+    split = np.interp(q, w, r.real) + 1j * np.interp(q, w, r.imag)
+    np.testing.assert_allclose(s.reflectivity(q), split, rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError, match="outside tabulated range"):
+        s.reflectivity(np.array([0.0, np.nextafter(1.0, 2.0)]))
+
+
 # ---------------------------------------------------------------- gamma
 
 def test_gamma_separable_point():
