@@ -6,7 +6,12 @@ exp(-(alpha x)^2) and sets D_plus = 0, which makes the two-mode structure
 analytically Gaussian. Separable unit-modulus phase factors, the exact
 kernel's global factor i among them, are omitted from both since they drop
 out of every intensity and Schmidt observable, so the grid amplitude is real.
-The Schmidt coefficients are the eigenvalues of the amplitude's Gram matrix.
+The Schmidt coefficients are the Ritz values of the weighted amplitude m on a
+block subspace found by subspace iteration (Halko, Martinsson & Tropp, SIAM
+Rev. 53, 217, 2011), applied as m (m^H Q) so that the N x N Gram matrix m m^H
+is never formed. The block doubles until the mass it leaves unresolved is
+below SCHMIDT_MASS_TOL; once it would span half the grid, Q = I and the
+coefficients are the eigenvalues of m m^H itself.
 """
 
 from __future__ import annotations
@@ -31,6 +36,12 @@ from .optics_model import (
 )
 
 NORMALIZATION_TOL = 1e-6
+
+# Schmidt subspace iteration: first block size, power steps per block, and the
+# unresolved share of ||m||_F^2 below which a block is accepted.
+SCHMIDT_BLOCK = 64
+SCHMIDT_POWER_STEPS = 2
+SCHMIDT_MASS_TOL = 1e-13
 
 
 def biphoton_exact(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i):
@@ -245,27 +256,44 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
     """Schmidt decomposition of the quadrature-weighted amplitude matrix.
 
     The amplitude is scaled by sqrt(dws dwi) so the coefficients converge with
-    grid refinement. lambda_n are the eigenvalues, in descending order, of the
-    Gram matrix m m^H of that weighted matrix m: real symmetric for the real
-    amplitude of ``joint_spectral_intensity``, Hermitian for a complex one.
-    Only lambda above the Gram matrix's rounding floor N eps lambda_1 (N grid
-    points, eps the float64 machine epsilon) are kept; those below it are
-    noise. K = 1 / sum lambda^2, E = -sum lambda log2 lambda.
+    grid refinement. lambda_n are the squared singular values, in descending
+    order, of that weighted N x N matrix m (real for the amplitude of
+    ``joint_spectral_intensity``, complex when a caller passes one). They are
+    the Ritz values of m m^H on an orthonormal block Q of k columns: the QR of
+    k evenly spaced columns of m, then SCHMIDT_POWER_STEPS power steps
+    Q <- qr(m (m^H Q)), then the eigenvalues of B B^H with B = Q^H m. The
+    N x N Gram matrix m m^H is never formed. k starts at SCHMIDT_BLOCK and
+    doubles until the mass the block misses, ||m||_F^2 - sum lambda, is below
+    SCHMIDT_MASS_TOL ||m||_F^2; once 2k >= N, Q = I and lambda are the
+    eigenvalues of m m^H. Only lambda above the rounding floor N eps lambda_1
+    (N grid points, eps the float64 machine epsilon) are kept; those below it
+    are noise. K = 1 / sum lambda^2, E = -sum lambda log2 lambda over the kept
+    modes. A non-finite amplitude or a failed factorization raises
+    NumericalConsistencyError.
     """
     if not js.normalized:
         raise ValueError("schmidt_analysis requires a normalized JointSpectrum")
     m = js.amplitude * np.sqrt(
         np.outer(js.grid.weights_s, js.grid.weights_i)
     )
+    n = m.shape[0]
+    failed = (
+        f"Schmidt decomposition failed on a {n}x{m.shape[1]} grid "
+        f"(step_s={js.grid.step_s:.3e}, step_i={js.grid.step_i:.3e})"
+    )
+    mass = float(np.vdot(m, m).real)  # ||m||_F^2; not assumed 1 for a caller's JSA
+    if not np.isfinite(mass):
+        raise NumericalConsistencyError(f"{failed}: non-finite amplitude")
+    block = SCHMIDT_BLOCK
     try:
-        # conj() of a real array is the array itself, so m @ m.T runs as syrk
-        lam = np.linalg.eigvalsh(m @ m.conj().T)[::-1]
+        while True:
+            lam = _ritz_values(m, block)
+            if 2 * block >= n or mass - float(np.sum(lam)) < SCHMIDT_MASS_TOL * mass:
+                break
+            block *= 2
     except np.linalg.LinAlgError as exc:
-        raise NumericalConsistencyError(
-            f"Schmidt decomposition failed on a {m.shape[0]}x{m.shape[1]} grid "
-            f"(step_s={js.grid.step_s:.3e}, step_i={js.grid.step_i:.3e}): {exc}"
-        ) from exc
-    lam = lam[lam > lam.size * np.finfo(float).eps * lam[0]]
+        raise NumericalConsistencyError(f"{failed}: {exc}") from exc
+    lam = lam[lam > n * np.finfo(float).eps * lam[0]]
     k = 1.0 / float(np.sum(lam ** 2))
     entropy = -float(np.sum(lam * np.log2(lam)))
     return SchmidtReport(
@@ -273,3 +301,22 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
         schmidt_number_K=k,
         entropy_bits=max(entropy, 0.0),
     )
+
+
+def _ritz_values(m: np.ndarray, k: int) -> np.ndarray:
+    """Descending Ritz values of m m^H on a k-column subspace-iteration block.
+
+    With 2k >= N rows the block is the identity and the values are the
+    eigenvalues of m m^H. Raises LinAlgError when a factorization fails.
+    """
+    if 2 * k >= m.shape[0]:
+        b = m
+    else:
+        cols = (np.arange(k) * m.shape[1]) // k
+        q = np.linalg.qr(m[:, cols])[0]
+        for _ in range(SCHMIDT_POWER_STEPS):
+            # m^H q as (q^H m)^H, so a complex m is never conjugated whole
+            q = np.linalg.qr(m @ (q.conj().T @ m).conj().T)[0]
+        b = q.conj().T @ m
+    # conj() of a real array is the array itself, so b @ b.T runs as syrk
+    return np.linalg.eigvalsh(b @ b.conj().T)[::-1]

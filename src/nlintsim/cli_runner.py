@@ -481,10 +481,7 @@ def export_series(columns: list[str], rows, fmt: str) -> str:
     for name, column in zip(columns, zip(*rows)):
         _require_finite(name, column)
     if fmt == "csv":
-        out = [",".join(columns)]
-        for row in rows:
-            out.append(",".join(_fmt9(v) for v in row))
-        return "\n".join(out) + "\n"
+        return "\n".join([",".join(columns), *_csv_lines(rows)]) + "\n"
     if fmt == "json":
         payload = {
             "columns": list(columns),
@@ -500,10 +497,18 @@ def _jsi_csv(js: biphoton.JointSpectrum, stride: int) -> str:
     inten = js.intensity[::stride, ::stride]
     for name, values in (("omega_s", ws), ("omega_i", wi), ("intensity", inten)):
         _require_finite(name, values)
-    lines = ["omega_s\\omega_i," + ",".join(_fmt9(v) for v in wi)]
-    for k, row in enumerate(inten):
-        lines.append(_fmt9(ws[k]) + "," + ",".join(_fmt9(v) for v in row))
-    return "\n".join(lines) + "\n"
+    header = "omega_s\\omega_i," + _csv_lines([wi])[0]
+    return "\n".join([header, *_csv_lines(np.column_stack((ws, inten)))]) + "\n"
+
+
+def _csv_lines(table) -> list[str]:
+    """One CSV line per row of a 2-D float table, each value written as ``_fmt9`` writes it.
+
+    Each row becomes Python floats in one ``tolist`` and is formatted by one
+    bound ``str.format``; a 512 x 512 JSI slice is 262k values.
+    """
+    fmt9 = "{:.9g}".format
+    return [",".join(map(fmt9, row.tolist())) for row in np.asarray(table, dtype=float)]
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +557,21 @@ def _jsa(points: int) -> biphoton.JointSpectrum:
     return _run_jsa.get()(points)
 
 
+def _coarser_jsa(points: int) -> biphoton.JointSpectrum | None:
+    """The JSA of the coarsen check: points // 2, but never below MIN_GRID_POINTS.
+
+    None when no strictly smaller grid exists (``points`` is already the
+    smallest allowed) or when that grid cannot resolve the spectrum.
+    """
+    coarse = max(MIN_GRID_POINTS, points // 2)
+    if coarse >= points:
+        return None
+    try:
+        return _jsa(coarse)
+    except GridResolutionError:
+        return None
+
+
 def _halved_resolution(
     scenario: Scenario, points: int, dz: np.ndarray, g1_abs: np.ndarray
 ) -> dict:
@@ -571,15 +591,15 @@ def _halved_resolution(
 def _task_joint_spectrum(scenario: Scenario, points: int):
     js = _jsa(points)
     files = {"joint_spectrum.csv": _jsi_csv(js, scenario.jsi_stride)}
-    # convergence: coarsen the grid when still resolvable, otherwise compare the
-    # grid marginal bandwidth against the pump-adaptive reference quadrature
+    # convergence: coarsen the grid when a smaller resolvable one exists, otherwise
+    # compare the grid marginal bandwidth against the pump-adaptive reference quadrature
     m_fine = biphoton.marginal_spectrum(js, scenario.crystal).fwhm_nm
-    try:
-        coarse = _jsa(max(MIN_GRID_POINTS, points // 2))
+    coarse = _coarser_jsa(points)
+    if coarse is not None:
         m_coarse = biphoton.marginal_spectrum(coarse, scenario.crystal).fwhm_nm
         delta = abs(m_fine - m_coarse) / m_fine
         method = "coarsen"
-    except GridResolutionError:
+    else:
         ref = biphoton.signal_spectrum(scenario.crystal, scenario.pump, scenario.kernel)
         delta = abs(m_fine - ref.fwhm_nm) / ref.fwhm_nm
         method = "reference"
@@ -598,11 +618,12 @@ def _task_schmidt(scenario: Scenario, points: int):
     for key, value in payload.items():
         _require_finite(key, value)
     files = {"schmidt.json": json.dumps(payload, indent=2) + "\n"}
-    try:
-        coarse = biphoton.schmidt_analysis(_jsa(max(MIN_GRID_POINTS, points // 2)))
+    coarse_js = _coarser_jsa(points)
+    if coarse_js is not None:
+        coarse = biphoton.schmidt_analysis(coarse_js)
         delta = abs(report.schmidt_number_K - coarse.schmidt_number_K) / report.schmidt_number_K
         method = "coarsen"
-    except GridResolutionError:
+    else:
         delta = float("nan")
         method = "unavailable"
     flagged_extra = {"schmidt_number_K": float(report.schmidt_number_K)}

@@ -12,9 +12,11 @@ from nlintsim.biphoton import (
     schmidt_analysis,
     signal_spectrum,
 )
+from nlintsim import biphoton
 from nlintsim.optics_model import (
     AnalysisError,
     CrystalParams,
+    NumericalConsistencyError,
     PumpPulse,
     SINC_GAUSS_ALPHA,
     make_frequency_grid,
@@ -313,3 +315,105 @@ def test_schmidt_matches_svd_oracle(kernel, chirp):
     assert np.max(oracle[lam.size:], initial=0.0) <= 1e-12
     k_oracle = 1.0 / np.sum(oracle[oracle > 1e-18] ** 2)
     assert report.schmidt_number_K == pytest.approx(k_oracle, rel=1e-12, abs=0.0)
+
+
+def gram_oracle(js):
+    # the N x N Gram matrix's eigenvalues above its N eps lambda_1 rounding floor
+    m = js.amplitude * np.sqrt(np.outer(js.grid.weights_s, js.grid.weights_i))
+    lam = np.linalg.eigvalsh(m @ m.conj().T)[::-1]
+    return lam[lam > m.shape[0] * np.finfo(float).eps * lam[0]]
+
+
+def gamma_spectrum(kernel, gamma, n, chirp=False):
+    pump = PumpPulse(SINC_GAUSS_ALPHA * CRYSTAL.dl / (2.0 * np.sqrt(2.0) * gamma))
+    grid = make_frequency_grid(CRYSTAL, pump, n)
+    js = joint_spectral_intensity(kernel, CRYSTAL, pump, grid)
+    if chirp:
+        phase = np.exp(1e5j * grid.omega_s[:, None] * grid.omega_i[None, :])
+        js = JointSpectrum(grid=grid, amplitude=js.amplitude * phase, normalized=True)
+    return js
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """Orders of the matrices schmidt_analysis hands to eigvalsh."""
+    sizes = []
+    original = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(biphoton.np.linalg, "eigvalsh", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("kernel,gamma,chirp,blocks", [
+    pytest.param("gaussian", 0.5, False, [64], id="gaussian-0.5"),
+    pytest.param("exact", 1.0, False, [64], id="exact-1"),
+    pytest.param("exact", 2.0, False, [64, 128], id="exact-2-doubles"),
+    pytest.param("exact", 1.0, True, [64, 128], id="exact-1-chirped"),
+])
+def test_schmidt_subspace_matches_gram_oracle(monkeypatch, eigvalsh_sizes, kernel, gamma,
+                                              chirp, blocks):
+    js = gamma_spectrum(kernel, gamma, 2048, chirp)
+    report = schmidt_analysis(js)
+    # the 2048 x 2048 Gram matrix is never formed: eigvalsh only sees k x k blocks
+    assert eigvalsh_sizes == blocks
+    monkeypatch.undo()
+    oracle = gram_oracle(js)
+    lam = report.coefficients
+    assert lam.size == oracle.size
+    assert np.max(np.abs(lam - oracle)) <= 1e-14
+    k_oracle = 1.0 / np.sum(oracle ** 2)
+    assert report.schmidt_number_K == pytest.approx(k_oracle, rel=1e-13, abs=0.0)
+
+
+def test_schmidt_subspace_rank_one_input(eigvalsh_sizes):
+    grid = make_frequency_grid(CRYSTAL, PumpPulse(212.0), 2048)
+    f = np.exp(-((grid.omega_s / 0.01) ** 2))
+    amp = np.outer(f, f)
+    w = np.outer(grid.weights_s, grid.weights_i)
+    amp /= np.sqrt(np.sum(amp ** 2 * w))
+    report = schmidt_analysis(JointSpectrum(grid=grid, amplitude=amp, normalized=True))
+    assert eigvalsh_sizes == [64]
+    assert report.coefficients.size == 1
+    assert report.coefficients[0] == pytest.approx(1.0, abs=1e-12)
+    assert report.schmidt_number_K == pytest.approx(1.0, abs=1e-12)
+    assert report.entropy_bits == pytest.approx(0.0, abs=1e-12)
+
+
+def test_schmidt_small_grid_takes_the_gram_path(eigvalsh_sizes):
+    # gamma = 10 keeps more modes than a 128 block resolves; at k = 256 on 512
+    # points 2 k >= N, so Q = I and the result is the Gram eigenvalues bit for bit
+    js = gamma_spectrum("exact", 10.0, 512)
+    lam = schmidt_analysis(js).coefficients
+    assert eigvalsh_sizes == [64, 128, 512]
+    assert lam.tobytes() == gram_oracle(js).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_schmidt_non_finite_amplitude_fails(bad):
+    js = gamma_spectrum("gaussian", 1.0, 1024)
+    amplitude = js.amplitude.copy()
+    amplitude[300, 700] = bad
+    with pytest.raises(NumericalConsistencyError, match="1024x1024 grid.*non-finite amplitude"):
+        schmidt_analysis(JointSpectrum(grid=js.grid, amplitude=amplitude, normalized=True))
+
+
+@pytest.mark.parametrize("name", ["qr", "eigvalsh"])
+def test_schmidt_factorization_failure_keeps_grid_message(monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(biphoton.np.linalg, name, fail)
+    with pytest.raises(NumericalConsistencyError, match="1024x1024 grid.*did not converge"):
+        schmidt_analysis(gamma_spectrum("gaussian", 1.0, 1024))
+
+
+def test_schmidt_is_reproducible():
+    js = gamma_spectrum("exact", 2.0, 2048)
+    first, second = schmidt_analysis(js), schmidt_analysis(js)
+    assert first.coefficients.tobytes() == second.coefficients.tobytes()
+    assert first.schmidt_number_K == second.schmidt_number_K
+    assert first.entropy_bits == second.entropy_bits

@@ -21,6 +21,7 @@ from nlintsim.cli_runner import (
     render_scenario,
     run_scenario,
 )
+from nlintsim.optics_model import FrequencyGrid
 
 MINIMAL = """
 [crystal]
@@ -237,6 +238,33 @@ def test_export_series_nine_significant_digits():
     assert out == "x\n0.333333333\n"
 
 
+def _fmt9_csv(rows):
+    # per-value reference writer: one _fmt9 call for every value
+    return [",".join(cli._fmt9(v) for v in row) for row in rows]
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.5e-310, 1e300, -1e300, 3.0, -7.0, 1e16, 123456789.0,
+               1.0 / 3.0, -2.0 / 3.0, 6.02214076e23, 1e-5]
+
+
+def test_csv_writers_match_per_value_reference():
+    rows = [tuple(EDGE_VALUES[k:k + 3]) for k in range(0, len(EDGE_VALUES) - 2)]
+    rows.append(tuple(np.float64(v) for v in EDGE_VALUES[:3]))
+    expected = "\n".join(["a,b,c", *_fmt9_csv(rows)]) + "\n"
+    assert export_series(["a", "b", "c"], rows, "csv") == expected
+    axis = np.array(EDGE_VALUES)
+    grid = FrequencyGrid(omega_s=axis, omega_i=axis[::-1].copy())
+    cycle = (np.arange(axis.size)[:, None] + np.arange(axis.size)[None, :]) % axis.size
+    amplitude = np.sqrt(np.abs(axis))[cycle] * np.where(cycle % 2, 1.0, -1.0)
+    js = cli.biphoton.JointSpectrum(grid=grid, amplitude=amplitude)
+    for stride in (1, 3):
+        ws, wi = axis[::stride], axis[::-1][::stride]
+        inten = js.intensity[::stride, ::stride]
+        lines = ["omega_s\\omega_i," + _fmt9_csv([wi])[0]]
+        lines += [cli._fmt9(w) + "," + line for w, line in zip(ws, _fmt9_csv(inten))]
+        assert cli._jsi_csv(js, stride) == "\n".join(lines) + "\n"
+
+
 def test_export_series_json_schema():
     payload = json.loads(export_series(["x", "y"], [(1.0, 2.0)], "json"))
     assert payload == {"columns": ["x", "y"], "rows": [[1.0, 2.0]]}
@@ -368,6 +396,32 @@ def test_nan_delta_fails_the_gate(tmp_path, monkeypatch, capsys, method, flagged
     scen = tmp_path / "s.ini"
     scen.write_text(MINIMAL)
     assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == (2 if flagged else 0)
+
+
+@pytest.mark.parametrize("points,built,methods", [
+    pytest.param(256, [256], ("reference", "unavailable"), id="smallest-grid"),
+    pytest.param(384, [256, 384], ("coarsen", "coarsen"), id="coarsens-to-256"),
+])
+def test_coarsen_check_never_compares_a_grid_with_itself(tmp_path, monkeypatch, points,
+                                                         built, methods):
+    sizes = []
+    original = cli.make_frequency_grid
+
+    def spy(crystal, pump, n_points, **kwargs):
+        sizes.append(n_points)
+        return original(crystal, pump, n_points, **kwargs)
+
+    monkeypatch.setattr(cli, "make_frequency_grid", spy)
+    text = MINIMAL.replace("run = schmidt", "run = joint_spectrum, schmidt")
+    text = text.replace("points = 512", f"points = {points}")
+    manifest = run_scenario(parse_scenario(text), out_dir=tmp_path)
+    assert sorted(sizes) == built
+    conv = manifest.convergence
+    assert (conv["joint_spectrum"]["method"], conv["schmidt"]["method"]) == methods
+    if points == 256:
+        assert np.isfinite(conv["joint_spectrum"]["delta"])
+        assert np.isnan(conv["schmidt"]["delta"])
+        assert not conv["schmidt"]["flagged"]
 
 
 UNIFORM_OCT = MINIMAL.replace("run = schmidt", "run = oct_scan") + "\n[scan]\nfringes = false\n"
@@ -640,6 +694,21 @@ def test_python_m_nlintsim_presets():
     assert proc.returncode == 0, proc.stderr
     assert "mgo_linbo3" in proc.stdout
     assert "Warning" not in proc.stderr
+
+
+def test_schmidt_run_does_not_load_numpy_random(tmp_path):
+    scen = tmp_path / "s.ini"
+    scen.write_text(MINIMAL.replace("points = 512", "points = 1024"))
+    script = (
+        "import sys, nlintsim\n"
+        "from nlintsim.cli_runner import main\n"
+        "assert 'numpy.random' not in sys.modules, 'import'\n"
+        f"assert main(['run', {str(scen)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'schmidt run'\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "schmidt.json").exists()
 
 
 def test_import_without_scipy():
