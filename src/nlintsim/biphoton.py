@@ -6,12 +6,13 @@ exp(-(alpha x)^2) and sets D_plus = 0, which makes the two-mode structure
 analytically Gaussian. Separable unit-modulus phase factors, the exact
 kernel's global factor i among them, are omitted from both since they drop
 out of every intensity and Schmidt observable, so the grid amplitude is real.
-The Schmidt coefficients are the Ritz values of the weighted amplitude m on a
-block subspace found by subspace iteration (Halko, Martinsson & Tropp, SIAM
-Rev. 53, 217, 2011), applied as m (m^H Q) so that the N x N Gram matrix m m^H
-is never formed. The block doubles until the mass it leaves unresolved is
-below SCHMIDT_MASS_TOL; once it would span half the grid, Q = I and the
-coefficients are the eigenvalues of m m^H itself.
+The Schmidt coefficients are the Ritz values of the weighted amplitude m on the
+range of a block of its own columns (a Rayleigh-Ritz step, cf. Halko,
+Martinsson & Tropp, SIAM Rev. 53, 217, 2011), so that the N x N Gram matrix
+m m^H is never formed. The block doubles until the mass it leaves unresolved
+is below SCHMIDT_MASS_TOL, which bounds the error of every Ritz value by that
+mass whatever the block (Weyl's inequality); once the block would span half
+the grid, Q = I and the coefficients are the eigenvalues of m m^H itself.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from .optics_model import (
 
 NORMALIZATION_TOL = 1e-6
 
-# Schmidt subspace iteration: first block size, power steps per block, and the
-# unresolved share of ||m||_F^2 below which a block is accepted.
+# Schmidt Rayleigh-Ritz: first block size, and the unresolved share of
+# ||m||_F^2 below which a block is accepted.
 SCHMIDT_BLOCK = 64
-SCHMIDT_POWER_STEPS = 2
 SCHMIDT_MASS_TOL = 1e-13
 
 
@@ -259,17 +259,18 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
     grid refinement. lambda_n are the squared singular values, in descending
     order, of that weighted N x N matrix m (real for the amplitude of
     ``joint_spectral_intensity``, complex when a caller passes one). They are
-    the Ritz values of m m^H on an orthonormal block Q of k columns: the QR of
-    k evenly spaced columns of m, then SCHMIDT_POWER_STEPS power steps
-    Q <- qr(m (m^H Q)), then the eigenvalues of B B^H with B = Q^H m. The
+    the Ritz values of m m^H on an orthonormal block Q of k columns, the QR of
+    k evenly spaced columns of m: the eigenvalues of B B^H with B = Q^H m. The
     N x N Gram matrix m m^H is never formed. k starts at SCHMIDT_BLOCK and
     doubles until the mass the block misses, ||m||_F^2 - sum lambda, is below
-    SCHMIDT_MASS_TOL ||m||_F^2; once 2k >= N, Q = I and lambda are the
-    eigenvalues of m m^H. Only lambda above the rounding floor N eps lambda_1
-    (N grid points, eps the float64 machine epsilon) are kept; those below it
-    are noise. K = 1 / sum lambda^2, E = -sum lambda log2 lambda over the kept
-    modes. A non-finite amplitude or a failed factorization raises
-    NumericalConsistencyError.
+    SCHMIDT_MASS_TOL ||m||_F^2. With R = (I - Q Q^H) m that mass is tr R^H R,
+    and m^H m = B^H B + R^H R, so by Weyl's inequality every lambda is then
+    within SCHMIDT_MASS_TOL ||m||_F^2 of its exact value. Once 2k >= N, Q = I
+    and lambda are the eigenvalues of m m^H. Only lambda above the rounding
+    floor N eps lambda_1 (N grid points, eps the float64 machine epsilon) are
+    kept; those below it are noise. K = 1 / sum lambda^2, E = -sum lambda
+    log2 lambda over the kept modes. A non-finite amplitude or a failed
+    factorization raises NumericalConsistencyError.
     """
     if not js.normalized:
         raise ValueError("schmidt_analysis requires a normalized JointSpectrum")
@@ -304,7 +305,7 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
 
 
 def _ritz_values(m: np.ndarray, k: int) -> np.ndarray:
-    """Descending Ritz values of m m^H on a k-column subspace-iteration block.
+    """Descending Ritz values of m m^H on the range of k evenly spaced columns of m.
 
     With 2k >= N rows the block is the identity and the values are the
     eigenvalues of m m^H. Raises LinAlgError when a factorization fails.
@@ -314,9 +315,6 @@ def _ritz_values(m: np.ndarray, k: int) -> np.ndarray:
     else:
         cols = (np.arange(k) * m.shape[1]) // k
         q = np.linalg.qr(m[:, cols])[0]
-        for _ in range(SCHMIDT_POWER_STEPS):
-            # m^H q as (q^H m)^H, so a complex m is never conjugated whole
-            q = np.linalg.qr(m @ (q.conj().T @ m).conj().T)[0]
         b = q.conj().T @ m
     # conj() of a real array is the array itself, so b @ b.T runs as syrk
     return np.linalg.eigvalsh(b @ b.conj().T)[::-1]

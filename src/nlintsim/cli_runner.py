@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextvars
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +43,6 @@ from .optics_model import (
 
 TASK_NAMES = ("joint_spectrum", "schmidt", "g1_scan", "oct_scan", "spectrum")
 CONVERGENCE_GATE = 1e-4
-WORKERS_ENV = "NLINT_SIM_WORKERS"
 
 CRYSTAL_PRESETS = {
     "mgo_linbo3": mgo_linbo3_crystal,
@@ -520,54 +517,18 @@ def _scan_window(scenario: Scenario) -> tuple[float, float] | None:
     return (scenario.scan.delta_z_min_mm, scenario.scan.delta_z_max_mm)
 
 
-class _JsaMemo:
-    """The JSAs of one ``run_scenario`` call, each grid size built once.
+def _coarser_jsa(jsa, points: int) -> biphoton.JointSpectrum | None:
+    """The coarsen check's JSA: ``jsa(points // 2)``, but never below MIN_GRID_POINTS.
 
-    A task asking for a size another task is building waits for that build.
-    A failed build stores nothing, so the next caller builds and raises anew.
-    """
-
-    def __init__(self, scenario: Scenario):
-        self._scenario = scenario
-        self._lock = threading.Lock()
-        self._size_locks: dict[int, threading.Lock] = {}
-        self._built: dict[int, biphoton.JointSpectrum] = {}
-
-    def __call__(self, points: int) -> biphoton.JointSpectrum:
-        with self._lock:
-            size_lock = self._size_locks.setdefault(points, threading.Lock())
-        with size_lock:
-            if points not in self._built:
-                s = self._scenario
-                grid = make_frequency_grid(
-                    s.crystal, s.pump, points, half_width=s.grid_half_width
-                )
-                self._built[points] = biphoton.joint_spectral_intensity(
-                    s.kernel, s.crystal, s.pump, grid
-                )
-            return self._built[points]
-
-
-# the memo of the run_scenario call executing the current task; a context
-# variable, so the task functions keep their (scenario, points) signature
-_run_jsa: contextvars.ContextVar[_JsaMemo] = contextvars.ContextVar("run_jsa")
-
-
-def _jsa(points: int) -> biphoton.JointSpectrum:
-    return _run_jsa.get()(points)
-
-
-def _coarser_jsa(points: int) -> biphoton.JointSpectrum | None:
-    """The JSA of the coarsen check: points // 2, but never below MIN_GRID_POINTS.
-
-    None when no strictly smaller grid exists (``points`` is already the
-    smallest allowed) or when that grid cannot resolve the spectrum.
+    ``jsa`` is the run's JSA cache. None when no strictly smaller grid exists
+    (``points`` is already the smallest allowed) or when that grid cannot
+    resolve the spectrum.
     """
     coarse = max(MIN_GRID_POINTS, points // 2)
     if coarse >= points:
         return None
     try:
-        return _jsa(coarse)
+        return jsa(coarse)
     except GridResolutionError:
         return None
 
@@ -588,13 +549,13 @@ def _halved_resolution(
     return {"delta": delta, "method": "halved-resolution"}
 
 
-def _task_joint_spectrum(scenario: Scenario, points: int):
-    js = _jsa(points)
+def _task_joint_spectrum(scenario: Scenario, points: int, jsa):
+    js = jsa(points)
     files = {"joint_spectrum.csv": _jsi_csv(js, scenario.jsi_stride)}
     # convergence: coarsen the grid when a smaller resolvable one exists, otherwise
     # compare the grid marginal bandwidth against the pump-adaptive reference quadrature
     m_fine = biphoton.marginal_spectrum(js, scenario.crystal).fwhm_nm
-    coarse = _coarser_jsa(points)
+    coarse = _coarser_jsa(jsa, points)
     if coarse is not None:
         m_coarse = biphoton.marginal_spectrum(coarse, scenario.crystal).fwhm_nm
         delta = abs(m_fine - m_coarse) / m_fine
@@ -607,8 +568,8 @@ def _task_joint_spectrum(scenario: Scenario, points: int):
     return files, {"delta": float(delta), "method": method}, extras
 
 
-def _task_schmidt(scenario: Scenario, points: int):
-    report = biphoton.schmidt_analysis(_jsa(points))
+def _task_schmidt(scenario: Scenario, points: int, jsa):
+    report = biphoton.schmidt_analysis(jsa(points))
     coeffs = [float(v) for v in report.coefficients if v > 1e-12]
     payload = {
         "coefficients": coeffs,
@@ -618,7 +579,7 @@ def _task_schmidt(scenario: Scenario, points: int):
     for key, value in payload.items():
         _require_finite(key, value)
     files = {"schmidt.json": json.dumps(payload, indent=2) + "\n"}
-    coarse_js = _coarser_jsa(points)
+    coarse_js = _coarser_jsa(jsa, points)
     if coarse_js is not None:
         coarse = biphoton.schmidt_analysis(coarse_js)
         delta = abs(report.schmidt_number_K - coarse.schmidt_number_K) / report.schmidt_number_K
@@ -630,7 +591,7 @@ def _task_schmidt(scenario: Scenario, points: int):
     return files, {"delta": float(delta), "method": method}, flagged_extra
 
 
-def _task_g1_scan(scenario: Scenario, points: int):
+def _task_g1_scan(scenario: Scenario, points: int, jsa):
     crystal, pump, sample = scenario.crystal, scenario.pump, scenario.sample
     geometry = scenario.effective_geometry()
     window = _scan_window(scenario)
@@ -654,7 +615,7 @@ def _task_g1_scan(scenario: Scenario, points: int):
     return files, conv, {}
 
 
-def _task_oct_scan(scenario: Scenario, points: int):
+def _task_oct_scan(scenario: Scenario, points: int, jsa):
     crystal, pump, sample = scenario.crystal, scenario.pump, scenario.sample
     geometry = scenario.effective_geometry()
     window = _scan_window(scenario)
@@ -698,7 +659,7 @@ def _task_oct_scan(scenario: Scenario, points: int):
     return files, conv, extras
 
 
-def _task_spectrum(scenario: Scenario, points: int):
+def _task_spectrum(scenario: Scenario, points: int, jsa):
     crystal = scenario.crystal
     spectrum = biphoton.signal_spectrum(crystal, scenario.pump, kernel=scenario.kernel)
     omega_s0 = crystal.omega_s0
@@ -730,32 +691,21 @@ _TASK_FN = {
 }
 
 
-def run_scenario(
-    scenario: Scenario,
-    out_dir: str | Path | None = None,
-    grid_points: int | None = None,
-) -> RunManifest:
+def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunManifest:
     """Execute every task of a scenario and write its outputs plus manifest.
 
     Deterministic: identical scenario text yields bit-identical data files and
-    an identical manifest digest. Tasks run concurrently when the
-    NLINT_SIM_WORKERS environment variable is above 1; ``joint_spectrum`` and
-    ``schmidt`` share each JSA, built once per call. A grid size below
-    MIN_GRID_POINTS or a NLINT_SIM_WORKERS that is not an integer is rejected
-    before anything is computed or written. A task whose written series holds
-    a non-finite value fails with NumericalConsistencyError, and no file of
-    the run is written. On
-    task failure its partial outputs are removed and the original exception
+    an identical manifest digest. Tasks run one after another; ``joint_spectrum``
+    and ``schmidt`` share each JSA, built once per call. A grid size below
+    MIN_GRID_POINTS is rejected before anything is computed or written. A task
+    whose written series holds a non-finite value fails with
+    NumericalConsistencyError, and no file of the run is written. On task
+    failure its partial outputs are removed and the original exception
     propagates with a note naming the task.
     """
-    points = grid_points if grid_points is not None else scenario.grid_points
+    points = scenario.grid_points
     if points < MIN_GRID_POINTS:
         raise ScenarioError(f"grid points must be at least {MIN_GRID_POINTS}, got {points}")
-    workers_raw = os.environ.get(WORKERS_ENV, "").strip()
-    try:
-        workers = int(workers_raw) if workers_raw else 1
-    except ValueError:
-        raise ScenarioError(f"{WORKERS_ENV}: not an integer: {workers_raw!r}") from None
     target = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)
     try:
         target.mkdir(parents=True, exist_ok=True)
@@ -765,31 +715,26 @@ def run_scenario(
     except OSError as exc:
         raise ScenarioError(f"output directory not writable: {target}: {exc}") from exc
 
-    jsa = _JsaMemo(scenario)
+    @functools.cache  # a failed build raises and stores nothing
+    def jsa(n: int) -> biphoton.JointSpectrum:
+        grid = make_frequency_grid(
+            scenario.crystal, scenario.pump, n, half_width=scenario.grid_half_width
+        )
+        return biphoton.joint_spectral_intensity(
+            scenario.kernel, scenario.crystal, scenario.pump, grid
+        )
 
-    def run_one(task: str):
+    results = {}
+    for task in scenario.tasks:
         t0 = time.perf_counter()
-        token = _run_jsa.set(jsa)
         try:
-            files, conv, extras = _TASK_FN[task](scenario, points)
+            files, conv, extras = _TASK_FN[task](scenario, points, jsa)
         except Exception as exc:
             # what BaseException.add_note does (Python 3.11+): the exception
             # keeps its type and constructor arguments
             exc.__notes__ = [*getattr(exc, "__notes__", ()), f"task {task}"]
             raise
-        finally:
-            _run_jsa.reset(token)
-        return task, files, conv, extras, time.perf_counter() - t0
-
-    results = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for task, files, conv, extras, secs in pool.map(run_one, scenario.tasks):
-                results[task] = (files, conv, extras, secs)
-    else:
-        for task in scenario.tasks:
-            task, files, conv, extras, secs = run_one(task)
-            results[task] = (files, conv, extras, secs)
+        results[task] = (files, conv, extras, time.perf_counter() - t0)
 
     manifest_files: dict = {}
     seconds: dict = {}
@@ -878,9 +823,9 @@ def main(argv=None) -> int:
         scenario = parse_scenario(path.read_text(), base_dir=path.parent)
         if args.format:
             scenario = dataclasses.replace(scenario, output_format=args.format)
-        manifest = run_scenario(
-            scenario, out_dir=args.out, grid_points=args.grid_points
-        )
+        if args.grid_points is not None:
+            scenario = dataclasses.replace(scenario, grid_points=args.grid_points)
+        manifest = run_scenario(scenario, out_dir=args.out)
     except (ScenarioError, GridResolutionError, AnalysisError, ValueError) as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return 1

@@ -353,6 +353,7 @@ def eigvalsh_sizes(monkeypatch):
     pytest.param("exact", 1.0, False, [64], id="exact-1"),
     pytest.param("exact", 2.0, False, [64, 128], id="exact-2-doubles"),
     pytest.param("exact", 1.0, True, [64, 128], id="exact-1-chirped"),
+    pytest.param("exact", 10.0, False, [64, 128, 256, 512], id="exact-10-doubles-thrice"),
 ])
 def test_schmidt_subspace_matches_gram_oracle(monkeypatch, eigvalsh_sizes, kernel, gamma,
                                               chirp, blocks):

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -357,13 +356,11 @@ class _TwoArgError(RuntimeError):
         super().__init__(f"cannot allocate {shape} of {dtype}")
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_task_failure_keeps_exception_type(tmp_path, monkeypatch, workers):
-    def fail(scenario, points):
+def test_task_failure_keeps_exception_type(tmp_path, monkeypatch):
+    def fail(scenario, points, jsa):
         raise _TwoArgError((4096, 4096), "complex128")
 
     monkeypatch.setitem(cli._TASK_FN, "schmidt", fail)
-    monkeypatch.setenv(cli.WORKERS_ENV, workers)
     with pytest.raises(_TwoArgError) as info:
         run_scenario(parse_scenario(MINIMAL), out_dir=tmp_path)
     assert type(info.value) is _TwoArgError
@@ -371,7 +368,7 @@ def test_task_failure_keeps_exception_type(tmp_path, monkeypatch, workers):
 
 
 def test_cli_names_the_failing_task(tmp_path, monkeypatch, capsys):
-    def fail(scenario, points):
+    def fail(scenario, points, jsa):
         raise cli.AnalysisError("no half-maximum crossing")
 
     monkeypatch.setitem(cli._TASK_FN, "schmidt", fail)
@@ -386,7 +383,7 @@ def test_cli_names_the_failing_task(tmp_path, monkeypatch, capsys):
     ("unavailable", False),
 ])
 def test_nan_delta_fails_the_gate(tmp_path, monkeypatch, capsys, method, flagged):
-    def nan_delta(scenario, points):
+    def nan_delta(scenario, points, jsa):
         return {}, {"delta": float("nan"), "method": method}, {}
 
     monkeypatch.setitem(cli._TASK_FN, "schmidt", nan_delta)
@@ -456,26 +453,6 @@ def test_scan_task_builds_one_full_resolution_correlator(tmp_path, monkeypatch, 
     assert [entry["method"] for entry in manifest.convergence.values()] == [method]
 
 
-@pytest.mark.parametrize("value,code", [
-    pytest.param("two", 1, id="not-an-integer"),
-    pytest.param("", 0, id="empty-means-one"),
-])
-def test_workers_env_checked_before_output(tmp_path, monkeypatch, capsys, value, code):
-    monkeypatch.setenv(cli.WORKERS_ENV, value)
-    scen = tmp_path / "s.ini"
-    scen.write_text(MINIMAL)
-    out = tmp_path / "out"
-    assert main(["run", str(scen), "--out", str(out)]) == code
-    if code:
-        assert f"{cli.WORKERS_ENV}: not an integer: 'two'" in capsys.readouterr().err
-        assert not out.exists()
-        with pytest.raises(ScenarioError, match=cli.WORKERS_ENV):
-            run_scenario(parse_scenario(MINIMAL), out_dir=out)
-        assert not out.exists()
-    else:
-        assert (out / "schmidt.json").exists()
-
-
 # each factory takes the real function and returns a stand-in with a NaN or
 # inf in one series that its task writes
 def _nan_closed_form(original):
@@ -535,7 +512,7 @@ def test_non_finite_output_fails_closed(tmp_path, monkeypatch, capsys, task, own
 
 def test_run_scenario_grid_override_changes_density(tmp_path):
     s = parse_scenario(MINIMAL)
-    manifest = run_scenario(s, out_dir=tmp_path, grid_points=640)
+    manifest = run_scenario(dataclasses.replace(s, grid_points=640), out_dir=tmp_path)
     assert manifest.grid_points == 640
 
 
@@ -588,6 +565,28 @@ def test_cli_grid_points_too_small(tmp_path):
     assert main(["run", str(scen), "--out", str(tmp_path / "o"), "--grid-points", "64"]) == 1
 
 
+def test_cli_grid_points_override_is_in_the_scenario_digest(tmp_path):
+    # --grid-points N runs the scenario whose [grid] points is N, digests included
+    scen = tmp_path / "s.ini"
+    scen.write_text(MINIMAL)
+    edited = tmp_path / "edited.ini"
+    edited.write_text(MINIMAL.replace("points = 512", "points = 384"))
+    runs = {
+        "256": [str(scen), "--grid-points", "256"],
+        "384": [str(scen), "--grid-points", "384"],
+        "file-384": [str(edited)],
+    }
+    manifests = {}
+    for name, args in runs.items():
+        out = tmp_path / name
+        assert main(["run", *args, "--out", str(out)]) == 0
+        manifests[name] = json.loads((out / "run_manifest.json").read_text())
+    assert manifests["256"]["grid_points"] == 256
+    assert manifests["256"]["scenario_digest"] != manifests["384"]["scenario_digest"]
+    for key in ("grid_points", "scenario_digest", "digest"):
+        assert manifests["384"][key] == manifests["file-384"][key]
+
+
 TABULATED_OCT = """
 [crystal]
 preset = mgo_linbo3
@@ -624,7 +623,7 @@ def test_grid_points_override_rejected_before_compute(tmp_path, capsys, scenario
     assert not out.exists()
     s = parse_scenario(path.read_text(), base_dir=path.parent)
     with pytest.raises(ScenarioError, match="grid points must be at least 256"):
-        run_scenario(s, out_dir=out, grid_points=int(points))
+        run_scenario(dataclasses.replace(s, grid_points=int(points)), out_dir=out)
     assert not out.exists()
 
 
@@ -634,18 +633,17 @@ def test_run_builds_each_jsa_once(tmp_path, monkeypatch):
 
     def counting(kernel, crystal, pump, grid):
         built.append(grid.n_points)
-        time.sleep(0.2)  # a concurrent task asks for the same grid meanwhile
         return build(kernel, crystal, pump, grid)
 
     monkeypatch.setattr(cli.biphoton, "joint_spectral_intensity", counting)
     s = parse_scenario(MINIMAL.replace("run = schmidt", "run = joint_spectrum, schmidt"))
-    m_serial = run_scenario(s, out_dir=tmp_path / "serial")
-    assert sorted(built) == [256, 512]
-    # a second run builds its own JSAs, with two tasks at once asking for each
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
-    m_pool = run_scenario(s, out_dir=tmp_path / "pool")
-    assert sorted(built) == [256, 256, 512, 512]
-    assert m_pool.digest == m_serial.digest
+    first = run_scenario(s, out_dir=tmp_path / "first")
+    # joint_spectrum builds the run grid, then its coarsen grid; schmidt reuses both
+    assert built == [512, 256]
+    # a second run keeps nothing of the first: it builds its own JSAs
+    second = run_scenario(s, out_dir=tmp_path / "second")
+    assert built == [512, 256, 512, 256]
+    assert second.digest == first.digest
 
 
 # ---------------------------------------------------------------- shipped recipes
@@ -666,14 +664,6 @@ def test_shipped_g1_recipe_runs(tmp_path):
     manifest = run_scenario(s, out_dir=tmp_path)
     assert manifest.files["g1_scan"] == ["g1_scan.csv"]
     assert manifest.convergence_ok
-
-
-def test_worker_count_env_preserves_results(tmp_path, monkeypatch):
-    s = parse_scenario(OCT_SCENARIO)
-    m_serial = run_scenario(s, out_dir=tmp_path / "serial")
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
-    m_pool = run_scenario(s, out_dir=tmp_path / "pool")
-    assert m_pool.digest == m_serial.digest
 
 
 # ---------------------------------------------------------------- packaging
