@@ -6,6 +6,9 @@ exp(-(alpha x)^2) and sets D_plus = 0, which makes the two-mode structure
 analytically Gaussian. Separable unit-modulus phase factors, the exact
 kernel's global factor i among them, are omitted from both since they drop
 out of every intensity and Schmidt observable, so the grid amplitude is real.
+Signal and idler share the grid's one axis; quadratures weigh by its weights w
+on each side, w^T |amp|^2 w, and the marginal and the Schmidt analysis check
+that this norm is 1.
 The Schmidt coefficients are the Ritz values of the weighted amplitude m on the
 range of a block of its own columns (a Rayleigh-Ritz step, cf. Halko,
 Martinsson & Tropp, SIAM Rev. 53, 217, 2011), so that the N x N Gram matrix
@@ -82,15 +85,14 @@ def biphoton_gaussian(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i)
 
 @dataclass(frozen=True)
 class JointSpectrum:
-    """Discretized pair amplitude on a FrequencyGrid (signal rows, idler columns).
+    """Pair amplitude on a FrequencyGrid: signal rows, idler columns, one axis.
 
-    ``joint_spectral_intensity`` stores a real amplitude; a caller may pass a
-    complex one, which every method here accepts as well.
+    ``joint_spectral_intensity`` stores a real amplitude of unit quadrature
+    norm; a caller may pass a complex one, which every method here accepts.
     """
 
     grid: FrequencyGrid
     amplitude: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.amplitude.setflags(write=False)
@@ -100,9 +102,9 @@ class JointSpectrum:
         return np.abs(self.amplitude) ** 2
 
     def quadrature_norm(self) -> float:
-        """Sum |amplitude|^2 dws dwi over the grid."""
-        w = np.outer(self.grid.weights_s, self.grid.weights_i)
-        return float(np.sum(self.intensity * w))
+        """Sum |amplitude|^2 dws dwi over the grid, w^T |amplitude|^2 w."""
+        w = self.grid.weights_s
+        return float(w @ self.intensity @ w)
 
 
 def joint_spectral_intensity(
@@ -115,19 +117,25 @@ def joint_spectral_intensity(
 
     ``kernel`` is "exact" (stored without its global factor i) or "gaussian".
     """
-    ws = grid.omega_s[:, None]
-    wi = grid.omega_i[None, :]
+    axis = grid.omega_s
     if kernel == "exact":
-        amp = _exact_real(crystal, pump, ws, wi)
+        amp = _exact_real(crystal, pump, axis[:, None], axis)
     elif kernel == "gaussian":
-        amp = biphoton_gaussian(crystal, pump, ws, wi)
+        amp = biphoton_gaussian(crystal, pump, axis[:, None], axis)
     else:
         raise ValueError(f"unknown kernel {kernel!r}, expected 'exact' or 'gaussian'")
-    w = np.outer(grid.weights_s, grid.weights_i)
-    norm = np.sum(np.abs(amp) ** 2 * w)
+    w = grid.weights_s
+    norm = w @ (amp * amp) @ w
     if norm <= 0:
         raise NumericalConsistencyError("joint spectrum has zero quadrature norm")
-    return JointSpectrum(grid=grid, amplitude=amp / np.sqrt(norm), normalized=True)
+    amp /= np.sqrt(norm)
+    return JointSpectrum(grid=grid, amplitude=amp)
+
+
+def _require_unit_norm(norm: float, caller: str) -> None:
+    """ValueError unless a quadrature norm is within NORMALIZATION_TOL of 1 (NaN is not)."""
+    if not abs(norm - 1.0) <= NORMALIZATION_TOL:
+        raise ValueError(f"{caller} requires a unit-norm JointSpectrum, norm {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -192,10 +200,10 @@ def bandwidth_nm(fwhm_rad_fs: float, lambda0_nm: float) -> float:
 
 
 def marginal_spectrum(js: JointSpectrum, crystal: CrystalParams) -> SignalSpectrum:
-    """Signal marginal S(ws) = sum_i |amp|^2 dwi of a normalized JointSpectrum."""
-    if not js.normalized:
-        raise ValueError("marginal_spectrum requires a normalized JointSpectrum")
-    dens = js.intensity @ js.grid.weights_i
+    """Signal marginal S(ws) = sum_i |amp|^2 dwi; ValueError unless its quadrature sum is 1."""
+    w = js.grid.weights_s
+    dens = js.intensity @ w
+    _require_unit_norm(float(dens @ w), "marginal_spectrum")
     width = fwhm_interpolated(js.grid.omega_s, dens)
     return SignalSpectrum(
         omega_s=js.grid.omega_s.copy(),
@@ -255,7 +263,7 @@ class SchmidtReport:
 def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
     """Schmidt decomposition of the quadrature-weighted amplitude matrix.
 
-    The amplitude is scaled by sqrt(dws dwi) so the coefficients converge with
+    The amplitude is scaled by sqrt(w_j w_n) so the coefficients converge with
     grid refinement. lambda_n are the squared singular values, in descending
     order, of that weighted N x N matrix m (real for the amplitude of
     ``joint_spectral_intensity``, complex when a caller passes one). They are
@@ -270,21 +278,17 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
     floor N eps lambda_1 (N grid points, eps the float64 machine epsilon) are
     kept; those below it are noise. K = 1 / sum lambda^2, E = -sum lambda
     log2 lambda over the kept modes. A non-finite amplitude or a failed
-    factorization raises NumericalConsistencyError.
+    factorization raises NumericalConsistencyError; a finite ||m||_F^2 (the
+    quadrature norm) off 1 by more than NORMALIZATION_TOL raises ValueError.
     """
-    if not js.normalized:
-        raise ValueError("schmidt_analysis requires a normalized JointSpectrum")
-    m = js.amplitude * np.sqrt(
-        np.outer(js.grid.weights_s, js.grid.weights_i)
-    )
+    sw = np.sqrt(js.grid.weights_s)
+    m = js.amplitude * sw[:, None] * sw
     n = m.shape[0]
-    failed = (
-        f"Schmidt decomposition failed on a {n}x{m.shape[1]} grid "
-        f"(step_s={js.grid.step_s:.3e}, step_i={js.grid.step_i:.3e})"
-    )
-    mass = float(np.vdot(m, m).real)  # ||m||_F^2; not assumed 1 for a caller's JSA
+    failed = f"Schmidt decomposition failed on a {n}x{n} grid (step={js.grid.step_s:.3e})"
+    mass = float(np.vdot(m, m).real)  # ||m||_F^2, the quadrature norm
     if not np.isfinite(mass):
         raise NumericalConsistencyError(f"{failed}: non-finite amplitude")
+    _require_unit_norm(mass, "schmidt_analysis")
     block = SCHMIDT_BLOCK
     try:
         while True:

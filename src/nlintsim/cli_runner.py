@@ -489,23 +489,24 @@ def export_series(columns: list[str], rows, fmt: str) -> str:
 
 
 def _jsi_csv(js: biphoton.JointSpectrum, stride: int) -> str:
-    ws = js.grid.omega_s[::stride]
-    wi = js.grid.omega_i[::stride]
-    inten = js.intensity[::stride, ::stride]
-    for name, values in (("omega_s", ws), ("omega_i", wi), ("intensity", inten)):
+    axis = js.grid.omega_s[::stride]
+    inten = np.abs(js.amplitude[::stride, ::stride]) ** 2
+    for name, values in (("omega_s", axis), ("intensity", inten)):
         _require_finite(name, values)
-    header = "omega_s\\omega_i," + _csv_lines([wi])[0]
-    return "\n".join([header, *_csv_lines(np.column_stack((ws, inten)))]) + "\n"
+    header = "omega_s\\omega_i," + _csv_lines([axis])[0]
+    return "\n".join([header, *_csv_lines(np.column_stack((axis, inten)))]) + "\n"
 
 
 def _csv_lines(table) -> list[str]:
     """One CSV line per row of a 2-D float table, each value written as ``_fmt9`` writes it.
 
     Each row becomes Python floats in one ``tolist`` and is formatted by one
-    bound ``str.format``; a 512 x 512 JSI slice is 262k values.
+    bound ``str.format`` of a ``{:.9g}`` field per column, built once per
+    table; a 512 x 512 JSI slice is 262k values.
     """
-    fmt9 = "{:.9g}".format
-    return [",".join(map(fmt9, row.tolist())) for row in np.asarray(table, dtype=float)]
+    table = np.asarray(table, dtype=float)
+    fmt = ",".join(["{:.9g}"] * table.shape[-1]).format
+    return [fmt(*row.tolist()) for row in table]
 
 
 # ---------------------------------------------------------------------------

@@ -388,32 +388,22 @@ MIN_GRID_POINTS = 256
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform, symmetric signal/idler detuning grid with trapezoid weights."""
+    """Uniform, symmetric detuning axis with trapezoid weights, shared by signal and idler."""
 
     omega_s: np.ndarray
-    omega_i: np.ndarray
 
     def __post_init__(self):
-        for ax in (self.omega_s, self.omega_i):
-            ax.setflags(write=False)
-            if ax.size < 2:
-                raise ValueError("grid axes need at least 2 points")
+        self.omega_s.setflags(write=False)
+        if self.omega_s.size < 2:
+            raise ValueError("grid axis needs at least 2 points")
 
     @property
     def step_s(self) -> float:
         return float(self.omega_s[1] - self.omega_s[0])
 
     @property
-    def step_i(self) -> float:
-        return float(self.omega_i[1] - self.omega_i[0])
-
-    @property
     def weights_s(self) -> np.ndarray:
         return _trapezoid_weights(self.omega_s)
-
-    @property
-    def weights_i(self) -> np.ndarray:
-        return _trapezoid_weights(self.omega_i)
 
     @property
     def n_points(self) -> int:
@@ -465,4 +455,4 @@ def make_frequency_grid(
             f"{int(np.ceil(2 * half_width * MIN_POINTS_PER_FEATURE / narrow)) + 1} points"
         )
     axis = np.linspace(-half_width, half_width, n_points)
-    return FrequencyGrid(omega_s=axis, omega_i=axis.copy())
+    return FrequencyGrid(omega_s=axis)

@@ -1,0 +1,45 @@
+"""perfbench's tracer binds nlintsim functions by attribute and argument name.
+
+The traced pass wraps ``joint_spectral_intensity`` and ``schmidt_analysis``
+and reads their ``grid`` and ``js`` arguments (``grid.omega_s``,
+``grid.n_points``). A rename there would leave the per-layer metrics silently
+empty, so this runs one bundled scenario under the tracer.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from nlintsim import biphoton, cli_runner, parse_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    return tracing
+
+
+def test_tracer_counts_the_joint_spectrum_layer(tracing, tmp_path):
+    text = (ROOT / "scenarios" / "jsi_separable.ini").read_text()
+    assert "points = 2048" in text
+    scenario = parse_scenario(text.replace("points = 2048", "points = 384"))
+    original = biphoton.joint_spectral_intensity
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert biphoton.joint_spectral_intensity is not original
+        tracer.begin_item({"id": "jsi_separable"}, scenario.grid_points, scenario.tasks)
+        cli_runner.run_scenario(scenario, out_dir=tmp_path)
+        tracer.end_item()
+    finally:
+        tracer.remove()
+    assert biphoton.joint_spectral_intensity is original
+    trace = tracer.dump()
+    # the 384- and 256-point JSAs, each built once and read by both tasks
+    assert trace["counts"]["biphoton.jsa_calls"] == 2
+    assert trace["counts"]["biphoton.schmidt_calls"] == 2
+    assert trace["distinct"]["biphoton.jsa"] == 2

@@ -39,11 +39,11 @@ def separable_pump(crystal):
 
 
 def weighted_correlation(js):
-    w = np.outer(js.grid.weights_s, js.grid.weights_i)
-    p = js.intensity * w
+    w = js.grid.weights_s
+    p = js.intensity * w[:, None] * w
     p /= p.sum()
     ws = js.grid.omega_s[:, None]
-    wi = js.grid.omega_i[None, :]
+    wi = js.grid.omega_s[None, :]
     ms, mi = (p * ws).sum(), (p * wi).sum()
     cov = (p * (ws - ms) * (wi - mi)).sum()
     vs = (p * (ws - ms) ** 2).sum()
@@ -88,8 +88,8 @@ def test_exact_kernel_correlation_regimes():
 def test_gaussian_kernel_normalized_on_grid():
     pump = PumpPulse(212.0)
     grid = make_frequency_grid(CRYSTAL, pump, 1024)
-    amp = biphoton_gaussian(CRYSTAL, pump, grid.omega_s[:, None], grid.omega_i[None, :])
-    total = np.sum(np.abs(amp) ** 2 * np.outer(grid.weights_s, grid.weights_i))
+    amp = biphoton_gaussian(CRYSTAL, pump, grid.omega_s[:, None], grid.omega_s[None, :])
+    total = grid.weights_s @ amp ** 2 @ grid.weights_s
     assert abs(total - 1.0) < 1e-4
 
 
@@ -125,7 +125,6 @@ def test_jsi_unit_quadrature_sum():
     grid = make_frequency_grid(CRYSTAL, pump, 512)
     for kernel in ("exact", "gaussian"):
         js = joint_spectral_intensity(kernel, CRYSTAL, pump, grid)
-        assert js.normalized
         assert abs(js.quadrature_norm() - 1.0) < 1e-6
 
 
@@ -168,11 +167,22 @@ def test_marginal_matches_direct_quadrature():
     assert from_grid.fwhm_nm == pytest.approx(direct.fwhm_nm, rel=2e-3)
 
 
-def test_marginal_requires_normalized():
-    grid = make_frequency_grid(CRYSTAL, PumpPulse(212.0), 512)
-    js = JointSpectrum(grid=grid, amplitude=np.ones((512, 512), dtype=complex))
-    with pytest.raises(ValueError):
-        marginal_spectrum(js, CRYSTAL)
+@pytest.mark.parametrize("analysis,nan_error", [
+    pytest.param(lambda js: marginal_spectrum(js, CRYSTAL), ValueError, id="marginal_spectrum"),
+    pytest.param(schmidt_analysis, NumericalConsistencyError, id="schmidt_analysis"),
+])
+def test_marginal_requires_normalized(analysis, nan_error):
+    # the quadrature norm is checked, not trusted: (1 + 1e-5)^2 is off by more
+    # than NORMALIZATION_TOL, (1 + 1e-8)^2 is not
+    pump = PumpPulse(212.0)
+    js = joint_spectral_intensity("exact", CRYSTAL, pump, make_frequency_grid(CRYSTAL, pump, 512))
+    with pytest.raises(ValueError, match="unit-norm JointSpectrum"):
+        analysis(JointSpectrum(grid=js.grid, amplitude=js.amplitude * (1.0 + 1e-5)))
+    analysis(JointSpectrum(grid=js.grid, amplitude=js.amplitude * (1.0 + 1e-8)))
+    amplitude = js.amplitude.copy()
+    amplitude[200, 300] = np.nan
+    with pytest.raises(nan_error):
+        analysis(JointSpectrum(grid=js.grid, amplitude=amplitude))
 
 
 def test_fwhm_requires_interior_peak():
@@ -203,9 +213,9 @@ def test_schmidt_rank_one_input():
     grid = make_frequency_grid(CRYSTAL, PumpPulse(212.0), 512)
     f = np.exp(-((grid.omega_s / 0.01) ** 2))
     amp = np.outer(f, f).astype(complex)
-    w = np.outer(grid.weights_s, grid.weights_i)
-    amp /= np.sqrt(np.sum(np.abs(amp) ** 2 * w))
-    report = schmidt_analysis(JointSpectrum(grid=grid, amplitude=amp, normalized=True))
+    w = grid.weights_s
+    amp /= np.sqrt(w @ np.abs(amp) ** 2 @ w)
+    report = schmidt_analysis(JointSpectrum(grid=grid, amplitude=amp))
     assert report.schmidt_number_K == pytest.approx(1.0, abs=1e-9)
     assert report.entropy_bits == pytest.approx(0.0, abs=1e-9)
 
@@ -302,9 +312,9 @@ def test_schmidt_matches_svd_oracle(kernel, chirp):
     if chirp:
         # exp(i beta ws wi) does not factorize; beta = 1e5 fs^2 is about 9 rad
         # at one rms width on both axes
-        phase = np.exp(1e5j * grid.omega_s[:, None] * grid.omega_i[None, :])
-        js = JointSpectrum(grid=grid, amplitude=js.amplitude * phase, normalized=True)
-    m = js.amplitude * np.sqrt(np.outer(grid.weights_s, grid.weights_i))
+        phase = np.exp(1e5j * grid.omega_s[:, None] * grid.omega_s[None, :])
+        js = JointSpectrum(grid=grid, amplitude=js.amplitude * phase)
+    m = js.amplitude * np.sqrt(np.outer(grid.weights_s, grid.weights_s))
     if chirp:
         gram = m @ m.conj().T
         assert np.max(np.abs(gram.imag)) > 0.1 * np.max(np.abs(gram))
@@ -318,8 +328,10 @@ def test_schmidt_matches_svd_oracle(kernel, chirp):
 
 
 def gram_oracle(js):
-    # the N x N Gram matrix's eigenvalues above its N eps lambda_1 rounding floor
-    m = js.amplitude * np.sqrt(np.outer(js.grid.weights_s, js.grid.weights_i))
+    # the N x N Gram matrix's eigenvalues above its N eps lambda_1 rounding floor,
+    # on the m that schmidt_analysis forms
+    sw = np.sqrt(js.grid.weights_s)
+    m = js.amplitude * sw[:, None] * sw
     lam = np.linalg.eigvalsh(m @ m.conj().T)[::-1]
     return lam[lam > m.shape[0] * np.finfo(float).eps * lam[0]]
 
@@ -329,8 +341,8 @@ def gamma_spectrum(kernel, gamma, n, chirp=False):
     grid = make_frequency_grid(CRYSTAL, pump, n)
     js = joint_spectral_intensity(kernel, CRYSTAL, pump, grid)
     if chirp:
-        phase = np.exp(1e5j * grid.omega_s[:, None] * grid.omega_i[None, :])
-        js = JointSpectrum(grid=grid, amplitude=js.amplitude * phase, normalized=True)
+        phase = np.exp(1e5j * grid.omega_s[:, None] * grid.omega_s[None, :])
+        js = JointSpectrum(grid=grid, amplitude=js.amplitude * phase)
     return js
 
 
@@ -374,9 +386,9 @@ def test_schmidt_subspace_rank_one_input(eigvalsh_sizes):
     grid = make_frequency_grid(CRYSTAL, PumpPulse(212.0), 2048)
     f = np.exp(-((grid.omega_s / 0.01) ** 2))
     amp = np.outer(f, f)
-    w = np.outer(grid.weights_s, grid.weights_i)
-    amp /= np.sqrt(np.sum(amp ** 2 * w))
-    report = schmidt_analysis(JointSpectrum(grid=grid, amplitude=amp, normalized=True))
+    w = grid.weights_s
+    amp /= np.sqrt(w @ amp ** 2 @ w)
+    report = schmidt_analysis(JointSpectrum(grid=grid, amplitude=amp))
     assert eigvalsh_sizes == [64]
     assert report.coefficients.size == 1
     assert report.coefficients[0] == pytest.approx(1.0, abs=1e-12)
@@ -399,7 +411,7 @@ def test_schmidt_non_finite_amplitude_fails(bad):
     amplitude = js.amplitude.copy()
     amplitude[300, 700] = bad
     with pytest.raises(NumericalConsistencyError, match="1024x1024 grid.*non-finite amplitude"):
-        schmidt_analysis(JointSpectrum(grid=js.grid, amplitude=amplitude, normalized=True))
+        schmidt_analysis(JointSpectrum(grid=js.grid, amplitude=amplitude))
 
 
 @pytest.mark.parametrize("name", ["qr", "eigvalsh"])
