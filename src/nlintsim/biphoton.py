@@ -3,12 +3,12 @@
 Two kernels are provided. The exact kernel keeps the sinc phase matching and
 the pump walk-off D_plus; the Gaussian kernel replaces sinc(x) by
 exp(-(alpha x)^2) and sets D_plus = 0, which makes the two-mode structure
-analytically Gaussian. Separable unit-modulus phase factors, the exact
-kernel's global factor i among them, are omitted from both since they drop
-out of every intensity and Schmidt observable, so the grid amplitude is real.
-Signal and idler share the grid's one axis; quadratures weigh by its weights w
-on each side, w^T |amp|^2 w, and the marginal and the Schmidt analysis check
-that this norm is 1.
+analytically Gaussian. On a grid, phase matching is the signed block that
+the idler reduction of ``coherence`` squares. Unit-modulus phase factors that
+separate, the exact kernel's factor i among them, drop out of every intensity
+and Schmidt observable, so the grid amplitude is real. Signal and idler share
+the grid's one uniform axis; quadratures weigh by its weights w on each side,
+w^T |amp|^2 w, and the marginal and Schmidt analysis check this norm is 1.
 The Schmidt coefficients are the Ritz values of the weighted amplitude m on the
 range of a block of its own columns (a Rayleigh-Ritz step, cf. Halko,
 Martinsson & Tropp, SIAM Rev. 53, 217, 2011), so that the N x N Gram matrix
@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .coherence import _pump_quadrature, _ridge
+from .coherence import _kernel_args, _kernel_block, _pump_quadrature, _ridge
 from .optics_model import (
     AnalysisError,
     C_NM_FS,
@@ -49,16 +50,10 @@ SCHMIDT_MASS_TOL = 1e-13
 
 def biphoton_exact(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i):
     """Sinc-kernel pair amplitude i sigma L F(ws + wi) sinc(dk L / 2)."""
-    return 1j * _exact_real(crystal, pump, omega_s, omega_i)
-
-
-def _exact_real(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i):
-    """``biphoton_exact`` without its global factor i: sigma L F sinc(dk L / 2)."""
     ws = np.asarray(omega_s, dtype=float)
     wi = np.asarray(omega_i, dtype=float)
-    sig_l = crystal.sigma * crystal.length_mm
     return (
-        sig_l
+        1j * crystal.sigma * crystal.length_mm
         * pump_amplitude(pump, ws + wi)
         * sinc(crystal.phase_mismatch(ws, wi) * crystal.length_mm / 2.0)
     )
@@ -113,17 +108,20 @@ def joint_spectral_intensity(
     pump: PumpPulse,
     grid: FrequencyGrid,
 ) -> JointSpectrum:
-    """Real pair amplitude on ``grid``, normalized to unit quadrature sum.
+    """Real pair amplitude F(ws + wi) PM(dk L / 2) on ``grid``, of unit quadrature sum.
 
-    ``kernel`` is "exact" (stored without its global factor i) or "gaussian".
+    ``kernel`` is "exact" (``biphoton_exact`` less its factor i) or "gaussian".
+    PM is ``coherence._kernel_block`` at dk L / 2 = (b_n + a_n) + a_j, and the
+    pump factor a Hankel view of F on the 2N - 1 sums ws_0 + wi_j, ws_N-1 + wi_j.
     """
     axis = grid.omega_s
-    if kernel == "exact":
-        amp = _exact_real(crystal, pump, axis[:, None], axis)
-    elif kernel == "gaussian":
-        amp = biphoton_gaussian(crystal, pump, axis[:, None], axis)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}, expected 'exact' or 'gaussian'")
+    n = axis.size
+    b, a = _kernel_args(crystal, kernel, axis, axis)
+    amp, scratch = np.empty((n, n)), np.empty((n, n))
+    _kernel_block(kernel, b + a, a, (amp, scratch))
+    del scratch  # freed before the norm's N x N temporary
+    lattice = np.concatenate((axis[0] + axis, axis[-1] + axis[1:]))
+    amp *= sliding_window_view(pump_amplitude(pump, lattice), n)  # F(lattice[i + j])
     w = grid.weights_s
     norm = w @ (amp * amp) @ w
     if norm <= 0:

@@ -23,13 +23,13 @@ samples, which have no echoes, down the numeric route.
 The numeric route integrates the pair kernels of the two sources over the
 signal/idler detunings with the sample reflectivity folded in, and supports
 arbitrary r(w). It reproduces the closed form to within its sinc^2 tail cut
-and stays the closed form's test oracle. The idler integral is
-reduced once per correlator (``_pump_quadrature``) as a real phase-matching
-block, built from 1-D trig values, against r*(wi) e^{i wi T2} read once per
-point of one 1-D idler lattice; the remaining signal-frequency sum over a
-uniform delay axis is a chirp-z transform (Bluestein's algorithm), so a scan
-of K delays over N signal frequencies costs O((N + K) log(N + K)) rather
-than O(N K).
+and stays the closed form's test oracle. The idler integral is reduced once
+per correlator (``_pump_quadrature``) as the square of the signed sinc block
+``_kernel_block``, built from 1-D trig values, against r*(wi) e^{i wi T2} read
+once per point of one 1-D idler lattice (the joint spectrum takes the block
+unsquared); the signal-frequency sum over a uniform delay axis is then a
+chirp-z transform (Bluestein's algorithm), so a scan of K delays over N signal
+frequencies costs O((N + K) log(N + K)) rather than O(N K).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .optics_model import (
     SINC_GAUSS_ALPHA,
     SampleModel,
     TWO_PI,
+    _axis_deviation,
     _trapezoid_weights,
     echoes,
     sinc,
@@ -351,14 +352,6 @@ def _chirp(c: float, m: np.ndarray) -> np.ndarray:
     return np.exp(1j * head * m2) * np.exp(1j * (c - head) * m2)
 
 
-def _axis_deviation(x: np.ndarray) -> float:
-    """Largest distance of ``x`` from the uniform axis through its end points."""
-    if x.size < 3:
-        return 0.0
-    step = (x[-1] - x[0]) / (x.size - 1)
-    return float(np.max(np.abs(x - (x[0] + step * np.arange(x.size)))))
-
-
 def _max_sample_delay(sample: SampleModel) -> float:
     """The largest echo delay tau_k [fs]; 0 for a sample without echoes."""
     return max((tau for _, _, tau in echoes(sample)), default=0.0)
@@ -429,21 +422,21 @@ def _kernel_args(
     return b, a
 
 
-def _kernel_block(kernel: str, b: np.ndarray, a: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """PM(a_j + b_n) over the (ws, u) block: sinc^2, or the Gaussian stand-in.
+def _kernel_block(kernel: str, b: np.ndarray, a: np.ndarray, work) -> np.ndarray:
+    """Signed PM(b_n + a_j) over the (n, j) block: sinc, or exp(-(alpha x)^2).
 
-    Built in ``work[0]``, with ``work[1]`` (same shape) as scratch, so that
-    chunks reuse one allocation. sin(a + b) = sin b cos a + cos b sin a is
-    two outer products of 1-D trig values. The identity's error of a few ulp
-    is divided by the argument, so below DIRECT_SINC_ARG the sine is taken
-    of the summed argument itself.
+    Built in ``work[0]``, with ``work[1]`` (same shape, untouched by the
+    Gaussian) as scratch. sin(a + b) = sin b cos a + cos b sin a is two outer
+    products of 1-D trig values. The identity's error of a few ulp is divided
+    by the argument, so below DIRECT_SINC_ARG the sine is taken of the summed
+    argument itself.
     """
     block, arg = work
     if kernel == "gaussian":
-        np.add.outer(b, a, out=arg)
-        arg *= SINC_GAUSS_ALPHA
-        np.multiply(arg, arg, out=block)
-        block *= -2.0
+        np.add.outer(b, a, out=block)
+        block *= SINC_GAUSS_ALPHA
+        block *= block
+        np.negative(block, out=block)
         return np.exp(block, out=block)
     np.multiply.outer(np.sin(b), np.cos(a), out=block)
     block += np.multiply.outer(np.cos(b), np.sin(a), out=arg)
@@ -454,11 +447,11 @@ def _kernel_block(kernel: str, b: np.ndarray, a: np.ndarray, work: np.ndarray) -
     ridge = np.flatnonzero(
         (b > -a.max() - DIRECT_SINC_ARG) & (b < -a.min() + DIRECT_SINC_ARG)
     )
-    near_arg, rows = arg[ridge], block[ridge]
-    near = np.abs(near_arg) < DIRECT_SINC_ARG
-    rows[near] = sinc(near_arg[near])
-    block[ridge] = rows
-    block *= block
+    if ridge.size:
+        span = slice(ridge[0], ridge[-1] + 1)
+        near_arg, rows = arg[span], block[span]
+        near = (near_arg > -DIRECT_SINC_ARG) & (near_arg < DIRECT_SINC_ARG)
+        rows[near] = sinc(near_arg[near])
     return block
 
 
@@ -478,7 +471,7 @@ def _pump_quadrature(
         R(ws) = sum_u w_u |F(u)|^2 PM(dk L / 2) f(wi),  f(wi) = r*(wi) e^{i wi T2},  wi = u - ws
 
     PM is sinc^2 for the exact kernel and exp(-2 (alpha x)^2) for the Gaussian
-    one, a real block (``_kernel_block``) over the u axis of ``_u_axis``.
+    one, the square of ``_kernel_block`` over the u axis of ``_u_axis``.
     With ``sample=None`` (r = 1) the block is reduced against the weighted
     pump row by a real matvec.
 
@@ -503,11 +496,11 @@ def _pump_quadrature(
     chunk = min(n_s, max(1, QUADRATURE_BLOCK // n_u))
     work = np.empty((2, chunk, n_u))
     if sample is None:
-        return np.concatenate([
-            _kernel_block(kernel, b[lo : lo + chunk], a, work[:, : min(chunk, n_s - lo)])
-            @ pump_row
-            for lo in range(0, n_s, chunk)
-        ])
+        out = np.empty(n_s)
+        for lo in range(0, n_s, chunk):
+            block = _kernel_block(kernel, b[lo : lo + chunk], a, work[:, : min(chunk, n_s - lo)])
+            out[lo : lo + chunk] = np.square(block, out=block) @ pump_row
+        return out
 
     p = min(m, n_u)
     half_j = n_u // 2
@@ -536,6 +529,7 @@ def _pump_quadrature(
             writeable=False,
         )
         block = _kernel_block(kernel, b[lo:hi], a, work[:, :rows])
+        block *= block
         block *= pump_row
         out[lo:hi] = (block[:, None, :] @ view).view(complex).ravel()
     return out

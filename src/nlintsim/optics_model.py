@@ -385,17 +385,31 @@ PHASEMATCH_FEATURE_WIDTH = 16.0
 MIN_POINTS_PER_FEATURE = 8
 MIN_GRID_POINTS = 256
 
+# Largest distance, as a fraction of a step, that a FrequencyGrid axis may lie
+# from the uniform axis through its end points.
+GRID_UNIFORMITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform, symmetric detuning axis with trapezoid weights, shared by signal and idler."""
+    """Uniform ascending detuning axis with trapezoid weights, shared by signal and idler.
+
+    ValueError unless the axis has at least 2 points, ascends strictly and lies
+    within GRID_UNIFORMITY_TOL of a step of the uniform axis through its end
+    points: the weights and the joint spectrum's lattice of ws + wi assume it.
+    """
 
     omega_s: np.ndarray
 
     def __post_init__(self):
-        self.omega_s.setflags(write=False)
-        if self.omega_s.size < 2:
+        x = self.omega_s
+        x.setflags(write=False)
+        if x.size < 2:
             raise ValueError("grid axis needs at least 2 points")
+        if not np.all(np.diff(x) > 0):
+            raise ValueError("grid axis must be strictly ascending")
+        if _axis_deviation(x) > GRID_UNIFORMITY_TOL * (x[-1] - x[0]) / (x.size - 1):
+            raise ValueError("grid axis must be uniform")
 
     @property
     def step_s(self) -> float:
@@ -408,6 +422,14 @@ class FrequencyGrid:
     @property
     def n_points(self) -> int:
         return int(self.omega_s.size)
+
+
+def _axis_deviation(x: np.ndarray) -> float:
+    """Largest distance of ``x`` from the uniform axis through its end points."""
+    if x.size < 3:
+        return 0.0
+    step = (x[-1] - x[0]) / (x.size - 1)
+    return float(np.max(np.abs(x - (x[0] + step * np.arange(x.size)))))
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:

@@ -33,9 +33,13 @@ def no_walkoff_crystal(length_mm):
     )
 
 
+def gamma_pump(crystal, gamma):
+    return PumpPulse(SINC_GAUSS_ALPHA * crystal.dl / (2.0 * np.sqrt(2.0) * gamma))
+
+
 def separable_pump(crystal):
     # pump duration at which the Gaussian kernel factorizes exactly
-    return PumpPulse(SINC_GAUSS_ALPHA * crystal.dl / (2.0 * np.sqrt(2.0)))
+    return gamma_pump(crystal, 1.0)
 
 
 def weighted_correlation(js):
@@ -133,6 +137,40 @@ def test_jsi_swap_symmetry_gaussian():
     grid = make_frequency_grid(CRYSTAL, pump, 512)
     js = joint_spectral_intensity("gaussian", CRYSTAL, pump, grid)
     assert np.array_equal(js.intensity, js.intensity.T)
+
+
+def _normalized_oracle(kernel, crystal, pump, grid):
+    # the N^2 pair amplitude, without the exact kernel's factor i, at unit quadrature norm
+    ax = grid.omega_s
+    if kernel == "exact":
+        amp = biphoton_exact(crystal, pump, ax[:, None], ax).imag
+    else:
+        amp = biphoton_gaussian(crystal, pump, ax[:, None], ax)
+    w = grid.weights_s
+    return amp / np.sqrt(w @ amp ** 2 @ w)
+
+
+JSA_ORACLE_CASES = [
+    pytest.param(kernel, gamma_pump(CRYSTAL, 2.0 ** (k / 4)), 384, id=f"{kernel}-gamma=2^({k}/4)")
+    for kernel in ("exact", "gaussian") for k in range(-4, 5)
+] + [
+    pytest.param("gaussian", PumpPulse.from_ps(100.0), 4096, id="jsi_anticorrelated"),
+    pytest.param("exact", PumpPulse(212.0), 257, id="exact-odd-zero-centre"),
+]
+
+
+@pytest.mark.parametrize("kernel,pump,n", JSA_ORACLE_CASES)
+def test_jsi_matches_pointwise_oracle(kernel, pump, n):
+    grid = make_frequency_grid(CRYSTAL, pump, n)
+    js = joint_spectral_intensity(kernel, CRYSTAL, pump, grid)
+    expected = _normalized_oracle(kernel, CRYSTAL, pump, grid)
+    assert np.all(np.isfinite(js.amplitude))
+    assert np.max(np.abs(js.amplitude - expected)) <= 1e-12 * np.max(np.abs(expected))
+    if n % 2:
+        # dk L / 2 is exactly 0 at the centre, where sinc takes its 0/0 guard
+        c = n // 2
+        assert grid.omega_s[c] == 0.0
+        assert js.amplitude[c, c] == pytest.approx(np.max(js.amplitude), rel=1e-12)
 
 
 def test_jsi_orientation_regimes():

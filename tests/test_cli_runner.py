@@ -251,10 +251,12 @@ def test_csv_writers_match_per_value_reference():
     rows.append(tuple(np.float64(v) for v in EDGE_VALUES[:3]))
     expected = "\n".join(["a,b,c", *_fmt9_csv(rows)]) + "\n"
     assert export_series(["a", "b", "c"], rows, "csv") == expected
-    axis = np.array(EDGE_VALUES)
+    # a grid axis is uniform and ascending; the edge values sit in the amplitude
+    edges = np.array(EDGE_VALUES)
+    axis = np.arange(edges.size) / 3.0 - 2.0
     grid = FrequencyGrid(omega_s=axis)
-    cycle = (np.arange(axis.size)[:, None] + np.arange(axis.size)[None, :]) % axis.size
-    amplitude = np.sqrt(np.abs(axis))[cycle] * np.where(cycle % 2, 1.0, -1.0)
+    cycle = (np.arange(edges.size)[:, None] + np.arange(edges.size)[None, :]) % edges.size
+    amplitude = np.sqrt(np.abs(edges))[cycle] * np.where(cycle % 2, 1.0, -1.0)
     js = cli.biphoton.JointSpectrum(grid=grid, amplitude=amplitude)
     for stride in (1, 3):
         ws = axis[::stride]

@@ -7,6 +7,7 @@ from nlintsim.optics_model import (
     BilayerSample,
     C_MM_FS,
     CrystalParams,
+    FrequencyGrid,
     GridResolutionError,
     InterferometerGeometry,
     PumpPulse,
@@ -296,3 +297,21 @@ def test_grid_unresolvable_pump():
 def test_grid_resolution_error_reports_requirement():
     with pytest.raises(GridResolutionError, match="points"):
         make_frequency_grid(mgo_linbo3_crystal(0.5), PumpPulse.from_ps(100.0), 2048)
+
+
+@pytest.mark.parametrize("axis", [
+    pytest.param([0.0, 1.0, 5.0], id="uneven"),
+    pytest.param([1.0, 0.0, -1.0], id="reversed"),
+    pytest.param([0.0, 0.0, 0.0], id="flat"),
+    pytest.param([0.0, np.nan, 2.0], id="nan"),
+])
+def test_grid_rejects_nonuniform_axis(axis):
+    with pytest.raises(ValueError, match="grid axis"):
+        FrequencyGrid(omega_s=np.array(axis))
+
+
+def test_grid_accepts_every_built_size():
+    pump = PumpPulse(212.0)
+    for half_width in (None, 0.05, 0.07):
+        for n in range(256, 4097):
+            make_frequency_grid(CRYSTAL, pump, n, half_width=half_width)
