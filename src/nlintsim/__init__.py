@@ -35,8 +35,10 @@ from .biphoton import (
     biphoton_exact,
     biphoton_gaussian,
     joint_spectral_intensity,
+    joint_spectrum_rows,
     marginal_spectrum,
     schmidt_analysis,
+    schmidt_gaussian,
     signal_spectrum,
 )
 from .coherence import (

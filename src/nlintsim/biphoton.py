@@ -9,13 +9,19 @@ separate, the exact kernel's factor i among them, drop out of every intensity
 and Schmidt observable, so the grid amplitude is real. Signal and idler share
 the grid's one uniform axis; quadratures weigh by its weights w on each side,
 w^T |amp|^2 w, and the marginal and Schmidt analysis check this norm is 1.
-The Schmidt coefficients are the Ritz values of the weighted amplitude m on the
-range of a block of its own columns (a Rayleigh-Ritz step, cf. Halko,
-Martinsson & Tropp, SIAM Rev. 53, 217, 2011), so that the N x N Gram matrix
-m m^H is never formed. The block doubles until the mass it leaves unresolved
-is below SCHMIDT_MASS_TOL, which bounds the error of every Ritz value by that
-mass whatever the block (Weyl's inequality); once the block would span half
-the grid, Q = I and the coefficients are the eigenvalues of m m^H itself.
+``joint_spectrum_rows`` builds the amplitude in blocks of signal rows and
+keeps only a strided intensity slice and the marginal, so no N x N array is
+held; ``joint_spectral_intensity`` holds the whole amplitude and is the
+oracle of that stream.
+The Gaussian kernel's Schmidt spectrum has a closed form in gamma,
+``schmidt_gaussian``. For any amplitude, the Schmidt coefficients are the
+Ritz values of the weighted amplitude m on the range of a block of its own
+columns (a Rayleigh-Ritz step, cf. Halko, Martinsson & Tropp, SIAM Rev. 53,
+217, 2011), so that the N x N Gram matrix m m^H is never formed. The block
+doubles until the mass it leaves unresolved is below SCHMIDT_MASS_TOL, which
+bounds the error of every Ritz value by that mass whatever the block (Weyl's
+inequality); once the block would span half the grid, Q = I and the
+coefficients are the eigenvalues of m m^H itself.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coherence import _kernel_args, _kernel_block, _pump_quadrature, _ridge
+from .coherence import QUADRATURE_BLOCK, _kernel_args, _kernel_block, _pump_quadrature, _ridge
 from .optics_model import (
     AnalysisError,
     C_NM_FS,
@@ -46,6 +52,9 @@ NORMALIZATION_TOL = 1e-6
 # ||m||_F^2 below which a block is accepted.
 SCHMIDT_BLOCK = 64
 SCHMIDT_MASS_TOL = 1e-13
+
+# Smallest Schmidt coefficient that schmidt.json writes and schmidt_gaussian keeps.
+SCHMIDT_COEFF_FLOOR = 1e-12
 
 
 def biphoton_exact(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i):
@@ -111,23 +120,74 @@ def joint_spectral_intensity(
     """Real pair amplitude F(ws + wi) PM(dk L / 2) on ``grid``, of unit quadrature sum.
 
     ``kernel`` is "exact" (``biphoton_exact`` less its factor i) or "gaussian".
-    PM is ``coherence._kernel_block`` at dk L / 2 = (b_n + a_n) + a_j, and the
-    pump factor a Hankel view of F on the 2N - 1 sums ws_0 + wi_j, ws_N-1 + wi_j.
+    The amplitude is ``_amplitude_rows`` in one block of all N rows.
     """
-    axis = grid.omega_s
-    n = axis.size
-    b, a = _kernel_args(crystal, kernel, axis, axis)
-    amp, scratch = np.empty((n, n)), np.empty((n, n))
-    _kernel_block(kernel, b + a, a, (amp, scratch))
-    del scratch  # freed before the norm's N x N temporary
-    lattice = np.concatenate((axis[0] + axis, axis[-1] + axis[1:]))
-    amp *= sliding_window_view(pump_amplitude(pump, lattice), n)  # F(lattice[i + j])
+    n = grid.n_points
+    work = (np.empty((n, n)), np.empty((n, n)))
+    ((_, amp),) = _amplitude_rows(kernel, crystal, pump, grid.omega_s, work)
+    del work  # the scratch half is freed before the norm's N x N temporary
     w = grid.weights_s
     norm = w @ (amp * amp) @ w
     if norm <= 0:
         raise NumericalConsistencyError("joint spectrum has zero quadrature norm")
     amp /= np.sqrt(norm)
     return JointSpectrum(grid=grid, amplitude=amp)
+
+
+def joint_spectrum_rows(
+    kernel: str,
+    crystal: CrystalParams,
+    pump: PumpPulse,
+    grid: FrequencyGrid,
+    stride: int,
+) -> tuple[np.ndarray, SignalSpectrum]:
+    """Strided intensity slice and signal marginal of the unit-norm pair amplitude.
+
+    The same amplitude as ``joint_spectral_intensity``, streamed: it is built
+    in blocks of about QUADRATURE_BLOCK elements, a whole number of strides of
+    signal rows each, and no N x N array is held. Each block copies its
+    strided rows, squares itself in place and adds its weighted row sums to
+    the marginal; the norm is the marginal's quadrature sum. The strided
+    amplitude is divided by sqrt(norm) before it is squared, so the slice is
+    ``intensity[::stride, ::stride]`` of the unit-norm amplitude. A norm that
+    is not positive raises NumericalConsistencyError.
+    """
+    axis, w = grid.omega_s, grid.weights_s
+    n = axis.size
+    height = min(n, max(1, QUADRATURE_BLOCK // (n * stride)) * stride)
+    amp = np.empty((axis[::stride].size,) * 2)
+    dens = np.empty(n)
+    for lo, block in _amplitude_rows(kernel, crystal, pump, axis, np.empty((2, height, n))):
+        rows = block[::stride, ::stride]
+        amp[lo // stride : lo // stride + len(rows)] = rows
+        block *= block
+        dens[lo : lo + len(block)] = block @ w
+    norm = float(dens @ w)
+    if not norm > 0:
+        raise NumericalConsistencyError("joint spectrum has no positive quadrature norm")
+    amp /= np.sqrt(norm)
+    amp *= amp
+    dens /= norm
+    return amp, _signal_marginal(axis.copy(), dens, crystal)
+
+
+def _amplitude_rows(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis, work):
+    """Unnormalized amplitude F(ws + wi) PM(dk L / 2) on ``axis``, by blocks of signal rows.
+
+    Yields (lo, the block of rows lo, lo + 1, ...), each built in ``work[0]``
+    with ``work[1]`` as scratch; the block height is that of ``work[0]``.
+    PM is ``coherence._kernel_block`` at dk L / 2 = (b_n + a_n) + a_j, and the
+    pump factor a Hankel view of F on the 2N - 1 sums ws_0 + wi_j, ws_N-1 + wi_j.
+    """
+    n = axis.size
+    b, a = _kernel_args(crystal, kernel, axis, axis)
+    lattice = np.concatenate((axis[0] + axis, axis[-1] + axis[1:]))
+    pump_rows = sliding_window_view(pump_amplitude(pump, lattice), n)  # F(lattice[i + j])
+    for lo in range(0, n, len(work[0])):
+        rows = slice(lo, lo + len(work[0]))
+        block = _kernel_block(kernel, b[rows] + a[rows], a, [part[: n - lo] for part in work])
+        block *= pump_rows[rows]
+        yield lo, block
 
 
 def _require_unit_norm(norm: float, caller: str) -> None:
@@ -202,10 +262,15 @@ def marginal_spectrum(js: JointSpectrum, crystal: CrystalParams) -> SignalSpectr
     w = js.grid.weights_s
     dens = js.intensity @ w
     _require_unit_norm(float(dens @ w), "marginal_spectrum")
-    width = fwhm_interpolated(js.grid.omega_s, dens)
+    return _signal_marginal(js.grid.omega_s.copy(), dens, crystal)
+
+
+def _signal_marginal(omega_s, density, crystal: CrystalParams) -> SignalSpectrum:
+    """The SignalSpectrum of a unit-norm marginal, with its interpolated FWHM."""
+    width = fwhm_interpolated(omega_s, density)
     return SignalSpectrum(
-        omega_s=js.grid.omega_s.copy(),
-        density=dens,
+        omega_s=omega_s,
+        density=density,
         fwhm_rad_fs=width,
         fwhm_nm=bandwidth_nm(width, crystal.lambda_s_nm),
     )
@@ -233,13 +298,7 @@ def signal_spectrum(
     ws = np.linspace(-half_s, half_s, max(257, int(4097 * resolution) | 1))
     dens = _pump_quadrature(crystal, pump, ws, kernel=kernel, resolution=resolution)
     dens = dens / np.sum(dens * _trapezoid_weights(ws))
-    width = fwhm_interpolated(ws, dens)
-    return SignalSpectrum(
-        omega_s=ws,
-        density=dens,
-        fwhm_rad_fs=width,
-        fwhm_nm=bandwidth_nm(width, crystal.lambda_s_nm),
-    )
+    return _signal_marginal(ws, dens, crystal)
 
 
 @dataclass(frozen=True)
@@ -280,7 +339,8 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
     quadrature norm) off 1 by more than NORMALIZATION_TOL raises ValueError.
     """
     sw = np.sqrt(js.grid.weights_s)
-    m = js.amplitude * sw[:, None] * sw
+    m = js.amplitude * sw[:, None]
+    m *= sw
     n = m.shape[0]
     failed = f"Schmidt decomposition failed on a {n}x{n} grid (step={js.grid.step_s:.3e})"
     mass = float(np.vdot(m, m).real)  # ||m||_F^2, the quadrature norm
@@ -303,6 +363,42 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
         coefficients=lam,
         schmidt_number_K=k,
         entropy_bits=max(entropy, 0.0),
+    )
+
+
+def schmidt_gaussian(gamma: float, max_modes: int | None = None) -> SchmidtReport:
+    """Schmidt spectrum of the Gaussian kernel's amplitude, in closed form.
+
+    That amplitude is a 2-D Gaussian, whose Schmidt decomposition is exact
+    (Mehler's formula; Law, Walmsley & Eberly, PRL 84, 5304, 2000):
+    lambda_n = (1 - mu^2) mu^(2n) with mu = |gamma - 1| / (gamma + 1) and
+    gamma = ``optics_model.gamma_param``. K = (gamma + 1/gamma) / 2 and
+    E = -log2(1 - mu^2) - mu^2 / (1 - mu^2) log2 mu^2 are those of the whole
+    series, E = 0 at the one mode of gamma = 1; the coefficients kept are
+    those above SCHMIDT_COEFF_FLOOR, counted from mu before any is formed.
+    ValueError unless gamma is positive and finite, or when more than
+    ``max_modes`` coefficients would be kept.
+    """
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    mu2 = ((gamma - 1.0) / (gamma + 1.0)) ** 2
+    top = 4.0 * gamma / (gamma + 1.0) ** 2  # 1 - mu^2 without its cancellation
+    k = (gamma + 1.0 / gamma) / 2.0
+    if mu2 == 0.0:
+        return SchmidtReport(coefficients=np.ones(1), schmidt_number_K=k, entropy_bits=0.0)
+    # lambda_n > floor for n < log(floor / lambda_0) / log mu^2
+    count = max(0, int(np.ceil(np.log(SCHMIDT_COEFF_FLOOR / top) / np.log(mu2))))
+    if max_modes is not None and count > max_modes:
+        raise ValueError(
+            f"gamma = {gamma:.4g} has {count} Schmidt modes above {SCHMIDT_COEFF_FLOOR:g},"
+            f" more than {max_modes}"
+        )
+    lam = top * mu2 ** np.arange(count + 1)  # one more absorbs the count's rounding
+    entropy = -(np.log1p(-mu2) + mu2 / top * np.log(mu2)) / np.log(2.0)
+    return SchmidtReport(
+        coefficients=lam[lam > SCHMIDT_COEFF_FLOOR],
+        schmidt_number_K=k,
+        entropy_bits=float(entropy),
     )
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -37,6 +36,7 @@ from .optics_model import (
     SampleModel,
     TabulatedSample,
     UniformSample,
+    gamma_param,
     make_frequency_grid,
     mgo_linbo3_crystal,
 )
@@ -488,9 +488,7 @@ def export_series(columns: list[str], rows, fmt: str) -> str:
     raise ValueError(f"unknown export format {fmt!r}")
 
 
-def _jsi_csv(js: biphoton.JointSpectrum, stride: int) -> str:
-    axis = js.grid.omega_s[::stride]
-    inten = np.abs(js.amplitude[::stride, ::stride]) ** 2
+def _jsi_csv(axis: np.ndarray, inten: np.ndarray) -> str:
     for name, values in (("omega_s", axis), ("intensity", inten)):
         _require_finite(name, values)
     header = "omega_s\\omega_i," + _csv_lines([axis])[0]
@@ -518,18 +516,29 @@ def _scan_window(scenario: Scenario) -> tuple[float, float] | None:
     return (scenario.scan.delta_z_min_mm, scenario.scan.delta_z_max_mm)
 
 
-def _coarser_jsa(jsa, points: int) -> biphoton.JointSpectrum | None:
-    """The coarsen check's JSA: ``jsa(points // 2)``, but never below MIN_GRID_POINTS.
+def _grid(scenario: Scenario, points: int):
+    return make_frequency_grid(
+        scenario.crystal, scenario.pump, points, half_width=scenario.grid_half_width
+    )
 
-    ``jsa`` is the run's JSA cache. None when no strictly smaller grid exists
-    (``points`` is already the smallest allowed) or when that grid cannot
-    resolve the spectrum.
+
+def _jsa(scenario: Scenario, points: int) -> biphoton.JointSpectrum:
+    return biphoton.joint_spectral_intensity(
+        scenario.kernel, scenario.crystal, scenario.pump, _grid(scenario, points)
+    )
+
+
+def _coarser_jsa(scenario: Scenario, points: int) -> biphoton.JointSpectrum | None:
+    """The coarsen check's JSA on ``points // 2``, but never below MIN_GRID_POINTS.
+
+    None when no strictly smaller grid exists (``points`` is already the
+    smallest allowed) or when that grid cannot resolve the spectrum.
     """
     coarse = max(MIN_GRID_POINTS, points // 2)
     if coarse >= points:
         return None
     try:
-        return jsa(coarse)
+        return _jsa(scenario, coarse)
     except GridResolutionError:
         return None
 
@@ -550,49 +559,50 @@ def _halved_resolution(
     return {"delta": delta, "method": "halved-resolution"}
 
 
-def _task_joint_spectrum(scenario: Scenario, points: int, jsa):
-    js = jsa(points)
-    files = {"joint_spectrum.csv": _jsi_csv(js, scenario.jsi_stride)}
-    # convergence: coarsen the grid when a smaller resolvable one exists, otherwise
-    # compare the grid marginal bandwidth against the pump-adaptive reference quadrature
-    m_fine = biphoton.marginal_spectrum(js, scenario.crystal).fwhm_nm
-    coarse = _coarser_jsa(jsa, points)
-    if coarse is not None:
-        m_coarse = biphoton.marginal_spectrum(coarse, scenario.crystal).fwhm_nm
-        delta = abs(m_fine - m_coarse) / m_fine
-        method = "coarsen"
+def _task_joint_spectrum(scenario: Scenario, points: int):
+    grid = _grid(scenario, points)
+    stride = scenario.jsi_stride
+    inten, marginal = biphoton.joint_spectrum_rows(
+        scenario.kernel, scenario.crystal, scenario.pump, grid, stride
+    )
+    files = {"joint_spectrum.csv": _jsi_csv(grid.omega_s[::stride], inten)}
+    # convergence: the grid marginal's bandwidth against the pump-adaptive reference quadrature
+    ref = biphoton.signal_spectrum(scenario.crystal, scenario.pump, scenario.kernel)
+    delta = abs(marginal.fwhm_nm - ref.fwhm_nm) / ref.fwhm_nm
+    extras = {"marginal_fwhm_nm": float(marginal.fwhm_nm)}
+    return files, {"delta": float(delta), "method": "reference"}, extras
+
+
+def _task_schmidt(scenario: Scenario, points: int):
+    if scenario.kernel == "gaussian":
+        # as on the numeric route, a grid that cannot resolve the spectrum fails
+        # before any compute, and the grid's points bound the mode count
+        _grid(scenario, points)
+        gamma = gamma_param(scenario.crystal, scenario.pump)
+        report = biphoton.schmidt_gaussian(gamma, max_modes=points)
+        conv = {"delta": 0.0, "method": "analytic"}
     else:
-        ref = biphoton.signal_spectrum(scenario.crystal, scenario.pump, scenario.kernel)
-        delta = abs(m_fine - ref.fwhm_nm) / ref.fwhm_nm
-        method = "reference"
-    extras = {"marginal_fwhm_nm": float(m_fine)}
-    return files, {"delta": float(delta), "method": method}, extras
-
-
-def _task_schmidt(scenario: Scenario, points: int, jsa):
-    report = biphoton.schmidt_analysis(jsa(points))
-    coeffs = [float(v) for v in report.coefficients if v > 1e-12]
+        report = biphoton.schmidt_analysis(_jsa(scenario, points))
+        coarse_js = _coarser_jsa(scenario, points)
+        if coarse_js is not None:
+            k_coarse = biphoton.schmidt_analysis(coarse_js).schmidt_number_K
+            k = report.schmidt_number_K
+            conv = {"delta": float(abs(k - k_coarse) / k), "method": "coarsen"}
+        else:
+            conv = {"delta": float("nan"), "method": "unavailable"}
+    floor = biphoton.SCHMIDT_COEFF_FLOOR
     payload = {
-        "coefficients": coeffs,
+        "coefficients": [float(v) for v in report.coefficients if v > floor],
         "schmidt_number_K": float(report.schmidt_number_K),
         "entropy_bits": float(report.entropy_bits),
     }
     for key, value in payload.items():
         _require_finite(key, value)
     files = {"schmidt.json": json.dumps(payload, indent=2) + "\n"}
-    coarse_js = _coarser_jsa(jsa, points)
-    if coarse_js is not None:
-        coarse = biphoton.schmidt_analysis(coarse_js)
-        delta = abs(report.schmidt_number_K - coarse.schmidt_number_K) / report.schmidt_number_K
-        method = "coarsen"
-    else:
-        delta = float("nan")
-        method = "unavailable"
-    flagged_extra = {"schmidt_number_K": float(report.schmidt_number_K)}
-    return files, {"delta": float(delta), "method": method}, flagged_extra
+    return files, conv, {"schmidt_number_K": float(report.schmidt_number_K)}
 
 
-def _task_g1_scan(scenario: Scenario, points: int, jsa):
+def _task_g1_scan(scenario: Scenario, points: int):
     crystal, pump, sample = scenario.crystal, scenario.pump, scenario.sample
     geometry = scenario.effective_geometry()
     window = _scan_window(scenario)
@@ -616,7 +626,7 @@ def _task_g1_scan(scenario: Scenario, points: int, jsa):
     return files, conv, {}
 
 
-def _task_oct_scan(scenario: Scenario, points: int, jsa):
+def _task_oct_scan(scenario: Scenario, points: int):
     crystal, pump, sample = scenario.crystal, scenario.pump, scenario.sample
     geometry = scenario.effective_geometry()
     window = _scan_window(scenario)
@@ -660,7 +670,7 @@ def _task_oct_scan(scenario: Scenario, points: int, jsa):
     return files, conv, extras
 
 
-def _task_spectrum(scenario: Scenario, points: int, jsa):
+def _task_spectrum(scenario: Scenario, points: int):
     crystal = scenario.crystal
     spectrum = biphoton.signal_spectrum(crystal, scenario.pump, kernel=scenario.kernel)
     omega_s0 = crystal.omega_s0
@@ -696,8 +706,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     """Execute every task of a scenario and write its outputs plus manifest.
 
     Deterministic: identical scenario text yields bit-identical data files and
-    an identical manifest digest. Tasks run one after another; ``joint_spectrum``
-    and ``schmidt`` share each JSA, built once per call. A grid size below
+    an identical manifest digest. Tasks run one after another. A grid size below
     MIN_GRID_POINTS is rejected before anything is computed or written. A task
     whose written series holds a non-finite value fails with
     NumericalConsistencyError, and no file of the run is written. On task
@@ -716,20 +725,11 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     except OSError as exc:
         raise ScenarioError(f"output directory not writable: {target}: {exc}") from exc
 
-    @functools.cache  # a failed build raises and stores nothing
-    def jsa(n: int) -> biphoton.JointSpectrum:
-        grid = make_frequency_grid(
-            scenario.crystal, scenario.pump, n, half_width=scenario.grid_half_width
-        )
-        return biphoton.joint_spectral_intensity(
-            scenario.kernel, scenario.crystal, scenario.pump, grid
-        )
-
     results = {}
     for task in scenario.tasks:
         t0 = time.perf_counter()
         try:
-            files, conv, extras = _TASK_FN[task](scenario, points, jsa)
+            files, conv, extras = _TASK_FN[task](scenario, points)
         except Exception as exc:
             # what BaseException.add_note does (Python 3.11+): the exception
             # keeps its type and constructor arguments

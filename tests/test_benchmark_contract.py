@@ -25,8 +25,9 @@ def tracing(monkeypatch):
 
 def test_tracer_counts_the_joint_spectrum_layer(tracing, tmp_path):
     text = (ROOT / "scenarios" / "jsi_separable.ini").read_text()
-    assert "points = 2048" in text
-    scenario = parse_scenario(text.replace("points = 2048", "points = 384"))
+    assert "points = 2048" in text and "kernel = gaussian" in text
+    text = text.replace("points = 2048", "points = 384")
+    scenario = parse_scenario(text.replace("kernel = gaussian", "kernel = exact"))
     original = biphoton.joint_spectral_intensity
     tracer = tracing.Tracer()
     tracer.install()
@@ -39,7 +40,8 @@ def test_tracer_counts_the_joint_spectrum_layer(tracing, tmp_path):
         tracer.remove()
     assert biphoton.joint_spectral_intensity is original
     trace = tracer.dump()
-    # the 384- and 256-point JSAs, each built once and read by both tasks
+    # the exact-kernel schmidt task builds the 384-point JSA and its 256-point
+    # coarsen JSA once each; joint_spectrum streams without a JSA
     assert trace["counts"]["biphoton.jsa_calls"] == 2
     assert trace["counts"]["biphoton.schmidt_calls"] == 2
     assert trace["distinct"]["biphoton.jsa"] == 2

@@ -8,8 +8,10 @@ from nlintsim.biphoton import (
     bandwidth_nm,
     fwhm_interpolated,
     joint_spectral_intensity,
+    joint_spectrum_rows,
     marginal_spectrum,
     schmidt_analysis,
+    schmidt_gaussian,
     signal_spectrum,
 )
 from nlintsim import biphoton
@@ -19,6 +21,7 @@ from nlintsim.optics_model import (
     NumericalConsistencyError,
     PumpPulse,
     SINC_GAUSS_ALPHA,
+    gamma_param,
     make_frequency_grid,
     mgo_linbo3_crystal,
 )
@@ -194,6 +197,30 @@ def test_jsi_rejects_unknown_kernel():
         joint_spectral_intensity("sinc2", CRYSTAL, PumpPulse(212.0), grid)
 
 
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+@pytest.mark.parametrize("n,stride,block", [
+    pytest.param(512, 1, None, id="one-block"),
+    pytest.param(1001, 3, 50_000, id="ragged-blocks"),  # 48-row blocks, 41 rows left over
+    pytest.param(960, 8, 50_000, id="whole-blocks"),  # 20 blocks of 48 rows
+])
+def test_streamed_rows_match_the_full_build(monkeypatch, kernel, n, stride, block):
+    if block is not None:
+        monkeypatch.setattr(biphoton, "QUADRATURE_BLOCK", block)
+    pump = PumpPulse(212.0)
+    grid = make_frequency_grid(CRYSTAL, pump, n)
+    inten, marginal = joint_spectrum_rows(kernel, CRYSTAL, pump, grid, stride)
+    js = joint_spectral_intensity(kernel, CRYSTAL, pump, grid)
+    full = js.intensity[::stride, ::stride]
+    assert inten.shape == full.shape
+    assert np.max(np.abs(inten - full)) <= 1e-12 * np.max(full)
+    expected = marginal_spectrum(js, CRYSTAL)
+    assert np.array_equal(marginal.omega_s, grid.omega_s)
+    assert np.max(np.abs(marginal.density - expected.density)) <= 1e-12 * np.max(expected.density)
+    # the two marginals differ in their rounding only, so the widths agree to a few ulp
+    assert marginal.fwhm_rad_fs == pytest.approx(expected.fwhm_rad_fs, rel=1e-14, abs=0.0)
+    assert marginal.fwhm_nm == pytest.approx(expected.fwhm_nm, rel=1e-14, abs=0.0)
+
+
 # ---------------------------------------------------------------- marginals
 
 def test_marginal_matches_direct_quadrature():
@@ -326,6 +353,44 @@ def test_schmidt_spectrum_matches_double_gaussian(gamma, n):
     lam = lam[lam >= 1e-12]
     assert lam.size == expected.size
     assert np.max(np.abs(lam - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("pump", [
+    *(pytest.param(gamma_pump(CRYSTAL, 2.0 ** (k / 4)), id=f"gamma=2^({k}/4)")
+      for k in range(-4, 5)),
+    pytest.param(PumpPulse(10.0), id="jsi_correlated"),
+])
+def test_gaussian_schmidt_closed_form_matches_the_grid(pump):
+    gamma = gamma_param(CRYSTAL, pump)
+    grid = make_frequency_grid(CRYSTAL, pump, 2048)
+    numeric = schmidt_analysis(joint_spectral_intensity("gaussian", CRYSTAL, pump, grid))
+    report = schmidt_gaussian(gamma)
+    lam = numeric.coefficients[numeric.coefficients > 1e-12]
+    assert report.coefficients.size == lam.size
+    assert np.all(report.coefficients > 1e-12)
+    assert np.max(np.abs(report.coefficients - lam)) <= 1e-13
+    assert report.schmidt_number_K == pytest.approx(numeric.schmidt_number_K, rel=1e-12)
+
+
+def test_gaussian_schmidt_closed_form_at_and_off_the_separable_point():
+    one = schmidt_gaussian(1.0)
+    assert one.coefficients.tolist() == [1.0]
+    assert (one.schmidt_number_K, one.entropy_bits) == (1.0, 0.0)
+    # gamma and 1 / gamma give the same mu, hence the same spectrum
+    lam, swapped = schmidt_gaussian(4.0), schmidt_gaussian(0.25)
+    assert lam.coefficients.tolist() == swapped.coefficients.tolist()
+    mu2 = 0.36  # mu = 3 / 5
+    series = (1.0 - mu2) * mu2 ** np.arange(200)
+    assert lam.schmidt_number_K == pytest.approx(1.0 / np.sum(series ** 2), rel=1e-14)
+    assert lam.entropy_bits == pytest.approx(-np.sum(series * np.log2(series)), rel=1e-14)
+    # 0.64 * 0.36^26 = 1.9e-12 is the last coefficient above 1e-12
+    np.testing.assert_allclose(lam.coefficients, series[:27], rtol=1e-14, atol=0.0)
+    assert schmidt_gaussian(4.0, max_modes=27).coefficients.size == 27
+    with pytest.raises(ValueError, match="27 Schmidt modes above 1e-12, more than 26"):
+        schmidt_gaussian(4.0, max_modes=26)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            schmidt_gaussian(bad)
 
 
 @pytest.mark.parametrize("kernel", ["gaussian", "exact"])

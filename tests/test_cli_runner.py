@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -263,7 +264,7 @@ def test_csv_writers_match_per_value_reference():
         inten = js.intensity[::stride, ::stride]
         lines = ["omega_s\\omega_i," + _fmt9_csv([ws])[0]]
         lines += [cli._fmt9(w) + "," + line for w, line in zip(ws, _fmt9_csv(inten))]
-        assert cli._jsi_csv(js, stride) == "\n".join(lines) + "\n"
+        assert cli._jsi_csv(ws, inten) == "\n".join(lines) + "\n"
 
 
 def test_export_series_json_schema():
@@ -359,7 +360,7 @@ class _TwoArgError(RuntimeError):
 
 
 def test_task_failure_keeps_exception_type(tmp_path, monkeypatch):
-    def fail(scenario, points, jsa):
+    def fail(scenario, points):
         raise _TwoArgError((4096, 4096), "complex128")
 
     monkeypatch.setitem(cli._TASK_FN, "schmidt", fail)
@@ -370,7 +371,7 @@ def test_task_failure_keeps_exception_type(tmp_path, monkeypatch):
 
 
 def test_cli_names_the_failing_task(tmp_path, monkeypatch, capsys):
-    def fail(scenario, points, jsa):
+    def fail(scenario, points):
         raise cli.AnalysisError("no half-maximum crossing")
 
     monkeypatch.setitem(cli._TASK_FN, "schmidt", fail)
@@ -385,7 +386,7 @@ def test_cli_names_the_failing_task(tmp_path, monkeypatch, capsys):
     ("unavailable", False),
 ])
 def test_nan_delta_fails_the_gate(tmp_path, monkeypatch, capsys, method, flagged):
-    def nan_delta(scenario, points, jsa):
+    def nan_delta(scenario, points):
         return {}, {"delta": float("nan"), "method": method}, {}
 
     monkeypatch.setitem(cli._TASK_FN, "schmidt", nan_delta)
@@ -398,8 +399,8 @@ def test_nan_delta_fails_the_gate(tmp_path, monkeypatch, capsys, method, flagged
 
 
 @pytest.mark.parametrize("points,built,methods", [
-    pytest.param(256, [256], ("reference", "unavailable"), id="smallest-grid"),
-    pytest.param(384, [256, 384], ("coarsen", "coarsen"), id="coarsens-to-256"),
+    pytest.param(256, [256, 256], ("reference", "unavailable"), id="smallest-grid"),
+    pytest.param(384, [256, 384, 384], ("reference", "coarsen"), id="coarsens-to-256"),
 ])
 def test_coarsen_check_never_compares_a_grid_with_itself(tmp_path, monkeypatch, points,
                                                          built, methods):
@@ -411,8 +412,11 @@ def test_coarsen_check_never_compares_a_grid_with_itself(tmp_path, monkeypatch, 
         return original(crystal, pump, n_points, **kwargs)
 
     monkeypatch.setattr(cli, "make_frequency_grid", spy)
+    # joint_spectrum streams on the run grid; the exact-kernel schmidt task
+    # builds the run grid and its coarsen grid
     text = MINIMAL.replace("run = schmidt", "run = joint_spectrum, schmidt")
     text = text.replace("points = 512", f"points = {points}")
+    text = text.replace("kernel = gaussian", "kernel = exact")
     manifest = run_scenario(parse_scenario(text), out_dir=tmp_path)
     assert sorted(sizes) == built
     conv = manifest.convergence
@@ -421,6 +425,19 @@ def test_coarsen_check_never_compares_a_grid_with_itself(tmp_path, monkeypatch, 
         assert np.isfinite(conv["joint_spectrum"]["delta"])
         assert np.isnan(conv["schmidt"]["delta"])
         assert not conv["schmidt"]["flagged"]
+
+
+def test_gaussian_schmidt_modes_are_bounded_by_the_grid(tmp_path, capsys):
+    # a half width far inside the spectrum lets 512 points resolve a 1 ns pump,
+    # whose closed-form spectrum keeps about 24k modes above 1e-12
+    text = MINIMAL.replace("t0_fs = 212.0", "t0_ps = 1000.0")
+    scen = tmp_path / "s.ini"
+    scen.write_text(text.replace("points = 512", "points = 512\nhalf_width_rad_fs = 2e-4"))
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"task schmidt: gamma = .* Schmidt modes above 1e-12, more than 512", err)
+    assert list(out.iterdir()) == []
 
 
 UNIFORM_OCT = MINIMAL.replace("run = schmidt", "run = oct_scan") + "\n[scan]\nfringes = false\n"
@@ -470,17 +487,16 @@ def _nan_spectrum(original):
     return fake
 
 
-def _inf_jsa(original):
+def _inf_jsi(original):
     def fake(*args):
-        js = original(*args)
-        amplitude = js.amplitude.copy()
-        amplitude[0, 0] = np.inf
-        return dataclasses.replace(js, amplitude=amplitude)
+        intensity, marginal = original(*args)
+        intensity[0, 0] = np.inf
+        return intensity, marginal
     return fake
 
 
 def _nan_schmidt(original):
-    def fake(js):
+    def fake(*args, **kwargs):
         return cli.biphoton.SchmidtReport(
             coefficients=np.array([1.0]), schmidt_number_K=np.nan, entropy_bits=0.0
         )
@@ -492,9 +508,9 @@ def _nan_schmidt(original):
                  id="g1-scan"),
     pytest.param("spectrum", "biphoton", "signal_spectrum", _nan_spectrum, "density",
                  id="spectrum"),
-    pytest.param("joint_spectrum", "biphoton", "joint_spectral_intensity", _inf_jsa,
+    pytest.param("joint_spectrum", "biphoton", "joint_spectrum_rows", _inf_jsi,
                  "intensity", id="jsi-slice"),
-    pytest.param("schmidt", "biphoton", "schmidt_analysis", _nan_schmidt,
+    pytest.param("schmidt", "biphoton", "schmidt_gaussian", _nan_schmidt,
                  "schmidt_number_K", id="schmidt-json"),
 ])
 def test_non_finite_output_fails_closed(tmp_path, monkeypatch, capsys, task, owner, name,
@@ -638,14 +654,33 @@ def test_run_builds_each_jsa_once(tmp_path, monkeypatch):
         return build(kernel, crystal, pump, grid)
 
     monkeypatch.setattr(cli.biphoton, "joint_spectral_intensity", counting)
-    s = parse_scenario(MINIMAL.replace("run = schmidt", "run = joint_spectrum, schmidt"))
+    text = MINIMAL.replace("run = schmidt", "run = joint_spectrum, schmidt")
+    # joint_spectrum streams and the Gaussian schmidt task is closed form: no JSA
+    run_scenario(parse_scenario(text), out_dir=tmp_path / "gaussian")
+    assert built == []
+    s = parse_scenario(text.replace("kernel = gaussian", "kernel = exact"))
     first = run_scenario(s, out_dir=tmp_path / "first")
-    # joint_spectrum builds the run grid, then its coarsen grid; schmidt reuses both
+    # the exact-kernel schmidt task builds the run grid, then its coarsen grid
     assert built == [512, 256]
     # a second run keeps nothing of the first: it builds its own JSAs
     second = run_scenario(s, out_dir=tmp_path / "second")
     assert built == [512, 256, 512, 256]
     assert second.digest == first.digest
+
+
+def test_joint_spectrum_task_holds_no_full_grid_array():
+    # numpy reports its buffers to tracemalloc; one 4096^2 float64 array is 128 MiB
+    s = parse_scenario((SCENARIO_DIR / "jsi_anticorrelated.ini").read_text())
+    assert (s.grid_points, s.kernel, s.jsi_stride) == (4096, "gaussian", 8)
+    tracemalloc.start()
+    try:
+        files, conv, _ = cli._task_joint_spectrum(s, s.grid_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert files["joint_spectrum.csv"].count("\n") == 513
+    assert conv["method"] == "reference"
+    assert peak < 4096 ** 2 * 8 // 4
 
 
 # ---------------------------------------------------------------- shipped recipes
