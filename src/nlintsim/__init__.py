@@ -39,6 +39,7 @@ from .biphoton import (
     marginal_spectrum,
     schmidt_analysis,
     schmidt_gaussian,
+    schmidt_rows,
     signal_spectrum,
 )
 from .coherence import (

@@ -9,10 +9,11 @@ separate, the exact kernel's factor i among them, drop out of every intensity
 and Schmidt observable, so the grid amplitude is real. Signal and idler share
 the grid's one uniform axis; quadratures weigh by its weights w on each side,
 w^T |amp|^2 w, and the marginal and Schmidt analysis check this norm is 1.
-``joint_spectrum_rows`` builds the amplitude in blocks of signal rows and
-keeps only a strided intensity slice and the marginal, so no N x N array is
-held; ``joint_spectral_intensity`` holds the whole amplitude and is the
-oracle of that stream.
+``joint_spectrum_rows`` and ``schmidt_rows`` build the amplitude in blocks of
+about ROW_BLOCK elements of signal rows, so neither holds an N x N array;
+``joint_spectral_intensity`` holds the whole amplitude and, with
+``marginal_spectrum`` and ``schmidt_analysis``, is the oracle of those
+streams.
 The Gaussian kernel's Schmidt spectrum has a closed form in gamma,
 ``schmidt_gaussian``. For any amplitude, the Schmidt coefficients are the
 Ritz values of the weighted amplitude m on the range of a block of its own
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coherence import QUADRATURE_BLOCK, _kernel_args, _kernel_block, _pump_quadrature, _ridge
+from .coherence import _kernel_args, _kernel_block, _pump_quadrature, _ridge
 from .optics_model import (
     AnalysisError,
     C_NM_FS,
@@ -47,6 +48,10 @@ from .optics_model import (
 )
 
 NORMALIZATION_TOL = 1e-6
+
+# Elements per row block of the joint-spectrum and Schmidt streams: about 2 MB
+# of float64 per work array. Blocks of 1e6 elements, past the cache, ran slower.
+ROW_BLOCK = 250_000
 
 # Schmidt Rayleigh-Ritz: first block size, and the unresolved share of
 # ||m||_F^2 below which a block is accepted.
@@ -144,7 +149,7 @@ def joint_spectrum_rows(
     """Strided intensity slice and signal marginal of the unit-norm pair amplitude.
 
     The same amplitude as ``joint_spectral_intensity``, streamed: it is built
-    in blocks of about QUADRATURE_BLOCK elements, a whole number of strides of
+    in blocks of about ROW_BLOCK elements, a whole number of strides of
     signal rows each, and no N x N array is held. Each block copies its
     strided rows, squares itself in place and adds its weighted row sums to
     the marginal; the norm is the marginal's quadrature sum. The strided
@@ -154,7 +159,7 @@ def joint_spectrum_rows(
     """
     axis, w = grid.omega_s, grid.weights_s
     n = axis.size
-    height = min(n, max(1, QUADRATURE_BLOCK // (n * stride)) * stride)
+    height = min(n, max(1, ROW_BLOCK // (n * stride)) * stride)
     amp = np.empty((axis[::stride].size,) * 2)
     dens = np.empty(n)
     for lo, block in _amplitude_rows(kernel, crystal, pump, axis, np.empty((2, height, n))):
@@ -176,18 +181,27 @@ def _amplitude_rows(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis, 
 
     Yields (lo, the block of rows lo, lo + 1, ...), each built in ``work[0]``
     with ``work[1]`` as scratch; the block height is that of ``work[0]``.
-    PM is ``coherence._kernel_block`` at dk L / 2 = (b_n + a_n) + a_j, and the
-    pump factor a Hankel view of F on the 2N - 1 sums ws_0 + wi_j, ws_N-1 + wi_j.
     """
     n = axis.size
-    b, a = _kernel_args(crystal, kernel, axis, axis)
-    lattice = np.concatenate((axis[0] + axis, axis[-1] + axis[1:]))
-    pump_rows = sliding_window_view(pump_amplitude(pump, lattice), n)  # F(lattice[i + j])
+    row_args, col_args, pump_rows = _amplitude_factors(kernel, crystal, pump, axis)
     for lo in range(0, n, len(work[0])):
         rows = slice(lo, lo + len(work[0]))
-        block = _kernel_block(kernel, b[rows] + a[rows], a, [part[: n - lo] for part in work])
+        block = _kernel_block(kernel, row_args[rows], col_args, [part[: n - lo] for part in work])
         block *= pump_rows[rows]
         yield lo, block
+
+
+def _amplitude_factors(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis):
+    """Row and column arguments of PM, and the pump factor, of the amplitude on ``axis``.
+
+    PM is ``coherence._kernel_block`` at dk L / 2 = (b_n + a_n) + a_j, so the
+    row arguments are b + a and the column arguments a. The pump factor
+    F(ws_n + wi_j) is an N x N Hankel view of F on the 2N - 1 sums
+    ws_0 + wi_j, ws_N-1 + wi_j.
+    """
+    b, a = _kernel_args(crystal, kernel, axis, axis)
+    lattice = np.concatenate((axis[0] + axis, axis[-1] + axis[1:]))
+    return b + a, a, sliding_window_view(pump_amplitude(pump, lattice), axis.size)
 
 
 def _require_unit_norm(norm: float, caller: str) -> None:
@@ -334,28 +348,105 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
     and lambda are the eigenvalues of m m^H. Only lambda above the rounding
     floor N eps lambda_1 (N grid points, eps the float64 machine epsilon) are
     kept; those below it are noise. K = 1 / sum lambda^2, E = -sum lambda
-    log2 lambda over the kept modes. A non-finite amplitude or a failed
-    factorization raises NumericalConsistencyError; a finite ||m||_F^2 (the
-    quadrature norm) off 1 by more than NORMALIZATION_TOL raises ValueError.
+    log2 lambda over the kept modes. A non-finite or zero amplitude or a
+    failed factorization raises NumericalConsistencyError; a finite
+    ||m||_F^2 (the quadrature norm) off 1 by more than NORMALIZATION_TOL
+    raises ValueError.
+    ``schmidt_rows`` runs the same steps on a stream of the amplitude.
     """
     sw = np.sqrt(js.grid.weights_s)
     m = js.amplitude * sw[:, None]
     m *= sw
-    n = m.shape[0]
-    failed = f"Schmidt decomposition failed on a {n}x{n} grid (step={js.grid.step_s:.3e})"
-    mass = float(np.vdot(m, m).real)  # ||m||_F^2, the quadrature norm
-    if not np.isfinite(mass):
-        raise NumericalConsistencyError(f"{failed}: non-finite amplitude")
+    lam, mass = _rayleigh_ritz(js.grid, lambda cols: m[:, cols], lambda: [(0, m)])
     _require_unit_norm(mass, "schmidt_analysis")
-    block = SCHMIDT_BLOCK
+    return _schmidt_report(lam, js.grid.n_points)
+
+
+def schmidt_rows(
+    kernel: str,
+    crystal: CrystalParams,
+    pump: PumpPulse,
+    grid: FrequencyGrid,
+) -> SchmidtReport:
+    """``schmidt_analysis(joint_spectral_intensity(...))``, without an N x N array.
+
+    The same Rayleigh-Ritz steps on the weighted, unnormalized amplitude m:
+    the k columns of each block are evaluated directly as one N x k block, and
+    each pass over the amplitude's row blocks (as in ``joint_spectrum_rows``,
+    about ROW_BLOCK elements each) sums B = Q^T m and ||m||_F^2, which is the
+    quadrature norm; lambda are the Ritz values divided by it. Every doubling
+    of k costs one more pass. Only once 2k >= N, where Q = I, is m assembled
+    whole, and its N x N Gram matrix formed. A non-finite or zero amplitude or
+    a failed factorization raises NumericalConsistencyError.
+    """
+    axis = grid.omega_s
+    n = axis.size
+    sw = np.sqrt(grid.weights_s)
+    row_args, col_args, pump_rows = _amplitude_factors(kernel, crystal, pump, axis)
+
+    def columns(cols):
+        # m[:, cols] up to its column weights, which do not change its span
+        work = [np.empty((n, cols.size)), np.empty((n, cols.size))]
+        block = _kernel_block(kernel, row_args, col_args[cols], work)
+        del work  # the scratch half is freed before the QR
+        block *= pump_rows[:, cols]
+        block *= sw[:, None]
+        return block
+
+    def rows():
+        work = np.empty((2, min(n, max(1, ROW_BLOCK // n)), n))
+        for lo, block in _amplitude_rows(kernel, crystal, pump, axis, work):
+            block *= sw[lo : lo + len(block), None]
+            block *= sw
+            yield lo, block
+
+    lam, mass = _rayleigh_ritz(grid, columns, rows)
+    return _schmidt_report(lam / mass, n)
+
+
+def _rayleigh_ritz(grid: FrequencyGrid, columns, rows) -> tuple[np.ndarray, float]:
+    """Descending Ritz values of m m^H and ||m||_F^2, by the loop ``schmidt_analysis`` describes.
+
+    ``columns(cols)`` returns m[:, cols], or any matrix of the same column
+    span; ``rows()`` yields (lo, rows lo, lo + 1, ... of m) over all N rows,
+    a block being read before the next is asked for. Each pass sums
+    B = Q^H m and the mass ||m||_F^2 over the row blocks; with Q = I
+    (2k >= N) B is m itself, copied together from the blocks. A mass that is
+    not finite or not positive, checked before B reaches eigvalsh, or a
+    LinAlgError raises NumericalConsistencyError.
+    """
+    n = grid.n_points
+    failed = f"Schmidt decomposition failed on a {n}x{n} grid (step={grid.step_s:.3e})"
+    k = SCHMIDT_BLOCK
     try:
         while True:
-            lam = _ritz_values(m, block)
-            if 2 * block >= n or mass - float(np.sum(lam)) < SCHMIDT_MASS_TOL * mass:
-                break
-            block *= 2
+            q = None if 2 * k >= n else np.linalg.qr(columns((np.arange(k) * n) // k))[0]
+            mass = 0.0
+            for lo, block in rows():
+                mass += float(np.vdot(block, block).real)
+                if q is None:  # B = m, copied together from its row blocks
+                    if lo == 0:
+                        b = np.empty((n, n), block.dtype)
+                    b[lo : lo + len(block)] = block
+                elif lo == 0:
+                    b = q[: len(block)].conj().T @ block
+                else:
+                    b += q[lo : lo + len(block)].conj().T @ block
+            if not np.isfinite(mass):
+                raise NumericalConsistencyError(f"{failed}: non-finite amplitude")
+            if not mass > 0.0:
+                raise NumericalConsistencyError(f"{failed}: zero amplitude")
+            # conj() of a real array is the array itself, so b @ b.T runs as syrk
+            lam = np.linalg.eigvalsh(b @ b.conj().T)[::-1]
+            if q is None or mass - float(np.sum(lam)) < SCHMIDT_MASS_TOL * mass:
+                return lam, mass
+            k *= 2
     except np.linalg.LinAlgError as exc:
         raise NumericalConsistencyError(f"{failed}: {exc}") from exc
+
+
+def _schmidt_report(lam: np.ndarray, n: int) -> SchmidtReport:
+    """The SchmidtReport of unit-sum Ritz values: those above N eps lambda_1, K and entropy."""
     lam = lam[lam > n * np.finfo(float).eps * lam[0]]
     k = 1.0 / float(np.sum(lam ** 2))
     entropy = -float(np.sum(lam * np.log2(lam)))
@@ -400,19 +491,3 @@ def schmidt_gaussian(gamma: float, max_modes: int | None = None) -> SchmidtRepor
         schmidt_number_K=k,
         entropy_bits=float(entropy),
     )
-
-
-def _ritz_values(m: np.ndarray, k: int) -> np.ndarray:
-    """Descending Ritz values of m m^H on the range of k evenly spaced columns of m.
-
-    With 2k >= N rows the block is the identity and the values are the
-    eigenvalues of m m^H. Raises LinAlgError when a factorization fails.
-    """
-    if 2 * k >= m.shape[0]:
-        b = m
-    else:
-        cols = (np.arange(k) * m.shape[1]) // k
-        q = np.linalg.qr(m[:, cols])[0]
-        b = q.conj().T @ m
-    # conj() of a real array is the array itself, so b @ b.T runs as syrk
-    return np.linalg.eigvalsh(b @ b.conj().T)[::-1]

@@ -522,14 +522,8 @@ def _grid(scenario: Scenario, points: int):
     )
 
 
-def _jsa(scenario: Scenario, points: int) -> biphoton.JointSpectrum:
-    return biphoton.joint_spectral_intensity(
-        scenario.kernel, scenario.crystal, scenario.pump, _grid(scenario, points)
-    )
-
-
-def _coarser_jsa(scenario: Scenario, points: int) -> biphoton.JointSpectrum | None:
-    """The coarsen check's JSA on ``points // 2``, but never below MIN_GRID_POINTS.
+def _coarser_grid(scenario: Scenario, points: int):
+    """The coarsen check's grid of ``points // 2``, but never below MIN_GRID_POINTS.
 
     None when no strictly smaller grid exists (``points`` is already the
     smallest allowed) or when that grid cannot resolve the spectrum.
@@ -538,7 +532,7 @@ def _coarser_jsa(scenario: Scenario, points: int) -> biphoton.JointSpectrum | No
     if coarse >= points:
         return None
     try:
-        return _jsa(scenario, coarse)
+        return _grid(scenario, coarse)
     except GridResolutionError:
         return None
 
@@ -582,10 +576,11 @@ def _task_schmidt(scenario: Scenario, points: int):
         report = biphoton.schmidt_gaussian(gamma, max_modes=points)
         conv = {"delta": 0.0, "method": "analytic"}
     else:
-        report = biphoton.schmidt_analysis(_jsa(scenario, points))
-        coarse_js = _coarser_jsa(scenario, points)
-        if coarse_js is not None:
-            k_coarse = biphoton.schmidt_analysis(coarse_js).schmidt_number_K
+        crystal, pump = scenario.crystal, scenario.pump
+        report = biphoton.schmidt_rows(scenario.kernel, crystal, pump, _grid(scenario, points))
+        coarse = _coarser_grid(scenario, points)
+        if coarse is not None:
+            k_coarse = biphoton.schmidt_rows(scenario.kernel, crystal, pump, coarse).schmidt_number_K
             k = report.schmidt_number_K
             conv = {"delta": float(abs(k - k_coarse) / k), "method": "coarsen"}
         else:
@@ -748,12 +743,13 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
         tmp = None
         try:
             for name, content in sorted(files.items()):
+                data = content.encode()  # the bytes hashed are the bytes written
                 tmp = target / (name + ".tmp")
-                tmp.write_text(content)
+                tmp.write_bytes(data)
                 os.replace(tmp, target / name)
                 tmp = None
                 written.append(name)
-                hashes.append((name, hashlib.sha256(content.encode()).hexdigest()))
+                hashes.append((name, hashlib.sha256(data).hexdigest()))
         except OSError:
             if tmp is not None:
                 tmp.unlink(missing_ok=True)

@@ -3,14 +3,15 @@
 The traced pass wraps ``joint_spectral_intensity`` and ``schmidt_analysis``
 and reads their ``grid`` and ``js`` arguments (``grid.omega_s``,
 ``grid.n_points``). A rename there would leave the per-layer metrics silently
-empty, so this runs one bundled scenario under the tracer.
+empty, so this calls both under the tracer, beside one bundled scenario run
+that no longer reaches them.
 """
 
 from pathlib import Path
 
 import pytest
 
-from nlintsim import biphoton, cli_runner, parse_scenario
+from nlintsim import biphoton, cli_runner, make_frequency_grid, parse_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,13 +36,19 @@ def test_tracer_counts_the_joint_spectrum_layer(tracing, tmp_path):
         assert biphoton.joint_spectral_intensity is not original
         tracer.begin_item({"id": "jsi_separable"}, scenario.grid_points, scenario.tasks)
         cli_runner.run_scenario(scenario, out_dir=tmp_path)
+        # the exact-kernel run streams both tasks: it builds no JSA
+        assert tracer.counts["biphoton.jsa_calls"] == 0
+        assert tracer.counts["biphoton.schmidt_calls"] == 0
+        # the library oracles on the run grid and its coarsen grid
+        for points in (384, 256):
+            grid = make_frequency_grid(scenario.crystal, scenario.pump, points)
+            js = biphoton.joint_spectral_intensity("exact", scenario.crystal, scenario.pump, grid)
+            biphoton.schmidt_analysis(js)
         tracer.end_item()
     finally:
         tracer.remove()
     assert biphoton.joint_spectral_intensity is original
     trace = tracer.dump()
-    # the exact-kernel schmidt task builds the 384-point JSA and its 256-point
-    # coarsen JSA once each; joint_spectrum streams without a JSA
     assert trace["counts"]["biphoton.jsa_calls"] == 2
     assert trace["counts"]["biphoton.schmidt_calls"] == 2
     assert trace["distinct"]["biphoton.jsa"] == 2

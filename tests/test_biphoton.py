@@ -12,6 +12,7 @@ from nlintsim.biphoton import (
     marginal_spectrum,
     schmidt_analysis,
     schmidt_gaussian,
+    schmidt_rows,
     signal_spectrum,
 )
 from nlintsim import biphoton
@@ -205,7 +206,7 @@ def test_jsi_rejects_unknown_kernel():
 ])
 def test_streamed_rows_match_the_full_build(monkeypatch, kernel, n, stride, block):
     if block is not None:
-        monkeypatch.setattr(biphoton, "QUADRATURE_BLOCK", block)
+        monkeypatch.setattr(biphoton, "ROW_BLOCK", block)
     pump = PumpPulse(212.0)
     grid = make_frequency_grid(CRYSTAL, pump, n)
     inten, marginal = joint_spectrum_rows(kernel, CRYSTAL, pump, grid, stride)
@@ -506,6 +507,47 @@ def test_schmidt_small_grid_takes_the_gram_path(eigvalsh_sizes):
     lam = schmidt_analysis(js).coefficients
     assert eigvalsh_sizes == [64, 128, 512]
     assert lam.tobytes() == gram_oracle(js).tobytes()
+
+
+@pytest.mark.parametrize("kernel,gamma,n,blocks", [
+    pytest.param("gaussian", 0.5, 2048, [64], id="gaussian-0.5"),
+    pytest.param("exact", 1.0, 2048, [64], id="exact-1"),
+    # the schmidt_sweep item at gamma = 2 with the exact kernel
+    pytest.param("exact", 2.0, 2048, [64, 128], id="exact-2-doubles"),
+    pytest.param("exact", 2.0, 1001, [64, 128], id="exact-2-ragged"),  # 4 x 249 + 5 rows
+    pytest.param("exact", 10.0, 512, [64, 128, 512], id="exact-10-takes-q-eq-i"),  # 488 + 24 rows
+])
+def test_streamed_schmidt_matches_the_full_build(eigvalsh_sizes, kernel, gamma, n, blocks):
+    pump = gamma_pump(CRYSTAL, gamma)
+    grid = make_frequency_grid(CRYSTAL, pump, n)
+    report = schmidt_rows(kernel, CRYSTAL, pump, grid)
+    assert eigvalsh_sizes == blocks
+    oracle = schmidt_analysis(joint_spectral_intensity(kernel, CRYSTAL, pump, grid))
+    lam = report.coefficients
+    assert lam.size == oracle.coefficients.size
+    assert np.max(np.abs(lam - oracle.coefficients)) <= 1e-13
+    assert report.schmidt_number_K == pytest.approx(oracle.schmidt_number_K, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bad,reason", [
+    pytest.param(np.nan, "non-finite amplitude", id="nan"),
+    pytest.param(0.0, "zero amplitude", id="zero"),
+])
+def test_streamed_schmidt_fails_on_a_bad_amplitude(monkeypatch, bad, reason):
+    pump = gamma_pump(CRYSTAL, 1.0)
+    grid = make_frequency_grid(CRYSTAL, pump, 1024)
+    original = biphoton.pump_amplitude
+
+    def bad_pump(p, omega):
+        f = original(p, omega)
+        if bad == 0.0:
+            return np.zeros_like(f)
+        f[f.size // 2] = bad  # the pump peak, which every row and column block reads
+        return f
+
+    monkeypatch.setattr(biphoton, "pump_amplitude", bad_pump)
+    with pytest.raises(NumericalConsistencyError, match=f"1024x1024 grid.*{reason}"):
+        schmidt_rows("exact", CRYSTAL, pump, grid)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -21,7 +22,7 @@ from nlintsim.cli_runner import (
     render_scenario,
     run_scenario,
 )
-from nlintsim.optics_model import FrequencyGrid
+from nlintsim.optics_model import SINC_GAUSS_ALPHA, FrequencyGrid, mgo_linbo3_crystal
 
 MINIMAL = """
 [crystal]
@@ -645,6 +646,16 @@ def test_grid_points_override_rejected_before_compute(tmp_path, capsys, scenario
     assert not out.exists()
 
 
+def test_manifest_digest_hashes_the_written_bytes(tmp_path):
+    s = parse_scenario(MINIMAL.replace("run = schmidt", "run = joint_spectrum, schmidt, spectrum"))
+    manifest = run_scenario(s, out_dir=tmp_path)
+    h = hashlib.sha256(render_scenario(s).encode())
+    names = sorted(name for files in manifest.files.values() for name in files)
+    for name in names:
+        h.update(f"{name}:{hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}".encode())
+    assert manifest.digest == h.hexdigest()
+
+
 def test_run_builds_each_jsa_once(tmp_path, monkeypatch):
     built = []
     build = cli.biphoton.joint_spectral_intensity
@@ -655,17 +666,14 @@ def test_run_builds_each_jsa_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.biphoton, "joint_spectral_intensity", counting)
     text = MINIMAL.replace("run = schmidt", "run = joint_spectrum, schmidt")
-    # joint_spectrum streams and the Gaussian schmidt task is closed form: no JSA
-    run_scenario(parse_scenario(text), out_dir=tmp_path / "gaussian")
-    assert built == []
-    s = parse_scenario(text.replace("kernel = gaussian", "kernel = exact"))
-    first = run_scenario(s, out_dir=tmp_path / "first")
-    # the exact-kernel schmidt task builds the run grid, then its coarsen grid
-    assert built == [512, 256]
-    # a second run keeps nothing of the first: it builds its own JSAs
-    second = run_scenario(s, out_dir=tmp_path / "second")
-    assert built == [512, 256, 512, 256]
-    assert second.digest == first.digest
+    # joint_spectrum streams, the Gaussian schmidt task is closed form and the
+    # exact one streams on the run grid and its coarsen grid: no JSA either way
+    for kernel in ("gaussian", "exact"):
+        s = parse_scenario(text.replace("kernel = gaussian", f"kernel = {kernel}"))
+        first = run_scenario(s, out_dir=tmp_path / kernel / "first")
+        second = run_scenario(s, out_dir=tmp_path / kernel / "second")
+        assert built == []
+        assert second.digest == first.digest
 
 
 def test_joint_spectrum_task_holds_no_full_grid_array():
@@ -681,6 +689,25 @@ def test_joint_spectrum_task_holds_no_full_grid_array():
     assert files["joint_spectrum.csv"].count("\n") == 513
     assert conv["method"] == "reference"
     assert peak < 4096 ** 2 * 8 // 4
+
+
+def test_exact_schmidt_task_holds_no_full_grid_array():
+    # the schmidt_sweep item at gamma = 2 with the exact kernel: two passes on
+    # 2048 points and the coarsen check on 1024; one 2048^2 float64 array is 32 MiB
+    crystal = mgo_linbo3_crystal(5.0)
+    t0 = float(SINC_GAUSS_ALPHA * crystal.dl / (2.0 * np.sqrt(2.0) * 2.0))
+    text = MINIMAL.replace("t0_fs = 212.0", f"t0_fs = {t0!r}")
+    text = text.replace("points = 512", "points = 2048").replace("kernel = gaussian", "kernel = exact")
+    s = parse_scenario(text)
+    tracemalloc.start()
+    try:
+        files, conv, _ = cli._task_schmidt(s, s.grid_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert conv["method"] == "coarsen" and conv["delta"] <= cli.CONVERGENCE_GATE
+    assert len(json.loads(files["schmidt.json"])["coefficients"]) > 1
+    assert peak < 2048 ** 2 * 8 // 2
 
 
 # ---------------------------------------------------------------- shipped recipes
