@@ -10,7 +10,8 @@ and Schmidt observable, so the grid amplitude is real. Signal and idler share
 the grid's one uniform axis; quadratures weigh by its weights w on each side,
 w^T |amp|^2 w, and the marginal and Schmidt analysis check this norm is 1.
 ``joint_spectrum_rows`` and ``schmidt_rows`` build the amplitude in blocks of
-about ROW_BLOCK elements of signal rows, so neither holds an N x N array;
+about ``coherence.BLOCK_ELEMENTS`` elements of signal rows, the one block
+budget of every streamed kernel evaluation, so neither holds an N x N array;
 ``joint_spectral_intensity`` holds the whole amplitude and, with
 ``marginal_spectrum`` and ``schmidt_analysis``, is the oracle of those
 streams.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coherence import _kernel_args, _kernel_block, _pump_quadrature, _ridge
+from .coherence import BLOCK_ELEMENTS, _kernel_args, _kernel_block, _pump_quadrature, _ridge
 from .optics_model import (
     AnalysisError,
     C_NM_FS,
@@ -48,10 +49,6 @@ from .optics_model import (
 )
 
 NORMALIZATION_TOL = 1e-6
-
-# Elements per row block of the joint-spectrum and Schmidt streams: about 2 MB
-# of float64 per work array. Blocks of 1e6 elements, past the cache, ran slower.
-ROW_BLOCK = 250_000
 
 # Schmidt Rayleigh-Ritz: first block size, and the unresolved share of
 # ||m||_F^2 below which a block is accepted.
@@ -149,7 +146,7 @@ def joint_spectrum_rows(
     """Strided intensity slice and signal marginal of the unit-norm pair amplitude.
 
     The same amplitude as ``joint_spectral_intensity``, streamed: it is built
-    in blocks of about ROW_BLOCK elements, a whole number of strides of
+    in blocks of about BLOCK_ELEMENTS elements, a whole number of strides of
     signal rows each, and no N x N array is held. Each block copies its
     strided rows, squares itself in place and adds its weighted row sums to
     the marginal; the norm is the marginal's quadrature sum. The strided
@@ -159,7 +156,7 @@ def joint_spectrum_rows(
     """
     axis, w = grid.omega_s, grid.weights_s
     n = axis.size
-    height = min(n, max(1, ROW_BLOCK // (n * stride)) * stride)
+    height = min(n, max(1, BLOCK_ELEMENTS // (n * stride)) * stride)
     amp = np.empty((axis[::stride].size,) * 2)
     dens = np.empty(n)
     for lo, block in _amplitude_rows(kernel, crystal, pump, axis, np.empty((2, height, n))):
@@ -373,7 +370,7 @@ def schmidt_rows(
     The same Rayleigh-Ritz steps on the weighted, unnormalized amplitude m:
     the k columns of each block are evaluated directly as one N x k block, and
     each pass over the amplitude's row blocks (as in ``joint_spectrum_rows``,
-    about ROW_BLOCK elements each) sums B = Q^T m and ||m||_F^2, which is the
+    about BLOCK_ELEMENTS elements each) sums B = Q^T m and ||m||_F^2, which is the
     quadrature norm; lambda are the Ritz values divided by it. Every doubling
     of k costs one more pass. Only once 2k >= N, where Q = I, is m assembled
     whole, and its N x N Gram matrix formed. A non-finite or zero amplitude or
@@ -394,7 +391,7 @@ def schmidt_rows(
         return block
 
     def rows():
-        work = np.empty((2, min(n, max(1, ROW_BLOCK // n)), n))
+        work = np.empty((2, min(n, max(1, BLOCK_ELEMENTS // n)), n))
         for lo, block in _amplitude_rows(kernel, crystal, pump, axis, work):
             block *= sw[lo : lo + len(block), None]
             block *= sw

@@ -29,7 +29,11 @@ per correlator (``_pump_quadrature``) as the square of the signed sinc block
 once per point of one 1-D idler lattice (the joint spectrum takes the block
 unsquared); the signal-frequency sum over a uniform delay axis is then a
 chirp-z transform (Bluestein's algorithm), so a scan of K delays over N signal
-frequencies costs O((N + K) log(N + K)) rather than O(N K).
+frequencies costs O((N + K) log(N + K)) rather than O(N K). Every streamed
+kernel evaluation, here the idler reduction and the direct delay sum and in
+``biphoton`` the joint-spectrum and Schmidt row blocks, works in blocks of
+about BLOCK_ELEMENTS elements, so its work arrays stay a few MB whatever the
+grid or the scan.
 """
 
 from __future__ import annotations
@@ -70,8 +74,12 @@ CHIRP_Z_PHASE_TOL = 1e-9
 # argument stays under about 1e-13 relative.
 DIRECT_SINC_ARG = 1e-2
 
-# Elements of one (ws, u) block of the idler reduction.
-QUADRATURE_BLOCK = 1_000_000
+# Elements of one block of every streamed kernel evaluation: the idler
+# reduction's (ws, u) chunks, the direct delay sum's (t1, ws) chunks and the
+# row blocks of biphoton's joint-spectrum and Schmidt streams. About 2 MB per
+# float64 work array, which stays in cache; 1e6-element blocks ran slower and
+# held four times the memory.
+BLOCK_ELEMENTS = 250_000
 
 
 @dataclass(frozen=True)
@@ -273,9 +281,9 @@ class PairCorrelator:
         return out
 
     def _direct_sum(self, t1: np.ndarray) -> np.ndarray:
-        """sum_n R_n e^{i (t_k + T2) ws_n} term by term, in bounded delay chunks."""
+        """sum_n R_n e^{i (t_k + T2) ws_n} term by term, in chunks of about BLOCK_ELEMENTS."""
         out = np.empty(t1.size, dtype=complex)
-        chunk = max(1, int(3e6 / self.omega_s.size))
+        chunk = max(1, BLOCK_ELEMENTS // self.omega_s.size)
         for a in range(0, t1.size, chunk):
             b = min(a + chunk, t1.size)
             phases = np.exp(
@@ -473,7 +481,8 @@ def _pump_quadrature(
     PM is sinc^2 for the exact kernel and exp(-2 (alpha x)^2) for the Gaussian
     one, the square of ``_kernel_block`` over the u axis of ``_u_axis``.
     With ``sample=None`` (r = 1) the block is reduced against the weighted
-    pump row by a real matvec.
+    pump row by a real matvec. Rows are taken in chunks of about
+    BLOCK_ELEMENTS block elements.
 
     With a sample, ``omega_s`` must be uniform and u is the lattice axis:
     row n reads the idler lattice points k = j - n m. Each chunk of rows
@@ -493,7 +502,7 @@ def _pump_quadrature(
     n_u = u.size
     pump_row = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2)) * _trapezoid_weights(u)
     b, a = _kernel_args(crystal, kernel, omega_s, u)
-    chunk = min(n_s, max(1, QUADRATURE_BLOCK // n_u))
+    chunk = min(n_s, max(1, BLOCK_ELEMENTS // n_u))
     work = np.empty((2, chunk, n_u))
     if sample is None:
         out = np.empty(n_s)

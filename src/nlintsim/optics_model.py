@@ -317,20 +317,22 @@ class BilayerSample:
         return self.r0 + self.r1 * np.exp(1j * (self.omega_carrier + w) * self.tau_fs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedSample:
     """Complex reflectivity sampled on an ascending detuning grid [rad/fs].
 
     Queries are linearly interpolated; anything outside the tabulated range
     raises. Tables must cover the full quadrature band of the kernel that
-    consumes them. ``omega`` and ``r`` may be given as any 1-d sequences and
-    are kept as tuples; queries read array copies made once.
+    consumes them. ``omega`` and ``r`` may be given as any 1-d sequences. The
+    table is copied once into two private writable arrays, since ``np.interp``
+    copies a read-only table on every call, and ``omega`` and ``r`` are
+    read-only views of them. Equality and the hash go by the values.
     """
 
-    omega: tuple
-    r: tuple
-    _omega: np.ndarray = field(init=False, repr=False, compare=False)
-    _r: np.ndarray = field(init=False, repr=False, compare=False)
+    omega: np.ndarray
+    r: np.ndarray
+    _omega: np.ndarray = field(init=False, repr=False)
+    _r: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.array(self.omega, dtype=float)
@@ -343,12 +345,21 @@ class TabulatedSample:
             raise ValueError("tabulated omega grid must be strictly ascending")
         if np.any(np.abs(r) > 1.0 + 1e-12):
             raise ValueError("tabulated |r| exceeds 1 (sample must be passive)")
-        w.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "omega", tuple(w.tolist()))
-        object.__setattr__(self, "r", tuple(r.tolist()))
         object.__setattr__(self, "_omega", w)
         object.__setattr__(self, "_r", r)
+        for name, table in (("omega", w), ("r", r)):
+            view = table.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+
+    def __eq__(self, other):
+        if not isinstance(other, TabulatedSample):
+            return NotImplemented
+        return np.array_equal(self._omega, other._omega) and np.array_equal(self._r, other._r)
+
+    def __hash__(self):
+        # adding 0.0 turns -0.0, which compares equal to 0.0, into 0.0
+        return hash((self._omega + 0.0).tobytes() + (self._r + 0.0).tobytes())
 
     def reflectivity(self, omega_i):
         w = np.asarray(omega_i, dtype=float)

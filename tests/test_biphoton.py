@@ -206,7 +206,7 @@ def test_jsi_rejects_unknown_kernel():
 ])
 def test_streamed_rows_match_the_full_build(monkeypatch, kernel, n, stride, block):
     if block is not None:
-        monkeypatch.setattr(biphoton, "ROW_BLOCK", block)
+        monkeypatch.setattr(biphoton, "BLOCK_ELEMENTS", block)
     pump = PumpPulse(212.0)
     grid = make_frequency_grid(CRYSTAL, pump, n)
     inten, marginal = joint_spectrum_rows(kernel, CRYSTAL, pump, grid, stride)

@@ -22,7 +22,7 @@ from nlintsim.cli_runner import (
     render_scenario,
     run_scenario,
 )
-from nlintsim.optics_model import SINC_GAUSS_ALPHA, FrequencyGrid, mgo_linbo3_crystal
+from nlintsim.optics_model import SINC_GAUSS_ALPHA, FrequencyGrid, TabulatedSample, mgo_linbo3_crystal
 
 MINIMAL = """
 [crystal]
@@ -708,6 +708,36 @@ def test_exact_schmidt_task_holds_no_full_grid_array():
     assert conv["method"] == "coarsen" and conv["delta"] <= cli.CONVERGENCE_GATE
     assert len(json.loads(files["schmidt.json"])["coefficients"]) > 1
     assert peak < 2048 ** 2 * 8 // 2
+
+
+def test_quasi_cw_tabulated_oct_scan_task_stays_in_its_blocks():
+    # the benchmark's quasi-CW slab: 109,843 signal rows by 35 pump points, so
+    # 4 chunks of 1e6 elements (83 MiB traced) or 16 of coherence.BLOCK_ELEMENTS
+    s = parse_scenario(OCT_SCENARIO.replace("run = oct_scan, g1_scan", "run = oct_scan"))
+    crystal, slab = s.crystal, s.sample
+    deepest = dataclasses.replace(slab, d0_um=25.0)
+    lo, hi = cli.oct_scan.default_scan_range(crystal, deepest)
+    # the correlator's idler band with a 5% margin, 16 points per period of r
+    ridge = cli.coherence._ridge(crystal, "exact")
+    half_s = 2.0 * cli.coherence.TAIL_SINC_ARG / crystal.dl + ridge * 8.0 / s.pump.t0_fs
+    band = 1.05 * (half_s + 8.0 / s.pump.t0_fs)
+    w = np.linspace(-band, band, int(2.0 * band * deepest.tau_fs * 16 / (2.0 * np.pi)) + 1)
+    s = dataclasses.replace(
+        s,
+        sample=TabulatedSample(omega=w, r=slab.reflectivity(w)),
+        sample_file="slab.csv",
+        grid_points=2048,
+        scan=dataclasses.replace(s.scan, delta_z_min_mm=lo, delta_z_max_mm=hi, points=401),
+    )
+    tracemalloc.start()
+    try:
+        files, conv, _ = cli._task_oct_scan(s, s.grid_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert files["interferogram.csv"].count("\n") == 402
+    assert conv["method"] == "halved-resolution" and conv["delta"] <= cli.CONVERGENCE_GATE
+    assert peak < 32 * 2 ** 20
 
 
 # ---------------------------------------------------------------- shipped recipes

@@ -417,11 +417,12 @@ REDUCTION_CASES = [
 ]
 
 
-@pytest.mark.parametrize("block", [20_000, coherence.QUADRATURE_BLOCK])
+@pytest.mark.parametrize("block", [20_000, coherence.BLOCK_ELEMENTS, 1_000_000])
 @pytest.mark.parametrize("case", REDUCTION_CASES)
 def test_reduction_matches_reference(case, block, monkeypatch):
-    # the small block splits the axis into chunks that share lattice points
-    monkeypatch.setattr(coherence, "QUADRATURE_BLOCK", block)
+    # the small block splits the axis into chunks that share lattice points;
+    # 1e6 elements take most cases' whole axis in one chunk
+    monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", block)
     assert_matches_reference(SIGNAL_AXIS, **case)
 
 
@@ -444,7 +445,7 @@ def test_reduction_near_zero_argument(sample):
 @pytest.mark.parametrize("t0_fs", [500.0, 1e5], ids=["m-below-n_u", "m-above-n_u"])
 def test_reduction_reads_each_lattice_point_once(t0_fs, monkeypatch):
     pump = PumpPulse(t0_fs)
-    monkeypatch.setattr(coherence, "QUADRATURE_BLOCK", 20_000)
+    monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", 20_000)
     seen = []
     reflectivity = TabulatedSample.reflectivity
 
