@@ -349,6 +349,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     stride = get("output", "jsi_stride", int, 1)
     if stride < 1:
         raise ScenarioError("[output] jsi_stride must be >= 1")
+    _check_jsi_stride(tasks, stride, grid_points)
     output_dir = get("output", "directory", str, "out")
 
     for section in cp.sections():
@@ -373,6 +374,15 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         output_format=fmt,
         jsi_stride=stride,
     )
+
+
+def _check_jsi_stride(tasks: tuple, stride: int, points: int) -> None:
+    """A joint spectrum needs at least two points per axis after the stride."""
+    if "joint_spectrum" in tasks and stride >= points:
+        raise ScenarioError(
+            f"[output] jsi_stride = {stride} leaves fewer than two points per axis "
+            f"of the {points}-point grid"
+        )
 
 
 def render_scenario(scenario: Scenario) -> str:
@@ -471,18 +481,20 @@ def _require_finite(series: str, values) -> None:
 def export_series(columns: list[str], rows, fmt: str) -> str:
     """Serialize a column-oriented series; CSV header row or a JSON object.
 
-    Floats carry 9 significant digits; an empty series yields just the header.
+    ``rows`` is a 2-D table, one column per name. Every float is written as
+    ``format(x, ".9g")`` writes it; an empty series yields just the header.
     A NaN or infinite value raises NumericalConsistencyError naming its column.
     """
-    rows = list(rows)
-    for name, column in zip(columns, zip(*rows)):
+    table = np.asarray(rows, dtype=float)
+    table = table.reshape(len(table), len(columns))
+    for name, column in zip(columns, table.T):
         _require_finite(name, column)
     if fmt == "csv":
-        return "\n".join([",".join(columns), *_csv_lines(rows)]) + "\n"
+        return "".join([",".join(columns) + "\n", *_csv_blocks(table)])
     if fmt == "json":
         payload = {
             "columns": list(columns),
-            "rows": [_round9(row) for row in rows],
+            "rows": [_round9(row) for row in table],
         }
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown export format {fmt!r}")
@@ -491,20 +503,145 @@ def export_series(columns: list[str], rows, fmt: str) -> str:
 def _jsi_csv(axis: np.ndarray, inten: np.ndarray) -> str:
     for name, values in (("omega_s", axis), ("intensity", inten)):
         _require_finite(name, values)
-    header = "omega_s\\omega_i," + _csv_lines([axis])[0]
-    return "\n".join([header, *_csv_lines(np.column_stack((axis, inten)))]) + "\n"
+    header = "omega_s\\omega_i," + "".join(_csv_blocks(axis[None, :]))
+    return "".join([header, *_csv_blocks(np.column_stack((axis, inten)))])
 
 
-def _csv_lines(table) -> list[str]:
-    """One CSV line per row of a 2-D float table, each value written as ``_fmt9`` writes it.
+# CSV text. A finite x != 0 is scaled to y = |x| * 10**(8 - e) in [1e8, 1e9),
+# e its decimal exponent, and rint(y) holds its 9 digits. y is within 3 ulp
+# (under 3.4e-7) of the exact scaled value, so rint(y) is the correctly
+# rounded digit string unless y lies within TIE_TOL of a half unit. Such a
+# value, one with y < 1e8 or rint(y) = 1e9, and a non-finite one are written
+# by _fmt9 itself. Each value fills a 24-byte field of three little-endian
+# words, NUL where ``format`` writes nothing; the NULs are dropped at the end.
 
-    Each row becomes Python floats in one ``tolist`` and is formatted by one
-    bound ``str.format`` of a ``{:.9g}`` field per column, built once per
-    table; a 512 x 512 JSI slice is 262k values.
+TIE_TOL = 1e-4
+_CSV_BLOCK = 1 << 14  # values per pass: its temporaries stay cache-sized
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
+_POW10_INT = 10 ** np.arange(13, dtype=np.uint64)
+_EXPONENT = np.array(
+    [int.from_bytes(f"e{k:+03d}".encode(), "little") for k in range(-324, 309)], np.uint64
+)
+_MINUS = np.uint64(ord("-"))
+_FULL, _TRAIL, _DOT = 0, 10000, 20000  # row offsets into _DIGITS
+
+
+def _digit_words() -> np.ndarray:
+    """ASCII of 0..9999 as little-endian words, one row of 10000 per form.
+
+    Rows: every digit (``0420``), trailing zeros as NUL (``042``, all NUL for
+    0), then both again after a ``.`` (no ``.`` for 0 in the trailing row).
+    """
+    k = np.arange(10000)
+    chars = np.zeros((4, 10000, 8), np.uint8)
+    chars[2, :, 0] = ord(".")
+    chars[3, :, 0] = ord(".") * (k != 0)
+    for j, scale in enumerate((1000, 100, 10, 1)):
+        digit = k // scale % 10 + ord("0")
+        chars[0, :, j] = chars[2, :, j + 1] = digit
+        chars[1, :, j] = chars[3, :, j + 1] = digit * (k % (10 * scale) != 0)
+    return chars.view(np.uint64).ravel()
+
+
+_DIGITS = _digit_words()
+# positional layout: bytes 1-9 hold the integer part right-aligned; keep its
+# max(e + 1, 1) digits, e = -4..8
+_INT_MASK = np.where(
+    (np.arange(24) < 1) | (np.arange(24) > 8 - np.maximum(np.arange(-4, 9), 0)[:, None]), 255, 0
+).astype(np.uint8).view(np.uint64)
+
+
+def _scaled(ax: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """ax * 10**(8 - e) from the correctly rounded powers, via 1e300 first below 1e-292."""
+    k = 8 - e
+    tiny = k > 300
+    return ax * np.where(tiny, 1e300, 1.0) * _POW10[k + 300 - 300 * tiny]
+
+
+def _fraction(v: np.ndarray, groups: int) -> list:
+    """``.`` and the 4 * groups digits of v, trailing zeros as NUL; one word per 4 digits.
+
+    All NUL, the ``.`` too, when v is 0.
+    """
+    words, tail = [], np.zeros(v.shape, bool)
+    for g in range(groups):  # least significant group first
+        q = v // 10000
+        digits = v - q * 10000
+        form = np.where(tail, _FULL, _TRAIL) + (_DOT if g == groups - 1 else 0)
+        words.append(_DIGITS[form + digits.view(np.int64)])
+        tail |= digits > 0
+        v = q
+    return words[::-1]
+
+
+def _positional_words(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Fields of digits d at exponent -4 <= e <= 8: integer part, ``.``, 12 fraction digits."""
+    p = _POW10_INT[8 - e]
+    ip = d // p
+    f1, f2, f3 = _fraction((d - ip * p) * _POW10_INT[e + 4], 3)
+    i1 = ip // 100000000
+    q = ip // 10000
+    i2 = _DIGITS[(q - i1 * 10000).view(np.int64)]
+    i3 = _DIGITS[(ip - q * 10000).view(np.int64)]
+    words = np.column_stack((
+        (i1 + ord("0")) << 8 | i2 << 16 | i3 << 48,
+        i3 >> 16 | f1 << 16 | f2 << 56,
+        f2 >> 8 | f3 << 24,
+    ))
+    return words & _INT_MASK[e + 4]
+
+
+def _scientific_words(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Fields of digits d at exponent e: ``d.dddddddd`` then ``e+XX``."""
+    d1 = d // 100000000
+    r1, r2 = _fraction(d - d1 * 100000000, 2)
+    return np.column_stack((
+        (d1 + ord("0")) << 8 | r1 << 16 | r2 << 56,
+        r2 >> 8 | _EXPONENT[e + 324] << 24,
+        np.zeros_like(d),
+    ))
+
+
+def _csv_block(x: np.ndarray) -> bytes:
+    """CSV lines of a 2-D float block: ``,`` between values, a newline after each row."""
+    rows, cols = x.shape
+    x = x.ravel()
+    ax = np.abs(x)
+    zero = ax == 0
+    fast = np.isfinite(ax) & ~zero
+    ax = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    y = _scaled(ax, e)
+    if np.any((y < 1e8) | (y >= 1e9)):  # log10 missed the decade
+        e += y >= 1e9
+        e -= y < 1e8
+        y = _scaled(ax, e)
+    d = np.rint(y)
+    fast &= (y >= 1e8) & (d < 1e9) & (np.abs(np.abs(y - d) - 0.5) > TIE_TOL)
+    d = np.where(fast, d, 0.0).astype(np.uint64)  # a zero's field reads "0"
+    fixed = (e >= -4) & (e <= 8)
+    words = np.empty((x.size, 3), np.uint64)
+    words[fixed] = _positional_words(d[fixed], e[fixed])
+    words[~fixed] = _scientific_words(d[~fixed], e[~fixed])
+    words[:, 0] |= np.signbit(x) * _MINUS
+    separators = np.full(cols, ord(","), np.uint64)
+    separators[-1] = ord("\n")
+    words.reshape(rows, cols, 3)[:, :, 2] |= separators << 56
+    fields = words.view(np.uint8)
+    for i in np.flatnonzero(~(fast | zero)):
+        fields[i, :23] = np.frombuffer(_fmt9(x[i]).encode().ljust(23, b"\0"), np.uint8)
+    return fields.tobytes().translate(None, b"\0")
+
+
+def _csv_blocks(table) -> list[str]:
+    """CSV lines of a 2-D float table, each ending in a newline, in blocks of rows.
+
+    Every value is written exactly as ``_fmt9`` writes it, separated by ``,``.
+    A caller joins the blocks once the table is no longer needed.
     """
     table = np.asarray(table, dtype=float)
-    fmt = ",".join(["{:.9g}"] * table.shape[-1]).format
-    return [fmt(*row.tolist()) for row in table]
+    step = max(1, _CSV_BLOCK // table.shape[1])
+    return [_csv_block(table[r:r + step]).decode() for r in range(0, len(table), step)]
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +752,7 @@ def _task_g1_scan(scenario: Scenario, points: int):
     else:
         g = coherence.g1_closed_form(crystal, pump, geometry, sample, dz)
         conv = {"delta": 0.0, "method": "analytic"}
-    rows = list(zip(dz, np.abs(g), np.angle(g)))
+    rows = np.column_stack((dz, np.abs(g), np.angle(g)))
     name = f"g1_scan.{scenario.output_format}"
     files = {name: export_series(["delta_z_mm", "g1_abs", "g1_phase"], rows, scenario.output_format)}
     return files, conv, {}
@@ -641,7 +778,7 @@ def _task_oct_scan(scenario: Scenario, points: int):
         )
         conv = {"delta": 0.0, "method": "analytic"}
     flux_norm = ifg.flux / ifg.n_signal
-    rows = list(zip(ifg.delta_z_mm, flux_norm, ifg.envelope))
+    rows = np.column_stack((ifg.delta_z_mm, flux_norm, ifg.envelope))
     name = f"interferogram.{scenario.output_format}"
     files = {
         name: export_series(
@@ -670,7 +807,7 @@ def _task_spectrum(scenario: Scenario, points: int):
     spectrum = biphoton.signal_spectrum(crystal, scenario.pump, kernel=scenario.kernel)
     omega_s0 = crystal.omega_s0
     lam_nm = 2.0 * np.pi * C_NM_FS / (omega_s0 + spectrum.omega_s)
-    rows = list(zip(spectrum.omega_s, lam_nm, spectrum.density))
+    rows = np.column_stack((spectrum.omega_s, lam_nm, spectrum.density))
     name = f"spectrum.{scenario.output_format}"
     files = {
         name: export_series(
@@ -702,8 +839,9 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
 
     Deterministic: identical scenario text yields bit-identical data files and
     an identical manifest digest. Tasks run one after another. A grid size below
-    MIN_GRID_POINTS is rejected before anything is computed or written. A task
-    whose written series holds a non-finite value fails with
+    MIN_GRID_POINTS, or one the joint spectrum's stride leaves with fewer than
+    two points per axis, is rejected before anything is computed or written. A
+    task whose written series holds a non-finite value fails with
     NumericalConsistencyError, and no file of the run is written. On task
     failure its partial outputs are removed and the original exception
     propagates with a note naming the task.
@@ -711,6 +849,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     points = scenario.grid_points
     if points < MIN_GRID_POINTS:
         raise ScenarioError(f"grid points must be at least {MIN_GRID_POINTS}, got {points}")
+    _check_jsi_stride(scenario.tasks, scenario.jsi_stride, points)
     target = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)
     try:
         target.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import nlintsim.cli_runner as cli
 from nlintsim.cli_runner import (
@@ -163,6 +164,11 @@ INVALID_NUMBERS = [
     ),
     pytest.param(MINIMAL + "\n[scan]\npoints =\n", "[scan] points", id="scan-points-empty"),
     pytest.param(
+        MINIMAL.replace("run = schmidt", "run = joint_spectrum") + "\n[output]\njsi_stride = 512\n",
+        "[output] jsi_stride = 512 leaves fewer than two points per axis of the 512-point grid",
+        id="jsi-stride-one-point",
+    ),
+    pytest.param(
         MINIMAL + f"\n[sample]\ntype = tabulated\nfile = {Path(__file__).parent}\n",
         "[sample] file: not a file", id="sample-file-is-directory",
     ),
@@ -245,7 +251,11 @@ def _fmt9_csv(rows):
 
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.5e-310, 1e300, -1e300, 3.0, -7.0, 1e16, 123456789.0,
-               1.0 / 3.0, -2.0 / 3.0, 6.02214076e23, 1e-5]
+               1.0 / 3.0, -2.0 / 3.0, 6.02214076e23, 1e-5,
+               # exact ties at the ninth digit, and values that round up a decade
+               100000000.5, 100000001.5, 1234567885.0, 1234567895.0, 999999999.5,
+               9.999999995e-5, 99999.99995, 1e23,
+               np.finfo(float).max, -np.finfo(float).max, -5e-324]
 
 
 def test_csv_writers_match_per_value_reference():
@@ -266,6 +276,51 @@ def test_csv_writers_match_per_value_reference():
         lines = ["omega_s\\omega_i," + _fmt9_csv([ws])[0]]
         lines += [cli._fmt9(w) + "," + line for w, line in zip(ws, _fmt9_csv(inten))]
         assert cli._jsi_csv(ws, inten) == "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=64),
+    elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+))
+def test_csv_writer_matches_per_value_writer(table):
+    assert "".join(cli._csv_blocks(table)) == "".join(line + "\n" for line in _fmt9_csv(table))
+
+
+def test_csv_writer_leaves_unproven_roundings_to_format(monkeypatch):
+    # exact ties, values within TIE_TOL of a tie, a value rounding up to the
+    # next decade and the non-finite values are written by _fmt9 itself;
+    # ordinary values and zeros are not
+    written = []
+
+    def recording_fmt9(x):
+        written.append(float(x))
+        return format(float(x), ".9g")
+
+    monkeypatch.setattr(cli, "_fmt9", recording_fmt9)
+    unproven = [100000000.5, 1234567885.0, 100000000.50001, -1.23456788499999e-3,
+                -999999999.5, np.inf, -np.inf]
+    proven = [0.0, -0.0, 1.0 / 3.0, 5e-324, 123456789.0, 1e300]
+    table = np.array([unproven + proven])
+    text = "".join(cli._csv_blocks(table))
+    assert sorted(written) == sorted(unproven)
+    assert text == ",".join(format(v, ".9g") for v in unproven + proven) + "\n"
+    nan_text = "".join(cli._csv_blocks(np.array([[np.nan, 1.0]])))
+    assert nan_text == "nan,1\n" and np.isnan(written[-1])
+
+
+@pytest.mark.parametrize("name", ["jsi_anticorrelated", "jsi_correlated", "jsi_separable"])
+def test_jsi_csv_of_bundled_scenarios_matches_per_value_writer(name):
+    # the 512-point slice the scenario writes
+    s = parse_scenario((SCENARIO_DIR / f"{name}.ini").read_text())
+    grid = cli._grid(s, s.grid_points)
+    inten, _ = cli.biphoton.joint_spectrum_rows(s.kernel, s.crystal, s.pump, grid, s.jsi_stride)
+    ws = grid.omega_s[::s.jsi_stride]
+    assert inten.shape == (512, 512)
+    lines = ["omega_s\\omega_i," + _fmt9_csv([ws])[0]]
+    lines += [cli._fmt9(w) + "," + line for w, line in zip(ws, _fmt9_csv(inten))]
+    assert cli._jsi_csv(ws, inten) == "\n".join(lines) + "\n"
 
 
 def test_export_series_json_schema():
@@ -644,6 +699,23 @@ def test_grid_points_override_rejected_before_compute(tmp_path, capsys, scenario
     with pytest.raises(ScenarioError, match="grid points must be at least 256"):
         run_scenario(dataclasses.replace(s, grid_points=int(points)), out_dir=out)
     assert not out.exists()
+
+
+def test_jsi_stride_checked_against_grid_points_override(tmp_path, capsys):
+    text = MINIMAL.replace("run = schmidt", "run = joint_spectrum") + "\n[output]\njsi_stride = 300\n"
+    s = parse_scenario(text)  # two points per axis on the scenario's 512-point grid
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out", str(out), "--grid-points", "256"]) == 1
+    message = "[output] jsi_stride = 300 leaves fewer than two points per axis of the 256-point grid"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        run_scenario(dataclasses.replace(s, grid_points=256), out_dir=out)
+    assert not out.exists()
+    # without a joint spectrum the stride writes nothing and is not checked
+    parse_scenario(MINIMAL + "\n[output]\njsi_stride = 100000\n")
 
 
 def test_manifest_digest_hashes_the_written_bytes(tmp_path):
