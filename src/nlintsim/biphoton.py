@@ -23,7 +23,11 @@ columns (a Rayleigh-Ritz step, cf. Halko, Martinsson & Tropp, SIAM Rev. 53,
 doubles until the mass it leaves unresolved is below SCHMIDT_MASS_TOL, which
 bounds the error of every Ritz value by that mass whatever the block (Weyl's
 inequality); once the block would span half the grid, Q = I and the
-coefficients are the eigenvalues of m m^H itself.
+coefficients are the eigenvalues of m m^H itself. The first block has
+SCHMIDT_BLOCK columns, except in the scenario runner's ``schmidt`` task: the
+number of Schmidt modes is a property of the state, not of the grid (Law,
+Walmsley & Eberly), so the run grid starts at the block that the coarsen
+check's grid of N/2 points accepted, and mostly takes one pass.
 """
 
 from __future__ import annotations
@@ -33,7 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coherence import BLOCK_ELEMENTS, _kernel_args, _kernel_block, _pump_quadrature, _ridge
+from .coherence import (
+    BLOCK_ELEMENTS,
+    _kernel_args,
+    _kernel_block,
+    _kernel_columns,
+    _pump_quadrature,
+    _ridge,
+)
 from .optics_model import (
     AnalysisError,
     C_NM_FS,
@@ -180,25 +191,27 @@ def _amplitude_rows(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis, 
     with ``work[1]`` as scratch; the block height is that of ``work[0]``.
     """
     n = axis.size
-    row_args, col_args, pump_rows = _amplitude_factors(kernel, crystal, pump, axis)
+    row_args, columns, pump_rows = _amplitude_factors(kernel, crystal, pump, axis)
     for lo in range(0, n, len(work[0])):
         rows = slice(lo, lo + len(work[0]))
-        block = _kernel_block(kernel, row_args[rows], col_args, [part[: n - lo] for part in work])
+        block = _kernel_block(kernel, row_args[rows], columns, [part[: n - lo] for part in work])
         block *= pump_rows[rows]
         yield lo, block
 
 
 def _amplitude_factors(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis):
-    """Row and column arguments of PM, and the pump factor, of the amplitude on ``axis``.
+    """Row arguments and column factors of PM, and the pump factor, of the amplitude on ``axis``.
 
     PM is ``coherence._kernel_block`` at dk L / 2 = (b_n + a_n) + a_j, so the
-    row arguments are b + a and the column arguments a. The pump factor
+    row arguments are b + a and the column factors those of the column
+    arguments a, ``coherence._kernel_columns(kernel, a)``. The pump factor
     F(ws_n + wi_j) is an N x N Hankel view of F on the 2N - 1 sums
     ws_0 + wi_j, ws_N-1 + wi_j.
     """
     b, a = _kernel_args(crystal, kernel, axis, axis)
     lattice = np.concatenate((axis[0] + axis, axis[-1] + axis[1:]))
-    return b + a, a, sliding_window_view(pump_amplitude(pump, lattice), axis.size)
+    pump_rows = sliding_window_view(pump_amplitude(pump, lattice), axis.size)
+    return b + a, _kernel_columns(kernel, a), pump_rows
 
 
 def _require_unit_norm(norm: float, caller: str) -> None:
@@ -314,11 +327,16 @@ def signal_spectrum(
 
 @dataclass(frozen=True)
 class SchmidtReport:
-    """Squared Schmidt coefficients (descending), mode count K and entropy."""
+    """Squared Schmidt coefficients (descending), mode count K and entropy.
+
+    ``ritz_block`` is the column count k of the Rayleigh-Ritz block that was
+    accepted; None where Q = I or the spectrum is in closed form.
+    """
 
     coefficients: np.ndarray
     schmidt_number_K: float
     entropy_bits: float
+    ritz_block: int | None = None
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
@@ -354,9 +372,9 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
     sw = np.sqrt(js.grid.weights_s)
     m = js.amplitude * sw[:, None]
     m *= sw
-    lam, mass = _rayleigh_ritz(js.grid, lambda cols: m[:, cols], lambda: [(0, m)])
+    lam, mass, block = _rayleigh_ritz(js.grid, lambda cols: m[:, cols], lambda: [(0, m)])
     _require_unit_norm(mass, "schmidt_analysis")
-    return _schmidt_report(lam, js.grid.n_points)
+    return _schmidt_report(lam, js.grid.n_points, block)
 
 
 def schmidt_rows(
@@ -364,6 +382,8 @@ def schmidt_rows(
     crystal: CrystalParams,
     pump: PumpPulse,
     grid: FrequencyGrid,
+    *,
+    first_block: int = SCHMIDT_BLOCK,
 ) -> SchmidtReport:
     """``schmidt_analysis(joint_spectral_intensity(...))``, without an N x N array.
 
@@ -375,16 +395,21 @@ def schmidt_rows(
     of k costs one more pass. Only once 2k >= N, where Q = I, is m assembled
     whole, and its N x N Gram matrix formed. A non-finite or zero amplitude or
     a failed factorization raises NumericalConsistencyError.
+
+    k starts at ``first_block``, which the scenario runner sets to the
+    ``ritz_block`` of its coarse grid (module docstring). The mass check
+    still accepts every block. Started at a block that the doublings from
+    SCHMIDT_BLOCK reach, the result is theirs bit for bit.
     """
     axis = grid.omega_s
     n = axis.size
     sw = np.sqrt(grid.weights_s)
-    row_args, col_args, pump_rows = _amplitude_factors(kernel, crystal, pump, axis)
+    row_args, col_factors, pump_rows = _amplitude_factors(kernel, crystal, pump, axis)
 
     def columns(cols):
         # m[:, cols] up to its column weights, which do not change its span
         work = [np.empty((n, cols.size)), np.empty((n, cols.size))]
-        block = _kernel_block(kernel, row_args, col_args[cols], work)
+        block = _kernel_block(kernel, row_args, col_factors[..., cols], work)
         del work  # the scratch half is freed before the QR
         block *= pump_rows[:, cols]
         block *= sw[:, None]
@@ -397,16 +422,20 @@ def schmidt_rows(
             block *= sw
             yield lo, block
 
-    lam, mass = _rayleigh_ritz(grid, columns, rows)
-    return _schmidt_report(lam / mass, n)
+    lam, mass, block = _rayleigh_ritz(grid, columns, rows, first_block)
+    return _schmidt_report(lam / mass, n, block)
 
 
-def _rayleigh_ritz(grid: FrequencyGrid, columns, rows) -> tuple[np.ndarray, float]:
-    """Descending Ritz values of m m^H and ||m||_F^2, by the loop ``schmidt_analysis`` describes.
+def _rayleigh_ritz(
+    grid: FrequencyGrid, columns, rows, k: int = SCHMIDT_BLOCK
+) -> tuple[np.ndarray, float, int | None]:
+    """Descending Ritz values of m m^H, ||m||_F^2 and the accepted block's k.
 
-    ``columns(cols)`` returns m[:, cols], or any matrix of the same column
-    span; ``rows()`` yields (lo, rows lo, lo + 1, ... of m) over all N rows,
-    a block being read before the next is asked for. Each pass sums
+    The loop ``schmidt_analysis`` describes, from a first block of k columns;
+    the k returned is None once Q = I. ``columns(cols)`` returns m[:, cols],
+    or any matrix of the same column span; ``rows()`` yields (lo, rows lo,
+    lo + 1, ... of m) over all N rows, a block being read before the next is
+    asked for. Each pass sums
     B = Q^H m and the mass ||m||_F^2 over the row blocks; with Q = I
     (2k >= N) B is m itself, copied together from the blocks. A mass that is
     not finite or not positive, checked before B reaches eigvalsh, or a
@@ -414,7 +443,6 @@ def _rayleigh_ritz(grid: FrequencyGrid, columns, rows) -> tuple[np.ndarray, floa
     """
     n = grid.n_points
     failed = f"Schmidt decomposition failed on a {n}x{n} grid (step={grid.step_s:.3e})"
-    k = SCHMIDT_BLOCK
     try:
         while True:
             q = None if 2 * k >= n else np.linalg.qr(columns((np.arange(k) * n) // k))[0]
@@ -436,13 +464,13 @@ def _rayleigh_ritz(grid: FrequencyGrid, columns, rows) -> tuple[np.ndarray, floa
             # conj() of a real array is the array itself, so b @ b.T runs as syrk
             lam = np.linalg.eigvalsh(b @ b.conj().T)[::-1]
             if q is None or mass - float(np.sum(lam)) < SCHMIDT_MASS_TOL * mass:
-                return lam, mass
+                return lam, mass, None if q is None else k
             k *= 2
     except np.linalg.LinAlgError as exc:
         raise NumericalConsistencyError(f"{failed}: {exc}") from exc
 
 
-def _schmidt_report(lam: np.ndarray, n: int) -> SchmidtReport:
+def _schmidt_report(lam: np.ndarray, n: int, block: int | None) -> SchmidtReport:
     """The SchmidtReport of unit-sum Ritz values: those above N eps lambda_1, K and entropy."""
     lam = lam[lam > n * np.finfo(float).eps * lam[0]]
     k = 1.0 / float(np.sum(lam ** 2))
@@ -451,6 +479,7 @@ def _schmidt_report(lam: np.ndarray, n: int) -> SchmidtReport:
         coefficients=lam,
         schmidt_number_K=k,
         entropy_bits=max(entropy, 0.0),
+        ritz_block=block,
     )
 
 

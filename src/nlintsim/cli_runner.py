@@ -504,7 +504,7 @@ def _jsi_csv(axis: np.ndarray, inten: np.ndarray) -> str:
     for name, values in (("omega_s", axis), ("intensity", inten)):
         _require_finite(name, values)
     header = "omega_s\\omega_i," + "".join(_csv_blocks(axis[None, :]))
-    return "".join([header, *_csv_blocks(np.column_stack((axis, inten)))])
+    return "".join([header, *_csv_blocks(inten, first=axis)])
 
 
 # CSV text. A finite x != 0 is scaled to y = |x| * 10**(8 - e) in [1e8, 1e9),
@@ -633,15 +633,23 @@ def _csv_block(x: np.ndarray) -> bytes:
     return fields.tobytes().translate(None, b"\0")
 
 
-def _csv_blocks(table) -> list[str]:
+def _csv_blocks(table, first=None) -> list[str]:
     """CSV lines of a 2-D float table, each ending in a newline, in blocks of rows.
 
     Every value is written exactly as ``_fmt9`` writes it, separated by ``,``.
-    A caller joins the blocks once the table is no longer needed.
+    ``first``, one value per row, is written before each row; only a block's
+    rows are copied to put it there. A caller joins the blocks once the
+    table is no longer needed.
     """
     table = np.asarray(table, dtype=float)
-    step = max(1, _CSV_BLOCK // table.shape[1])
-    return [_csv_block(table[r:r + step]).decode() for r in range(0, len(table), step)]
+    step = max(1, _CSV_BLOCK // (table.shape[1] + (first is not None)))
+    blocks = []
+    for r in range(0, len(table), step):
+        rows = table[r:r + step]
+        if first is not None:
+            rows = np.column_stack((first[r:r + step], rows))
+        blocks.append(_csv_block(rows).decode())
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -714,14 +722,18 @@ def _task_schmidt(scenario: Scenario, points: int):
         conv = {"delta": 0.0, "method": "analytic"}
     else:
         crystal, pump = scenario.crystal, scenario.pump
-        report = biphoton.schmidt_rows(scenario.kernel, crystal, pump, _grid(scenario, points))
-        coarse = _coarser_grid(scenario, points)
-        if coarse is not None:
-            k_coarse = biphoton.schmidt_rows(scenario.kernel, crystal, pump, coarse).schmidt_number_K
-            k = report.schmidt_number_K
-            conv = {"delta": float(abs(k - k_coarse) / k), "method": "coarsen"}
-        else:
+        grid, coarse = _grid(scenario, points), _coarser_grid(scenario, points)
+        if coarse is None:
+            report = biphoton.schmidt_rows(scenario.kernel, crystal, pump, grid)
             conv = {"delta": float("nan"), "method": "unavailable"}
+        else:
+            # the mode count is the state's, so the run grid starts at the Ritz
+            # block the coarse grid accepted, and mostly streams its rows once
+            rough = biphoton.schmidt_rows(scenario.kernel, crystal, pump, coarse)
+            first = rough.ritz_block or biphoton.SCHMIDT_BLOCK
+            report = biphoton.schmidt_rows(scenario.kernel, crystal, pump, grid, first_block=first)
+            k, k_coarse = report.schmidt_number_K, rough.schmidt_number_K
+            conv = {"delta": float(abs(k - k_coarse) / k), "method": "coarsen"}
     floor = biphoton.SCHMIDT_COEFF_FLOOR
     payload = {
         "coefficients": [float(v) for v in report.coefficients if v > floor],

@@ -25,9 +25,9 @@ signal/idler detunings with the sample reflectivity folded in, and supports
 arbitrary r(w). It reproduces the closed form to within its sinc^2 tail cut
 and stays the closed form's test oracle. The idler integral is reduced once
 per correlator (``_pump_quadrature``) as the square of the signed sinc block
-``_kernel_block``, built from 1-D trig values, against r*(wi) e^{i wi T2} read
-once per point of one 1-D idler lattice (the joint spectrum takes the block
-unsquared); the signal-frequency sum over a uniform delay axis is then a
+``_kernel_block``, built by BLAS products of 1-D trig values, against
+r*(wi) e^{i wi T2} read once per point of one 1-D idler lattice (the joint
+spectrum takes the block unsquared); the signal-frequency sum over a uniform delay axis is then a
 chirp-z transform (Bluestein's algorithm), so a scan of K delays over N signal
 frequencies costs O((N + K) log(N + K)) rather than O(N K). Every streamed
 kernel evaluation, here the idler reduction and the direct delay sum and in
@@ -430,37 +430,74 @@ def _kernel_args(
     return b, a
 
 
-def _kernel_block(kernel: str, b: np.ndarray, a: np.ndarray, work) -> np.ndarray:
+def _kernel_columns(kernel: str, a: np.ndarray) -> np.ndarray:
+    """Right factors of ``_kernel_block``'s products for the column arguments a.
+
+    A (p, 2, n) stack, built once per stream and shared by its row blocks:
+    [1; a] last, for the argument, and before it, for the exact kernel only,
+    [cos a; 0] and [0; sin a] for the two terms of the sine.
+    """
+    a = np.asarray(a, dtype=float)
+    columns = np.zeros((3 if kernel == "exact" else 1, 2, a.size))
+    columns[-1, 0] = 1.0
+    columns[-1, 1] = a
+    if kernel == "exact":
+        np.cos(a, out=columns[0, 0])
+        np.sin(a, out=columns[1, 1])
+    return columns
+
+
+def _kernel_block(kernel: str, b: np.ndarray, columns: np.ndarray, work) -> np.ndarray:
     """Signed PM(b_n + a_j) over the (n, j) block: sinc, or exp(-(alpha x)^2).
 
-    Built in ``work[0]``, with ``work[1]`` (same shape, untouched by the
-    Gaussian) as scratch. sin(a + b) = sin b cos a + cos b sin a is two outer
-    products of 1-D trig values. The identity's error of a few ulp is divided
-    by the argument, so below DIRECT_SINC_ARG the sine is taken of the summed
-    argument itself.
+    ``columns`` is ``_kernel_columns(kernel, a)``. Built in ``work[0]``, with
+    ``work[1]`` (same shape, untouched by the Gaussian) as scratch.
+    sin(a + b) = sin b cos a + cos b sin a is two products of 1-D trig
+    values, and the argument is the sum b + a. Each is one matrix product
+    of an (m, 2) by a (2, n) factor whose other term is an exact 0 or 1:
+    [sin b, cos b] by [cos a; 0] and by [0; sin a], and [b, 1] by [1; a].
+    BLAS writes such a block in a half to two thirds of the time
+    ``np.ufunc.outer`` takes, and each element is still one product or one
+    sum rounded once, with or without FMA and for any BLAS or thread count;
+    so the two products are rounded apart and added, as two outer products
+    would be, and the block is bit for bit the outer-product one. The
+    identity's error of a few ulp is divided by the argument, so below
+    DIRECT_SINC_ARG the sine is taken of the summed argument itself.
     """
     block, arg = work
+    terms = np.ones((b.size, 2))
+    terms[:, 0] = b
     if kernel == "gaussian":
-        np.add.outer(b, a, out=block)
+        np.matmul(terms, columns[-1], out=block)
         block *= SINC_GAUSS_ALPHA
         block *= block
         np.negative(block, out=block)
         return np.exp(block, out=block)
-    np.multiply.outer(np.sin(b), np.cos(a), out=block)
-    block += np.multiply.outer(np.cos(b), np.sin(a), out=arg)
-    np.add.outer(b, a, out=arg)
+    trig = np.stack((np.sin(b), np.cos(b)), axis=1)
+    np.matmul(trig, columns[0], out=block)
+    block += np.matmul(trig, columns[1], out=arg)
+    np.matmul(terms, columns[-1], out=arg)
     with np.errstate(divide="ignore", invalid="ignore"):
         block /= arg
-    # only rows whose argument range reaches zero can hold a small argument
-    ridge = np.flatnonzero(
-        (b > -a.max() - DIRECT_SINC_ARG) & (b < -a.min() + DIRECT_SINC_ARG)
+    # only rows whose argument range reaches zero can hold a small argument,
+    # and in them only columns within 2 DIRECT_SINC_ARG of -b, a superset
+    a = columns[-1, 1]
+    rows = _span((b > -a.max() - DIRECT_SINC_ARG) & (b < -a.min() + DIRECT_SINC_ARG))
+    near_b = b[rows]
+    cols = _span(
+        (a > -near_b.max(initial=-np.inf) - 2.0 * DIRECT_SINC_ARG)
+        & (a < -near_b.min(initial=np.inf) + 2.0 * DIRECT_SINC_ARG)
     )
-    if ridge.size:
-        span = slice(ridge[0], ridge[-1] + 1)
-        near_arg, rows = arg[span], block[span]
-        near = (near_arg > -DIRECT_SINC_ARG) & (near_arg < DIRECT_SINC_ARG)
-        rows[near] = sinc(near_arg[near])
+    near_arg, part = arg[rows, cols], block[rows, cols]
+    near = (near_arg > -DIRECT_SINC_ARG) & (near_arg < DIRECT_SINC_ARG)
+    part[near] = sinc(near_arg[near])
     return block
+
+
+def _span(mask: np.ndarray) -> slice:
+    """The slice from the first to the last True of a 1-D mask; empty when none is."""
+    hits = np.flatnonzero(mask)
+    return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
 
 
 def _pump_quadrature(
@@ -502,18 +539,25 @@ def _pump_quadrature(
     n_u = u.size
     pump_row = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2)) * _trapezoid_weights(u)
     b, a = _kernel_args(crystal, kernel, omega_s, u)
+    columns = _kernel_columns(kernel, a)
     chunk = min(n_s, max(1, BLOCK_ELEMENTS // n_u))
     work = np.empty((2, chunk, n_u))
     if sample is None:
         out = np.empty(n_s)
         for lo in range(0, n_s, chunk):
-            block = _kernel_block(kernel, b[lo : lo + chunk], a, work[:, : min(chunk, n_s - lo)])
+            block = _kernel_block(
+                kernel, b[lo : lo + chunk], columns, work[:, : min(chunk, n_s - lo)]
+            )
             out[lo : lo + chunk] = np.square(block, out=block) @ pump_row
         return out
 
     p = min(m, n_u)
     half_j = n_u // 2
     h = u[-1] / half_j
+    # the lattice offsets of one row's p fresh points, as the factor [1; y] of
+    # the product [row offset, 1] @ [1; y], each sum rounded once
+    offsets = np.ones((2, p))
+    offsets[1] = (np.arange(p) - half_j) * h
     out = np.empty(n_s, dtype=complex)
     shared = np.empty(0, dtype=complex)  # lattice points the next chunk also reads
     for lo in range(0, n_s, chunk):
@@ -521,8 +565,9 @@ def _pump_quadrature(
         rows = hi - lo
         # fresh point q is lattice point k = (q // p - (hi - 1)) m + q % p - half_j
         fresh = (rows - 1) * p + n_u - shared.size
-        row_off = (np.arange(-(-fresh // p)) - (hi - 1)) * (m * h) - omega_s[0]
-        wi = np.add.outer(row_off, (np.arange(p) - half_j) * h).ravel()[:fresh]
+        row_off = np.ones((-(-fresh // p), 2))
+        row_off[:, 0] = (np.arange(len(row_off)) - (hi - 1)) * (m * h) - omega_s[0]
+        wi = (row_off @ offsets).ravel()[:fresh]
         f = np.empty(fresh + shared.size, dtype=complex)
         np.conjugate(sample.reflectivity(wi), out=f[:fresh])
         if t2_fs != 0.0:
@@ -537,7 +582,7 @@ def _pump_quadrature(
             strides=(-2 * p * step, 2 * step, step),
             writeable=False,
         )
-        block = _kernel_block(kernel, b[lo:hi], a, work[:, :rows])
+        block = _kernel_block(kernel, b[lo:hi], columns, work[:, :rows])
         block *= block
         block *= pump_row
         out[lo:hi] = (block[:, None, :] @ view).view(complex).ravel()

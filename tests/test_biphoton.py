@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from nlintsim.biphoton import (
     schmidt_rows,
     signal_spectrum,
 )
-from nlintsim import biphoton
+from nlintsim import biphoton, cli_runner
 from nlintsim.optics_model import (
     AnalysisError,
     CrystalParams,
@@ -527,6 +529,49 @@ def test_streamed_schmidt_matches_the_full_build(eigvalsh_sizes, kernel, gamma, 
     assert lam.size == oracle.coefficients.size
     assert np.max(np.abs(lam - oracle.coefficients)) <= 1e-13
     assert report.schmidt_number_K == pytest.approx(oracle.schmidt_number_K, rel=1e-12, abs=0.0)
+
+
+@pytest.fixture
+def row_passes(monkeypatch):
+    """Grid sizes of the passes the Schmidt streams make over the amplitude's rows."""
+    sizes = []
+    original = biphoton._amplitude_rows
+
+    def spy(kernel, crystal, pump, axis, work):
+        sizes.append(axis.size)
+        return original(kernel, crystal, pump, axis, work)
+
+    monkeypatch.setattr(biphoton, "_amplitude_rows", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("points,passes", [
+    # the 512-point coarse grid doubles to 128 columns, and the run grid starts there
+    pytest.param(1024, [512, 512, 1024], id="coarse-block"),
+    # at 128 columns the 256-point coarse grid takes Q = I, so the run grid doubles
+    pytest.param(512, [256, 256, 512, 512], id="coarse-gram-falls-back"),
+    # no grid below MIN_GRID_POINTS = 256 to coarsen to
+    pytest.param(256, [256, 256], id="no-coarse-falls-back"),
+])
+def test_schmidt_task_starts_the_run_grid_at_the_coarse_block(row_passes, points, passes):
+    # the exact schmidt_sweep item at gamma = 2^(1/4), whose 64-column block misses mass
+    pump = gamma_pump(CRYSTAL, 2.0 ** 0.25)
+    scenario = cli_runner.parse_scenario(
+        "[crystal]\npreset = mgo_linbo3\nlength_mm = 5.0\n\n"
+        f"[pump]\nt0_fs = {float(pump.t0_fs)!r}\n\n"
+        f"[grid]\npoints = {points}\nkernel = exact\n\n"
+        "[tasks]\nrun = schmidt\n"
+    )
+    files, _, _ = cli_runner._task_schmidt(scenario, points)
+    assert row_passes == passes
+    # the same lambda, bit for bit, as doubling from SCHMIDT_BLOCK on the run grid
+    doubled = schmidt_rows("exact", CRYSTAL, pump, make_frequency_grid(CRYSTAL, pump, points))
+    assert row_passes[len(passes):] == [points] * 2
+    payload = json.loads(files["schmidt.json"])
+    kept = doubled.coefficients[doubled.coefficients > biphoton.SCHMIDT_COEFF_FLOOR]
+    assert np.array(payload["coefficients"]).tobytes() == kept.tobytes()
+    assert payload["schmidt_number_K"] == doubled.schmidt_number_K
+    assert payload["entropy_bits"] == doubled.entropy_bits
 
 
 @pytest.mark.parametrize("bad,reason", [

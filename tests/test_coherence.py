@@ -2,12 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlintsim import coherence
 from nlintsim.coherence import (
     CHIRP_Z_PHASE_TOL,
+    DIRECT_SINC_ARG,
     PairCorrelator,
     _kernel_args,
+    _kernel_block,
+    _kernel_columns,
     _pump_quadrature,
     _u_axis,
     _walkoff,
@@ -355,6 +360,95 @@ def test_chirp_z_path_keeps_the_bound_check(monkeypatch):
     monkeypatch.setattr(corr, "_direct_sum", forbidden)
     with pytest.raises(NumericalConsistencyError, match="exceeds 1"):
         corr.correlation(t1)
+
+
+# ---------------------------------------------------------------- phase-matching block
+
+def outer_block(kernel, b, a):
+    """The block from ``np.ufunc.outer`` products and sums, scanning whole ridge rows."""
+    block, arg = np.empty((2, b.size, a.size))
+    if kernel == "gaussian":
+        np.add.outer(b, a, out=block)
+        return np.exp(-((SINC_GAUSS_ALPHA * block) ** 2))
+    np.multiply.outer(np.sin(b), np.cos(a), out=block)
+    block += np.multiply.outer(np.cos(b), np.sin(a))
+    np.add.outer(b, a, out=arg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block /= arg
+    ridge = np.flatnonzero(
+        (b > -a.max() - DIRECT_SINC_ARG) & (b < -a.min() + DIRECT_SINC_ARG)
+    )
+    if ridge.size:
+        span = slice(ridge[0], ridge[-1] + 1)
+        near = (arg[span] > -DIRECT_SINC_ARG) & (arg[span] < DIRECT_SINC_ARG)
+        block[span][near] = sinc(arg[span][near])
+    return block
+
+
+def assert_block_is_outer_block(kernel, b, a, columns=None):
+    """Bit for bit, signed zeros included; ``columns`` defaults to those of a."""
+    columns = _kernel_columns(kernel, a) if columns is None else columns
+    got = _kernel_block(kernel, b, columns, np.full((2, b.size, a.size), np.nan))
+    assert np.array_equal(got.view(np.int64), outer_block(kernel, b, a).view(np.int64))
+
+
+def crystal_block_args(kernel, rows, n=2048):
+    """Rows ``rows`` of an n-point stream's row arguments, and its column arguments."""
+    axis = np.linspace(-0.4, 0.4, n)
+    b, a = _kernel_args(CRYSTAL, kernel, axis, axis)
+    return (b + a)[rows], a
+
+
+RIDGE = np.linspace(-1.0, 1.0, 201)
+BLOCK_CASES = [
+    pytest.param(-RIDGE[40:80], RIDGE, id="ascending-a"),
+    pytest.param(-RIDGE[40:80], RIDGE[::-1], id="descending-a"),
+    pytest.param(RIDGE[40:80] + 3.0, RIDGE, id="ridge-outside"),
+    # b + a = 0 exactly in the last row's last column
+    pytest.param(-RIDGE[-40:], RIDGE, id="ridge-at-edge"),
+    pytest.param(-RIDGE[100:101], RIDGE, id="one-row"),
+    pytest.param(*crystal_block_args("exact", slice(960, 1082)), id="stream-block"),
+    pytest.param(*crystal_block_args("exact", slice(0, 122)), id="stream-first-block"),
+    pytest.param(
+        np.array([DIRECT_SINC_ARG, -DIRECT_SINC_ARG, np.nextafter(DIRECT_SINC_ARG, 0.0)]),
+        np.array([-2.0 * DIRECT_SINC_ARG, 0.0, -0.0]),
+        id="at-direct-sinc-arg",
+    ),
+    pytest.param(np.zeros(1), np.zeros(1), id="zero"),
+    pytest.param(np.array([0.0, -0.0]), np.array([-0.0, 0.0]), id="signed-zeros"),
+]
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+@pytest.mark.parametrize("b,a", BLOCK_CASES)
+def test_kernel_block_is_the_outer_block(kernel, b, a):
+    assert_block_is_outer_block(kernel, b, a)
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+def test_kernel_block_columns_as_schmidt_rows_builds_them(kernel):
+    # all N rows against k = 64 evenly spaced columns of the stream's factors
+    b, a = crystal_block_args(kernel, slice(None), n=1024)
+    cols = (np.arange(64) * a.size) // 64
+    assert_block_is_outer_block(kernel, b, a[cols], _kernel_columns(kernel, a)[..., cols])
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    kernel=st.sampled_from(["exact", "gaussian"]),
+    a0=st.floats(-20.0, 20.0),
+    da=st.floats(-0.5, 0.5),
+    n=st.integers(1, 60),
+    b0=st.floats(-20.0, 20.0),
+    db=st.floats(-0.5, 0.5),
+    m=st.integers(1, 40),
+    on_ridge=st.booleans(),
+)
+def test_kernel_block_is_the_outer_block_on_linear_axes(kernel, a0, da, n, b0, db, m, on_ridge):
+    a = a0 + da * np.arange(n)
+    if on_ridge:  # start the rows on -a somewhere, so that the block holds small arguments
+        b0 = -a[n // 2] + 1e-3 * b0
+    assert_block_is_outer_block(kernel, b0 + db * np.arange(m), a)
 
 
 # ---------------------------------------------------------------- idler reduction
