@@ -34,6 +34,7 @@ from .biphoton import (
     SignalSpectrum,
     biphoton_exact,
     biphoton_gaussian,
+    gaussian_marginal_fwhm,
     joint_spectral_intensity,
     joint_spectrum_rows,
     marginal_spectrum,

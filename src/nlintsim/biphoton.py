@@ -15,7 +15,11 @@ budget of every streamed kernel evaluation, so neither holds an N x N array;
 ``joint_spectral_intensity`` holds the whole amplitude and, with
 ``marginal_spectrum`` and ``schmidt_analysis``, is the oracle of those
 streams.
-The Gaussian kernel's Schmidt spectrum has a closed form in gamma,
+The Gaussian kernel's amplitude is a pump factor of ws + wi times a phase
+matching factor of ws - wi, so ``joint_spectrum_rows`` evaluates only its
+strided slice and takes the marginal from the two factors on the grid's
+2N - 1 sums and differences. Its signal marginal's width has a closed form,
+``gaussian_marginal_fwhm``, and so has its Schmidt spectrum, in gamma,
 ``schmidt_gaussian``. For any amplitude, the Schmidt coefficients are the
 Ritz values of the weighted amplitude m on the range of a block of its own
 columns (a Rayleigh-Ritz step, cf. Halko, Martinsson & Tropp, SIAM Rev. 53,
@@ -44,6 +48,7 @@ from .coherence import (
     _kernel_columns,
     _pump_quadrature,
     _ridge,
+    _span,
 )
 from .optics_model import (
     AnalysisError,
@@ -156,25 +161,29 @@ def joint_spectrum_rows(
 ) -> tuple[np.ndarray, SignalSpectrum]:
     """Strided intensity slice and signal marginal of the unit-norm pair amplitude.
 
-    The same amplitude as ``joint_spectral_intensity``, streamed: it is built
-    in blocks of about BLOCK_ELEMENTS elements, a whole number of strides of
-    signal rows each, and no N x N array is held. Each block copies its
-    strided rows, squares itself in place and adds its weighted row sums to
-    the marginal; the norm is the marginal's quadrature sum. The strided
-    amplitude is divided by sqrt(norm) before it is squared, so the slice is
-    ``intensity[::stride, ::stride]`` of the unit-norm amplitude. A norm that
-    is not positive raises NumericalConsistencyError.
+    The same amplitude as ``joint_spectral_intensity``, without an N x N
+    array. The exact kernel's is streamed in blocks of about BLOCK_ELEMENTS
+    elements, a whole number of strides of signal rows each; each block
+    copies its strided rows, squares itself in place and adds its weighted
+    row sums to the marginal. The Gaussian kernel's comes from its two 1-D
+    factors (``_gaussian_rows``). The norm is the marginal's quadrature sum;
+    the strided amplitude is divided by sqrt(norm) before it is squared, so
+    the slice is ``intensity[::stride, ::stride]`` of the unit-norm amplitude.
+    A norm that is not positive raises NumericalConsistencyError.
     """
     axis, w = grid.omega_s, grid.weights_s
     n = axis.size
-    height = min(n, max(1, BLOCK_ELEMENTS // (n * stride)) * stride)
-    amp = np.empty((axis[::stride].size,) * 2)
-    dens = np.empty(n)
-    for lo, block in _amplitude_rows(kernel, crystal, pump, axis, np.empty((2, height, n))):
-        rows = block[::stride, ::stride]
-        amp[lo // stride : lo // stride + len(rows)] = rows
-        block *= block
-        dens[lo : lo + len(block)] = block @ w
+    if kernel == "gaussian":
+        amp, dens = _gaussian_rows(crystal, pump, axis, w, stride)
+    else:
+        height = min(n, max(1, BLOCK_ELEMENTS // (n * stride)) * stride)
+        amp = np.empty((axis[::stride].size,) * 2)
+        dens = np.empty(n)
+        for lo, block in _amplitude_rows(kernel, crystal, pump, axis, np.empty((2, height, n))):
+            rows = block[::stride, ::stride]
+            amp[lo // stride : lo // stride + len(rows)] = rows
+            block *= block
+            dens[lo : lo + len(block)] = block @ w
     norm = float(dens @ w)
     if not norm > 0:
         raise NumericalConsistencyError("joint spectrum has no positive quadrature norm")
@@ -212,6 +221,51 @@ def _amplitude_factors(kernel: str, crystal: CrystalParams, pump: PumpPulse, axi
     lattice = np.concatenate((axis[0] + axis, axis[-1] + axis[1:]))
     pump_rows = sliding_window_view(pump_amplitude(pump, lattice), axis.size)
     return b + a, _kernel_columns(kernel, a), pump_rows
+
+
+def _gaussian_rows(crystal: CrystalParams, pump: PumpPulse, axis, w, stride: int):
+    """Unnormalized strided amplitude and signal marginal of the Gaussian kernel on ``axis``.
+
+    The amplitude is F(ws_n + wi_j) G(ws_n - wi_j). The slice is
+    ``_kernel_block`` times the pump factor on the strided rows and columns
+    alone, in row blocks of about BLOCK_ELEMENTS elements, so each element
+    is the streamed one bit for bit. The marginal
+    dens_n = sum_j w_j F^2[n + j] G^2[n - j + N - 1] reads F^2 on the 2N - 1
+    sums and G^2 on the 2N - 1 differences as a Hankel and a Toeplitz view,
+    multiplied into one buffer per block of rows, over the columns where
+    neither is exactly 0, and reduced by one matrix-vector product.
+    """
+    n = axis.size
+    row_args, columns, pump_rows = _amplitude_factors("gaussian", crystal, pump, axis)
+    args, pump_cut = row_args[::stride], pump_rows[::stride, ::stride]
+    amp = np.empty((args.size,) * 2)
+    height = max(1, BLOCK_ELEMENTS // args.size)
+    for lo in range(0, args.size, height):
+        block = amp[lo : lo + height]  # the Gaussian block needs no scratch
+        _kernel_block("gaussian", args[lo : lo + height], columns[..., ::stride], (block, None))
+        block *= pump_cut[lo : lo + height]
+
+    a = columns[-1, 1]
+    f2 = np.concatenate((pump_rows[0], pump_rows[-1, 1:])) ** 2
+    diffs = np.concatenate((row_args[0] + a[::-1], row_args[1:] + a[0]))
+    g2 = np.exp(-((SINC_GAUSS_ALPHA * diffs) ** 2)) ** 2
+    hankel = sliding_window_view(f2, n)
+    toeplitz = sliding_window_view(g2[::-1], n)[::-1]
+    # row r reads nonzero F^2 for j in [p0 - r, p1 - r), nonzero G^2 for j in [r + N - q1, r + N - q0)
+    p, q, r = _span(f2 > 0.0), _span(g2 > 0.0), np.arange(n)
+    start = np.maximum(np.maximum(p.start - r, r + n - q.stop), 0)
+    stop = np.minimum(np.minimum(p.stop - r, r + n - q.start), n)
+    dens = np.zeros(n)
+    height = max(1, BLOCK_ELEMENTS // n)
+    buf = np.empty(height * n)
+    for lo in range(0, n, height):
+        live = lo + np.flatnonzero(start[lo : lo + height] < stop[lo : lo + height])
+        if live.size:
+            rows, cols = slice(live[0], live[-1] + 1), slice(start[live].min(), stop[live].max())
+            part = buf[: live.size * (cols.stop - cols.start)].reshape(live.size, -1)
+            np.multiply(hankel[rows, cols], toeplitz[rows, cols], out=part)
+            dens[rows] = part @ w[cols]
+    return amp, dens
 
 
 def _require_unit_norm(norm: float, caller: str) -> None:
@@ -323,6 +377,20 @@ def signal_spectrum(
     dens = _pump_quadrature(crystal, pump, ws, kernel=kernel, resolution=resolution)
     dens = dens / np.sum(dens * _trapezoid_weights(ws))
     return _signal_marginal(ws, dens, crystal)
+
+
+def gaussian_marginal_fwhm(crystal: CrystalParams, pump: PumpPulse) -> float:
+    """FWHM [rad/fs] of the Gaussian kernel's signal marginal, in closed form.
+
+    |amp|^2 = exp[-T0^2 (ws + wi)^2 - (c / 4) (ws - wi)^2] with
+    c = 2 alpha^2 (D L / 2)^2; integrated over wi it leaves exp(-kappa ws^2),
+    kappa = T0^2 c / (T0^2 + c / 4), of width 2 sqrt(ln 2 / kappa). It is the
+    width ``signal_spectrum(kernel="gaussian")`` takes by quadrature.
+    """
+    t2 = pump.t0_fs ** 2
+    c = 2.0 * (SINC_GAUSS_ALPHA * crystal.dl / 2.0) ** 2
+    kappa = t2 * c / (t2 + c / 4.0)
+    return 2.0 * float(np.sqrt(np.log(2.0) / kappa))
 
 
 @dataclass(frozen=True)
@@ -448,7 +516,8 @@ def _rayleigh_ritz(
             q = None if 2 * k >= n else np.linalg.qr(columns((np.arange(k) * n) // k))[0]
             mass = 0.0
             for lo, block in rows():
-                mass += float(np.vdot(block, block).real)
+                # einsum's own loop, not a BLAS dot: the sum is the same for any thread count
+                mass += float(np.einsum("ij,ij->", block.conj(), block).real)
                 if q is None:  # B = m, copied together from its row blocks
                     if lo == 0:
                         b = np.empty((n, n), block.dtype)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nlintsim.biphoton import (
     biphoton_gaussian,
     bandwidth_nm,
     fwhm_interpolated,
+    gaussian_marginal_fwhm,
     joint_spectral_intensity,
     joint_spectrum_rows,
     marginal_spectrum,
@@ -17,7 +19,7 @@ from nlintsim.biphoton import (
     schmidt_rows,
     signal_spectrum,
 )
-from nlintsim import biphoton, cli_runner
+from nlintsim import biphoton, cli_runner, coherence
 from nlintsim.optics_model import (
     AnalysisError,
     CrystalParams,
@@ -222,6 +224,71 @@ def test_streamed_rows_match_the_full_build(monkeypatch, kernel, n, stride, bloc
     # the two marginals differ in their rounding only, so the widths agree to a few ulp
     assert marginal.fwhm_rad_fs == pytest.approx(expected.fwhm_rad_fs, rel=1e-14, abs=0.0)
     assert marginal.fwhm_nm == pytest.approx(expected.fwhm_nm, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("t0_fs,n,stride,block", [
+    pytest.param(212.0, 512, 1, None, id="no-zeros-one-block"),
+    pytest.param(212.0, 1001, 3, 50_000, id="no-zeros-ragged-blocks"),
+    pytest.param(10.0, 1001, 3, 50_000, id="phase-matching-zeros"),  # 215 of 2001 differences
+    pytest.param(2000.0, 257, 2, 5_000, id="pump-zeros"),  # the pump underflows on the sums
+    pytest.param(10000.0, 512, 4, None, id="pump-zeros-one-block"),  # 77 of 1023 sums
+])
+def test_gaussian_rows_evaluate_only_the_slice(monkeypatch, t0_fs, n, stride, block):
+    # the Gaussian route evaluates the kernel on the strided slice alone, and
+    # its slice numerator is the streamed amplitude's, bit for bit
+    if block is not None:
+        monkeypatch.setattr(biphoton, "BLOCK_ELEMENTS", block)
+    elements = []
+
+    def counted(kernel, b, columns, work):
+        elements.append(b.size * columns.shape[-1])
+        return kernel_block(kernel, b, columns, work)
+
+    kernel_block = biphoton._kernel_block
+    monkeypatch.setattr(biphoton, "_kernel_block", counted)
+    monkeypatch.setattr(coherence, "_kernel_block", counted)
+    pump = PumpPulse(t0_fs)
+    grid = make_frequency_grid(CRYSTAL, pump, n)
+    inten, marginal = joint_spectrum_rows("gaussian", CRYSTAL, pump, grid, stride)
+    assert sum(elements) <= (-(-n // stride)) ** 2
+    assert max(elements) <= max(biphoton.BLOCK_ELEMENTS, -(-n // stride))
+
+    numerator, _ = biphoton._gaussian_rows(CRYSTAL, pump, grid.omega_s, grid.weights_s, stride)
+    work = (np.empty((n, n)), np.empty((n, n)))
+    ((_, streamed),) = biphoton._amplitude_rows("gaussian", CRYSTAL, pump, grid.omega_s, work)
+    assert np.array_equal(numerator, streamed[::stride, ::stride])
+
+    # the marginal from the two 1-D factors, with only exact zeros left out
+    js = joint_spectral_intensity("gaussian", CRYSTAL, pump, grid)
+    full = js.intensity[::stride, ::stride]
+    assert np.max(np.abs(inten - full)) <= 1e-12 * np.max(full)
+    expected = marginal_spectrum(js, CRYSTAL)
+    assert np.max(np.abs(marginal.density - expected.density)) <= 1e-12 * np.max(expected.density)
+    assert marginal.fwhm_rad_fs == pytest.approx(expected.fwhm_rad_fs, rel=1e-14, abs=0.0)
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _sweep_and_bundled_gaussian_setups():
+    setups = [
+        pytest.param(CRYSTAL, gamma_pump(CRYSTAL, 2.0 ** (k / 4.0)), id=f"gamma=2^({k}/4)")
+        for k in range(-4, 5)
+    ]
+    for name in ("jsi_anticorrelated", "jsi_correlated", "jsi_separable"):
+        s = cli_runner.parse_scenario((SCENARIO_DIR / f"{name}.ini").read_text())
+        assert s.kernel == "gaussian"
+        setups.append(pytest.param(s.crystal, s.pump, id=name))
+    return setups
+
+
+@pytest.mark.parametrize("crystal,pump", _sweep_and_bundled_gaussian_setups())
+def test_gaussian_marginal_width_in_closed_form(crystal, pump):
+    # the quadrature's interpolated FWHM is 2e-7 to 6.1e-6 off the closed form
+    # on these twelve setups
+    quadrature = signal_spectrum(crystal, pump, kernel="gaussian")
+    closed = gaussian_marginal_fwhm(crystal, pump)
+    assert closed == pytest.approx(quadrature.fwhm_rad_fs, rel=1e-5, abs=0.0)
 
 
 # ---------------------------------------------------------------- marginals

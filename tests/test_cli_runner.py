@@ -763,6 +763,31 @@ def test_joint_spectrum_task_holds_no_full_grid_array():
     assert peak < 4096 ** 2 * 8 // 4
 
 
+@pytest.mark.parametrize("kernel,quadratures", [("gaussian", 0), ("exact", 1)])
+def test_joint_spectrum_task_takes_the_gaussian_reference_in_closed_form(
+    monkeypatch, kernel, quadratures
+):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli.biphoton, "signal_spectrum", counted(cli.biphoton.signal_spectrum))
+    monkeypatch.setattr(cli.biphoton, "_pump_quadrature", counted(cli.biphoton._pump_quadrature))
+    s = parse_scenario(MINIMAL.replace("run = schmidt", "run = joint_spectrum")
+                       .replace("kernel = gaussian", f"kernel = {kernel}"))
+    _, conv, extras = cli._task_joint_spectrum(s, s.grid_points)
+    assert calls == ["signal_spectrum", "_pump_quadrature"] * quadratures
+    assert conv["method"] == "reference"
+    if kernel == "gaussian":
+        width = cli.biphoton.gaussian_marginal_fwhm(s.crystal, s.pump)
+        ref_nm = cli.biphoton.bandwidth_nm(width, s.crystal.lambda_s_nm)
+        assert conv["delta"] == abs(extras["marginal_fwhm_nm"] - ref_nm) / ref_nm
+
+
 def test_exact_schmidt_task_holds_no_full_grid_array():
     # the schmidt_sweep item at gamma = 2 with the exact kernel: two passes on
     # 2048 points and the coarsen check on 1024; one 2048^2 float64 array is 32 MiB
