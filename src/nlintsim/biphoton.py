@@ -49,6 +49,7 @@ from .coherence import (
     _pump_quadrature,
     _ridge,
     _span,
+    _symmetric_axis,
 )
 from .optics_model import (
     AnalysisError,
@@ -367,13 +368,14 @@ def signal_spectrum(
     PairCorrelator's pump quadrature at r = 1 and T2 = 0. This is the
     production marginal; ``marginal_spectrum`` on a square grid matches it
     wherever that grid is resolvable. ``resolution`` scales both axis
-    densities at fixed spans.
+    densities at fixed spans. The signal axis is exactly antisymmetric, so
+    the even density is built on one half and mirrored.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     t0 = pump.t0_fs
     half_s = max(24.0 / crystal.dl, 6.0 / t0) + _ridge(crystal, kernel) * 8.0 / t0
-    ws = np.linspace(-half_s, half_s, max(257, int(4097 * resolution) | 1))
+    ws = _symmetric_axis(half_s, max(257, int(4097 * resolution) | 1))
     dens = _pump_quadrature(crystal, pump, ws, kernel=kernel, resolution=resolution)
     dens = dens / np.sum(dens * _trapezoid_weights(ws))
     return _signal_marginal(ws, dens, crystal)

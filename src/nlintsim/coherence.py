@@ -27,8 +27,12 @@ and stays the closed form's test oracle. The idler integral is reduced once
 per correlator (``_pump_quadrature``) as the square of the signed sinc block
 ``_kernel_block``, built by BLAS products of 1-D trig values, against
 r*(wi) e^{i wi T2} read once per point of one 1-D idler lattice (the joint
-spectrum takes the block unsquared); the signal-frequency sum over a uniform delay axis is then a
-chirp-z transform (Bluestein's algorithm), so a scan of K delays over N signal
+spectrum takes the block unsquared). The pump and the phase matching are
+even, and the signal and pump axes are exactly antisymmetric
+(``_symmetric_axis``), so the block row at -ws is the row at ws reversed:
+only the rows ws <= 0 are built, each reduced against f(wi) for ws and
+against f(-wi) for -ws. The signal-frequency sum over a uniform delay axis
+is then a chirp-z transform (Bluestein's algorithm), so a scan of K delays over N signal
 frequencies costs O((N + K) log(N + K)) rather than O(N K). Every streamed
 kernel evaluation, here the idler reduction and the direct delay sum and in
 ``biphoton`` the joint-spectrum and Schmidt row blocks, works in blocks of
@@ -219,7 +223,9 @@ class PairCorrelator:
     reach that while staying resolvable).
 
     ``resolution`` scales step densities; spans are fixed by the physics so a
-    refinement ladder measures pure discretization error. Instances are
+    refinement ladder measures pure discretization error. ``omega_s`` is
+    exactly antisymmetric, so the idler reduction builds the block rows of
+    one half and reduces each for ws and for its mirror -ws. Instances are
     read-only after construction; distinct delay batches may be evaluated
     concurrently against one instance.
     """
@@ -247,7 +253,7 @@ class PairCorrelator:
         half_s = 2.0 * TAIL_SINC_ARG / dl + _ridge(crystal, "exact") * 8.0 / t0
         h_s = min(TWO_PI / dl / 8.0, 0.4 / phase_rate) / resolution
         n_s = int(np.ceil(2.0 * half_s / h_s)) | 1
-        self.omega_s = np.linspace(-half_s, half_s, n_s)
+        self.omega_s = _symmetric_axis(half_s, n_s)
         r_inner = _pump_quadrature(
             crystal, pump, self.omega_s,
             sample=sample,
@@ -298,7 +304,9 @@ class PairCorrelator:
         With ws_n = ws_0 + n h the phase is (t_k + T2) ws_0 + (t_0 + T2) h n
         + a k n, a = dt h, and k n = (k^2 + n^2 - (k - n)^2) / 2 turns the sum
         over n into one convolution with the chirp e^{-i a m^2 / 2},
-        m = -(N - 1) .. K - 1, done by FFT.
+        m = -(N - 1) .. K - 1, done by FFT. That chirp is the conjugate of
+        the two e^{i a m^2 / 2} already formed, bit for bit, since ``_chirp``
+        is odd in c.
         """
         ws = self.omega_s
         n_w, n_t = ws.size, t1.size
@@ -306,15 +314,15 @@ class PairCorrelator:
             return np.empty(0, dtype=complex)
         h = (ws[-1] - ws[0]) / (n_w - 1)
         c = 0.5 * h * (t1[-1] - t1[0]) / (n_t - 1) if n_t > 1 else 0.0
-        n = np.arange(n_w, dtype=float)
-        k = np.arange(n_t, dtype=float)
-        y = self._reduced * np.exp(1j * (t1[0] + self.t2_fs) * h * n) * _chirp(c, n)
+        chirp_n = _chirp(c, np.arange(n_w, dtype=float))
+        chirp_k = _chirp(c, np.arange(n_t, dtype=float))
+        y = self._reduced * np.exp(1j * (t1[0] + self.t2_fs) * h * np.arange(n_w)) * chirp_n
         size = 1 << (n_w + n_t - 2).bit_length()
         kernel = np.zeros(size, dtype=complex)
-        kernel[:n_t] = _chirp(-c, k)
-        kernel[size - n_w + 1 :] = _chirp(-c, n[:0:-1])
+        np.conjugate(chirp_k, out=kernel[:n_t])
+        np.conjugate(chirp_n[:0:-1], out=kernel[size - n_w + 1 :])
         conv = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(kernel))[:n_t]
-        return conv * _chirp(c, k) * np.exp(1j * (t1 + self.t2_fs) * ws[0])
+        return conv * chirp_k * np.exp(1j * (t1 + self.t2_fs) * ws[0])
 
 
 def g1_scan(
@@ -351,7 +359,9 @@ def _chirp(c: float, m: np.ndarray) -> np.ndarray:
 
     c splits into a head short enough that head * m^2 is exact (numpy's exp
     reduces an exact phase without loss) and a tail 2^bits times smaller,
-    which carries the only rounding error.
+    which carries the only rounding error. ``_chirp(-c, m)`` is the
+    conjugate of ``_chirp(c, m)`` bit for bit: np.round is odd, and so is
+    the sine in exp(i x).
     """
     m2 = m * m
     bits = max(0, 53 - int(m2.max(initial=0.0)).bit_length())
@@ -377,6 +387,18 @@ def _walkoff(crystal: CrystalParams, kernel: str) -> float:
 def _ridge(crystal: CrystalParams, kernel: str) -> float:
     """Signal detuning per unit pump detuning along the phase-matching ridge dk = 0."""
     return abs(1.0 - 2.0 * _walkoff(crystal, kernel) / crystal.D) / 2.0
+
+
+def _symmetric_axis(half_width: float, n: int) -> np.ndarray:
+    """``np.linspace(-half_width, half_width, n)`` made exactly antisymmetric.
+
+    x[n - 1 - i] = -x[i] bit for bit, as the idler reduction's mirror pairing
+    needs. Each point is the mean of linspace's x[i] and -x[n - 1 - i], which
+    differ by rounding alone, so the end points stay exact and no point moves
+    by more than a few ulp of ``half_width``.
+    """
+    x = np.linspace(-half_width, half_width, n)
+    return 0.5 * (x - x[::-1])
 
 
 def _u_axis(
@@ -410,7 +432,7 @@ def _u_axis(
     half_u = 8.0 / t0
     n_u = max(33, int(np.ceil(2.0 * half_u / h_u)) | 1)
     if lattice_step is None:
-        return np.linspace(-half_u, half_u, n_u), 0
+        return _symmetric_axis(half_u, n_u), 0
     m = int(np.ceil(lattice_step / (2.0 * half_u / (n_u - 1))))
     h = lattice_step / m
     half_j = int(np.ceil(half_u / h))
@@ -517,17 +539,32 @@ def _pump_quadrature(
 
     PM is sinc^2 for the exact kernel and exp(-2 (alpha x)^2) for the Gaussian
     one, the square of ``_kernel_block`` over the u axis of ``_u_axis``.
+    Rows are taken in chunks of about BLOCK_ELEMENTS block elements.
+
+    Both the pump and PM are even, so on an axis with ws_{N-1-n} = -ws_n bit
+    for bit (``_symmetric_axis``), and a u axis antisymmetric in the same way,
+    row N-1-n of the block is row n reversed. Then only the rows
+    n <= (N-1)/2 are built, and each reduces twice: R(ws_n) against f(wi)
+    and R(ws_{N-1-n}) against f(-wi). The middle row of an odd axis, and
+    every row of an axis that is not symmetric, reduce once.
+
     With ``sample=None`` (r = 1) the block is reduced against the weighted
-    pump row by a real matvec. Rows are taken in chunks of about
-    BLOCK_ELEMENTS block elements.
+    pump row by a real matvec, and R is even: the upper rows are the lower
+    ones reversed.
 
     With a sample, ``omega_s`` must be uniform and u is the lattice axis:
-    row n reads the idler lattice points k = j - n m. Each chunk of rows
-    evaluates f once on the points it reads, min(m, n_u) per row plus the
-    last row's tail (which the next chunk reuses), and sees them as the
-    (ws, u) block through a strided view with row stride -min(m, n_u). The
-    real weighted block is reduced against that view's (re, im) pairs, so
-    no complex block and no 2-D interpolation is formed.
+    wi = kappa h - c, c the axis centre (exactly 0 on a symmetric axis), and
+    row n reads the lattice indices kappa = ((N-1)/2 - n) m - n_u // 2 + j.
+    Chunks run from the last row built down to row 0, so outward from the
+    middle on a symmetric axis. Each evaluates f once on the points it reads,
+    min(m, n_u) per row plus the first row's tail (which the next chunk
+    reuses), and sees them as the (ws, u) block through a strided view with
+    row stride -min(m, n_u); the mirror rows read f(-wi) through the same
+    view. Near the middle, f(-wi) at kappa is f at -kappa, which the chunk
+    holds already; copied from there, it leaves r evaluated at as many
+    points as the whole axis reads, with two f buffers per chunk. The real
+    weighted block is reduced against that view's (re, im) pairs, so no
+    complex block and no 2-D interpolation is formed.
     """
     n_s = omega_s.size
     u, m = _u_axis(
@@ -540,50 +577,87 @@ def _pump_quadrature(
     pump_row = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2)) * _trapezoid_weights(u)
     b, a = _kernel_args(crystal, kernel, omega_s, u)
     columns = _kernel_columns(kernel, a)
-    chunk = min(n_s, max(1, BLOCK_ELEMENTS // n_u))
+    # rows n < paired also give row N-1-n; rows from top on are not built
+    paired = n_s // 2 if np.array_equal(omega_s, -omega_s[::-1]) else 0
+    top = n_s - paired
+    chunk = min(top, max(1, BLOCK_ELEMENTS // n_u))
     work = np.empty((2, chunk, n_u))
     if sample is None:
         out = np.empty(n_s)
-        for lo in range(0, n_s, chunk):
-            block = _kernel_block(
-                kernel, b[lo : lo + chunk], columns, work[:, : min(chunk, n_s - lo)]
-            )
-            out[lo : lo + chunk] = np.square(block, out=block) @ pump_row
+        for lo in range(0, top, chunk):
+            hi = min(lo + chunk, top)
+            block = _kernel_block(kernel, b[lo:hi], columns, work[:, : hi - lo])
+            out[lo:hi] = np.square(block, out=block) @ pump_row
+        out[top:] = out[:paired][::-1]
         return out
 
     p = min(m, n_u)
-    half_j = n_u // 2
-    h = u[-1] / half_j
-    # the lattice offsets of one row's p fresh points, as the factor [1; y] of
-    # the product [row offset, 1] @ [1; y], each sum rounded once
-    offsets = np.ones((2, p))
-    offsets[1] = (np.arange(p) - half_j) * h
+    h = u[-1] / (n_u // 2)
+    centre = 0.5 * (omega_s[0] + omega_s[-1])
     out = np.empty(n_s, dtype=complex)
-    shared = np.empty(0, dtype=complex)  # lattice points the next chunk also reads
-    for lo in range(0, n_s, chunk):
-        hi = min(lo + chunk, n_s)
+    buffers = np.empty((2 if paired else 1, (chunk - 1) * p + n_u), dtype=complex)
+    for hi in range(top, 0, -chunk):
+        lo = max(0, hi - chunk)
         rows = hi - lo
-        # fresh point q is lattice point k = (q // p - (hi - 1)) m + q % p - half_j
-        fresh = (rows - 1) * p + n_u - shared.size
-        row_off = np.ones((-(-fresh // p), 2))
-        row_off[:, 0] = (np.arange(len(row_off)) - (hi - 1)) * (m * h) - omega_s[0]
-        wi = (row_off @ offsets).ravel()[:fresh]
-        f = np.empty(fresh + shared.size, dtype=complex)
-        np.conjugate(sample.reflectivity(wi), out=f[:fresh])
-        if t2_fs != 0.0:
-            f[:fresh] *= np.exp(1j * t2_fs * wi)
-        f[fresh:] = shared
-        shared = f[: n_u - p].copy()
-        pairs = f.view(np.float64)
-        step = pairs.itemsize
-        view = np.lib.stride_tricks.as_strided(
-            pairs[2 * (rows - 1) * p :],
-            shape=(rows, n_u, 2),
-            strides=(-2 * p * step, 2 * step, step),
-            writeable=False,
-        )
+        size = (rows - 1) * p + n_u
+        fs = buffers[:, :size]
+        if hi == top:
+            kept = 0
+        else:  # the previous (full) chunk's first row's tail, which this chunk's last row reads
+            kept = n_u - p
+            fs[:, :kept] = buffers[:, chunk * p : chunk * p + kept]
+        # position q holds column q % p of row hi - 1 - q // p; each kappa is
+        # a sum of whole or half numbers, exact, so wi(-kappa) = -wi(kappa)
+        first = kept // p
+        start = ((n_s - 1) / 2.0 - (hi - 1)) * m - n_u // 2  # row hi - 1's first kappa
+        rows_kappa = np.arange(first, -(-size // p)) * float(m) + start
+        kappa = np.add.outer(rows_kappa, np.arange(p, dtype=float))
+        wi = kappa.ravel()[kept - first * p : size - first * p]
+        wi *= h
+        wi -= centre
+        if paired and hi == top:
+            # the mirrors of the first size - skip points are points of this
+            # chunk, reversed; only the rest of f(-wi) is new
+            skip = (n_s - lo - hi) * p
+            _idler_factor(sample, t2_fs, wi, fs[0])
+            fs[1, : size - skip] = fs[0, : size - skip][::-1]
+            _idler_factor(sample, t2_fs, -wi[size - skip :], fs[1, size - skip :])
+        else:
+            _idler_factor(sample, t2_fs, wi, fs[0, kept:], fs[1, kept:] if paired else None)
         block = _kernel_block(kernel, b[lo:hi], columns, work[:, :rows])
         block *= block
         block *= pump_row
-        out[lo:hi] = (block[:, None, :] @ view).view(complex).ravel()
+        views = [_lattice_view(f, rows, n_u, p) for f in fs]
+        out[lo:hi] = (block[:, None, :] @ views[0]).view(complex).ravel()
+        if paired:
+            k = min(hi, paired) - lo
+            mirror = (block[:k, None, :] @ views[1][:k]).view(complex).ravel()
+            out[n_s - lo - k : n_s - lo] = mirror[::-1]
     return out
+
+
+def _idler_factor(sample: SampleModel, t2_fs: float, wi: np.ndarray, f, f_mirror=None) -> None:
+    """Write f(wi) = r*(wi) e^{i wi T2} to ``f`` and, if given, f(-wi) to ``f_mirror``.
+
+    f(-wi) takes the conjugate of the phase e^{i wi T2}, which is e^{-i wi T2}.
+    """
+    np.conjugate(sample.reflectivity(wi), out=f)
+    if f_mirror is not None:
+        np.conjugate(sample.reflectivity(-wi), out=f_mirror)
+    if t2_fs != 0.0:
+        phase = np.exp(1j * t2_fs * wi)
+        f *= phase
+        if f_mirror is not None:
+            f_mirror *= np.conjugate(phase, out=phase)
+
+
+def _lattice_view(f: np.ndarray, rows: int, n_u: int, p: int) -> np.ndarray:
+    """(rows, n_u, 2) view of f's (re, im) pairs: row r reads f[(rows - 1 - r) p + j]."""
+    pairs = f.view(np.float64)
+    step = pairs.itemsize
+    return np.lib.stride_tricks.as_strided(
+        pairs[2 * (rows - 1) * p :],
+        shape=(rows, n_u, 2),
+        strides=(-2 * p * step, 2 * step, step),
+        writeable=False,
+    )

@@ -10,10 +10,12 @@ from nlintsim.coherence import (
     CHIRP_Z_PHASE_TOL,
     DIRECT_SINC_ARG,
     PairCorrelator,
+    _chirp,
     _kernel_args,
     _kernel_block,
     _kernel_columns,
     _pump_quadrature,
+    _symmetric_axis,
     _u_axis,
     _walkoff,
     carrier_phase,
@@ -26,7 +28,8 @@ from nlintsim.coherence import (
     timing_from_geometry,
     tri,
 )
-from nlintsim.oct_scan import default_scan_range
+from nlintsim.biphoton import signal_spectrum
+from nlintsim.oct_scan import default_scan_range, scan_axis
 from nlintsim.optics_model import (
     BilayerSample,
     C_MM_FS,
@@ -362,6 +365,50 @@ def test_chirp_z_path_keeps_the_bound_check(monkeypatch):
         corr.correlation(t1)
 
 
+def four_chirp_transform(corr, t1):
+    """``PairCorrelator._chirp_z`` with all four chirps formed by ``_chirp``."""
+    ws = corr.omega_s
+    n_w, n_t = ws.size, t1.size
+    h = (ws[-1] - ws[0]) / (n_w - 1)
+    c = 0.5 * h * (t1[-1] - t1[0]) / (n_t - 1) if n_t > 1 else 0.0
+    n = np.arange(n_w, dtype=float)
+    k = np.arange(n_t, dtype=float)
+    y = corr._reduced * np.exp(1j * (t1[0] + corr.t2_fs) * h * n) * _chirp(c, n)
+    size = 1 << (n_w + n_t - 2).bit_length()
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n_t] = _chirp(-c, k)
+    kernel[size - n_w + 1 :] = _chirp(-c, n[:0:-1])
+    conv = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(kernel))[:n_t]
+    return conv * _chirp(c, k) * np.exp(1j * (t1 + corr.t2_fs) * ws[0])
+
+
+# the tabulated-slab depth scans: a pulsed 2.5 mm crystal in its default
+# window and a quasi-CW 0.5 mm one in the window of a 25 um bilayer
+NUMERIC_SLAB_SCANS = [
+    pytest.param(2.5, 100.0, 0.0, id="pulsed"),
+    pytest.param(0.5, 1e5, 25.0, id="quasi-cw"),
+]
+
+
+@pytest.mark.parametrize("length_mm,t0_fs,window_um", NUMERIC_SLAB_SCANS)
+def test_chirp_z_takes_two_chirps_as_conjugates(length_mm, t0_fs, window_um):
+    crystal = mgo_linbo3_crystal(length_mm)
+    window = default_scan_range(crystal, MIRROR)
+    if window_um:
+        window = default_scan_range(
+            crystal, BilayerSample.from_fresnel(1.0, 1.5, 1.3, window_um, crystal.omega_i0)
+        )
+    t1 = scan_axis(crystal, MIRROR, window_mm=window) / C_MM_FS
+    corr = PairCorrelator(
+        crystal, PumpPulse(t0_fs), MIRROR, t2_fs=0.0, t1_max_fs=float(np.max(np.abs(t1)))
+    )
+    h = corr.omega_s[1] - corr.omega_s[0]
+    c = 0.5 * h * (t1[-1] - t1[0]) / (t1.size - 1)
+    for m in (np.arange(corr.omega_s.size, dtype=float), np.arange(t1.size, dtype=float)):
+        assert np.array_equal(_chirp(-c, m), np.conj(_chirp(c, m)))
+    assert np.array_equal(corr._chirp_z(t1), four_chirp_transform(corr, t1))
+
+
 # ---------------------------------------------------------------- phase-matching block
 
 def outer_block(kernel, b, a):
@@ -511,13 +558,66 @@ REDUCTION_CASES = [
 ]
 
 
-@pytest.mark.parametrize("block", [20_000, coherence.BLOCK_ELEMENTS, 1_000_000])
+# SIGNAL_AXIS itself is not exactly antisymmetric, so it takes no mirror
+# pairing; its antisymmetric copy (odd N) and the copy shifted by half a step
+# (even N, no middle row) pair every row with its mirror
+SYMMETRIC_AXES = {
+    "odd-n": _symmetric_axis(3.0, 3001),
+    "even-n": _symmetric_axis(2.999, 3000),
+}
+BLOCK_SIZES = [20_000, coherence.BLOCK_ELEMENTS, 1_000_000]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
 @pytest.mark.parametrize("case", REDUCTION_CASES)
 def test_reduction_matches_reference(case, block, monkeypatch):
     # the small block splits the axis into chunks that share lattice points;
     # 1e6 elements take most cases' whole axis in one chunk
     monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", block)
     assert_matches_reference(SIGNAL_AXIS, **case)
+
+
+@pytest.mark.parametrize("axis", SYMMETRIC_AXES)
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("case", REDUCTION_CASES)
+def test_mirrored_reduction_matches_reference(case, block, axis, monkeypatch):
+    monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", block)
+    assert_matches_reference(SYMMETRIC_AXES[axis], **case)
+
+
+def test_symmetric_axes_are_exactly_antisymmetric():
+    assert not np.array_equal(SIGNAL_AXIS, -SIGNAL_AXIS[::-1])
+    axes = list(SYMMETRIC_AXES.values())
+    for length_mm, t0_fs, t1_max in [(5.0, 500.0, 400.0), (0.5, 1e5, 3000.0), (2.5, 100.0, 0.0)]:
+        crystal, pump = mgo_linbo3_crystal(length_mm), PumpPulse(t0_fs)
+        axes.append(PairCorrelator(crystal, pump, MIRROR, t2_fs=0.0, t1_max_fs=t1_max).omega_s)
+        axes.append(_u_axis(crystal, pump)[0])
+        axes.append(_u_axis(crystal, pump, lattice_step=2e-3)[0])
+        for kernel in ("exact", "gaussian"):
+            axes.append(signal_spectrum(crystal, pump, kernel=kernel).omega_s)
+    for x in axes:
+        assert np.array_equal(x, -x[::-1])
+        # the same points as np.linspace, to a few ulp of the half width
+        assert np.max(np.abs(x - np.linspace(x[0], x[-1], x.size))) <= 2 * np.spacing(x[-1])
+
+
+@pytest.mark.parametrize("sample", [None, SLAB], ids=["no-sample", "bilayer"])
+def test_reduction_builds_half_the_rows_of_a_symmetric_axis(sample, monkeypatch):
+    monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", 20_000)
+    rows = []
+    kernel_block = coherence._kernel_block
+
+    def counting(kernel, b, columns, work):
+        rows.append(b.size)
+        return kernel_block(kernel, b, columns, work)
+
+    monkeypatch.setattr(coherence, "_kernel_block", counting)
+    for omega_s in (SYMMETRIC_AXES["odd-n"], SYMMETRIC_AXES["even-n"], SIGNAL_AXIS + 0.1):
+        rows.clear()
+        _pump_quadrature(CRYSTAL, PumpPulse(500.0), omega_s, sample=sample)
+        paired = np.array_equal(omega_s, -omega_s[::-1])
+        assert sum(rows) == (-(-omega_s.size // 2) if paired else omega_s.size)
+        assert len(rows) > 1
 
 
 @pytest.mark.parametrize("sample", [None, SLAB], ids=["no-sample", "bilayer"])
@@ -536,9 +636,7 @@ def test_reduction_near_zero_argument(sample):
     assert_matches_reference(omega_s, sample=sample, pump=pump)
 
 
-@pytest.mark.parametrize("t0_fs", [500.0, 1e5], ids=["m-below-n_u", "m-above-n_u"])
-def test_reduction_reads_each_lattice_point_once(t0_fs, monkeypatch):
-    pump = PumpPulse(t0_fs)
+def assert_reads_each_lattice_point_once(omega_s, pump, monkeypatch):
     monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", 20_000)
     seen = []
     reflectivity = TabulatedSample.reflectivity
@@ -548,11 +646,27 @@ def test_reduction_reads_each_lattice_point_once(t0_fs, monkeypatch):
         return reflectivity(self, omega_i)
 
     monkeypatch.setattr(TabulatedSample, "reflectivity", counting)
-    _pump_quadrature(CRYSTAL, pump, SIGNAL_AXIS, sample=TABULATED)
-    h_s = SIGNAL_AXIS[1] - SIGNAL_AXIS[0]
+    _pump_quadrature(CRYSTAL, pump, omega_s, sample=TABULATED)
+    h_s = (omega_s[-1] - omega_s[0]) / (omega_s.size - 1)
     u, m = _u_axis(CRYSTAL, pump, lattice_step=h_s)
     assert len(seen) > 1
-    assert sum(seen) <= SIGNAL_AXIS.size * min(m, u.size) + u.size
+    assert sum(seen) <= omega_s.size * min(m, u.size) + u.size
+
+
+LATTICE_PUMPS = pytest.mark.parametrize(
+    "t0_fs", [500.0, 1e5], ids=["m-below-n_u", "m-above-n_u"]
+)
+
+
+@LATTICE_PUMPS
+def test_reduction_reads_each_lattice_point_once(t0_fs, monkeypatch):
+    assert_reads_each_lattice_point_once(SIGNAL_AXIS, PumpPulse(t0_fs), monkeypatch)
+
+
+@pytest.mark.parametrize("axis", SYMMETRIC_AXES)
+@LATTICE_PUMPS
+def test_mirrored_reduction_reads_each_lattice_point_once(t0_fs, axis, monkeypatch):
+    assert_reads_each_lattice_point_once(SYMMETRIC_AXES[axis], PumpPulse(t0_fs), monkeypatch)
 
 
 def test_tabulated_slab_moves_less_than_halved_resolution(monkeypatch):
