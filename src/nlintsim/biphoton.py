@@ -14,24 +14,28 @@ about ``coherence.BLOCK_ELEMENTS`` elements of signal rows, the one block
 budget of every streamed kernel evaluation, so neither holds an N x N array;
 ``joint_spectral_intensity`` holds the whole amplitude and, with
 ``marginal_spectrum`` and ``schmidt_analysis``, is the oracle of those
-streams.
+streams. On the grid's antisymmetric axis both streams evaluate only the
+top ceil(N / 2) signal rows (``_top_rows``): the exact marginal and slice
+read the lower rows as top rows reversed, and ``schmidt_rows`` splits the
+weighted amplitude into its even and odd parity sectors of about N / 2.
 The Gaussian kernel's amplitude is a pump factor of ws + wi times a phase
 matching factor of ws - wi, so ``joint_spectrum_rows`` evaluates only its
 strided slice and takes the marginal from the two factors on the grid's
 2N - 1 sums and differences. Its signal marginal's width has a closed form,
 ``gaussian_marginal_fwhm``, and so has its Schmidt spectrum, in gamma,
 ``schmidt_gaussian``. For any amplitude, the Schmidt coefficients are the
-Ritz values of the weighted amplitude m on the range of a block of its own
-columns (a Rayleigh-Ritz step, cf. Halko, Martinsson & Tropp, SIAM Rev. 53,
-217, 2011), so that the N x N Gram matrix m m^H is never formed. The block
-doubles until the mass it leaves unresolved is below SCHMIDT_MASS_TOL, which
-bounds the error of every Ritz value by that mass whatever the block (Weyl's
-inequality); once the block would span half the grid, Q = I and the
-coefficients are the eigenvalues of m m^H itself. The first block has
-SCHMIDT_BLOCK columns, except in the scenario runner's ``schmidt`` task: the
-number of Schmidt modes is a property of the state, not of the grid (Law,
-Walmsley & Eberly), so the run grid starts at the block that the coarsen
-check's grid of N/2 points accepted, and mostly takes one pass.
+Ritz values of the weighted amplitude m, or of each of its sectors, on the
+range of a block of its own columns (a Rayleigh-Ritz step, cf. Halko,
+Martinsson & Tropp, SIAM Rev. 53, 217, 2011), so that no N x N Gram matrix
+m m^H is formed. A block doubles until the mass it leaves unresolved is
+below SCHMIDT_MASS_TOL, which bounds the error of every Ritz value by that
+mass whatever the block (Weyl's inequality); once a block would span half
+its sector, Q = I and its coefficients are the eigenvalues of that sector's
+own Gram matrix. The first block has SCHMIDT_BLOCK columns, except in the
+scenario runner's ``schmidt`` task: the number of Schmidt modes is a
+property of the state, not of the grid (Law, Walmsley & Eberly), so the run
+grid starts at the block that the coarsen check's grid of N/2 points
+accepted, and mostly takes one pass.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .coherence import (
     _pump_quadrature,
     _ridge,
     _span,
-    _symmetric_axis,
 )
 from .optics_model import (
     AnalysisError,
@@ -60,6 +63,8 @@ from .optics_model import (
     PumpPulse,
     SINC_GAUSS_ALPHA,
     TWO_PI,
+    _is_antisymmetric,
+    _symmetric_axis,
     _trapezoid_weights,
     pump_amplitude,
     sinc,
@@ -163,28 +168,18 @@ def joint_spectrum_rows(
     """Strided intensity slice and signal marginal of the unit-norm pair amplitude.
 
     The same amplitude as ``joint_spectral_intensity``, without an N x N
-    array. The exact kernel's is streamed in blocks of about BLOCK_ELEMENTS
-    elements, a whole number of strides of signal rows each; each block
-    copies its strided rows, squares itself in place and adds its weighted
-    row sums to the marginal. The Gaussian kernel's comes from its two 1-D
-    factors (``_gaussian_rows``). The norm is the marginal's quadrature sum;
-    the strided amplitude is divided by sqrt(norm) before it is squared, so
-    the slice is ``intensity[::stride, ::stride]`` of the unit-norm amplitude.
-    A norm that is not positive raises NumericalConsistencyError.
+    array: the exact kernel's is streamed (``_streamed_rows``), and the
+    Gaussian kernel's comes from its two 1-D factors (``_gaussian_rows``).
+    The norm is the marginal's quadrature sum; the strided amplitude is
+    divided by sqrt(norm) before it is squared, so the slice is
+    ``intensity[::stride, ::stride]`` of the unit-norm amplitude. A norm
+    that is not positive raises NumericalConsistencyError.
     """
     axis, w = grid.omega_s, grid.weights_s
-    n = axis.size
     if kernel == "gaussian":
         amp, dens = _gaussian_rows(crystal, pump, axis, w, stride)
     else:
-        height = min(n, max(1, BLOCK_ELEMENTS // (n * stride)) * stride)
-        amp = np.empty((axis[::stride].size,) * 2)
-        dens = np.empty(n)
-        for lo, block in _amplitude_rows(kernel, crystal, pump, axis, np.empty((2, height, n))):
-            rows = block[::stride, ::stride]
-            amp[lo // stride : lo // stride + len(rows)] = rows
-            block *= block
-            dens[lo : lo + len(block)] = block @ w
+        amp, dens = _streamed_rows(kernel, crystal, pump, axis, w, stride)
     norm = float(dens @ w)
     if not norm > 0:
         raise NumericalConsistencyError("joint spectrum has no positive quadrature norm")
@@ -194,19 +189,61 @@ def joint_spectrum_rows(
     return amp, _signal_marginal(axis.copy(), dens, crystal)
 
 
-def _amplitude_rows(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis, work):
-    """Unnormalized amplitude F(ws + wi) PM(dk L / 2) on ``axis``, by blocks of signal rows.
+def _streamed_rows(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis, w, stride: int):
+    """Unnormalized strided amplitude and signal marginal on ``axis``, streamed by rows.
 
-    Yields (lo, the block of rows lo, lo + 1, ...), each built in ``work[0]``
-    with ``work[1]`` as scratch; the block height is that of ``work[0]``.
+    The amplitude is built in blocks of about BLOCK_ELEMENTS elements, a
+    whole number of strides of signal rows each, over the ``_top_rows``
+    only; each block copies its strided rows, and the reversed strided
+    columns of the rows that mirror a strided row below the top, then
+    squares itself in place and gives its weighted row sums to the marginal.
+    On an antisymmetric axis the marginal is even, dens[N-1-n] = dens[n],
+    and the slice is the evaluated one bit for bit.
     """
     n = axis.size
+    top = _top_rows(axis)
+    height = min(top, max(1, BLOCK_ELEMENTS // (n * stride)) * stride)
+    amp = np.empty((axis[::stride].size,) * 2)
+    dens = np.empty(n)
+    for lo, block in _amplitude_rows(kernel, crystal, pump, axis, np.empty((2, height, n)), top):
+        rows = block[::stride, ::stride]
+        amp[lo // stride : lo // stride + len(rows)] = rows
+        # slice row (N - 1 - t) / stride is row t reversed, for the rows t below n - top
+        first = lo + (n - 1 - lo) % stride
+        mirrored = block[first - lo : max(0, n - top - lo) : stride, ::-1][:, ::stride]
+        last = (n - 1 - first) // stride
+        amp[last - len(mirrored) + 1 : last + 1] = mirrored[::-1]
+        block *= block
+        dens[lo : lo + len(block)] = block @ w
+    dens[top:] = dens[: n - top][::-1]
+    return amp, dens
+
+
+def _amplitude_rows(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis, work, stop=None):
+    """Unnormalized amplitude F(ws + wi) PM(dk L / 2) on ``axis``, by blocks of signal rows.
+
+    Yields (lo, the block of rows lo, lo + 1, ...) for the rows below
+    ``stop`` (all N rows by default), each block built in ``work[0]`` with
+    ``work[1]`` as scratch; the block height is that of ``work[0]``.
+    """
+    stop = axis.size if stop is None else stop
     row_args, columns, pump_rows = _amplitude_factors(kernel, crystal, pump, axis)
-    for lo in range(0, n, len(work[0])):
-        rows = slice(lo, lo + len(work[0]))
-        block = _kernel_block(kernel, row_args[rows], columns, [part[: n - lo] for part in work])
+    for lo in range(0, stop, len(work[0])):
+        rows = slice(lo, min(lo + len(work[0]), stop))
+        block = _kernel_block(kernel, row_args[rows], columns, [part[: rows.stop - lo] for part in work])
         block *= pump_rows[rows]
         yield lo, block
+
+
+def _top_rows(axis) -> int:
+    """The signal rows a stream evaluates: the top ceil(N / 2) on an antisymmetric axis, else N.
+
+    The pump and the phase matching are even, so on an axis with
+    ws_{N-1-n} = -ws_n bit for bit the amplitude is centrosymmetric bit for
+    bit, amp[N-1-n, N-1-j] = amp[n, j], and its lower rows are the top rows
+    reversed.
+    """
+    return axis.size - axis.size // 2 if _is_antisymmetric(axis) else axis.size
 
 
 def _amplitude_factors(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis):
@@ -399,8 +436,11 @@ def gaussian_marginal_fwhm(crystal: CrystalParams, pump: PumpPulse) -> float:
 class SchmidtReport:
     """Squared Schmidt coefficients (descending), mode count K and entropy.
 
-    ``ritz_block`` is the column count k of the Rayleigh-Ritz block that was
-    accepted; None where Q = I or the spectrum is in closed form.
+    ``ritz_block`` is the column count k of the accepted Rayleigh-Ritz
+    block, counted over all sectors: on an antisymmetric grid, twice the
+    largest block among the two parity sectors that closed with a proper
+    block. None where every sector took Q = I (or had no mass), or the
+    spectrum is in closed form.
     """
 
     coefficients: np.ndarray
@@ -437,12 +477,16 @@ def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
     failed factorization raises NumericalConsistencyError; a finite
     ||m||_F^2 (the quadrature norm) off 1 by more than NORMALIZATION_TOL
     raises ValueError.
-    ``schmidt_rows`` runs the same steps on a stream of the amplitude.
+    ``schmidt_rows`` runs the same steps on a stream of the amplitude, split
+    into its parity sectors on an antisymmetric grid; this oracle takes m
+    whole, as one sector.
     """
     sw = np.sqrt(js.grid.weights_s)
     m = js.amplitude * sw[:, None]
     m *= sw
-    lam, mass, block = _rayleigh_ritz(js.grid, lambda cols: m[:, cols], lambda: [(0, m)])
+    lam, mass, block = _rayleigh_ritz(
+        js.grid, [m.shape[0]], lambda picks: [m[:, picks[0]]], lambda live: [(0, [m])]
+    )
     _require_unit_norm(mass, "schmidt_analysis")
     return _schmidt_report(lam, js.grid.n_points, block)
 
@@ -458,87 +502,182 @@ def schmidt_rows(
     """``schmidt_analysis(joint_spectral_intensity(...))``, without an N x N array.
 
     The same Rayleigh-Ritz steps on the weighted, unnormalized amplitude m:
-    the k columns of each block are evaluated directly as one N x k block, and
-    each pass over the amplitude's row blocks (as in ``joint_spectrum_rows``,
-    about BLOCK_ELEMENTS elements each) sums B = Q^T m and ||m||_F^2, which is the
+    the k columns of each block are evaluated directly, and each pass over
+    the amplitude's row blocks (as in ``joint_spectrum_rows``, about
+    BLOCK_ELEMENTS elements each) sums B = Q^T m and ||m||_F^2, which is the
     quadrature norm; lambda are the Ritz values divided by it. Every doubling
-    of k costs one more pass. Only once 2k >= N, where Q = I, is m assembled
-    whole, and its N x N Gram matrix formed. A non-finite or zero amplitude or
-    a failed factorization raises NumericalConsistencyError.
+    of k costs one more pass. A non-finite or zero amplitude or a failed
+    factorization raises NumericalConsistencyError.
 
-    k starts at ``first_block``, which the scenario runner sets to the
-    ``ritz_block`` of its coarse grid (module docstring). The mass check
-    still accepts every block. Started at a block that the doublings from
-    SCHMIDT_BLOCK reach, the result is theirs bit for bit.
+    On an antisymmetric axis m is centrosymmetric (``_top_rows``), and the
+    orthonormal even and odd vectors (e_j +- e_{N-1-j}) / sqrt 2 split it
+    into two parity sectors over its top rows i: the even sector
+    E[i, j] = m[i, j] + m[i, N-1-j] of order ceil(N / 2) and the odd sector
+    O[i, j] = m[i, j] - m[i, N-1-j] of order floor(N / 2). For odd N, E's
+    middle row and column are those of m times sqrt 2, and its corner is
+    m[p, p]. The singular values of m are those of E and O together
+    (Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976). So each pass
+    evaluates only the top ceil(N / 2) rows and folds them into every sector
+    still open, and each Ritz block is evaluated on the top rows at its
+    columns c and N - 1 - c. Only once twice a sector's block reaches its
+    order is that sector assembled whole, with its Gram matrix. Any other
+    axis is one sector, m itself, and takes the steps of the oracle.
+
+    k, the Ritz columns of all the sectors together, starts at
+    ``first_block``, split evenly between them: each sector holds about half
+    the modes. The scenario runner sets it to the ``ritz_block`` of its
+    coarse grid (module docstring). The mass check still accepts every block.
     """
     axis = grid.omega_s
     n = axis.size
     sw = np.sqrt(grid.weights_s)
     row_args, col_factors, pump_rows = _amplitude_factors(kernel, crystal, pump, axis)
+    top = _top_rows(axis)
+    half = n - top  # the odd sector's order; 0 when m is one sector
+    sizes = [top, half] if half else [n]
+    if top > half > 0:
+        # E's middle row and column, those of m times sqrt 2, and its corner m[p, p]
+        # are the fold of two copies of the middle of m weighted by sqrt(1/2) more
+        sw[half] *= np.sqrt(0.5)
+    # BLAS sums a ragged last panel in another order where it meets a thread
+    # boundary, so sector blocks carry zero rows or columns up to a multiple of
+    # 64: their QR and B = Q^T s are then the same for any thread count
+    padded = [-(-size // 64) * 64 for size in sizes]
 
-    def columns(cols):
-        # m[:, cols] up to its column weights, which do not change its span
-        work = [np.empty((n, cols.size)), np.empty((n, cols.size))]
-        block = _kernel_block(kernel, row_args, col_factors[..., cols], work)
+    def fold(left, right, sector, lo, out):
+        # rows lo, lo + 1, ... of sector 0 (even) or 1 (odd), from top rows at columns j
+        # and N - 1 - j, into ``out``; returns the rows of ``out`` that the sector has
+        out = out[: max(0, sizes[sector] - lo)]
+        fold_op = np.add if sector == 0 else np.subtract
+        fold_op(left[: len(out)], right[: len(out)], out=out[:, : left.shape[1]])
+        return out
+
+    def columns(picks):
+        # the top rows of m at every pick c and, in sectors, at its mirror N - 1 - c,
+        # in one evaluation, up to the column weights, which do not change a span
+        idx = np.concatenate([np.concatenate((c, n - 1 - c)) if half else c for c in picks if c is not None])
+        work = [np.empty((top, idx.size)), np.empty((top, idx.size))]
+        block = _kernel_block(kernel, row_args[:top], col_factors[..., idx], work)
         del work  # the scratch half is freed before the QR
-        block *= pump_rows[:, cols]
-        block *= sw[:, None]
-        return block
+        block *= pump_rows[:top, idx]
+        block *= sw[:top, None]
+        if not half:
+            return [block]
+        out, at = [], 0
+        for sector, c in enumerate(picks):
+            if c is None:
+                out.append(None)
+                continue
+            out.append(np.zeros((padded[sector], c.size)))
+            fold(block[:, at : at + c.size], block[:, at + c.size : at + 2 * c.size], sector, 0, out[-1])
+            at += 2 * c.size
+        return out
 
-    def rows():
-        work = np.empty((2, min(n, max(1, BLOCK_ELEMENTS // n)), n))
-        for lo, block in _amplitude_rows(kernel, crystal, pump, axis, work):
+    def rows(live):
+        work = np.empty((2, min(top, max(1, BLOCK_ELEMENTS // n)), n))
+        folds = [np.zeros((len(work[0]), width)) for width in padded] if half else None
+        for lo, block in _amplitude_rows(kernel, crystal, pump, axis, work, top):
             block *= sw[lo : lo + len(block), None]
             block *= sw
-            yield lo, block
+            if not half:
+                yield lo, [block]
+                continue
+            yield lo, [
+                fold(block[:, :size], block[:, ::-1][:, :size], sector, lo, folds[sector][: len(block)])
+                if live[sector] else None
+                for sector, size in enumerate(sizes)
+            ]
 
-    lam, mass, block = _rayleigh_ritz(grid, columns, rows, first_block)
+    lam, mass, block = _rayleigh_ritz(grid, sizes, columns, rows, first_block)
     return _schmidt_report(lam / mass, n, block)
 
 
 def _rayleigh_ritz(
-    grid: FrequencyGrid, columns, rows, k: int = SCHMIDT_BLOCK
+    grid: FrequencyGrid, sizes, columns, rows, k: int = SCHMIDT_BLOCK
 ) -> tuple[np.ndarray, float, int | None]:
-    """Descending Ritz values of m m^H, ||m||_F^2 and the accepted block's k.
+    """Descending Ritz values of m m^H, ||m||_F^2 and the largest accepted block's k.
 
-    The loop ``schmidt_analysis`` describes, from a first block of k columns;
-    the k returned is None once Q = I. ``columns(cols)`` returns m[:, cols],
-    or any matrix of the same column span; ``rows()`` yields (lo, rows lo,
-    lo + 1, ... of m) over all N rows, a block being read before the next is
-    asked for. Each pass sums
-    B = Q^H m and the mass ||m||_F^2 over the row blocks; with Q = I
-    (2k >= N) B is m itself, copied together from the blocks. A mass that is
-    not finite or not positive, checked before B reaches eigvalsh, or a
-    LinAlgError raises NumericalConsistencyError.
+    The loop ``schmidt_analysis`` describes, run on each sector of m: m is
+    orthogonally equivalent to the direct sum of sectors of orders ``sizes``
+    (one sector: m itself), so its Ritz values are the union of theirs and
+    ||m||_F^2 is the sum of their masses ||s||_F^2. k counts the columns of
+    all the sectors' blocks together: each of the S sectors has its own
+    block, from k / S columns, its own doubling, and its own Q = I once
+    twice its block reaches its order. ``columns(picks)`` gets, per sector,
+    the column indices of its block or None, and returns, per sector, those
+    columns of it (or any matrix of the same column span) or None. ``rows(live)``
+    yields (lo, per sector, its rows lo, lo + 1, ... or None where ``live``
+    is False) over every sector's rows, a block being read before the next
+    is asked for. Each pass sums B = Q^H s and ||s||_F^2 over the row
+    blocks of every open sector s; with Q = I, B is s itself, copied
+    together from the blocks.
+
+    All sectors close when the mass the union misses, the sum over the
+    sectors of ||s||_F^2 - sum lambda (0 at Q = I), is below
+    SCHMIDT_MASS_TOL ||m||_F^2. Otherwise a sector closes when its own
+    missed mass is below SCHMIDT_MASS_TOL ||s||_F^2, or at Q = I, or when its
+    mass is 0 (it adds no coefficient), and every other open sector doubles
+    its block. A non-finite mass, or a total that is not positive, checked
+    before any B reaches eigvalsh, or a LinAlgError raises
+    NumericalConsistencyError. The k returned is S times the largest block
+    among the sectors that closed with a proper block, None if none did.
     """
     n = grid.n_points
     failed = f"Schmidt decomposition failed on a {n}x{n} grid (step={grid.step_s:.3e})"
+    widths = [max(1, k // len(sizes))] * len(sizes)
+    mass = [0.0] * len(sizes)
+    closed = [None] * len(sizes)  # per sector: (lambda, missed mass, k or None at Q = I)
     try:
-        while True:
-            q = None if 2 * k >= n else np.linalg.qr(columns((np.arange(k) * n) // k))[0]
-            mass = 0.0
-            for lo, block in rows():
-                # einsum's own loop, not a BLAS dot: the sum is the same for any thread count
-                mass += float(np.einsum("ij,ij->", block.conj(), block).real)
-                if q is None:  # B = m, copied together from its row blocks
-                    if lo == 0:
-                        b = np.empty((n, n), block.dtype)
-                    b[lo : lo + len(block)] = block
-                elif lo == 0:
-                    b = q[: len(block)].conj().T @ block
-                else:
-                    b += q[lo : lo + len(block)].conj().T @ block
-            if not np.isfinite(mass):
+        while None in closed:
+            live = [result is None for result in closed]
+            picks = [
+                (np.arange(width) * size) // width if open_ and 2 * width < size else None
+                for open_, width, size in zip(live, widths, sizes)
+            ]
+            qs = [None] * len(sizes)
+            if any(c is not None for c in picks):
+                qs = [None if c is None else np.linalg.qr(c)[0] for c in columns(picks)]
+            b = [None] * len(sizes)
+            for i in np.flatnonzero(live):
+                mass[i] = 0.0
+            for lo, parts in rows(live):
+                for i, block in enumerate(parts):
+                    if block is None:
+                        continue
+                    # einsum's own loop, not a BLAS dot: the sum is the same for any thread count
+                    mass[i] += float(np.einsum("ij,ij->", block.conj(), block).real)
+                    if qs[i] is None:  # B = s, copied together from its row blocks
+                        if lo == 0:
+                            b[i] = np.empty((sizes[i], block.shape[1]), block.dtype)
+                        b[i][lo : lo + len(block)] = block
+                    elif lo == 0:
+                        b[i] = qs[i][: len(block)].conj().T @ block
+                    else:
+                        b[i] += qs[i][lo : lo + len(block)].conj().T @ block
+            total = sum(mass)
+            if not np.isfinite(total):
                 raise NumericalConsistencyError(f"{failed}: non-finite amplitude")
-            if not mass > 0.0:
+            if not total > 0.0:
                 raise NumericalConsistencyError(f"{failed}: zero amplitude")
-            # conj() of a real array is the array itself, so b @ b.T runs as syrk
-            lam = np.linalg.eigvalsh(b @ b.conj().T)[::-1]
-            if q is None or mass - float(np.sum(lam)) < SCHMIDT_MASS_TOL * mass:
-                return lam, mass, None if q is None else k
-            k *= 2
+            found = {}
+            for i in np.flatnonzero(live):
+                if mass[i] == 0.0:  # no coefficient, and no block
+                    found[i] = (np.empty(0), 0.0, None)
+                    continue
+                # conj() of a real array is the array itself, so b @ b.T runs as syrk
+                lam = np.linalg.eigvalsh(b[i] @ b[i].conj().T)[::-1]
+                found[i] = (lam, 0.0, None) if qs[i] is None else (lam, mass[i] - float(np.sum(lam)), widths[i])
+            missed = sum(r[1] for r in closed + list(found.values()) if r is not None)
+            for i, (lam, left, width) in found.items():
+                if missed < SCHMIDT_MASS_TOL * total or width is None or left < SCHMIDT_MASS_TOL * mass[i]:
+                    closed[i] = (lam, left, width)
+                else:
+                    widths[i] *= 2
     except np.linalg.LinAlgError as exc:
         raise NumericalConsistencyError(f"{failed}: {exc}") from exc
+    lam = np.sort(np.concatenate([result[0] for result in closed]))[::-1]
+    accepted = [r[2] for r in closed if r[2] is not None]
+    return lam, total, len(sizes) * max(accepted) if accepted else None
 
 
 def _schmidt_report(lam: np.ndarray, n: int, block: int | None) -> SchmidtReport:

@@ -57,6 +57,8 @@ from .optics_model import (
     SampleModel,
     TWO_PI,
     _axis_deviation,
+    _is_antisymmetric,
+    _symmetric_axis,
     _trapezoid_weights,
     echoes,
     sinc,
@@ -389,18 +391,6 @@ def _ridge(crystal: CrystalParams, kernel: str) -> float:
     return abs(1.0 - 2.0 * _walkoff(crystal, kernel) / crystal.D) / 2.0
 
 
-def _symmetric_axis(half_width: float, n: int) -> np.ndarray:
-    """``np.linspace(-half_width, half_width, n)`` made exactly antisymmetric.
-
-    x[n - 1 - i] = -x[i] bit for bit, as the idler reduction's mirror pairing
-    needs. Each point is the mean of linspace's x[i] and -x[n - 1 - i], which
-    differ by rounding alone, so the end points stay exact and no point moves
-    by more than a few ulp of ``half_width``.
-    """
-    x = np.linspace(-half_width, half_width, n)
-    return 0.5 * (x - x[::-1])
-
-
 def _u_axis(
     crystal: CrystalParams,
     pump: PumpPulse,
@@ -578,7 +568,7 @@ def _pump_quadrature(
     b, a = _kernel_args(crystal, kernel, omega_s, u)
     columns = _kernel_columns(kernel, a)
     # rows n < paired also give row N-1-n; rows from top on are not built
-    paired = n_s // 2 if np.array_equal(omega_s, -omega_s[::-1]) else 0
+    paired = n_s // 2 if _is_antisymmetric(omega_s) else 0
     top = n_s - paired
     chunk = min(top, max(1, BLOCK_ELEMENTS // n_u))
     work = np.empty((2, chunk, n_u))

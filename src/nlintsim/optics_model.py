@@ -443,6 +443,24 @@ def _axis_deviation(x: np.ndarray) -> float:
     return float(np.max(np.abs(x - (x[0] + step * np.arange(x.size)))))
 
 
+def _symmetric_axis(half_width: float, n: int) -> np.ndarray:
+    """``np.linspace(-half_width, half_width, n)`` made exactly antisymmetric.
+
+    x[n - 1 - i] = -x[i] bit for bit, as the mirror pairings of the idler
+    reduction and the joint-spectrum streams need. Each point is the mean of
+    linspace's x[i] and -x[n - 1 - i], which differ by rounding alone, so the
+    end points stay exact and no point moves by more than a few ulp of
+    ``half_width``.
+    """
+    x = np.linspace(-half_width, half_width, n)
+    return 0.5 * (x - x[::-1])
+
+
+def _is_antisymmetric(axis: np.ndarray) -> bool:
+    """Whether axis[n - 1 - i] = -axis[i] bit for bit, as on ``_symmetric_axis``."""
+    return bool(np.array_equal(axis, -axis[::-1]))
+
+
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     w = np.full(axis.size, axis[1] - axis[0])
     w[0] *= 0.5
@@ -465,7 +483,7 @@ def make_frequency_grid(
     n_points: int,
     half_width: float | None = None,
 ) -> FrequencyGrid:
-    """Symmetric uniform grid for joint-spectrum work.
+    """Uniform grid for joint-spectrum work, exactly antisymmetric (``_symmetric_axis``).
 
     Raises GridResolutionError when fewer than MIN_POINTS_PER_FEATURE steps
     fall across the narrower of the pump and phase-matching widths.
@@ -487,5 +505,4 @@ def make_frequency_grid(
             f"feature ({narrow:.3e} rad/fs); need >= "
             f"{int(np.ceil(2 * half_width * MIN_POINTS_PER_FEATURE / narrow)) + 1} points"
         )
-    axis = np.linspace(-half_width, half_width, n_points)
-    return FrequencyGrid(omega_s=axis)
+    return FrequencyGrid(omega_s=_symmetric_axis(half_width, n_points))

@@ -23,6 +23,7 @@ from nlintsim import biphoton, cli_runner, coherence
 from nlintsim.optics_model import (
     AnalysisError,
     CrystalParams,
+    FrequencyGrid,
     NumericalConsistencyError,
     PumpPulse,
     SINC_GAUSS_ALPHA,
@@ -265,6 +266,81 @@ def test_gaussian_rows_evaluate_only_the_slice(monkeypatch, t0_fs, n, stride, bl
     expected = marginal_spectrum(js, CRYSTAL)
     assert np.max(np.abs(marginal.density - expected.density)) <= 1e-12 * np.max(expected.density)
     assert marginal.fwhm_rad_fs == pytest.approx(expected.fwhm_rad_fs, rel=1e-14, abs=0.0)
+
+
+def off_centre(grid):
+    # the same uniform axis moved by 0.3 of a step, which is not antisymmetric
+    return FrequencyGrid(grid.omega_s + 0.3 * grid.step_s)
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+@pytest.mark.parametrize("n", [1024, 1025, 2048])
+def test_amplitude_is_centrosymmetric_on_grid_axes(kernel, n):
+    # the pump and the phase matching are even, and make_frequency_grid's axis is
+    # antisymmetric bit for bit, so amp[N-1-i, N-1-j] = amp[i, j] bit for bit
+    for gamma in (0.5, 1.0, 2.0):
+        pump = gamma_pump(CRYSTAL, gamma)
+        axis = make_frequency_grid(CRYSTAL, pump, n).omega_s
+        assert np.array_equal(axis, -axis[::-1])
+        assert np.max(np.abs(axis - np.linspace(axis[0], axis[-1], n))) <= 2 * np.spacing(axis[-1])
+        work = (np.empty((n, n)), np.empty((n, n)))
+        ((_, amp),) = biphoton._amplitude_rows(kernel, CRYSTAL, pump, axis, work)
+        assert np.array_equal(amp, amp[::-1, ::-1])
+
+
+@pytest.mark.parametrize("n,stride,block", [
+    pytest.param(512, 1, None, id="even-one-block"),
+    pytest.param(513, 4, None, id="odd-one-block"),
+    pytest.param(1001, 3, 50_000, id="odd-ragged-blocks"),  # 48-row blocks, 21 top rows left over
+    pytest.param(960, 8, 50_000, id="even-whole-blocks"),  # 959 = 7 mod 8: no mirror is a slice row
+    pytest.param(1024, 7, 30_000, id="even-ragged-blocks"),
+])
+def test_exact_rows_mirror_the_top_half(monkeypatch, n, stride, block):
+    # only the top ceil(N / 2) rows are evaluated; the lower slice rows are top rows
+    # reversed, bit for bit the evaluated ones, and the marginal is even
+    if block is not None:
+        monkeypatch.setattr(biphoton, "BLOCK_ELEMENTS", block)
+    pump = PumpPulse(212.0)
+    grid = make_frequency_grid(CRYSTAL, pump, n)
+    w = grid.weights_s
+    work = (np.empty((n, n)), np.empty((n, n)))
+    ((_, full),) = biphoton._amplitude_rows("exact", CRYSTAL, pump, grid.omega_s, work)
+    for g in (grid, off_centre(grid)):
+        if g is not grid:
+            ((_, full),) = biphoton._amplitude_rows("exact", CRYSTAL, pump, g.omega_s, work)
+        numerator, dens = biphoton._streamed_rows("exact", CRYSTAL, pump, g.omega_s, w, stride)
+        assert np.array_equal(numerator, full[::stride, ::stride])
+        # the full build's BLAS row sums are themselves up to 1.1e-15 off exactly
+        # rounded ones, so the two marginals agree to their rounding, not to 1e-15
+        expected = (full * full) @ w
+        assert np.max(np.abs(dens - expected)) <= 2e-15 * np.max(expected)
+    _, dens = biphoton._streamed_rows("exact", CRYSTAL, pump, grid.omega_s, w, stride)
+    assert np.array_equal(dens, dens[::-1])
+
+
+@pytest.mark.parametrize("n", [1024, 1025])
+def test_streams_evaluate_the_top_rows_of_a_symmetric_axis(monkeypatch, n):
+    monkeypatch.setattr(biphoton, "BLOCK_ELEMENTS", 50_000)
+    calls = []
+
+    def counted(kernel, b, columns, work):
+        calls.append((b.size, columns.shape[-1]))
+        return kernel_block(kernel, b, columns, work)
+
+    kernel_block = biphoton._kernel_block
+    monkeypatch.setattr(biphoton, "_kernel_block", counted)
+    # gamma = 2 misses mass at 64 columns, so both Schmidt streams take a second pass
+    pump = gamma_pump(CRYSTAL, 2.0)
+    grid = make_frequency_grid(CRYSTAL, pump, n)
+    for g, rows in ((grid, -(-n // 2)), (off_centre(grid), n)):
+        calls.clear()
+        joint_spectrum_rows("exact", CRYSTAL, pump, g, 3)
+        assert sum(b for b, width in calls if width == n) == rows
+        calls.clear()
+        schmidt_rows("exact", CRYSTAL, pump, g)
+        amplitude_rows = [b for b, width in calls if width == n]  # the Ritz columns are fewer
+        assert sum(amplitude_rows) == 2 * rows
+        assert max(amplitude_rows) <= 50_000 // n
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -578,17 +654,27 @@ def test_schmidt_small_grid_takes_the_gram_path(eigvalsh_sizes):
     assert lam.tobytes() == gram_oracle(js).tobytes()
 
 
-@pytest.mark.parametrize("kernel,gamma,n,blocks", [
-    pytest.param("gaussian", 0.5, 2048, [64], id="gaussian-0.5"),
-    pytest.param("exact", 1.0, 2048, [64], id="exact-1"),
+@pytest.mark.parametrize("kernel,gamma,n,shift,blocks", [
+    # each sector (even, then odd) starts at 32 of the 64 columns and hands its
+    # own k x k block to eigvalsh
+    pytest.param("gaussian", 0.5, 2048, False, [32, 32], id="gaussian-0.5"),
+    pytest.param("exact", 1.0, 2048, False, [32, 32], id="exact-1"),
     # the schmidt_sweep item at gamma = 2 with the exact kernel
-    pytest.param("exact", 2.0, 2048, [64, 128], id="exact-2-doubles"),
-    pytest.param("exact", 2.0, 1001, [64, 128], id="exact-2-ragged"),  # 4 x 249 + 5 rows
-    pytest.param("exact", 10.0, 512, [64, 128, 512], id="exact-10-takes-q-eq-i"),  # 488 + 24 rows
+    pytest.param("exact", 2.0, 2048, False, [32, 32, 64, 64], id="exact-2-doubles"),
+    pytest.param("exact", 2.0, 1001, False, [32, 32, 64, 64], id="exact-2-ragged"),  # 2 x 249 + 3 top rows
+    # at 128 columns 2 k reaches each 256-row sector, which takes Q = I
+    pytest.param("exact", 10.0, 512, False, [32, 32, 64, 64, 256, 256], id="exact-10-takes-q-eq-i"),
+    # odd N: the 501-row even sector holds the middle row and column, and takes Q = I
+    pytest.param("exact", 10.0, 1001, False, [32, 32, 64, 64, 128, 128, 501, 500], id="exact-10-odd-1001"),
+    pytest.param("exact", 10.0, 2049, False, [32, 32, 64, 64, 128, 128, 256, 256], id="exact-10-odd-2049"),
+    # an axis that is not antisymmetric is one sector, m itself, as before the split
+    pytest.param("exact", 2.0, 2048, True, [64, 128], id="exact-2-off-centre"),
 ])
-def test_streamed_schmidt_matches_the_full_build(eigvalsh_sizes, kernel, gamma, n, blocks):
+def test_streamed_schmidt_matches_the_full_build(eigvalsh_sizes, kernel, gamma, n, shift, blocks):
     pump = gamma_pump(CRYSTAL, gamma)
     grid = make_frequency_grid(CRYSTAL, pump, n)
+    if shift:
+        grid = off_centre(grid)
     report = schmidt_rows(kernel, CRYSTAL, pump, grid)
     assert eigvalsh_sizes == blocks
     oracle = schmidt_analysis(joint_spectral_intensity(kernel, CRYSTAL, pump, grid))
@@ -598,30 +684,96 @@ def test_streamed_schmidt_matches_the_full_build(eigvalsh_sizes, kernel, gamma, 
     assert report.schmidt_number_K == pytest.approx(oracle.schmidt_number_K, rel=1e-12, abs=0.0)
 
 
+def centrosymmetric_sectors(m):
+    # the even and odd sectors that schmidt_rows folds m into: E = A + C J,
+    # O = A - C J, and for odd N E's middle row and column times sqrt 2
+    n = m.shape[0]
+    top, half = n - n // 2, n // 2
+    even = m[:top, :top] + m[:top, ::-1][:, :top]
+    if top > half:
+        even[-1] *= np.sqrt(0.5)
+        even[:, -1] *= np.sqrt(0.5)
+    return [even, m[:half, :half] - m[:half, ::-1][:, :half]]
+
+
+def drive_rayleigh_ritz(grid, sectors):
+    # the shared loop on given sector matrices; records the sectors each pass reads
+    passes = []
+
+    def rows(live):
+        passes.append(list(live))
+        return [(0, [s if on else None for s, on in zip(sectors, live)])]
+
+    def columns(picks):
+        return [None if c is None else s[:, c] for s, c in zip(sectors, picks)]
+
+    result = biphoton._rayleigh_ritz(grid, [len(s) for s in sectors], columns, rows)
+    return result, passes
+
+
+@pytest.mark.parametrize("n", [1024, 1025])
+def test_sector_of_zero_mass_closes_at_once(eigvalsh_sizes, n):
+    # an even input: m[i, N-1-j] = m[i, j] bit for bit, so the odd sector is 0
+    pump = gamma_pump(CRYSTAL, 2.0)
+    js = joint_spectral_intensity("exact", CRYSTAL, pump, make_frequency_grid(CRYSTAL, pump, n))
+    sw = np.sqrt(js.grid.weights_s)
+    m = js.amplitude * sw[:, None] * sw
+    m = (m + m[:, ::-1]) / 2.0
+    sectors = centrosymmetric_sectors(m)
+    assert not np.any(sectors[1])
+    (lam, mass, block), passes = drive_rayleigh_ritz(js.grid, sectors)
+    # the odd sector closes in the first pass and never reaches eigvalsh, while
+    # the even one doubles to 64 columns
+    assert eigvalsh_sizes == [32, 64]
+    assert passes == [[True, True], [True, False]]
+    assert (lam.size, block) == (64, 128)  # it adds no coefficient, and no block
+    assert mass == pytest.approx(np.sum(m * m), rel=1e-14)
+    oracle = np.linalg.svd(m, compute_uv=False) ** 2
+    assert np.max(np.abs(lam[:40] - oracle[:40])) <= 1e-13 * oracle[0]
+
+
+def test_sectors_double_apart(eigvalsh_sizes):
+    # a rank-one even sector closes at 32 columns while the odd one doubles alone
+    pump = gamma_pump(CRYSTAL, 10.0)
+    js = joint_spectral_intensity("exact", CRYSTAL, pump, make_frequency_grid(CRYSTAL, pump, 2048))
+    sw = np.sqrt(js.grid.weights_s)
+    _, odd = centrosymmetric_sectors(js.amplitude * sw[:, None] * sw)
+    f = np.exp(-np.linspace(-3.0, 0.0, odd.shape[0]) ** 2)
+    sectors = [np.outer(f, f) * 1e-3, odd]
+    (lam, mass, block), passes = drive_rayleigh_ritz(js.grid, sectors)
+    assert eigvalsh_sizes == [32, 32, 64, 128, 256]
+    assert passes == [[True, True], [False, True], [False, True], [False, True]]
+    assert block == 2 * 256
+    assert mass == pytest.approx(sum(np.sum(s * s) for s in sectors), rel=1e-14)
+    oracle = np.sort(np.concatenate([np.linalg.svd(s, compute_uv=False) ** 2 for s in sectors]))[::-1]
+    kept = lam[lam > 1e-12 * lam[0]]
+    assert np.max(np.abs(kept - oracle[: kept.size])) <= 1e-13 * mass
+
+
 @pytest.fixture
 def row_passes(monkeypatch):
     """Grid sizes of the passes the Schmidt streams make over the amplitude's rows."""
     sizes = []
     original = biphoton._amplitude_rows
 
-    def spy(kernel, crystal, pump, axis, work):
+    def spy(kernel, crystal, pump, axis, work, stop=None):
         sizes.append(axis.size)
-        return original(kernel, crystal, pump, axis, work)
+        return original(kernel, crystal, pump, axis, work, stop)
 
     monkeypatch.setattr(biphoton, "_amplitude_rows", spy)
     return sizes
 
 
 @pytest.mark.parametrize("points,passes", [
-    # the 512-point coarse grid doubles to 128 columns, and the run grid starts there
+    # the 512-point coarse grid's sectors double to 64 columns, and the run grid starts there
     pytest.param(1024, [512, 512, 1024], id="coarse-block"),
-    # at 128 columns the 256-point coarse grid takes Q = I, so the run grid doubles
+    # at 64 columns the 256-point coarse grid's 128-row sectors take Q = I, so the run grid doubles
     pytest.param(512, [256, 256, 512, 512], id="coarse-gram-falls-back"),
     # no grid below MIN_GRID_POINTS = 256 to coarsen to
     pytest.param(256, [256, 256], id="no-coarse-falls-back"),
 ])
 def test_schmidt_task_starts_the_run_grid_at_the_coarse_block(row_passes, points, passes):
-    # the exact schmidt_sweep item at gamma = 2^(1/4), whose 64-column block misses mass
+    # the exact schmidt_sweep item at gamma = 2^(1/4), whose 32-column sector blocks miss mass
     pump = gamma_pump(CRYSTAL, 2.0 ** 0.25)
     scenario = cli_runner.parse_scenario(
         "[crystal]\npreset = mgo_linbo3\nlength_mm = 5.0\n\n"
@@ -659,6 +811,30 @@ def test_streamed_schmidt_fails_on_a_bad_amplitude(monkeypatch, bad, reason):
 
     monkeypatch.setattr(biphoton, "pump_amplitude", bad_pump)
     with pytest.raises(NumericalConsistencyError, match=f"1024x1024 grid.*{reason}"):
+        schmidt_rows("exact", CRYSTAL, pump, grid)
+
+
+@pytest.mark.parametrize("bad,reason", [
+    pytest.param(np.nan, "non-finite amplitude", id="nan"),
+    pytest.param(0.0, "zero amplitude", id="zero"),
+])
+@pytest.mark.parametrize("shift", [False, True], ids=["odd-sectors", "off-centre"])
+def test_sector_schmidt_fails_on_a_bad_amplitude(monkeypatch, bad, reason, shift):
+    pump = gamma_pump(CRYSTAL, 1.0)
+    grid = make_frequency_grid(CRYSTAL, pump, 1025)
+    if shift:
+        grid = off_centre(grid)
+    original = biphoton.pump_amplitude
+
+    def bad_pump(p, omega):
+        f = original(p, omega)
+        if bad == 0.0:
+            return np.zeros_like(f)
+        f[f.size // 2] = bad  # the anti-diagonal, which the top rows and every Ritz block read
+        return f
+
+    monkeypatch.setattr(biphoton, "pump_amplitude", bad_pump)
+    with pytest.raises(NumericalConsistencyError, match=f"1025x1025 grid.*{reason}"):
         schmidt_rows("exact", CRYSTAL, pump, grid)
 
 
