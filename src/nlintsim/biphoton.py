@@ -314,12 +314,14 @@ def _require_unit_norm(norm: float, caller: str) -> None:
 
 @dataclass(frozen=True)
 class SignalSpectrum:
-    """Normalized signal marginal S(ws) with its measured bandwidth."""
+    """Normalized signal marginal S(ws) with its measured bandwidth, and ``signal_spectrum``'s
+    by its embedded coarse rule (``coarse_fwhm_nm``; None for a grid marginal)."""
 
     omega_s: np.ndarray
     density: np.ndarray
     fwhm_rad_fs: float
     fwhm_nm: float
+    coarse_fwhm_nm: float | None = None
 
     def __post_init__(self):
         self.omega_s.setflags(write=False)
@@ -381,7 +383,7 @@ def marginal_spectrum(js: JointSpectrum, crystal: CrystalParams) -> SignalSpectr
     return _signal_marginal(js.grid.omega_s.copy(), dens, crystal)
 
 
-def _signal_marginal(omega_s, density, crystal: CrystalParams) -> SignalSpectrum:
+def _signal_marginal(omega_s, density, crystal, coarse_fwhm_nm=None) -> SignalSpectrum:
     """The SignalSpectrum of a unit-norm marginal, with its interpolated FWHM."""
     width = fwhm_interpolated(omega_s, density)
     return SignalSpectrum(
@@ -389,6 +391,7 @@ def _signal_marginal(omega_s, density, crystal: CrystalParams) -> SignalSpectrum
         density=density,
         fwhm_rad_fs=width,
         fwhm_nm=bandwidth_nm(width, crystal.lambda_s_nm),
+        coarse_fwhm_nm=coarse_fwhm_nm,
     )
 
 
@@ -406,16 +409,18 @@ def signal_spectrum(
     production marginal; ``marginal_spectrum`` on a square grid matches it
     wherever that grid is resolvable. ``resolution`` scales both axis
     densities at fixed spans. The signal axis is exactly antisymmetric, so
-    the even density is built on one half and mirrored.
+    the even density is built on one half and mirrored. The axis is odd, and
+    ``coarse_fwhm_nm`` is the width on ``omega_s[::2]`` by the embedded coarse rule.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     t0 = pump.t0_fs
     half_s = max(24.0 / crystal.dl, 6.0 / t0) + _ridge(crystal, kernel) * 8.0 / t0
     ws = _symmetric_axis(half_s, max(257, int(4097 * resolution) | 1))
-    dens = _pump_quadrature(crystal, pump, ws, kernel=kernel, resolution=resolution)
+    dens, coarse = _pump_quadrature(crystal, pump, ws, kernel=kernel, resolution=resolution)
     dens = dens / np.sum(dens * _trapezoid_weights(ws))
-    return _signal_marginal(ws, dens, crystal)
+    coarse_nm = bandwidth_nm(fwhm_interpolated(ws[::2], coarse), crystal.lambda_s_nm)
+    return _signal_marginal(ws, dens, crystal, coarse_nm)
 
 
 def gaussian_marginal_fwhm(crystal: CrystalParams, pump: PumpPulse) -> float:

@@ -36,6 +36,7 @@ from .optics_model import (
     SampleModel,
     TabulatedSample,
     UniformSample,
+    _resolved_half_width,
     gamma_param,
     make_frequency_grid,
     mgo_linbo3_crystal,
@@ -682,20 +683,20 @@ def _coarser_grid(scenario: Scenario, points: int):
         return None
 
 
-def _halved_resolution(
-    scenario: Scenario, points: int, dz: np.ndarray, g1_abs: np.ndarray
-) -> dict:
-    """Convergence entry of a numeric-route scan task from the |g1| it computed on ``dz``.
+def _numeric_scan(scenario: Scenario, geometry, points: int, dz: np.ndarray):
+    """g1 with its carrier on ``dz`` from ``g1_scan``'s correlator, and its convergence entry."""
+    corr, t1 = coherence._scan_correlator(
+        scenario.crystal, scenario.pump, geometry, scenario.sample, dz, points / 2048.0)
+    g = corr.correlation(t1) * np.exp(1j * coherence.carrier_phase(scenario.crystal, geometry, dz))
+    return g, _halved_resolution(scenario.sample, np.abs(g), corr.coarse_correlation(t1))
 
-    Only the half-resolution correlator (points / 4096) is built; the delta is
-    the largest change of |g1| over every delay of the scan.
-    """
-    half = coherence.g1_scan(
-        scenario.crystal, scenario.pump, scenario.effective_geometry(), scenario.sample,
-        dz, resolution=points / 4096.0, include_carrier=False,
-    )
-    delta = float(np.max(np.abs(g1_abs - np.abs(half))))
-    return {"delta": delta, "method": "halved-resolution"}
+
+def _halved_resolution(sample: TabulatedSample, g1_abs: np.ndarray, coarse: np.ndarray) -> dict:
+    """Convergence entry of a numeric-route scan: the largest change of |g1| over its delays,
+    and the sinc^2 tail cut's bound max|r| / (pi TAIL_SINC_ARG), which is not gated."""
+    delta = float(np.max(np.abs(g1_abs - np.abs(coarse))))
+    bound = float(np.max(np.abs(sample.r))) / (np.pi * coherence.TAIL_SINC_ARG)
+    return {"delta": delta, "method": "halved-resolution", "tail_bound": bound}
 
 
 def _task_joint_spectrum(scenario: Scenario, points: int):
@@ -720,9 +721,7 @@ def _task_joint_spectrum(scenario: Scenario, points: int):
 
 def _task_schmidt(scenario: Scenario, points: int):
     if scenario.kernel == "gaussian":
-        # as on the numeric route, a grid that cannot resolve the spectrum fails
-        # before any compute, and the grid's points bound the mode count
-        _grid(scenario, points)
+        # run_scenario has checked the grid; its points bound the mode count
         gamma = gamma_param(scenario.crystal, scenario.pump)
         report = biphoton.schmidt_gaussian(gamma, max_modes=points)
         conv = {"delta": 0.0, "method": "analytic"}
@@ -762,11 +761,7 @@ def _task_g1_scan(scenario: Scenario, points: int):
         window_mm=window,
     )
     if isinstance(sample, TabulatedSample):
-        g = coherence.g1_scan(
-            crystal, pump, geometry, sample, dz,
-            resolution=points / 2048.0, include_carrier=True,
-        )
-        conv = _halved_resolution(scenario, points, dz, np.abs(g))
+        g, conv = _numeric_scan(scenario, geometry, points, dz)
     else:
         g = coherence.g1_closed_form(crystal, pump, geometry, sample, dz)
         conv = {"delta": 0.0, "method": "analytic"}
@@ -785,11 +780,10 @@ def _task_oct_scan(scenario: Scenario, points: int):
         n_points=scenario.scan.points, window_mm=window,
     )
     if isinstance(sample, TabulatedSample):
-        ifg = oct_scan.interferogram_numeric(
-            crystal, pump, geometry, sample, dz,
-            fringes=scenario.scan.fringes, resolution=points / 2048.0,
-        )
-        conv = _halved_resolution(scenario, points, dz, ifg.envelope)
+        # what interferogram_numeric does, from the correlator that also gives the check
+        oct_scan._require_synchronized(geometry, crystal)
+        g, conv = _numeric_scan(scenario, geometry, points, dz)
+        ifg = oct_scan._interferogram(crystal, dz, g, np.abs(g), scenario.scan.fringes)
     else:
         ifg = oct_scan.interferogram_closed_form(
             crystal, pump, geometry, sample, dz, fringes=scenario.scan.fringes
@@ -832,10 +826,7 @@ def _task_spectrum(scenario: Scenario, points: int):
             ["omega_s_rad_fs", "wavelength_nm", "density"], rows, scenario.output_format
         )
     }
-    half = biphoton.signal_spectrum(
-        crystal, scenario.pump, kernel=scenario.kernel, resolution=0.5
-    )
-    delta = abs(spectrum.fwhm_nm - half.fwhm_nm) / spectrum.fwhm_nm
+    delta = abs(spectrum.fwhm_nm - spectrum.coarse_fwhm_nm) / spectrum.fwhm_nm
     return (
         files,
         {"delta": float(delta), "method": "halved-resolution"},
@@ -857,17 +848,21 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
 
     Deterministic: identical scenario text yields bit-identical data files and
     an identical manifest digest. Tasks run one after another. A grid size below
-    MIN_GRID_POINTS, or one the joint spectrum's stride leaves with fewer than
-    two points per axis, is rejected before anything is computed or written. A
-    task whose written series holds a non-finite value fails with
-    NumericalConsistencyError, and no file of the run is written. On task
-    failure its partial outputs are removed and the original exception
-    propagates with a note naming the task.
+    MIN_GRID_POINTS, one the joint spectrum's stride leaves with fewer than two
+    points per axis, or one too coarse for a joint_spectrum or schmidt task's
+    spectrum, is rejected before anything is computed or written. A task whose
+    written series holds a non-finite value fails with NumericalConsistencyError,
+    and no file of the run is written. On task failure its partial outputs are
+    removed and the original exception propagates with a note naming the task.
     """
     points = scenario.grid_points
     if points < MIN_GRID_POINTS:
         raise ScenarioError(f"grid points must be at least {MIN_GRID_POINTS}, got {points}")
     _check_jsi_stride(scenario.tasks, scenario.jsi_stride, points)
+    grid_tasks = [task for task in scenario.tasks if task in ("joint_spectrum", "schmidt")]
+    if grid_tasks:  # checks the grid without building it
+        _noted(grid_tasks[0], _resolved_half_width, scenario.crystal, scenario.pump, points,
+               scenario.grid_half_width)
     target = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)
     try:
         target.mkdir(parents=True, exist_ok=True)
@@ -880,13 +875,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     results = {}
     for task in scenario.tasks:
         t0 = time.perf_counter()
-        try:
-            files, conv, extras = _TASK_FN[task](scenario, points)
-        except Exception as exc:
-            # what BaseException.add_note does (Python 3.11+): the exception
-            # keeps its type and constructor arguments
-            exc.__notes__ = [*getattr(exc, "__notes__", ()), f"task {task}"]
-            raise
+        files, conv, extras = _noted(task, _TASK_FN[task], scenario, points)
         results[task] = (files, conv, extras, time.perf_counter() - t0)
 
     manifest_files: dict = {}
@@ -940,6 +929,15 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     payload = dataclasses.asdict(manifest)
     (target / "run_manifest.json").write_text(json.dumps(payload, indent=2) + "\n")
     return manifest
+
+
+def _noted(task: str, fn, *args):
+    """fn(*args); what it raises keeps its type and gets the note ``task <task>`` (add_note)."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), f"task {task}"]
+        raise
 
 
 # ---------------------------------------------------------------------------

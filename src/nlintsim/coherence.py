@@ -33,11 +33,11 @@ even, and the signal and pump axes are exactly antisymmetric
 only the rows ws <= 0 are built, each reduced against f(wi) for ws and
 against f(-wi) for -ws. The signal-frequency sum over a uniform delay axis
 is then a chirp-z transform (Bluestein's algorithm), so a scan of K delays over N signal
-frequencies costs O((N + K) log(N + K)) rather than O(N K). Every streamed
-kernel evaluation, here the idler reduction and the direct delay sum and in
-``biphoton`` the joint-spectrum and Schmidt row blocks, works in blocks of
-about BLOCK_ELEMENTS elements, so its work arrays stay a few MB whatever the
-grid or the scan.
+frequencies costs O((N + K) log(N + K)) rather than O(N K). The route's convergence
+check is a coarse rule embedded in the same nodes. Every streamed kernel evaluation,
+here the idler reduction and the direct delay sum and in ``biphoton`` the
+joint-spectrum and Schmidt row blocks, works in blocks of about BLOCK_ELEMENTS
+elements, so its work arrays stay a few MB whatever the grid or the scan.
 """
 
 from __future__ import annotations
@@ -227,8 +227,10 @@ class PairCorrelator:
     ``resolution`` scales step densities; spans are fixed by the physics so a
     refinement ladder measures pure discretization error. ``omega_s`` is
     exactly antisymmetric, so the idler reduction builds the block rows of
-    one half and reduces each for ws and for its mirror -ws. Instances are
-    read-only after construction; distinct delay batches may be evaluated
+    one half and reduces each for ws and for its mirror -ws. Its point count
+    is odd, so ``coarse_correlation`` takes ``omega_s[::2]`` by the embedded
+    coarse rule of ``_pump_quadrature``: the halved-resolution check. Instances
+    are read-only after construction; distinct delay batches may be evaluated
     concurrently against one instance.
     """
 
@@ -256,7 +258,7 @@ class PairCorrelator:
         h_s = min(TWO_PI / dl / 8.0, 0.4 / phase_rate) / resolution
         n_s = int(np.ceil(2.0 * half_s / h_s)) | 1
         self.omega_s = _symmetric_axis(half_s, n_s)
-        r_inner = _pump_quadrature(
+        r_inner, r_coarse = _pump_quadrature(
             crystal, pump, self.omega_s,
             sample=sample,
             t2_fs=t2_fs,
@@ -264,9 +266,9 @@ class PairCorrelator:
             resolution=resolution,
         )
         # sigma cancels against the analytic flux normalization 2 pi sigma^2 L/|D|
-        self._reduced = (
-            r_inner * _trapezoid_weights(self.omega_s) * (length * abs(crystal.D) / TWO_PI)
-        )
+        norm = length * abs(crystal.D) / TWO_PI
+        self._reduced = r_inner * _trapezoid_weights(self.omega_s) * norm
+        self._coarse = r_coarse * _trapezoid_weights(self.omega_s[::2]) * norm
 
     def correlation(self, t1_fs) -> np.ndarray:
         """Normalized complex correlation (carrier phase excluded) at delays T1.
@@ -275,11 +277,19 @@ class PairCorrelator:
         uniform axis through their end points shifts no phase by more than
         CHIRP_Z_PHASE_TOL; otherwise the direct sum does.
         """
+        return self._transform(self.omega_s, self._reduced, t1_fs)
+
+    def coarse_correlation(self, t1_fs) -> np.ndarray:
+        """``correlation`` by the embedded coarse rule, on ``omega_s[::2]``."""
+        return self._transform(self.omega_s[::2], self._coarse, t1_fs)
+
+    def _transform(self, ws: np.ndarray, reduced: np.ndarray, t1_fs) -> np.ndarray:
+        """sum_n R_n e^{i (t_k + T2) ws_n}, checked against |g1| <= 1 + G1_BOUND_TOL."""
         t1 = np.atleast_1d(np.asarray(t1_fs, dtype=float))
-        if _axis_deviation(t1) * np.max(np.abs(self.omega_s)) <= CHIRP_Z_PHASE_TOL:
-            out = self._chirp_z(t1)
+        if _axis_deviation(t1) * np.max(np.abs(ws)) <= CHIRP_Z_PHASE_TOL:
+            out = self._chirp_z(ws, reduced, t1)
         else:
-            out = self._direct_sum(t1)
+            out = self._direct_sum(ws, reduced, t1)
         mags = np.abs(out)
         if np.any(mags > 1.0 + G1_BOUND_TOL):
             raise NumericalConsistencyError(
@@ -288,19 +298,17 @@ class PairCorrelator:
             )
         return out
 
-    def _direct_sum(self, t1: np.ndarray) -> np.ndarray:
+    def _direct_sum(self, ws: np.ndarray, reduced: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """sum_n R_n e^{i (t_k + T2) ws_n} term by term, in chunks of about BLOCK_ELEMENTS."""
         out = np.empty(t1.size, dtype=complex)
-        chunk = max(1, BLOCK_ELEMENTS // self.omega_s.size)
+        chunk = max(1, BLOCK_ELEMENTS // ws.size)
         for a in range(0, t1.size, chunk):
             b = min(a + chunk, t1.size)
-            phases = np.exp(
-                1j * np.outer(t1[a:b] + self.t2_fs, self.omega_s)
-            )
-            out[a:b] = phases @ self._reduced
+            phases = np.exp(1j * np.outer(t1[a:b] + self.t2_fs, ws))
+            out[a:b] = phases @ reduced
         return out
 
-    def _chirp_z(self, t1: np.ndarray) -> np.ndarray:
+    def _chirp_z(self, ws: np.ndarray, reduced: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """The direct sum on the uniform axis t_k = t_0 + k dt, by Bluestein's algorithm.
 
         With ws_n = ws_0 + n h the phase is (t_k + T2) ws_0 + (t_0 + T2) h n
@@ -310,7 +318,6 @@ class PairCorrelator:
         the two e^{i a m^2 / 2} already formed, bit for bit, since ``_chirp``
         is odd in c.
         """
-        ws = self.omega_s
         n_w, n_t = ws.size, t1.size
         if n_t == 0:
             return np.empty(0, dtype=complex)
@@ -318,7 +325,7 @@ class PairCorrelator:
         c = 0.5 * h * (t1[-1] - t1[0]) / (n_t - 1) if n_t > 1 else 0.0
         chirp_n = _chirp(c, np.arange(n_w, dtype=float))
         chirp_k = _chirp(c, np.arange(n_t, dtype=float))
-        y = self._reduced * np.exp(1j * (t1[0] + self.t2_fs) * h * np.arange(n_w)) * chirp_n
+        y = reduced * np.exp(1j * (t1[0] + self.t2_fs) * h * np.arange(n_w)) * chirp_n
         size = 1 << (n_w + n_t - 2).bit_length()
         kernel = np.zeros(size, dtype=complex)
         np.conjugate(chirp_k, out=kernel[:n_t])
@@ -338,22 +345,26 @@ def g1_scan(
     include_carrier: bool = True,
 ) -> np.ndarray:
     """Complex correlation over a path-delay scan (z3 varies, all else fixed)."""
-    dz = np.asarray(delta_z_mm, dtype=float)
-    timing = timing_from_geometry(geometry, crystal)
-    t1 = dz / C_MM_FS
+    corr, t1 = _scan_correlator(crystal, pump, geometry, sample, delta_z_mm, resolution)
+    g = corr.correlation(t1)
+    if include_carrier:
+        g = g * np.exp(1j * carrier_phase(crystal, geometry, delta_z_mm))
+    return g
+
+
+def _scan_correlator(crystal, pump, geometry, sample, delta_z_mm, resolution):
+    """The correlator ``g1_scan`` builds for a path-delay scan, and the scan's delays T1."""
+    t1 = np.asarray(delta_z_mm, dtype=float) / C_MM_FS
     corr = PairCorrelator(
         crystal,
         pump,
         sample,
-        t2_fs=timing.t2_fs,
+        t2_fs=timing_from_geometry(geometry, crystal).t2_fs,
         t1_max_fs=float(np.max(np.abs(t1))) if t1.size else 0.0,
         resolution=resolution,
         extra_idler_delay_fs=_max_sample_delay(sample),
     )
-    g = corr.correlation(t1)
-    if include_carrier:
-        g = g * np.exp(1j * carrier_phase(crystal, geometry, dz))
-    return g
+    return corr, t1
 
 
 def _chirp(c: float, m: np.ndarray) -> np.ndarray:
@@ -555,13 +566,19 @@ def _pump_quadrature(
     points as the whole axis reads, with two f buffers per chunk. The real
     weighted block is reduced against that view's (re, im) pairs, so no
     complex block and no 2-D interpolation is formed.
+
+    Returns R, and R on ``omega_s[::2]`` by the embedded coarse rule of Romberg
+    integration: the trapezoid rule at twice the step on nodes of this one, at
+    u[::2] with twice the weights from the values each chunk holds, or, where
+    ``_u_axis`` at half the resolution keeps its 33-point floor, R[::2].
     """
     n_s = omega_s.size
-    u, m = _u_axis(
-        crystal, pump, kernel=kernel, t2_fs=t2_fs, extra_delay_fs=extra_delay_fs,
-        resolution=resolution,
-        lattice_step=None if sample is None else (omega_s[-1] - omega_s[0]) / (n_s - 1),
-    )
+    sizing = {"kernel": kernel, "t2_fs": t2_fs, "extra_delay_fs": extra_delay_fs}
+    step = None if sample is None else (omega_s[-1] - omega_s[0]) / (n_s - 1)
+    u, m = _u_axis(crystal, pump, **sizing, resolution=resolution, lattice_step=step)
+    half = _u_axis(crystal, pump, **sizing, resolution=resolution / 2.0,
+                   lattice_step=None if step is None else 2.0 * step)[0].size
+    thin = abs(half - (u.size + 1) // 2) < abs(half - u.size)
     t0 = pump.t0_fs
     n_u = u.size
     pump_row = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2)) * _trapezoid_weights(u)
@@ -574,17 +591,23 @@ def _pump_quadrature(
     work = np.empty((2, chunk, n_u))
     if sample is None:
         out = np.empty(n_s)
+        coarse, coarse_row = np.empty(n_s) if thin else out, np.zeros(n_u)
+        coarse_row[::2] = 2.0 * pump_row[::2]  # a contiguous matvec beats a strided one
         for lo in range(0, top, chunk):
             hi = min(lo + chunk, top)
             block = _kernel_block(kernel, b[lo:hi], columns, work[:, : hi - lo])
             out[lo:hi] = np.square(block, out=block) @ pump_row
+            if thin:
+                coarse[lo:hi] = block @ coarse_row
         out[top:] = out[:paired][::-1]
-        return out
+        coarse[top:] = coarse[:paired][::-1]
+        return out, coarse[::2]
 
     p = min(m, n_u)
     h = u[-1] / (n_u // 2)
     centre = 0.5 * (omega_s[0] + omega_s[-1])
     out = np.empty(n_s, dtype=complex)
+    coarse = np.empty(n_s, dtype=complex) if thin else out
     buffers = np.empty((2 if paired else 1, (chunk - 1) * p + n_u), dtype=complex)
     for hi in range(top, 0, -chunk):
         lo = max(0, hi - chunk)
@@ -623,7 +646,14 @@ def _pump_quadrature(
             k = min(hi, paired) - lo
             mirror = (block[:k, None, :] @ views[1][:k]).view(complex).ravel()
             out[n_s - lo - k : n_s - lo] = mirror[::-1]
-    return out
+        if thin:  # the rows of even index, and the rows whose mirrors have one
+            even = [(views[0], slice(lo % 2, None, 2), coarse[lo:hi])]
+            if paired:
+                mirrors = coarse[n_s - hi : n_s - lo][::-1]
+                even.append((views[1], slice((n_s - 1 - lo) % 2, k, 2), mirrors))
+            for view, ev, target in even:
+                target[ev] = 2.0 * (block[ev, None, ::2] @ view[ev, ::2]).view(complex).ravel()
+    return out, coarse[::2]
 
 
 def _idler_factor(sample: SampleModel, t2_fs: float, wi: np.ndarray, f, f_mirror=None) -> None:

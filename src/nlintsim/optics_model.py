@@ -488,6 +488,12 @@ def make_frequency_grid(
     Raises GridResolutionError when fewer than MIN_POINTS_PER_FEATURE steps
     fall across the narrower of the pump and phase-matching widths.
     """
+    half_width = _resolved_half_width(crystal, pump, n_points, half_width)
+    return FrequencyGrid(omega_s=_symmetric_axis(half_width, n_points))
+
+
+def _resolved_half_width(crystal, pump, n_points: int, half_width: float | None) -> float:
+    """The half width of ``make_frequency_grid``'s grid, checked as it documents."""
     if n_points < MIN_GRID_POINTS:
         raise GridResolutionError(
             f"n_points must be at least {MIN_GRID_POINTS}, got {n_points}"
@@ -505,4 +511,4 @@ def make_frequency_grid(
             f"feature ({narrow:.3e} rad/fs); need >= "
             f"{int(np.ceil(2 * half_width * MIN_POINTS_PER_FEATURE / narrow)) + 1} points"
         )
-    return FrequencyGrid(omega_s=_symmetric_axis(half_width, n_points))
+    return half_width

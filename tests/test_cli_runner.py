@@ -505,13 +505,14 @@ TABULATED_SAMPLE = "\n[sample]\ntype = tabulated\nfile = r.csv\n"
     pytest.param(UNIFORM_OCT, 0, id="oct-scan-numeric"),
     pytest.param(OCT_SCENARIO.replace("run = oct_scan, g1_scan", "run = oct_scan"), 0,
                  id="oct-scan-bilayer"),
-    pytest.param(MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE, 2,
+    pytest.param(MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE, 1,
                  id="g1-scan-tabulated"),
-    pytest.param(UNIFORM_OCT + TABULATED_SAMPLE, 2, id="oct-scan-tabulated"),
+    pytest.param(UNIFORM_OCT + TABULATED_SAMPLE, 1, id="oct-scan-tabulated"),
 ])
 def test_scan_task_builds_one_full_resolution_correlator(tmp_path, monkeypatch, text, builds):
     # uniform and bilayer samples take the closed form; a tabulated one is the
-    # numeric route: one full-resolution and one half-resolution correlator
+    # numeric route: one full-resolution correlator, whose embedded coarse
+    # rule is the halved-resolution check
     (tmp_path / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n8,0.5,0.1\n")
     built = []
 
@@ -523,7 +524,7 @@ def test_scan_task_builds_one_full_resolution_correlator(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli.coherence, "PairCorrelator", CountingCorrelator)
     manifest = run_scenario(parse_scenario(text, base_dir=tmp_path), out_dir=tmp_path / "out")
     assert len(built) == builds
-    assert sorted(built) == [0.125, 0.25][:builds]
+    assert built == [0.25][:builds]
     method = "halved-resolution" if builds else "analytic"
     assert [entry["method"] for entry in manifest.convergence.values()] == [method]
 
@@ -701,6 +702,44 @@ def test_grid_points_override_rejected_before_compute(tmp_path, capsys, scenario
     assert not out.exists()
 
 
+def test_unresolved_grid_fails_before_any_task(tmp_path, monkeypatch, capsys):
+    # a 1 as pump: the joint spectrum's grid cannot resolve it, and the g1 scan
+    # before it, on the numeric route, must not build its correlator first
+    (tmp_path / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n8,0.5,0.1\n")
+    text = (MINIMAL.replace("run = schmidt", "run = g1_scan, joint_spectrum")
+            .replace("t0_fs = 212.0", "t0_fs = 0.001") + TABULATED_SAMPLE)
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a correlator was built before the grid check")
+
+    monkeypatch.setattr(cli.coherence, "PairCorrelator", forbidden)
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out", str(out)]) == 1
+    assert re.search(r"error: task joint_spectrum: grid step .* cannot resolve", capsys.readouterr().err)
+    assert not out.exists()
+    with pytest.raises(cli.GridResolutionError) as info:
+        run_scenario(parse_scenario(text, base_dir=tmp_path), out_dir=out)
+    assert info.value.__notes__ == ["task joint_spectrum"]
+    assert not out.exists()
+
+
+def test_numeric_convergence_reports_the_tail_bound(tmp_path, monkeypatch):
+    # max|r| / (pi TAIL_SINC_ARG) bounds the sinc^2 tail cut that the check cannot
+    # see; it is reported beside the delta and takes no part in the gate
+    (tmp_path / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n0,0.2,0\n8,0.5,0.1\n")
+    s = parse_scenario(MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE,
+                       base_dir=tmp_path)
+    bound = abs(0.5 + 0.1j) / (np.pi * cli.coherence.TAIL_SINC_ARG)
+    entry = run_scenario(s, out_dir=tmp_path / "a").convergence["g1_scan"]
+    assert entry["tail_bound"] == pytest.approx(bound, rel=1e-15)
+    assert entry["delta"] < bound
+    monkeypatch.setattr(cli, "CONVERGENCE_GATE", 0.5 * (entry["delta"] + bound))
+    again = run_scenario(s, out_dir=tmp_path / "b").convergence["g1_scan"]
+    assert again["tail_bound"] > again["gate"] and not again["flagged"]
+
+
 def test_jsi_stride_checked_against_grid_points_override(tmp_path, capsys):
     text = MINIMAL.replace("run = schmidt", "run = joint_spectrum") + "\n[output]\njsi_stride = 300\n"
     s = parse_scenario(text)  # two points per axis on the scenario's 512-point grid
@@ -786,6 +825,26 @@ def test_joint_spectrum_task_takes_the_gaussian_reference_in_closed_form(
         width = cli.biphoton.gaussian_marginal_fwhm(s.crystal, s.pump)
         ref_nm = cli.biphoton.bandwidth_nm(width, s.crystal.lambda_s_nm)
         assert conv["delta"] == abs(extras["marginal_fwhm_nm"] - ref_nm) / ref_nm
+
+
+def test_spectrum_task_takes_its_check_from_one_quadrature(monkeypatch):
+    calls = []
+    quadrature = cli.biphoton._pump_quadrature
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("resolution", 1.0))
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(cli.biphoton, "_pump_quadrature", counted)
+    s = parse_scenario(MINIMAL.replace("run = schmidt", "run = spectrum"))
+    files, conv, extras = cli._task_spectrum(s, s.grid_points)
+    assert calls == [1.0]
+    assert files["spectrum.csv"].count("\n") == 4098
+    # the embedded coarse rule's width against a second quadrature at half the resolution
+    half = cli.biphoton.signal_spectrum(s.crystal, s.pump, s.kernel, resolution=0.5).fwhm_nm
+    standalone = abs(extras["fwhm_nm"] - half) / extras["fwhm_nm"]
+    assert conv["method"] == "halved-resolution" and 0 < conv["delta"] <= cli.CONVERGENCE_GATE
+    assert 0.5 <= conv["delta"] / standalone <= 2.0
 
 
 def test_exact_schmidt_task_holds_no_full_grid_array():

@@ -340,8 +340,8 @@ def test_chirp_z_matches_direct_sum(case):
     corr, t1 = transform_case(**case)
     fast = corr.correlation(t1)
     assert fast.shape == t1.shape
-    np.testing.assert_array_equal(fast, corr._chirp_z(t1))
-    direct = corr._direct_sum(t1)
+    np.testing.assert_array_equal(fast, corr._chirp_z(corr.omega_s, corr._reduced, t1))
+    direct = corr._direct_sum(corr.omega_s, corr._reduced, t1)
     assert np.max(np.abs(fast - direct), initial=0.0) <= 1e-9
     if t1.size > 1:
         assert np.max(np.abs(direct)) > 1e-3  # the comparison is not between zeros
@@ -350,14 +350,16 @@ def test_chirp_z_matches_direct_sum(case):
 def test_uneven_delays_take_the_direct_sum():
     corr, t1 = transform_case(t1=np.array([0.0, 0.01, 0.03]) / C_MM_FS)
     assert abs(t1[1] - (t1[0] + t1[2]) / 2) * np.max(np.abs(corr.omega_s)) > CHIRP_Z_PHASE_TOL
-    np.testing.assert_array_equal(corr.correlation(t1), corr._direct_sum(t1))
+    np.testing.assert_array_equal(
+        corr.correlation(t1), corr._direct_sum(corr.omega_s, corr._reduced, t1)
+    )
 
 
 def test_chirp_z_path_keeps_the_bound_check(monkeypatch):
     corr, t1 = transform_case()
     corr._reduced = 2.0 * corr._reduced
 
-    def forbidden(t1):
+    def forbidden(*args):
         raise AssertionError("a uniform axis must not take the direct sum")
 
     monkeypatch.setattr(corr, "_direct_sum", forbidden)
@@ -406,7 +408,9 @@ def test_chirp_z_takes_two_chirps_as_conjugates(length_mm, t0_fs, window_um):
     c = 0.5 * h * (t1[-1] - t1[0]) / (t1.size - 1)
     for m in (np.arange(corr.omega_s.size, dtype=float), np.arange(t1.size, dtype=float)):
         assert np.array_equal(_chirp(-c, m), np.conj(_chirp(c, m)))
-    assert np.array_equal(corr._chirp_z(t1), four_chirp_transform(corr, t1))
+    assert np.array_equal(
+        corr._chirp_z(corr.omega_s, corr._reduced, t1), four_chirp_transform(corr, t1)
+    )
 
 
 # ---------------------------------------------------------------- phase-matching block
@@ -523,23 +527,44 @@ def reference_quadrature(crystal, pump, omega_s, u, *, kernel="exact", sample=No
     return np.concatenate(rows)
 
 
+def build_axes(crystal, pump, omega_s, *, kernel="exact", sample=None,
+               t2_fs=0.0, extra_delay_fs=0.0, resolution=1.0):
+    """The u axis ``_pump_quadrature`` builds for the same call, and its coarse rule's u nodes.
+
+    The coarse rule takes every other node where ``_u_axis`` at half the
+    resolution and twice the signal step is nearer half as long, else every node.
+    """
+    h_s = (omega_s[-1] - omega_s[0]) / (omega_s.size - 1)
+    sizing = {"kernel": kernel, "t2_fs": t2_fs, "extra_delay_fs": extra_delay_fs}
+    u, _ = _u_axis(crystal, pump, **sizing, resolution=resolution,
+                   lattice_step=None if sample is None else h_s)
+    half, _ = _u_axis(crystal, pump, **sizing, resolution=resolution / 2,
+                      lattice_step=None if sample is None else 2 * h_s)
+    thin = abs(half.size - (u.size + 1) // 2) < abs(half.size - u.size)
+    return u, u[::2] if thin else u
+
+
 def reference_on_build_axes(crystal, pump, omega_s, *, kernel="exact", sample=None,
                             t2_fs=0.0, extra_delay_fs=0.0, resolution=1.0):
-    """``reference_quadrature`` on the u axis ``_pump_quadrature`` builds for the same call."""
-    h_s = (omega_s[-1] - omega_s[0]) / (omega_s.size - 1)
-    u, _ = _u_axis(
-        crystal, pump, kernel=kernel, t2_fs=t2_fs, extra_delay_fs=extra_delay_fs,
-        resolution=resolution, lattice_step=None if sample is None else h_s,
+    """``reference_quadrature`` on the nodes ``_pump_quadrature`` takes for the same call.
+
+    As that does, it returns R on ``omega_s`` and on ``omega_s[::2]`` by the coarse rule.
+    """
+    u, u_coarse = build_axes(crystal, pump, omega_s, kernel=kernel, sample=sample, t2_fs=t2_fs,
+                             extra_delay_fs=extra_delay_fs, resolution=resolution)
+    return tuple(
+        reference_quadrature(crystal, pump, ws, nodes, kernel=kernel, sample=sample, t2_fs=t2_fs)
+        for ws, nodes in ((omega_s, u), (omega_s[::2], u_coarse))
     )
-    return reference_quadrature(crystal, pump, omega_s, u, kernel=kernel, sample=sample, t2_fs=t2_fs)
 
 
 def assert_matches_reference(omega_s, *, crystal=CRYSTAL, pump=PumpPulse(500.0), **kw):
-    fast = _pump_quadrature(crystal, pump, omega_s, **kw)
-    ref = reference_on_build_axes(crystal, pump, omega_s, **kw)
-    assert fast.dtype == ref.dtype
-    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.max(np.abs(ref)) > 0  # the comparison is not between zeros
+    # the embedded coarse rule as well as the fine one: a direct sum on the same nodes
+    for fast, ref in zip(_pump_quadrature(crystal, pump, omega_s, **kw),
+                         reference_on_build_axes(crystal, pump, omega_s, **kw)):
+        assert fast.dtype == ref.dtype and fast.shape == ref.shape
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(ref)) > 0  # the comparison is not between zeros
 
 
 SIGNAL_AXIS = np.linspace(-3.0, 3.0, 3001)
@@ -599,6 +624,44 @@ def test_symmetric_axes_are_exactly_antisymmetric():
         assert np.array_equal(x, -x[::-1])
         # the same points as np.linspace, to a few ulp of the half width
         assert np.max(np.abs(x - np.linspace(x[0], x[-1], x.size))) <= 2 * np.spacing(x[-1])
+
+
+@pytest.mark.parametrize("t0_fs,half_width,n,thin,half_j", [
+    # m = 1: the coarse rule keeps every other u node
+    pytest.param(500.0, 0.15, 2001, True, 107, id="m-1-odd-half-j"),
+    pytest.param(500.0, 0.16, 2001, True, 100, id="m-1-even-half-j"),
+    # m > n_u: u sits at _u_axis's floor, and the coarse rule keeps every node
+    pytest.param(1e5, 0.3, 3001, False, 17, id="m-above-n_u-odd-half-j"),
+    pytest.param(1e5, 3.0, 3001, False, 16, id="m-above-n_u-even-half-j"),
+])
+def test_coarse_rule_takes_the_even_fine_nodes(t0_fs, half_width, n, thin, half_j, monkeypatch):
+    monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", 20_000)
+    pump, omega_s = PumpPulse(t0_fs), _symmetric_axis(half_width, n)
+    u, u_coarse = build_axes(CRYSTAL, pump, omega_s, sample=TABULATED)
+    m = _u_axis(CRYSTAL, pump, lattice_step=omega_s[1] - omega_s[0])[1]
+    assert u.size // 2 == half_j and (m == 1 if thin else m > u.size)
+    # the coarse signal axis built on its own is the fine axis's even nodes
+    assert np.array_equal(_symmetric_axis(half_width, (n + 1) // 2), omega_s[::2])
+    assert np.array_equal(u_coarse, u[::2] if thin else u)
+    assert np.array_equal(u_coarse, -u_coarse[::-1])
+    seen = []
+    reflectivity = TabulatedSample.reflectivity
+
+    def spy(self, omega_i):
+        seen.append(np.array(omega_i))
+        return reflectivity(self, omega_i)
+
+    monkeypatch.setattr(TabulatedSample, "reflectivity", spy)
+    fine, coarse = _pump_quadrature(CRYSTAL, pump, omega_s, sample=TABULATED)
+    # the lattice points wi = kappa h of the coarse rule's rows 2k and columns
+    # are points the fine build read: r is interpolated nowhere else
+    h = u[-1] / half_j
+    stride = 2 if thin else 1
+    rows = np.arange(0, n, 2)
+    kappa = np.add.outer(((n - 1) // 2 - rows) * m - half_j, np.arange(0, u.size, stride))
+    assert np.all(np.isin(kappa * h, np.concatenate(seen)))
+    if not thin:
+        assert np.array_equal(coarse, fine[::2])
 
 
 @pytest.mark.parametrize("sample", [None, SLAB], ids=["no-sample", "bilayer"])
@@ -669,14 +732,18 @@ def test_mirrored_reduction_reads_each_lattice_point_once(t0_fs, axis, monkeypat
     assert_reads_each_lattice_point_once(SYMMETRIC_AXES[axis], PumpPulse(t0_fs), monkeypatch)
 
 
-def test_tabulated_slab_moves_less_than_halved_resolution(monkeypatch):
-    # a tabulated glass slab over the whole correlator band, like the benchmark's
-    crystal, pump = mgo_linbo3_crystal(1.0), PumpPulse(100.0)
-    slab = BilayerSample.from_fresnel(1.0, 1.5, 1.3, 20.0, crystal.omega_i0)
+def slab_table(crystal, pump, d_um=20.0):
+    """A tabulated glass slab over the whole correlator band, like the benchmark's, and its bilayer."""
+    slab = BilayerSample.from_fresnel(1.0, 1.5, 1.3, d_um, crystal.omega_i0)
     ridge = coherence._ridge(crystal, "exact")
     band = 1.05 * (2.0 * coherence.TAIL_SINC_ARG / crystal.dl + (ridge + 1.0) * 8.0 / pump.t0_fs)
     w = np.linspace(-band, band, int(2.0 * band * slab.tau_fs * 64 / (2.0 * np.pi)) + 1)
-    table = TabulatedSample(omega=w, r=slab.reflectivity(w))
+    return TabulatedSample(omega=w, r=slab.reflectivity(w)), slab
+
+
+def test_tabulated_slab_moves_less_than_halved_resolution(monkeypatch):
+    crystal, pump = mgo_linbo3_crystal(1.0), PumpPulse(100.0)
+    table, slab = slab_table(crystal, pump)
     geom = synced_geometry(crystal)
     dz = np.linspace(*default_scan_range(crystal, slab), 161)
 
@@ -688,6 +755,25 @@ def test_tabulated_slab_moves_less_than_halved_resolution(monkeypatch):
     old, old_half = scan(1.0), scan(0.5)
     assert np.max(old) > 0.1
     assert np.max(np.abs(new - old)) <= np.max(np.abs(old - old_half))
+
+
+@pytest.mark.parametrize("length_mm,t0_fs", [
+    pytest.param(1.0, 100.0, id="pulsed"),
+    pytest.param(0.5, 1e5, id="quasi-cw"),
+])
+def test_embedded_check_tracks_a_halved_build(length_mm, t0_fs):
+    # the coarse rule's change of |g1| against a second correlator's at half the resolution
+    crystal, pump = mgo_linbo3_crystal(length_mm), PumpPulse(t0_fs)
+    table, slab = slab_table(crystal, pump)
+    geom = synced_geometry(crystal)
+    dz = np.linspace(*default_scan_range(crystal, slab), 161)
+    corr, t1 = coherence._scan_correlator(crystal, pump, geom, table, dz, 1.0)
+    fine = np.abs(corr.correlation(t1))
+    embedded = np.max(np.abs(fine - np.abs(corr.coarse_correlation(t1))))
+    half = g1_scan(crystal, pump, geom, table, dz, resolution=0.5, include_carrier=False)
+    standalone = np.max(np.abs(fine - np.abs(half)))
+    assert np.max(fine) > 0.1 and standalone > 0
+    assert 0.5 <= embedded / standalone <= 2.0
 
 
 # ---------------------------------------------------------------- photon number
