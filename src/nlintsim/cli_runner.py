@@ -1,9 +1,11 @@
 """Declarative scenario execution and the ``nlint-sim`` command line tool.
 
 A scenario is a flat INI-style text file with sections crystal / pump /
-geometry / sample / grid / scan / tasks / output. Parsing validates every
-key, unit conversions happen once at the boundary, and a run writes one or
-more data files per task plus a run manifest with convergence diagnostics.
+geometry / sample / grid / scan / tasks / output. ``_FIELDS`` is its one
+schema: each key's section, kind, default, single-key check and canonical
+value, which parsing, rendering and validation all read. Parsing validates
+every key, unit conversions happen once at the boundary, and a run writes one
+or more data files per task plus a run manifest with convergence diagnostics.
 Identical scenario text always produces bit-identical data files.
 """
 
@@ -44,6 +46,8 @@ from .optics_model import (
 
 TASK_NAMES = ("joint_spectrum", "schmidt", "g1_scan", "oct_scan", "spectrum")
 CONVERGENCE_GATE = 1e-4
+# the paper's low-gain model: coherence.photon_number of a crystal above this is rejected
+MAX_PAIRS_PER_PULSE = 0.1
 
 CRYSTAL_PRESETS = {
     "mgo_linbo3": mgo_linbo3_crystal,
@@ -102,29 +106,86 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# the scenario schema
 
-_SECTION_KEYS = {
-    "crystal": {
-        "preset", "length_mm", "sigma",
-        "d_fs_per_mm", "d_plus_fs_per_mm", "n_i_fs_per_mm",
-        "lambda_p_nm", "lambda_s_nm", "lambda_i_nm",
-    },
-    "pump": {"t0_fs", "t0_ps"},
-    "geometry": {"z1_mm", "z2_mm", "z3_mm", "zp1_mm", "zp2_mm", "synchronize"},
-    "sample": {
-        "type", "r_abs", "r_phase_rad",
-        "r0", "r1", "thickness_um", "n_slab", "n_before", "n_after",
-        "file",
-    },
-    "grid": {"points", "half_width_rad_fs", "kernel"},
-    "scan": {"delta_z_min_mm", "delta_z_max_mm", "points", "fringes"},
-    "tasks": {"run"},
-    "output": {"directory", "format", "jsi_stride"},
-}
+def _sample_type(scenario: Scenario) -> str:
+    """The ``[sample] type`` of the scenario's sample."""
+    if isinstance(scenario.sample, UniformSample):
+        return "uniform"
+    return "bilayer" if isinstance(scenario.sample, BilayerSample) else "tabulated"
+
+
+def _of_sample(stype: str, value):
+    """Render column: ``value(scenario)`` when the sample has type ``stype``, else None."""
+    return lambda scenario: value(scenario) if _sample_type(scenario) == stype else None
+
+
+def _sample_file(scenario: Scenario) -> str:
+    if scenario.sample_file is None:
+        raise ScenarioError("tabulated sample has no source file to render")
+    return scenario.sample_file
+
+
+# The one scenario schema, in canonical order. A row is (section, key, kind,
+# default, check, render). ``default`` is the value of an absent key. ``check``
+# maps a given value to a false value when it is valid, else to the text that
+# follows ``[section] key`` in its error. ``render`` maps a Scenario to the
+# value its canonical text writes, or to None to leave the key out. Rules that
+# join two or more keys are in parse_scenario.
+_FIELDS = (
+    ("crystal", "preset", str, None, lambda name: name not in CRYSTAL_PRESETS
+        and f": unknown preset {name!r}; available: {', '.join(sorted(CRYSTAL_PRESETS))}", None),
+    ("crystal", "length_mm", float, 5.0, None, lambda s: s.crystal.length_mm),
+    ("crystal", "d_fs_per_mm", float, None, None, lambda s: s.crystal.D),
+    ("crystal", "d_plus_fs_per_mm", float, None, None, lambda s: s.crystal.D_plus),
+    ("crystal", "n_i_fs_per_mm", float, None, None, lambda s: s.crystal.N_i),
+    ("crystal", "lambda_p_nm", float, None, None, lambda s: s.crystal.lambda_p_nm),
+    ("crystal", "lambda_s_nm", float, None, None, lambda s: s.crystal.lambda_s_nm),
+    ("crystal", "lambda_i_nm", float, None, None, lambda s: s.crystal.lambda_i_nm),
+    ("crystal", "sigma", float, 0.01, None, lambda s: s.crystal.sigma),
+    ("pump", "t0_fs", float, None, None, lambda s: s.pump.t0_fs),
+    ("pump", "t0_ps", float, None, None, None),
+    ("geometry", "z1_mm", float, 0.0, None, lambda s: s.geometry.z1_mm),
+    ("geometry", "z2_mm", float, 0.0, None, lambda s: s.geometry.z2_mm),
+    ("geometry", "z3_mm", float, 0.0, None, lambda s: s.geometry.z3_mm),
+    ("geometry", "zp1_mm", float, 0.0, None, lambda s: s.geometry.zp1_mm),
+    ("geometry", "zp2_mm", float, 0.0, None,
+        lambda s: None if s.synchronize else s.geometry.zp2_mm),
+    # absent: true unless zp2_mm is given
+    ("geometry", "synchronize", bool, None, None, lambda s: s.synchronize),
+    ("sample", "type", str, "uniform", lambda name: name not in ("uniform", "bilayer", "tabulated")
+        and f": unknown type {name!r} (expected uniform, bilayer or tabulated)", _sample_type),
+    ("sample", "r_abs", float, 1.0, None, _of_sample("uniform", lambda s: s.r_polar[0])),
+    ("sample", "r_phase_rad", float, 0.0, None, _of_sample("uniform", lambda s: s.r_polar[1])),
+    ("sample", "r0", float, None, None, _of_sample("bilayer", lambda s: s.sample.r0)),
+    ("sample", "r1", float, None, None, _of_sample("bilayer", lambda s: s.sample.r1)),
+    ("sample", "thickness_um", float, None, None, _of_sample("bilayer", lambda s: s.sample.d0_um)),
+    ("sample", "n_slab", float, None, None, _of_sample("bilayer", lambda s: s.sample.n0)),
+    ("sample", "n_before", float, 1.0, None, None),
+    ("sample", "n_after", float, None, None, None),
+    ("sample", "file", str, None, None, _of_sample("tabulated", _sample_file)),
+    ("grid", "points", int, 2048, lambda n: n < MIN_GRID_POINTS
+        and f" must be at least {MIN_GRID_POINTS}", lambda s: s.grid_points),
+    ("grid", "kernel", str, "exact", lambda name: name not in ("exact", "gaussian")
+        and f": expected exact or gaussian, got {name!r}", lambda s: s.kernel),
+    ("grid", "half_width_rad_fs", float, None, lambda w: w <= 0 and " must be positive",
+        lambda s: s.grid_half_width),
+    ("scan", "delta_z_min_mm", float, None, None, lambda s: s.scan.delta_z_min_mm),
+    ("scan", "delta_z_max_mm", float, None, None, lambda s: s.scan.delta_z_max_mm),
+    ("scan", "points", int, None, lambda n: n < 2 and " must be at least 2",
+        lambda s: s.scan.points),
+    ("scan", "fringes", bool, True, None, lambda s: s.scan.fringes),
+    ("tasks", "run", str, None, None, lambda s: ", ".join(s.tasks)),
+    ("output", "directory", str, "out", None, lambda s: s.output_dir),
+    ("output", "format", str, "csv", lambda name: name not in ("csv", "json")
+        and f": expected csv or json, got {name!r}", lambda s: s.output_format),
+    ("output", "jsi_stride", int, 1, lambda n: n < 1 and " must be >= 1", lambda s: s.jsi_stride),
+)
+_FIELD = {(section, key): row for section, key, *row in _FIELDS}
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
+_WRITE = {float: repr, int: str, str: str, bool: lambda value: "true" if value else "false"}
 
 
 def _build(section: str, factory, *args, **kwargs):
@@ -141,8 +202,10 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     Unknown sections or keys are rejected, and so are known keys this
     scenario does not use (say ``n_after`` on a bilayer given by r0 and r1);
     invariant violations are reported with their field path. A key given with
-    an empty value is an error, not a request for its default. ``base_dir``
-    anchors relative tabulated-sample paths.
+    an empty value is an error, not a request for its default. A crystal
+    whose mean pair number per pulse exceeds MAX_PAIRS_PER_PULSE is outside
+    the low-gain model and is rejected. ``base_dir`` anchors relative
+    tabulated-sample paths.
     """
     cp = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
@@ -154,10 +217,10 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         raise ScenarioError(f"scenario syntax error: {exc}") from exc
 
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if not any(row[0] == section for row in _FIELDS):
             raise ScenarioError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
+            if (section, key) not in _FIELD:
                 raise ScenarioError(f"unknown key [{section}] {key}")
 
     def given(section, key):
@@ -165,8 +228,9 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
 
     used = set()
 
-    def get(section, key, kind=str, default=None):
-        """The value of ``key`` as ``kind``, or ``default`` when the key is absent."""
+    def get(section, key):
+        """``key`` read as its row's kind and past its check, or its default when absent."""
+        kind, default, check, _ = _FIELD[section, key]
         used.add((section, key))
         if not given(section, key):
             return default
@@ -174,13 +238,18 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         if kind is str:
             if not raw:
                 raise ScenarioError(f"[{section}] {key}: empty value")
-            return raw
-        try:
-            value = _BOOL[raw.lower()] if kind is bool else kind(raw)
-        except (KeyError, ValueError):
-            raise ScenarioError(f"[{section}] {key}: not {_KIND_NAMES[kind]}: {raw!r}") from None
-        if kind is float and not np.isfinite(value):
-            raise ScenarioError(f"[{section}] {key}: not a finite number: {raw!r}")
+            value = raw
+        else:
+            try:
+                value = _BOOL[raw.lower()] if kind is bool else kind(raw)
+            except (KeyError, ValueError):
+                name = _KIND_NAMES[kind]
+                raise ScenarioError(f"[{section}] {key}: not {name}: {raw!r}") from None
+            if kind is float and not np.isfinite(value):
+                raise ScenarioError(f"[{section}] {key}: not a finite number: {raw!r}")
+        problem = check and check(value)
+        if problem:
+            raise ScenarioError(f"[{section}] {key}{problem}")
         return value
 
     # crystal
@@ -188,17 +257,13 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         raise ScenarioError("missing required section [crystal]")
     preset = get("crystal", "preset")
     if preset is not None:
-        if preset not in CRYSTAL_PRESETS:
-            raise ScenarioError(
-                f"[crystal] preset: unknown preset {preset!r}; "
-                f"available: {', '.join(sorted(CRYSTAL_PRESETS))}"
-            )
         crystal = _build(
             "crystal", CRYSTAL_PRESETS[preset],
-            length_mm=get("crystal", "length_mm", float, 5.0),
-            sigma=get("crystal", "sigma", float, 0.01),
+            length_mm=get("crystal", "length_mm"),
+            sigma=get("crystal", "sigma"),
         )
     else:
+        # in CrystalParams' field order, before sigma
         required = (
             "length_mm", "d_fs_per_mm", "d_plus_fs_per_mm", "n_i_fs_per_mm",
             "lambda_p_nm", "lambda_s_nm", "lambda_i_nm",
@@ -209,15 +274,16 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
                 f"[crystal] missing keys without preset: {', '.join(missing)}"
             )
         crystal = _build(
-            "crystal", CrystalParams,
-            length_mm=get("crystal", "length_mm", float),
-            D=get("crystal", "d_fs_per_mm", float),
-            D_plus=get("crystal", "d_plus_fs_per_mm", float),
-            N_i=get("crystal", "n_i_fs_per_mm", float),
-            lambda_p_nm=get("crystal", "lambda_p_nm", float),
-            lambda_s_nm=get("crystal", "lambda_s_nm", float),
-            lambda_i_nm=get("crystal", "lambda_i_nm", float),
-            sigma=get("crystal", "sigma", float, 0.01),
+            "crystal", CrystalParams, *(get("crystal", key) for key in (*required, "sigma"))
+        )
+    try:
+        pairs = coherence.photon_number(crystal)
+    except OverflowError:  # sigma ** 2 beyond the float range
+        pairs = float("inf")
+    if pairs > MAX_PAIRS_PER_PULSE:
+        raise ScenarioError(
+            f"[crystal] sigma: 2 pi sigma^2 L / |D| = {float(pairs)!r} pairs per pulse "
+            f"exceeds the low-gain bound {MAX_PAIRS_PER_PULSE}"
         )
 
     # pump
@@ -226,56 +292,55 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     if given("pump", "t0_fs") == given("pump", "t0_ps"):
         raise ScenarioError("[pump] give exactly one of t0_fs or t0_ps")
     if given("pump", "t0_fs"):
-        pump = _build("pump", PumpPulse, get("pump", "t0_fs", float))
+        pump = _build("pump", PumpPulse, get("pump", "t0_fs"))
     else:
-        pump = _build("pump", PumpPulse.from_ps, get("pump", "t0_ps", float))
+        pump = _build("pump", PumpPulse.from_ps, get("pump", "t0_ps"))
 
     # geometry
-    synchronize = get("geometry", "synchronize", bool, not given("geometry", "zp2_mm"))
+    synchronize = get("geometry", "synchronize")
+    if synchronize is None:
+        synchronize = not given("geometry", "zp2_mm")
     if synchronize and given("geometry", "zp2_mm"):
         raise ScenarioError("[geometry] zp2_mm conflicts with synchronize = true")
     geometry = _build("geometry", InterferometerGeometry, **{
-        key: get("geometry", key, float, 0.0)
-        for key in ("z1_mm", "z2_mm", "z3_mm", "zp1_mm", "zp2_mm")
+        key: get("geometry", key) for key in ("z1_mm", "z2_mm", "z3_mm", "zp1_mm", "zp2_mm")
     })
 
     # sample
     sample_file = r_polar = None
-    stype = get("sample", "type", str, "uniform")
+    stype = get("sample", "type")
     if stype == "uniform":
-        r_abs = get("sample", "r_abs", float, 1.0)
-        r_phase = get("sample", "r_phase_rad", float, 0.0)
-        r_polar = (r_abs, r_phase)
-        sample: SampleModel = _build("sample", UniformSample, r_abs * np.exp(1j * r_phase))
+        r_polar = (get("sample", "r_abs"), get("sample", "r_phase_rad"))
+        sample: SampleModel = _build("sample", UniformSample, r_polar[0] * np.exp(1j * r_polar[1]))
     elif stype == "bilayer":
         if not (given("sample", "thickness_um") and given("sample", "n_slab")):
             raise ScenarioError("[sample] bilayer needs thickness_um and n_slab")
-        d0 = get("sample", "thickness_um", float)
-        n0 = get("sample", "n_slab", float)
+        d0 = get("sample", "thickness_um")
+        n0 = get("sample", "n_slab")
         if given("sample", "r0"):
             if not given("sample", "r1"):
                 raise ScenarioError("[sample] bilayer with r0 also needs r1")
             sample = _build(
                 "sample", BilayerSample,
-                r0=get("sample", "r0", float),
-                r1=get("sample", "r1", float),
+                r0=get("sample", "r0"),
+                r1=get("sample", "r1"),
                 d0_um=d0,
                 n0=n0,
                 omega_carrier=crystal.omega_i0,
             )
         else:
-            n_before = get("sample", "n_before", float, 1.0)
+            n_before = get("sample", "n_before")
             if not given("sample", "n_after"):
                 raise ScenarioError("[sample] bilayer needs either (r0, r1) or n_after")
             sample = _build(
                 "sample", BilayerSample.from_fresnel,
                 n_before=n_before,
                 n_slab=n0,
-                n_after=get("sample", "n_after", float),
+                n_after=get("sample", "n_after"),
                 d0_um=d0,
                 omega_carrier=crystal.omega_i0,
             )
-    elif stype == "tabulated":
+    else:  # tabulated
         sample_file = get("sample", "file")
         if sample_file is None:
             raise ScenarioError("[sample] tabulated needs file")
@@ -294,38 +359,24 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             omega=table[:, 0],
             r=table[:, 1] + 1j * table[:, 2],
         )
-    else:
-        raise ScenarioError(
-            f"[sample] type: unknown type {stype!r} "
-            "(expected uniform, bilayer or tabulated)"
-        )
 
     # grid
-    grid_points = get("grid", "points", int, 2048)
-    if grid_points < MIN_GRID_POINTS:
-        raise ScenarioError(f"[grid] points must be at least {MIN_GRID_POINTS}")
-    grid_half_width = get("grid", "half_width_rad_fs", float)
-    if grid_half_width is not None and grid_half_width <= 0:
-        raise ScenarioError("[grid] half_width_rad_fs must be positive")
-    kernel = get("grid", "kernel", str, "exact")
-    if kernel not in ("exact", "gaussian"):
-        raise ScenarioError(f"[grid] kernel: expected exact or gaussian, got {kernel!r}")
+    grid_points = get("grid", "points")
+    grid_half_width = get("grid", "half_width_rad_fs")
+    kernel = get("grid", "kernel")
 
     # scan
     if given("scan", "delta_z_min_mm") != given("scan", "delta_z_max_mm"):
         raise ScenarioError("[scan] give both delta_z_min_mm and delta_z_max_mm or neither")
-    lo = get("scan", "delta_z_min_mm", float)
-    hi = get("scan", "delta_z_max_mm", float)
+    lo = get("scan", "delta_z_min_mm")
+    hi = get("scan", "delta_z_max_mm")
     if lo is not None and lo >= hi:
         raise ScenarioError("[scan] delta_z_min_mm must be below delta_z_max_mm")
-    scan_points = get("scan", "points", int)
-    if scan_points is not None and scan_points < 2:
-        raise ScenarioError("[scan] points must be at least 2")
     scan = ScanSpec(
         delta_z_min_mm=lo,
         delta_z_max_mm=hi,
-        points=scan_points,
-        fringes=get("scan", "fringes", bool, True),
+        points=get("scan", "points"),
+        fringes=get("scan", "fringes"),
     )
 
     # tasks
@@ -344,14 +395,10 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         raise ScenarioError("[tasks] run: duplicate task names")
 
     # output
-    fmt = get("output", "format", str, "csv")
-    if fmt not in ("csv", "json"):
-        raise ScenarioError(f"[output] format: expected csv or json, got {fmt!r}")
-    stride = get("output", "jsi_stride", int, 1)
-    if stride < 1:
-        raise ScenarioError("[output] jsi_stride must be >= 1")
+    fmt = get("output", "format")
+    stride = get("output", "jsi_stride")
     _check_jsi_stride(tasks, stride, grid_points)
-    output_dir = get("output", "directory", str, "out")
+    output_dir = get("output", "directory")
 
     for section in cp.sections():
         for key in cp[section]:
@@ -387,78 +434,21 @@ def _check_jsi_stride(tasks: tuple, stride: int, points: int) -> None:
 
 
 def render_scenario(scenario: Scenario) -> str:
-    """Canonical scenario text; parse(render(s)) == s."""
-    c = scenario.crystal
-    lines = [
-        "[crystal]",
-        f"length_mm = {c.length_mm!r}",
-        f"d_fs_per_mm = {c.D!r}",
-        f"d_plus_fs_per_mm = {c.D_plus!r}",
-        f"n_i_fs_per_mm = {c.N_i!r}",
-        f"lambda_p_nm = {c.lambda_p_nm!r}",
-        f"lambda_s_nm = {c.lambda_s_nm!r}",
-        f"lambda_i_nm = {c.lambda_i_nm!r}",
-        f"sigma = {c.sigma!r}",
-        "",
-        "[pump]",
-        f"t0_fs = {scenario.pump.t0_fs!r}",
-        "",
-        "[geometry]",
-        f"z1_mm = {scenario.geometry.z1_mm!r}",
-        f"z2_mm = {scenario.geometry.z2_mm!r}",
-        f"z3_mm = {scenario.geometry.z3_mm!r}",
-        f"zp1_mm = {scenario.geometry.zp1_mm!r}",
-    ]
-    if scenario.synchronize:
-        lines.append("synchronize = true")
-    else:
-        lines.append(f"zp2_mm = {scenario.geometry.zp2_mm!r}")
-        lines.append("synchronize = false")
-    lines.append("")
-    lines.append("[sample]")
-    s = scenario.sample
-    if isinstance(s, UniformSample):
-        r_abs, r_phase = scenario.r_polar
-        lines += ["type = uniform", f"r_abs = {r_abs!r}", f"r_phase_rad = {r_phase!r}"]
-    elif isinstance(s, BilayerSample):
-        lines += [
-            "type = bilayer",
-            f"r0 = {s.r0!r}",
-            f"r1 = {s.r1!r}",
-            f"thickness_um = {s.d0_um!r}",
-            f"n_slab = {s.n0!r}",
-        ]
-    else:
-        if scenario.sample_file is None:
-            raise ScenarioError("tabulated sample has no source file to render")
-        lines += ["type = tabulated", f"file = {scenario.sample_file}"]
-    lines += [
-        "",
-        "[grid]",
-        f"points = {scenario.grid_points}",
-        f"kernel = {scenario.kernel}",
-    ]
-    if scenario.grid_half_width is not None:
-        lines.append(f"half_width_rad_fs = {scenario.grid_half_width!r}")
-    lines += ["", "[scan]"]
-    if scenario.scan.delta_z_min_mm is not None:
-        lines.append(f"delta_z_min_mm = {scenario.scan.delta_z_min_mm!r}")
-        lines.append(f"delta_z_max_mm = {scenario.scan.delta_z_max_mm!r}")
-    if scenario.scan.points is not None:
-        lines.append(f"points = {scenario.scan.points}")
-    lines.append(f"fringes = {'true' if scenario.scan.fringes else 'false'}")
-    lines += [
-        "",
-        "[tasks]",
-        f"run = {', '.join(scenario.tasks)}",
-        "",
-        "[output]",
-        f"directory = {scenario.output_dir}",
-        f"format = {scenario.output_format}",
-        f"jsi_stride = {scenario.jsi_stride}",
-        "",
-    ]
-    return "\n".join(lines)
+    """Canonical scenario text; parse(render(s)) == s.
+
+    Every field whose render value is not None, in table order: a float as its
+    repr, so that it reads back to the same value.
+    """
+    lines, section = [], None
+    for row_section, key, kind, _, _, render in _FIELDS:
+        value = None if render is None else render(scenario)
+        if value is None:
+            continue
+        if row_section != section:
+            section = row_section
+            lines += ["", f"[{section}]"]
+        lines.append(f"{key} = {_WRITE[kind](value)}")
+    return "\n".join(lines[1:]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -912,13 +902,16 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
         convergence[task] = conv
         extras_all[task] = extras
 
-    canonical = render_scenario(scenario)
-    scen_digest = hashlib.sha256(canonical.encode()).hexdigest()
-    h = hashlib.sha256(canonical.encode())
+    scen = hashlib.sha256(render_scenario(scenario).encode())
+    if isinstance(scenario.sample, TabulatedSample):
+        # the canonical text names a table by its file name alone
+        scen.update(scenario.sample.omega)
+        scen.update(scenario.sample.r)
+    h = scen.copy()
     for name, digest in sorted(hashes):
         h.update(f"{name}:{digest}".encode())
     manifest = RunManifest(
-        scenario_digest=scen_digest,
+        scenario_digest=scen.hexdigest(),
         digest=h.hexdigest(),
         grid_points=points,
         files=manifest_files,

@@ -295,6 +295,8 @@ class BilayerSample:
         Single pass only: multiple internal reflections and slab index
         dispersion are neglected.
         """
+        if not min(n_before, n_slab, n_after) > 0:
+            raise ValueError("refractive indices must be positive")
         r0 = (n_before - n_slab) / (n_before + n_slab)
         r_back = (n_slab - n_after) / (n_slab + n_after)
         t_in = 2.0 * n_before / (n_before + n_slab)

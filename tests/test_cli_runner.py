@@ -1,5 +1,7 @@
+import configparser
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -232,6 +234,223 @@ def test_lossy_uniform_round_trip(r_abs, r_phase):
     canonical = render_scenario(s)
     assert parse_scenario(canonical) == s
     assert render_scenario(parse_scenario(canonical)) == canonical
+
+
+# ---------------------------------------------------------------- the schema table
+
+FIELDS = [(section, key, kind) for section, key, kind, *_ in cli._FIELDS]
+SECTION_PATH = r"\[(crystal|pump|geometry|sample|grid|scan|tasks|output)\]"
+
+# with MINIMAL, its canonical text and OCT_SCENARIO, gives every key of the table
+WIDE = (
+    MINIMAL.replace("points = 512", "points = 512\nhalf_width_rad_fs = 0.05") + R_PAIR
+    + "\n[geometry]\nzp2_mm = 4.0\nsynchronize = false\n"
+    + "\n[scan]\ndelta_z_min_mm = -0.1\ndelta_z_max_mm = 0.1\n"
+)
+
+
+def _ini(text):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    cp.read_string(text)
+    return cp
+
+
+def _text(cp):
+    out = io.StringIO()
+    cp.write(out)
+    return out.getvalue()
+
+
+def _with_value(section, key, value):
+    """The first base scenario that gives [section] key, with that key set to value."""
+    for text in (MINIMAL, render_scenario(parse_scenario(MINIMAL)), OCT_SCENARIO, WIDE):
+        cp = _ini(text)
+        if cp.has_option(section, key):
+            cp[section][key] = value
+            return _text(cp)
+    raise AssertionError(f"no base scenario gives [{section}] {key}")
+
+
+def _assert_rejected_before_compute(tmp_path, capsys, text, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        parse_scenario(text)
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    pytest.param(section, key, value, id=f"{section}-{key}-{value}")
+    for section, key, kind in FIELDS if kind is not str
+    for value in (("not-a-number", "nan") if kind is float else ("not-a-number",))
+])
+def test_every_typed_key_rejects_a_value_not_of_its_kind(tmp_path, capsys, section, key, value):
+    _assert_rejected_before_compute(tmp_path, capsys, _with_value(section, key, value),
+                                    f"[{section}] {key}: not a")
+
+
+# per check-column row: the boundary value, which parses, and the next value, which fails
+CHECK_EDGES = {
+    ("crystal", "preset"): ("mgo_linbo3", "mgo_linbo4"),
+    ("sample", "type"): ("uniform", "mirror"),
+    ("grid", "points"): ("256", "255"),
+    ("grid", "kernel"): ("gaussian", "sinc"),
+    ("grid", "half_width_rad_fs"): ("5e-324", "0.0"),
+    ("scan", "points"): ("2", "1"),
+    ("output", "format"): ("json", "yaml"),
+    ("output", "jsi_stride"): ("1", "0"),
+}
+
+
+def test_check_edges_cover_the_check_column():
+    assert set(CHECK_EDGES) == {(row[0], row[1]) for row in cli._FIELDS if row[4] is not None}
+
+
+@pytest.mark.parametrize("section,key", [
+    pytest.param(section, key, id=f"{section}-{key}") for section, key in CHECK_EDGES
+])
+def test_every_checked_key_at_its_edge(tmp_path, capsys, section, key):
+    valid, invalid = CHECK_EDGES[section, key]
+    s = parse_scenario(_with_value(section, key, valid))
+    assert parse_scenario(render_scenario(s)) == s
+    _assert_rejected_before_compute(tmp_path, capsys, _with_value(section, key, invalid),
+                                    f"[{section}] {key}")
+
+
+def _sigma_edges():
+    """The largest sigma whose 5 mm preset crystal is within MAX_PAIRS_PER_PULSE, and the next."""
+    def pairs(sigma):
+        return cli.coherence.photon_number(mgo_linbo3_crystal(5.0, sigma=sigma))
+
+    bound = cli.MAX_PAIRS_PER_PULSE
+    sigma = float(np.sqrt(bound * abs(mgo_linbo3_crystal(5.0).D) / (2.0 * np.pi * 5.0)))
+    while pairs(sigma) > bound:
+        sigma = float(np.nextafter(sigma, 0.0))
+    while pairs(float(np.nextafter(sigma, np.inf))) <= bound:
+        sigma = float(np.nextafter(sigma, np.inf))
+    return sigma, float(np.nextafter(sigma, np.inf))
+
+
+AT_PAIR_BOUND, ABOVE_PAIR_BOUND = _sigma_edges()
+
+
+@pytest.mark.parametrize("sigma,pairs", [
+    pytest.param(1000.0, "119225.52765046652", id="sigma-1000"),
+    pytest.param(AT_PAIR_BOUND, None, id="at-the-bound"),
+    pytest.param(ABOVE_PAIR_BOUND, "0.10000000000000003", id="just-above"),
+])
+def test_high_parametric_gain_rejected_before_compute(tmp_path, capsys, sigma, pairs):
+    # the paper's model holds at low gain; the pair number per pulse does not
+    # depend on the pump, so the bound is checked on the crystal alone
+    text = MINIMAL.replace("length_mm = 5.0", f"length_mm = 5.0\nsigma = {sigma!r}")
+    if pairs is None:
+        s = parse_scenario(text)
+        assert cli.coherence.photon_number(s.crystal) == cli.MAX_PAIRS_PER_PULSE
+        return
+    message = (f"[crystal] sigma: 2 pi sigma^2 L / |D| = {pairs} pairs per pulse "
+               f"exceeds the low-gain bound {cli.MAX_PAIRS_PER_PULSE}")
+    _assert_rejected_before_compute(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize("n_before,n_slab,n_after", [
+    pytest.param("1.0", "-1.0", "1.3", id="slab-cancels-front"),
+    pytest.param("1.0", "1.5", "-1.5", id="back-cancels-slab"),
+    pytest.param("0.0", "1.5", "1.3", id="zero-front"),
+])
+def test_fresnel_bilayer_needs_positive_indices(tmp_path, capsys, n_before, n_slab, n_after):
+    # a sum of two indices is a Fresnel denominator: a zero one must not reach the division
+    text = OCT_SCENARIO.replace("n_before = 1.0", f"n_before = {n_before}")
+    text = text.replace("n_slab = 1.5", f"n_slab = {n_slab}").replace("n_after = 1.3", f"n_after = {n_after}")
+    _assert_rejected_before_compute(tmp_path, capsys, text,
+                                    "[sample] invalid parameters: refractive indices must be positive")
+
+
+FLOAT_TEXT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-3, 0.5, 1.0, 1.5, 20.0, -1.0, 263.5, 1064.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(repr)
+INT_TEXT = st.one_of(st.sampled_from([0, 1, 2, 255, 256, 512]), st.integers(-10, 5000)).map(str)
+DRAWN_TEXT = {float: FLOAT_TEXT, int: INT_TEXT, bool: st.sampled_from(sorted(cli._BOOL))}
+# what a drawn string row may hold: valid values, and one that is not
+STR_TEXT = {
+    ("crystal", "preset"): ["mgo_linbo3", "bbo"],
+    ("sample", "type"): ["uniform", "bilayer", "tabulated", "mirror"],
+    ("sample", "file"): ["r.csv", "missing.csv"],
+    ("grid", "kernel"): ["exact", "gaussian", "sinc"],
+    ("tasks", "run"): ["schmidt", "g1_scan, oct_scan", "spectrum, joint_spectrum", "render"],
+    ("output", "directory"): ["out", "results/run 2"],
+    ("output", "format"): ["csv", "json", "yaml"],
+}
+
+
+@st.composite
+def _scenario_texts(draw):
+    # a base scenario, then up to three rows each made absent or given a drawn value
+    cp = _ini(draw(st.sampled_from([
+        MINIMAL, render_scenario(parse_scenario(MINIMAL)), OCT_SCENARIO, WIDE,
+        MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE,
+    ])))
+    for section, key, kind in draw(st.lists(st.sampled_from(FIELDS), max_size=3, unique=True)):
+        text = STR_TEXT.get((section, key))
+        value = draw(st.none() | (st.sampled_from(text) if text else DRAWN_TEXT[kind]))
+        if value is None:
+            if cp.has_section(section):
+                cp.remove_option(section, key)
+        else:
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp[section][key] = value
+    return _text(cp)
+
+
+def test_str_text_covers_the_string_rows():
+    assert set(STR_TEXT) == {(section, key) for section, key, kind in FIELDS if kind is str}
+
+
+def test_scenarios_drawn_from_the_table_round_trip(tmp_path_factory):
+    # every drawn scenario is rejected naming its field, or renders to text
+    # that parses back to it and renders to itself
+    table_dir = tmp_path_factory.mktemp("table")
+    (table_dir / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n0,0.2,0\n8,0.5,0.1\n")
+    parsed = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_scenario_texts())
+    def check(text):
+        try:
+            s = parse_scenario(text, base_dir=table_dir)
+        except ScenarioError as exc:
+            assert re.search(SECTION_PATH, str(exc)), str(exc)
+            parsed.append(False)
+            return
+        canonical = render_scenario(s)
+        assert parse_scenario(canonical, base_dir=table_dir) == s
+        assert render_scenario(parse_scenario(canonical, base_dir=table_dir)) == canonical
+        parsed.append(True)
+
+    check()
+    assert len(parsed) >= 200
+    assert sum(parsed) >= 0.2 * len(parsed), f"{sum(parsed)} of {len(parsed)} draws parse"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_scenario_format_names_every_key_with_its_default():
+    text = README.read_text().split("## Scenario format\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        match = re.fullmatch(r"`\[(\w+)\] (\w+)`", cells[0])
+        if line.startswith("|") and match:
+            rows[match.groups()] = cells
+    assert set(rows) == {(section, key) for section, key, _ in FIELDS}
+    for section, key, kind, default, *_ in cli._FIELDS:
+        written = "none" if default is None else f"`{cli._WRITE[kind](default)}`"
+        assert rows[section, key][2].startswith(written), (section, key)
 
 
 # ---------------------------------------------------------------- exports
@@ -765,6 +984,32 @@ def test_manifest_digest_hashes_the_written_bytes(tmp_path):
     for name in names:
         h.update(f"{name}:{hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}".encode())
     assert manifest.digest == h.hexdigest()
+    # a tabulated sample's parsed arrays follow the canonical text, which names only the file
+    (tmp_path / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n8,0.5,0.1\n")
+    s = parse_scenario(MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE,
+                       base_dir=tmp_path)
+    out = tmp_path / "tabulated"
+    manifest = run_scenario(s, out_dir=out)
+    h = hashlib.sha256(render_scenario(s).encode())
+    h.update(s.sample.omega.tobytes())
+    h.update(s.sample.r.tobytes())
+    assert manifest.scenario_digest == h.hexdigest()
+    for name in manifest.files["g1_scan"]:
+        h.update(f"{name}:{hashlib.sha256((out / name).read_bytes()).hexdigest()}".encode())
+    assert manifest.digest == h.hexdigest()
+
+
+def test_scenario_digest_names_the_table_not_only_its_file(tmp_path):
+    text = MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE
+    digests, canonical = [], set()
+    for r_front in ("0.5", "0.4", "0.5"):  # a second table under the same name, then the first again
+        (tmp_path / "r.csv").write_text(f"omega,re,im\n-8,{r_front},0.1\n8,0.5,0.1\n")
+        s = parse_scenario(text, base_dir=tmp_path)
+        canonical.add(render_scenario(s))
+        digests.append(run_scenario(s, out_dir=tmp_path / f"run{len(digests)}").scenario_digest)
+    assert len(canonical) == 1
+    assert digests[0] != digests[1]
+    assert digests[0] == digests[2]
 
 
 def test_run_builds_each_jsa_once(tmp_path, monkeypatch):
