@@ -14,20 +14,22 @@ about ``coherence.BLOCK_ELEMENTS`` elements of signal rows, the one block
 budget of every streamed kernel evaluation, so neither holds an N x N array;
 ``joint_spectral_intensity`` holds the whole amplitude and, with
 ``marginal_spectrum`` and ``schmidt_analysis``, is the oracle of those
-streams. On the grid's antisymmetric axis both streams evaluate only the
-top ceil(N / 2) signal rows (``_top_rows``): the exact marginal and slice
-read the lower rows as top rows reversed, and ``schmidt_rows`` splits the
-weighted amplitude into its even and odd parity sectors of about N / 2.
+streams. The pump and the phase matching are even and the grid's axis is
+antisymmetric bit for bit, so the amplitude is centrosymmetric bit for bit,
+amp[N-1-n, N-1-j] = amp[n, j]. Both streams evaluate only its top
+ceil(N / 2) signal rows: the exact marginal and slice read the lower rows as
+top rows reversed, and ``schmidt_rows`` splits the weighted amplitude into
+its even and odd parity sectors of about N / 2.
 The Gaussian kernel's amplitude is a pump factor of ws + wi times a phase
 matching factor of ws - wi, so ``joint_spectrum_rows`` evaluates only its
 strided slice and takes the marginal from the two factors on the grid's
 2N - 1 sums and differences. Its signal marginal's width has a closed form,
 ``gaussian_marginal_fwhm``, and so has its Schmidt spectrum, in gamma,
-``schmidt_gaussian``. For any amplitude, the Schmidt coefficients are the
-Ritz values of the weighted amplitude m, or of each of its sectors, on the
-range of a block of its own columns (a Rayleigh-Ritz step, cf. Halko,
+``schmidt_gaussian``. For any amplitude, ``schmidt_rows`` takes the Schmidt
+coefficients as the Ritz values of each sector of the weighted amplitude m
+on the range of a block of its own columns (a Rayleigh-Ritz step, cf. Halko,
 Martinsson & Tropp, SIAM Rev. 53, 217, 2011), so that no N x N Gram matrix
-m m^H is formed. A block doubles until the mass it leaves unresolved is
+m m^T is formed. A block doubles until the mass it leaves unresolved is
 below SCHMIDT_MASS_TOL, which bounds the error of every Ritz value by that
 mass whatever the block (Weyl's inequality); once a block would span half
 its sector, Q = I and its coefficients are the eigenvalues of that sector's
@@ -63,7 +65,6 @@ from .optics_model import (
     PumpPulse,
     SINC_GAUSS_ALPHA,
     TWO_PI,
-    _is_antisymmetric,
     _symmetric_axis,
     _trapezoid_weights,
     pump_amplitude,
@@ -193,15 +194,15 @@ def _streamed_rows(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis, w
     """Unnormalized strided amplitude and signal marginal on ``axis``, streamed by rows.
 
     The amplitude is built in blocks of about BLOCK_ELEMENTS elements, a
-    whole number of strides of signal rows each, over the ``_top_rows``
-    only; each block copies its strided rows, and the reversed strided
+    whole number of strides of signal rows each, over the top ceil(N / 2)
+    rows only; each block copies its strided rows, and the reversed strided
     columns of the rows that mirror a strided row below the top, then
     squares itself in place and gives its weighted row sums to the marginal.
-    On an antisymmetric axis the marginal is even, dens[N-1-n] = dens[n],
-    and the slice is the evaluated one bit for bit.
+    The amplitude is centrosymmetric (module docstring), so the marginal is
+    even, dens[N-1-n] = dens[n], and the slice is the evaluated one bit for bit.
     """
     n = axis.size
-    top = _top_rows(axis)
+    top = n - n // 2
     height = min(top, max(1, BLOCK_ELEMENTS // (n * stride)) * stride)
     amp = np.empty((axis[::stride].size,) * 2)
     dens = np.empty(n)
@@ -233,17 +234,6 @@ def _amplitude_rows(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis, 
         block = _kernel_block(kernel, row_args[rows], columns, [part[: rows.stop - lo] for part in work])
         block *= pump_rows[rows]
         yield lo, block
-
-
-def _top_rows(axis) -> int:
-    """The signal rows a stream evaluates: the top ceil(N / 2) on an antisymmetric axis, else N.
-
-    The pump and the phase matching are even, so on an axis with
-    ws_{N-1-n} = -ws_n bit for bit the amplitude is centrosymmetric bit for
-    bit, amp[N-1-n, N-1-j] = amp[n, j], and its lower rows are the top rows
-    reversed.
-    """
-    return axis.size - axis.size // 2 if _is_antisymmetric(axis) else axis.size
 
 
 def _amplitude_factors(kernel: str, crystal: CrystalParams, pump: PumpPulse, axis):
@@ -441,11 +431,11 @@ def gaussian_marginal_fwhm(crystal: CrystalParams, pump: PumpPulse) -> float:
 class SchmidtReport:
     """Squared Schmidt coefficients (descending), mode count K and entropy.
 
-    ``ritz_block`` is the column count k of the accepted Rayleigh-Ritz
-    block, counted over all sectors: on an antisymmetric grid, twice the
-    largest block among the two parity sectors that closed with a proper
-    block. None where every sector took Q = I (or had no mass), or the
-    spectrum is in closed form.
+    ``ritz_block`` is the column count k of ``schmidt_rows``' accepted
+    Rayleigh-Ritz block, counted over its two parity sectors: twice the
+    largest block among those that closed with a proper block. None where
+    every sector took Q = I (or had no mass), and for the dense
+    ``schmidt_analysis`` and the closed form.
     """
 
     coefficients: np.ndarray
@@ -462,38 +452,32 @@ class SchmidtReport:
 
 
 def schmidt_analysis(js: JointSpectrum) -> SchmidtReport:
-    """Schmidt decomposition of the quadrature-weighted amplitude matrix.
+    """Schmidt decomposition of the quadrature-weighted amplitude matrix, by dense linear algebra.
 
     The amplitude is scaled by sqrt(w_j w_n) so the coefficients converge with
     grid refinement. lambda_n are the squared singular values, in descending
     order, of that weighted N x N matrix m (real for the amplitude of
-    ``joint_spectral_intensity``, complex when a caller passes one). They are
-    the Ritz values of m m^H on an orthonormal block Q of k columns, the QR of
-    k evenly spaced columns of m: the eigenvalues of B B^H with B = Q^H m. The
-    N x N Gram matrix m m^H is never formed. k starts at SCHMIDT_BLOCK and
-    doubles until the mass the block misses, ||m||_F^2 - sum lambda, is below
-    SCHMIDT_MASS_TOL ||m||_F^2. With R = (I - Q Q^H) m that mass is tr R^H R,
-    and m^H m = B^H B + R^H R, so by Weyl's inequality every lambda is then
-    within SCHMIDT_MASS_TOL ||m||_F^2 of its exact value. Once 2k >= N, Q = I
-    and lambda are the eigenvalues of m m^H. Only lambda above the rounding
+    ``joint_spectral_intensity``, complex when a caller passes one): the
+    eigenvalues of its Gram matrix m m^H. Only lambda above the rounding
     floor N eps lambda_1 (N grid points, eps the float64 machine epsilon) are
     kept; those below it are noise. K = 1 / sum lambda^2, E = -sum lambda
-    log2 lambda over the kept modes. A non-finite or zero amplitude or a
-    failed factorization raises NumericalConsistencyError; a finite
-    ||m||_F^2 (the quadrature norm) off 1 by more than NORMALIZATION_TOL
-    raises ValueError.
-    ``schmidt_rows`` runs the same steps on a stream of the amplitude, split
-    into its parity sectors on an antisymmetric grid; this oracle takes m
-    whole, as one sector.
+    log2 lambda over the kept modes. A non-finite amplitude or a failed
+    factorization raises NumericalConsistencyError; ||m||_F^2 (the
+    quadrature norm) off 1 by more than NORMALIZATION_TOL raises ValueError.
+    This is the reference of ``schmidt_rows``, which forms no N x N array.
     """
     sw = np.sqrt(js.grid.weights_s)
     m = js.amplitude * sw[:, None]
     m *= sw
-    lam, mass, block = _rayleigh_ritz(
-        js.grid, [m.shape[0]], lambda picks: [m[:, picks[0]]], lambda live: [(0, [m])]
-    )
+    mass = float(np.vdot(m, m).real)
+    if not np.isfinite(mass):
+        raise _schmidt_error(js.grid, "non-finite amplitude")
     _require_unit_norm(mass, "schmidt_analysis")
-    return _schmidt_report(lam, js.grid.n_points, block)
+    try:
+        lam = np.linalg.eigvalsh(m @ m.conj().T)[::-1]
+    except np.linalg.LinAlgError as exc:
+        raise _schmidt_error(js.grid, exc) from exc
+    return _schmidt_report(lam, js.grid.n_points, None)
 
 
 def schmidt_rows(
@@ -506,17 +490,19 @@ def schmidt_rows(
 ) -> SchmidtReport:
     """``schmidt_analysis(joint_spectral_intensity(...))``, without an N x N array.
 
-    The same Rayleigh-Ritz steps on the weighted, unnormalized amplitude m:
-    the k columns of each block are evaluated directly, and each pass over
-    the amplitude's row blocks (as in ``joint_spectrum_rows``, about
-    BLOCK_ELEMENTS elements each) sums B = Q^T m and ||m||_F^2, which is the
-    quadrature norm; lambda are the Ritz values divided by it. Every doubling
-    of k costs one more pass. A non-finite or zero amplitude or a failed
-    factorization raises NumericalConsistencyError.
+    The Rayleigh-Ritz steps of ``_rayleigh_ritz`` on the parity sectors of
+    the weighted, unnormalized amplitude m: the k columns of each block are
+    evaluated directly, and each pass over the amplitude's row blocks (as in
+    ``joint_spectrum_rows``, about BLOCK_ELEMENTS elements each) sums
+    B = Q^T s and ||s||_F^2 for each sector s; the masses add up to
+    ||m||_F^2, which is the quadrature norm, and lambda are the Ritz values
+    divided by it. Every doubling of k costs one more pass. A non-finite or
+    zero amplitude or a failed factorization raises
+    NumericalConsistencyError.
 
-    On an antisymmetric axis m is centrosymmetric (``_top_rows``), and the
-    orthonormal even and odd vectors (e_j +- e_{N-1-j}) / sqrt 2 split it
-    into two parity sectors over its top rows i: the even sector
+    m is centrosymmetric (module docstring), and the orthonormal even and
+    odd vectors (e_j +- e_{N-1-j}) / sqrt 2 split it into two parity
+    sectors over its top rows i: the even sector
     E[i, j] = m[i, j] + m[i, N-1-j] of order ceil(N / 2) and the odd sector
     O[i, j] = m[i, j] - m[i, N-1-j] of order floor(N / 2). For odd N, E's
     middle row and column are those of m times sqrt 2, and its corner is
@@ -525,8 +511,7 @@ def schmidt_rows(
     evaluates only the top ceil(N / 2) rows and folds them into every sector
     still open, and each Ritz block is evaluated on the top rows at its
     columns c and N - 1 - c. Only once twice a sector's block reaches its
-    order is that sector assembled whole, with its Gram matrix. Any other
-    axis is one sector, m itself, and takes the steps of the oracle.
+    order is that sector assembled whole, with its Gram matrix.
 
     k, the Ritz columns of all the sectors together, starts at
     ``first_block``, split evenly between them: each sector holds about half
@@ -537,10 +522,10 @@ def schmidt_rows(
     n = axis.size
     sw = np.sqrt(grid.weights_s)
     row_args, col_factors, pump_rows = _amplitude_factors(kernel, crystal, pump, axis)
-    top = _top_rows(axis)
-    half = n - top  # the odd sector's order; 0 when m is one sector
-    sizes = [top, half] if half else [n]
-    if top > half > 0:
+    half = n // 2  # the odd sector's order
+    top = n - half
+    sizes = [top, half]
+    if top > half:
         # E's middle row and column, those of m times sqrt 2, and its corner m[p, p]
         # are the fold of two copies of the middle of m weighted by sqrt(1/2) more
         sw[half] *= np.sqrt(0.5)
@@ -558,16 +543,14 @@ def schmidt_rows(
         return out
 
     def columns(picks):
-        # the top rows of m at every pick c and, in sectors, at its mirror N - 1 - c,
-        # in one evaluation, up to the column weights, which do not change a span
-        idx = np.concatenate([np.concatenate((c, n - 1 - c)) if half else c for c in picks if c is not None])
+        # the top rows of m at every pick c and at its mirror N - 1 - c, in one
+        # evaluation, up to the column weights, which do not change a span
+        idx = np.concatenate([np.concatenate((c, n - 1 - c)) for c in picks if c is not None])
         work = [np.empty((top, idx.size)), np.empty((top, idx.size))]
         block = _kernel_block(kernel, row_args[:top], col_factors[..., idx], work)
         del work  # the scratch half is freed before the QR
         block *= pump_rows[:top, idx]
         block *= sw[:top, None]
-        if not half:
-            return [block]
         out, at = [], 0
         for sector, c in enumerate(picks):
             if c is None:
@@ -580,13 +563,10 @@ def schmidt_rows(
 
     def rows(live):
         work = np.empty((2, min(top, max(1, BLOCK_ELEMENTS // n)), n))
-        folds = [np.zeros((len(work[0]), width)) for width in padded] if half else None
+        folds = [np.zeros((len(work[0]), width)) for width in padded]
         for lo, block in _amplitude_rows(kernel, crystal, pump, axis, work, top):
             block *= sw[lo : lo + len(block), None]
             block *= sw
-            if not half:
-                yield lo, [block]
-                continue
             yield lo, [
                 fold(block[:, :size], block[:, ::-1][:, :size], sector, lo, folds[sector][: len(block)])
                 if live[sector] else None
@@ -600,20 +580,25 @@ def schmidt_rows(
 def _rayleigh_ritz(
     grid: FrequencyGrid, sizes, columns, rows, k: int = SCHMIDT_BLOCK
 ) -> tuple[np.ndarray, float, int | None]:
-    """Descending Ritz values of m m^H, ||m||_F^2 and the largest accepted block's k.
+    """Descending Ritz values of a real m m^T, ||m||_F^2 and the largest accepted block's k.
 
-    The loop ``schmidt_analysis`` describes, run on each sector of m: m is
-    orthogonally equivalent to the direct sum of sectors of orders ``sizes``
-    (one sector: m itself), so its Ritz values are the union of theirs and
-    ||m||_F^2 is the sum of their masses ||s||_F^2. k counts the columns of
+    m is orthogonally equivalent to the direct sum of sectors of orders
+    ``sizes``, so its Ritz values are the union of theirs and ||m||_F^2 is
+    the sum of their masses ||s||_F^2. A sector s takes the Ritz values of
+    s s^T on an orthonormal block Q, the QR of evenly spaced columns of s:
+    the eigenvalues of B B^T with B = Q^T s, without forming s s^T. With
+    R = (I - Q Q^T) s, the mass the block misses, ||s||_F^2 - sum lambda, is
+    tr R^T R, and s^T s = B^T B + R^T R, so by Weyl's inequality every
+    lambda is within that mass of its exact value. k counts the columns of
     all the sectors' blocks together: each of the S sectors has its own
     block, from k / S columns, its own doubling, and its own Q = I once
-    twice its block reaches its order. ``columns(picks)`` gets, per sector,
+    twice its block reaches its order; its lambda are then the eigenvalues
+    of s s^T. ``columns(picks)`` gets, per sector,
     the column indices of its block or None, and returns, per sector, those
     columns of it (or any matrix of the same column span) or None. ``rows(live)``
     yields (lo, per sector, its rows lo, lo + 1, ... or None where ``live``
     is False) over every sector's rows, a block being read before the next
-    is asked for. Each pass sums B = Q^H s and ||s||_F^2 over the row
+    is asked for. Each pass sums B = Q^T s and ||s||_F^2 over the row
     blocks of every open sector s; with Q = I, B is s itself, copied
     together from the blocks.
 
@@ -627,8 +612,6 @@ def _rayleigh_ritz(
     NumericalConsistencyError. The k returned is S times the largest block
     among the sectors that closed with a proper block, None if none did.
     """
-    n = grid.n_points
-    failed = f"Schmidt decomposition failed on a {n}x{n} grid (step={grid.step_s:.3e})"
     widths = [max(1, k // len(sizes))] * len(sizes)
     mass = [0.0] * len(sizes)
     closed = [None] * len(sizes)  # per sector: (lambda, missed mass, k or None at Q = I)
@@ -650,27 +633,26 @@ def _rayleigh_ritz(
                     if block is None:
                         continue
                     # einsum's own loop, not a BLAS dot: the sum is the same for any thread count
-                    mass[i] += float(np.einsum("ij,ij->", block.conj(), block).real)
+                    mass[i] += float(np.einsum("ij,ij->", block, block))
                     if qs[i] is None:  # B = s, copied together from its row blocks
                         if lo == 0:
-                            b[i] = np.empty((sizes[i], block.shape[1]), block.dtype)
+                            b[i] = np.empty((sizes[i], block.shape[1]))
                         b[i][lo : lo + len(block)] = block
                     elif lo == 0:
-                        b[i] = qs[i][: len(block)].conj().T @ block
+                        b[i] = qs[i][: len(block)].T @ block
                     else:
-                        b[i] += qs[i][lo : lo + len(block)].conj().T @ block
+                        b[i] += qs[i][lo : lo + len(block)].T @ block
             total = sum(mass)
             if not np.isfinite(total):
-                raise NumericalConsistencyError(f"{failed}: non-finite amplitude")
+                raise _schmidt_error(grid, "non-finite amplitude")
             if not total > 0.0:
-                raise NumericalConsistencyError(f"{failed}: zero amplitude")
+                raise _schmidt_error(grid, "zero amplitude")
             found = {}
             for i in np.flatnonzero(live):
                 if mass[i] == 0.0:  # no coefficient, and no block
                     found[i] = (np.empty(0), 0.0, None)
                     continue
-                # conj() of a real array is the array itself, so b @ b.T runs as syrk
-                lam = np.linalg.eigvalsh(b[i] @ b[i].conj().T)[::-1]
+                lam = np.linalg.eigvalsh(b[i] @ b[i].T)[::-1]
                 found[i] = (lam, 0.0, None) if qs[i] is None else (lam, mass[i] - float(np.sum(lam)), widths[i])
             missed = sum(r[1] for r in closed + list(found.values()) if r is not None)
             for i, (lam, left, width) in found.items():
@@ -679,10 +661,18 @@ def _rayleigh_ritz(
                 else:
                     widths[i] *= 2
     except np.linalg.LinAlgError as exc:
-        raise NumericalConsistencyError(f"{failed}: {exc}") from exc
+        raise _schmidt_error(grid, exc) from exc
     lam = np.sort(np.concatenate([result[0] for result in closed]))[::-1]
     accepted = [r[2] for r in closed if r[2] is not None]
     return lam, total, len(sizes) * max(accepted) if accepted else None
+
+
+def _schmidt_error(grid: FrequencyGrid, reason) -> NumericalConsistencyError:
+    """The error of a Schmidt step that failed on ``grid`` for ``reason``."""
+    n = grid.n_points
+    return NumericalConsistencyError(
+        f"Schmidt decomposition failed on a {n}x{n} grid (step={grid.step_s:.3e}): {reason}"
+    )
 
 
 def _schmidt_report(lam: np.ndarray, n: int, block: int | None) -> SchmidtReport:

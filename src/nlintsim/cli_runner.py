@@ -276,10 +276,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         crystal = _build(
             "crystal", CrystalParams, *(get("crystal", key) for key in (*required, "sigma"))
         )
-    try:
-        pairs = coherence.photon_number(crystal)
-    except OverflowError:  # sigma ** 2 beyond the float range
-        pairs = float("inf")
+    pairs = coherence.photon_number(crystal)
     if pairs > MAX_PAIRS_PER_PULSE:
         raise ScenarioError(
             f"[crystal] sigma: 2 pi sigma^2 L / |D| = {float(pairs)!r} pairs per pulse "

@@ -56,8 +56,6 @@ from .optics_model import (
     SINC_GAUSS_ALPHA,
     SampleModel,
     TWO_PI,
-    _axis_deviation,
-    _is_antisymmetric,
     _symmetric_axis,
     _trapezoid_weights,
     echoes,
@@ -185,9 +183,9 @@ def photon_number(crystal: CrystalParams) -> float:
     """Signal photons generated per pump pulse: 2 pi sigma^2 L / |D|.
 
     Independent of the pump pulse shape; equal for both sources in the low
-    gain regime.
+    gain regime. A sigma whose square leaves the float range gives inf.
     """
-    return TWO_PI * crystal.sigma ** 2 * crystal.length_mm / abs(crystal.D)
+    return TWO_PI * (crystal.sigma * crystal.sigma) * crystal.length_mm / abs(crystal.D)
 
 
 def carrier_phase(
@@ -367,6 +365,14 @@ def _scan_correlator(crystal, pump, geometry, sample, delta_z_mm, resolution):
     return corr, t1
 
 
+def _axis_deviation(x: np.ndarray) -> float:
+    """Largest distance of ``x`` from the uniform axis through its end points."""
+    if x.size < 3:
+        return 0.0
+    step = (x[-1] - x[0]) / (x.size - 1)
+    return float(np.max(np.abs(x - (x[0] + step * np.arange(x.size)))))
+
+
 def _chirp(c: float, m: np.ndarray) -> np.ndarray:
     """e^{i c m^2} for whole numbers m, accurate however large c m^2 grows.
 
@@ -542,26 +548,24 @@ def _pump_quadrature(
     one, the square of ``_kernel_block`` over the u axis of ``_u_axis``.
     Rows are taken in chunks of about BLOCK_ELEMENTS block elements.
 
-    Both the pump and PM are even, so on an axis with ws_{N-1-n} = -ws_n bit
-    for bit (``_symmetric_axis``), and a u axis antisymmetric in the same way,
-    row N-1-n of the block is row n reversed. Then only the rows
-    n <= (N-1)/2 are built, and each reduces twice: R(ws_n) against f(wi)
-    and R(ws_{N-1-n}) against f(-wi). The middle row of an odd axis, and
-    every row of an axis that is not symmetric, reduce once.
+    ``omega_s`` must be ``_symmetric_axis``'s, ws_{N-1-n} = -ws_n bit for bit,
+    as both callers' are. Both the pump and PM are even, and the u axis is
+    antisymmetric in the same way, so row N-1-n of the block is row n
+    reversed. Only the rows n <= (N-1)/2 are built, and each reduces twice:
+    R(ws_n) against f(wi) and R(ws_{N-1-n}) against f(-wi). The middle row
+    of an odd axis reduces once.
 
     With ``sample=None`` (r = 1) the block is reduced against the weighted
     pump row by a real matvec, and R is even: the upper rows are the lower
     ones reversed.
 
-    With a sample, ``omega_s`` must be uniform and u is the lattice axis:
-    wi = kappa h - c, c the axis centre (exactly 0 on a symmetric axis), and
-    row n reads the lattice indices kappa = ((N-1)/2 - n) m - n_u // 2 + j.
-    Chunks run from the last row built down to row 0, so outward from the
-    middle on a symmetric axis. Each evaluates f once on the points it reads,
-    min(m, n_u) per row plus the first row's tail (which the next chunk
-    reuses), and sees them as the (ws, u) block through a strided view with
-    row stride -min(m, n_u); the mirror rows read f(-wi) through the same
-    view. Near the middle, f(-wi) at kappa is f at -kappa, which the chunk
+    With a sample, u is the lattice axis: wi = kappa h, and row n reads the
+    lattice indices kappa = ((N-1)/2 - n) m - n_u // 2 + j. Chunks run from
+    the last row built down to row 0, so outward from the middle. Each
+    evaluates f once on the points it reads, min(m, n_u) per row plus the
+    first row's tail (which the next chunk reuses), and sees them as the
+    (ws, u) block through a strided view with row stride -min(m, n_u); the
+    mirror rows read f(-wi) through the same view. Near the middle, f(-wi) at kappa is f at -kappa, which the chunk
     holds already; copied from there, it leaves r evaluated at as many
     points as the whole axis reads, with two f buffers per chunk. The real
     weighted block is reduced against that view's (re, im) pairs, so no
@@ -585,7 +589,7 @@ def _pump_quadrature(
     b, a = _kernel_args(crystal, kernel, omega_s, u)
     columns = _kernel_columns(kernel, a)
     # rows n < paired also give row N-1-n; rows from top on are not built
-    paired = n_s // 2 if _is_antisymmetric(omega_s) else 0
+    paired = n_s // 2
     top = n_s - paired
     chunk = min(top, max(1, BLOCK_ELEMENTS // n_u))
     work = np.empty((2, chunk, n_u))
@@ -605,10 +609,9 @@ def _pump_quadrature(
 
     p = min(m, n_u)
     h = u[-1] / (n_u // 2)
-    centre = 0.5 * (omega_s[0] + omega_s[-1])
     out = np.empty(n_s, dtype=complex)
     coarse = np.empty(n_s, dtype=complex) if thin else out
-    buffers = np.empty((2 if paired else 1, (chunk - 1) * p + n_u), dtype=complex)
+    buffers = np.empty((2, (chunk - 1) * p + n_u), dtype=complex)
     for hi in range(top, 0, -chunk):
         lo = max(0, hi - chunk)
         rows = hi - lo
@@ -627,8 +630,7 @@ def _pump_quadrature(
         kappa = np.add.outer(rows_kappa, np.arange(p, dtype=float))
         wi = kappa.ravel()[kept - first * p : size - first * p]
         wi *= h
-        wi -= centre
-        if paired and hi == top:
+        if hi == top:
             # the mirrors of the first size - skip points are points of this
             # chunk, reversed; only the rest of f(-wi) is new
             skip = (n_s - lo - hi) * p
@@ -636,22 +638,20 @@ def _pump_quadrature(
             fs[1, : size - skip] = fs[0, : size - skip][::-1]
             _idler_factor(sample, t2_fs, -wi[size - skip :], fs[1, size - skip :])
         else:
-            _idler_factor(sample, t2_fs, wi, fs[0, kept:], fs[1, kept:] if paired else None)
+            _idler_factor(sample, t2_fs, wi, fs[0, kept:], fs[1, kept:])
         block = _kernel_block(kernel, b[lo:hi], columns, work[:, :rows])
         block *= block
         block *= pump_row
         views = [_lattice_view(f, rows, n_u, p) for f in fs]
         out[lo:hi] = (block[:, None, :] @ views[0]).view(complex).ravel()
-        if paired:
-            k = min(hi, paired) - lo
-            mirror = (block[:k, None, :] @ views[1][:k]).view(complex).ravel()
-            out[n_s - lo - k : n_s - lo] = mirror[::-1]
+        k = min(hi, paired) - lo
+        mirror = (block[:k, None, :] @ views[1][:k]).view(complex).ravel()
+        out[n_s - lo - k : n_s - lo] = mirror[::-1]
         if thin:  # the rows of even index, and the rows whose mirrors have one
-            even = [(views[0], slice(lo % 2, None, 2), coarse[lo:hi])]
-            if paired:
-                mirrors = coarse[n_s - hi : n_s - lo][::-1]
-                even.append((views[1], slice((n_s - 1 - lo) % 2, k, 2), mirrors))
-            for view, ev, target in even:
+            for view, ev, target in (
+                (views[0], slice(lo % 2, None, 2), coarse[lo:hi]),
+                (views[1], slice((n_s - 1 - lo) % 2, k, 2), coarse[n_s - hi : n_s - lo][::-1]),
+            ):
                 target[ev] = 2.0 * (block[ev, None, ::2] @ view[ev, ::2]).view(complex).ravel()
     return out, coarse[::2]
 

@@ -398,18 +398,14 @@ PHASEMATCH_FEATURE_WIDTH = 16.0
 MIN_POINTS_PER_FEATURE = 8
 MIN_GRID_POINTS = 256
 
-# Largest distance, as a fraction of a step, that a FrequencyGrid axis may lie
-# from the uniform axis through its end points.
-GRID_UNIFORMITY_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform ascending detuning axis with trapezoid weights, shared by signal and idler.
+    """Uniform detuning axis about the carriers with trapezoid weights, shared by signal and idler.
 
-    ValueError unless the axis has at least 2 points, ascends strictly and lies
-    within GRID_UNIFORMITY_TOL of a step of the uniform axis through its end
-    points: the weights and the joint spectrum's lattice of ws + wi assume it.
+    ValueError unless the axis is ``_symmetric_axis(axis[-1], N)`` bit for bit,
+    with N >= 2 and axis[-1] > 0: the weights and the joint spectrum's lattice
+    of ws + wi assume a uniform axis, and its streams the mirror pairing.
     """
 
     omega_s: np.ndarray
@@ -417,12 +413,8 @@ class FrequencyGrid:
     def __post_init__(self):
         x = self.omega_s
         x.setflags(write=False)
-        if x.size < 2:
-            raise ValueError("grid axis needs at least 2 points")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("grid axis must be strictly ascending")
-        if _axis_deviation(x) > GRID_UNIFORMITY_TOL * (x[-1] - x[0]) / (x.size - 1):
-            raise ValueError("grid axis must be uniform")
+        if not (x.size >= 2 and x[-1] > 0 and x.tobytes() == _symmetric_axis(x[-1], x.size).tobytes()):
+            raise ValueError("grid axis must be _symmetric_axis(axis[-1], N), N >= 2, axis[-1] > 0")
 
     @property
     def step_s(self) -> float:
@@ -437,14 +429,6 @@ class FrequencyGrid:
         return int(self.omega_s.size)
 
 
-def _axis_deviation(x: np.ndarray) -> float:
-    """Largest distance of ``x`` from the uniform axis through its end points."""
-    if x.size < 3:
-        return 0.0
-    step = (x[-1] - x[0]) / (x.size - 1)
-    return float(np.max(np.abs(x - (x[0] + step * np.arange(x.size)))))
-
-
 def _symmetric_axis(half_width: float, n: int) -> np.ndarray:
     """``np.linspace(-half_width, half_width, n)`` made exactly antisymmetric.
 
@@ -456,11 +440,6 @@ def _symmetric_axis(half_width: float, n: int) -> np.ndarray:
     """
     x = np.linspace(-half_width, half_width, n)
     return 0.5 * (x - x[::-1])
-
-
-def _is_antisymmetric(axis: np.ndarray) -> bool:
-    """Whether axis[n - 1 - i] = -axis[i] bit for bit, as on ``_symmetric_axis``."""
-    return bool(np.array_equal(axis, -axis[::-1]))
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:

@@ -25,7 +25,9 @@ from nlintsim.cli_runner import (
     render_scenario,
     run_scenario,
 )
-from nlintsim.optics_model import SINC_GAUSS_ALPHA, FrequencyGrid, TabulatedSample, mgo_linbo3_crystal
+from nlintsim.optics_model import (
+    SINC_GAUSS_ALPHA, FrequencyGrid, TabulatedSample, _symmetric_axis, mgo_linbo3_crystal,
+)
 
 MINIMAL = """
 [crystal]
@@ -339,6 +341,7 @@ AT_PAIR_BOUND, ABOVE_PAIR_BOUND = _sigma_edges()
 
 @pytest.mark.parametrize("sigma,pairs", [
     pytest.param(1000.0, "119225.52765046652", id="sigma-1000"),
+    pytest.param(1e200, "inf", id="sigma-1e200"),  # sigma^2 leaves the float range
     pytest.param(AT_PAIR_BOUND, None, id="at-the-bound"),
     pytest.param(ABOVE_PAIR_BOUND, "0.10000000000000003", id="just-above"),
 ])
@@ -482,9 +485,9 @@ def test_csv_writers_match_per_value_reference():
     rows.append(tuple(np.float64(v) for v in EDGE_VALUES[:3]))
     expected = "\n".join(["a,b,c", *_fmt9_csv(rows)]) + "\n"
     assert export_series(["a", "b", "c"], rows, "csv") == expected
-    # a grid axis is uniform and ascending; the edge values sit in the amplitude
+    # a grid axis is _symmetric_axis's; the edge values sit in the amplitude
     edges = np.array(EDGE_VALUES)
-    axis = np.arange(edges.size) / 3.0 - 2.0
+    axis = _symmetric_axis(4.0, edges.size)
     grid = FrequencyGrid(omega_s=axis)
     cycle = (np.arange(edges.size)[:, None] + np.arange(edges.size)[None, :]) % edges.size
     amplitude = np.sqrt(np.abs(edges))[cycle] * np.where(cycle % 2, 1.0, -1.0)

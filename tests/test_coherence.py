@@ -567,7 +567,9 @@ def assert_matches_reference(omega_s, *, crystal=CRYSTAL, pump=PumpPulse(500.0),
         assert np.max(np.abs(ref)) > 0  # the comparison is not between zeros
 
 
-SIGNAL_AXIS = np.linspace(-3.0, 3.0, 3001)
+# the reduction's signal axis is _symmetric_axis's: this one is odd, at 2.5 times
+# the step of SYMMETRIC_AXES below, so the lattice ratio m is larger
+SIGNAL_AXIS = _symmetric_axis(2.5, 1001)
 
 REDUCTION_CASES = [
     pytest.param({"sample": MIRROR}, id="mirror"),
@@ -583,9 +585,8 @@ REDUCTION_CASES = [
 ]
 
 
-# SIGNAL_AXIS itself is not exactly antisymmetric, so it takes no mirror
-# pairing; its antisymmetric copy (odd N) and the copy shifted by half a step
-# (even N, no middle row) pair every row with its mirror
+# an odd axis, whose middle row reduces once, and an even one, with no middle
+# row, both at SIGNAL_AXIS's width and a step of 2e-3
 SYMMETRIC_AXES = {
     "odd-n": _symmetric_axis(3.0, 3001),
     "even-n": _symmetric_axis(2.999, 3000),
@@ -611,8 +612,7 @@ def test_mirrored_reduction_matches_reference(case, block, axis, monkeypatch):
 
 
 def test_symmetric_axes_are_exactly_antisymmetric():
-    assert not np.array_equal(SIGNAL_AXIS, -SIGNAL_AXIS[::-1])
-    axes = list(SYMMETRIC_AXES.values())
+    axes = [SIGNAL_AXIS, *SYMMETRIC_AXES.values()]
     for length_mm, t0_fs, t1_max in [(5.0, 500.0, 400.0), (0.5, 1e5, 3000.0), (2.5, 100.0, 0.0)]:
         crystal, pump = mgo_linbo3_crystal(length_mm), PumpPulse(t0_fs)
         axes.append(PairCorrelator(crystal, pump, MIRROR, t2_fs=0.0, t1_max_fs=t1_max).omega_s)
@@ -675,28 +675,30 @@ def test_reduction_builds_half_the_rows_of_a_symmetric_axis(sample, monkeypatch)
         return kernel_block(kernel, b, columns, work)
 
     monkeypatch.setattr(coherence, "_kernel_block", counting)
-    for omega_s in (SYMMETRIC_AXES["odd-n"], SYMMETRIC_AXES["even-n"], SIGNAL_AXIS + 0.1):
+    for omega_s in SYMMETRIC_AXES.values():
         rows.clear()
         _pump_quadrature(CRYSTAL, PumpPulse(500.0), omega_s, sample=sample)
-        paired = np.array_equal(omega_s, -omega_s[::-1])
-        assert sum(rows) == (-(-omega_s.size // 2) if paired else omega_s.size)
+        assert sum(rows) == -(-omega_s.size // 2)
         assert len(rows) > 1
 
 
 @pytest.mark.parametrize("sample", [None, SLAB], ids=["no-sample", "bilayer"])
 def test_reduction_near_zero_argument(sample):
-    pump = PumpPulse(500.0)
-    lattice = None if sample is None else 1e-3
+    # b_n + a_j = 0 where D ws_n = -(2 D_plus - D) u_j, so the pump walk-off is
+    # tuned to bring the argument at row n = 45, column j0 within 3e-10 of 0;
+    # at T0 = 20 ps the u axis is set by the pump alone, whatever that D_plus
+    pump = PumpPulse(2e4)
+    omega_s = _symmetric_axis(0.005, 81)
+    lattice = None if sample is None else omega_s[1] - omega_s[0]
     u, _ = _u_axis(CRYSTAL, pump, lattice_step=lattice)
     j0 = u.size // 2 + 3  # near the pump peak, where a_j is not 0
-    _, a = _kernel_args(CRYSTAL, "exact", np.zeros(1), u)
-    ws0 = -(a[j0] + 3e-10) / (CRYSTAL.D * CRYSTAL.length_mm / 2.0)
-    omega_s = ws0 + np.arange(-20, 21) * 1e-3
-    h_s = (omega_s[-1] - omega_s[0]) / (omega_s.size - 1)
-    u, _ = _u_axis(CRYSTAL, pump, lattice_step=None if sample is None else h_s)
-    b, a = _kernel_args(CRYSTAL, "exact", omega_s, u)
-    assert 0 < abs(b[20] + a[j0]) < 1e-9
-    assert_matches_reference(omega_s, sample=sample, pump=pump)
+    b, _ = _kernel_args(CRYSTAL, "exact", omega_s, u)
+    d_plus = CRYSTAL.D / 2.0 - (b[45] + 3e-10) / (u[j0] * CRYSTAL.length_mm / 2.0)
+    crystal = dataclasses.replace(CRYSTAL, D_plus=d_plus)
+    assert np.array_equal(_u_axis(crystal, pump, lattice_step=lattice)[0], u)
+    _, a = _kernel_args(crystal, "exact", omega_s, u)
+    assert 0 < abs(b[45] + a[j0]) < 1e-9
+    assert_matches_reference(omega_s, crystal=crystal, sample=sample, pump=pump)
 
 
 def assert_reads_each_lattice_point_once(omega_s, pump, monkeypatch):
@@ -785,6 +787,8 @@ def test_photon_number_scaling():
     )
     assert photon_number(mgo_linbo3_crystal(10.0)) == pytest.approx(2 * n5, rel=1e-12)
     assert photon_number(mgo_linbo3_crystal(5.0, sigma=0.0)) == 0.0
+    # sigma^2 beyond the float range counts as infinitely many pairs
+    assert photon_number(mgo_linbo3_crystal(5.0, sigma=1e200)) == np.inf
 
 
 def numeric_pair_flux(crystal, pump, tail_arg=300.0, n_u=801, n_m=20001):

@@ -317,11 +317,23 @@ def test_grid_resolution_error_reports_requirement():
         make_frequency_grid(mgo_linbo3_crystal(0.5), PumpPulse.from_ps(100.0), 2048)
 
 
+def shifted_grid_axis():
+    # a built grid's axis moved by 0.3 of its step
+    grid = make_frequency_grid(CRYSTAL, PumpPulse(212.0), 1024)
+    return grid.omega_s + 0.3 * grid.step_s
+
+
 @pytest.mark.parametrize("axis", [
     pytest.param([0.0, 1.0, 5.0], id="uneven"),
     pytest.param([1.0, 0.0, -1.0], id="reversed"),
     pytest.param([0.0, 0.0, 0.0], id="flat"),
     pytest.param([0.0, np.nan, 2.0], id="nan"),
+    # the values of _symmetric_axis(1.0, 3), but not its float64 bits: integer
+    # trapezoid weights would truncate the end weights to 0
+    pytest.param(np.array([-1, 0, 1]), id="integer"),
+    # uniform, but not antisymmetric bit for bit
+    pytest.param(np.linspace(-3.0, 3.0, 3001), id="linspace"),
+    pytest.param(shifted_grid_axis(), id="shifted-0.3-step"),
 ])
 def test_grid_rejects_nonuniform_axis(axis):
     with pytest.raises(ValueError, match="grid axis"):
