@@ -26,13 +26,14 @@ strided slice and takes the marginal from the two factors on the grid's
 2N - 1 sums and differences. Its signal marginal's width has a closed form,
 ``gaussian_marginal_fwhm``, and so has its Schmidt spectrum, in gamma,
 ``schmidt_gaussian``. For any amplitude, ``schmidt_rows`` takes the Schmidt
-coefficients as the Ritz values of each sector of the weighted amplitude m
-on the range of a block of its own columns (a Rayleigh-Ritz step, cf. Halko,
-Martinsson & Tropp, SIAM Rev. 53, 217, 2011), so that no N x N Gram matrix
-m m^T is formed. A block doubles until the mass it leaves unresolved is
-below SCHMIDT_MASS_TOL, which bounds the error of every Ritz value by that
-mass whatever the block (Weyl's inequality); once a block would span half
-its sector, Q = I and its coefficients are the eigenvalues of that sector's
+coefficients in one loop over the two parity sectors of the weighted
+amplitude m, as the Ritz values of each sector on the range of a block of
+its own columns (a Rayleigh-Ritz step, cf. Halko, Martinsson & Tropp,
+SIAM Rev. 53, 217, 2011), so that no N x N Gram matrix m m^T is formed.
+Each sector's block doubles until the mass it leaves unresolved is below
+SCHMIDT_MASS_TOL, which bounds the error of every Ritz value by that mass
+whatever the block (Weyl's inequality); once a block would span half its
+sector, Q = I and its coefficients are the eigenvalues of that sector's
 own Gram matrix. The first block has SCHMIDT_BLOCK columns, except in the
 scenario runner's ``schmidt`` task: the number of Schmidt modes is a
 property of the state, not of the grid (Law, Walmsley & Eberly), so the run
@@ -432,10 +433,10 @@ class SchmidtReport:
     """Squared Schmidt coefficients (descending), mode count K and entropy.
 
     ``ritz_block`` is the column count k of ``schmidt_rows``' accepted
-    Rayleigh-Ritz block, counted over its two parity sectors: twice the
-    largest block among those that closed with a proper block. None where
-    every sector took Q = I (or had no mass), and for the dense
-    ``schmidt_analysis`` and the closed form.
+    Rayleigh-Ritz blocks, counted over its even and odd parity sectors:
+    twice the larger block of the two where both closed with a proper block,
+    twice the one block where only one did. None where both took Q = I or
+    had no mass, and for the dense ``schmidt_analysis`` and the closed form.
     """
 
     coefficients: np.ndarray
@@ -490,33 +491,40 @@ def schmidt_rows(
 ) -> SchmidtReport:
     """``schmidt_analysis(joint_spectral_intensity(...))``, without an N x N array.
 
-    The Rayleigh-Ritz steps of ``_rayleigh_ritz`` on the parity sectors of
-    the weighted, unnormalized amplitude m: the k columns of each block are
-    evaluated directly, and each pass over the amplitude's row blocks (as in
-    ``joint_spectrum_rows``, about BLOCK_ELEMENTS elements each) sums
-    B = Q^T s and ||s||_F^2 for each sector s; the masses add up to
-    ||m||_F^2, which is the quadrature norm, and lambda are the Ritz values
-    divided by it. Every doubling of k costs one more pass. A non-finite or
-    zero amplitude or a failed factorization raises
+    m, the weighted, unnormalized amplitude, is centrosymmetric (module
+    docstring), and the orthonormal even and odd vectors
+    (e_j +- e_{N-1-j}) / sqrt 2 split it into two parity sectors over its top
+    rows i: the even sector E[i, j] = m[i, j] + m[i, N-1-j] of order
+    ceil(N / 2) and the odd sector O[i, j] = m[i, j] - m[i, N-1-j] of order
+    floor(N / 2). For odd N, E's middle row and column are those of m times
+    sqrt 2, and its corner is m[p, p]. The singular values of m are those of
+    E and O together (Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976),
+    and ||m||_F^2, the quadrature norm, is the sum of their masses ||s||_F^2.
+
+    A sector s takes the Ritz values of s s^T on an orthonormal block Q, the
+    QR of evenly spaced columns c of s, evaluated directly as the top rows of
+    m at c and N - 1 - c: the eigenvalues of B B^T with B = Q^T s, without
+    forming s s^T. Each pass over the amplitude's top ceil(N / 2) rows (as in
+    ``joint_spectrum_rows``, in blocks of about BLOCK_ELEMENTS elements)
+    folds them into each open sector and sums its B and ||s||_F^2. With
+    R = (I - Q Q^T) s, the mass the block misses, ||s||_F^2 - sum lambda, is
+    tr R^T R, and s^T s = B^T B + R^T R, so by Weyl's inequality every
+    lambda is within that mass of its exact value. Once twice a sector's
+    block reaches its order, Q = I: B is s itself, copied together from the
+    row blocks, and its lambda are the eigenvalues of s s^T.
+
+    Both sectors close when the mass they miss together (0 at Q = I) is
+    below SCHMIDT_MASS_TOL ||m||_F^2. Otherwise a sector closes when its own
+    missed mass is below SCHMIDT_MASS_TOL ||s||_F^2, or at Q = I, or when its
+    mass is 0 (it adds no coefficient), and a sector that stays open doubles
+    its block, at the cost of one more pass. lambda are the Ritz values of
+    both divided by ||m||_F^2. k, the Ritz columns of both sectors together,
+    starts at ``first_block``, split evenly between them: each holds about
+    half the modes. The scenario runner sets it to the ``ritz_block`` of its
+    coarse grid (module docstring); the mass check still accepts every
+    block. A non-finite mass, or a total that is not positive, checked
+    before any B reaches eigvalsh, or a failed factorization raises
     NumericalConsistencyError.
-
-    m is centrosymmetric (module docstring), and the orthonormal even and
-    odd vectors (e_j +- e_{N-1-j}) / sqrt 2 split it into two parity
-    sectors over its top rows i: the even sector
-    E[i, j] = m[i, j] + m[i, N-1-j] of order ceil(N / 2) and the odd sector
-    O[i, j] = m[i, j] - m[i, N-1-j] of order floor(N / 2). For odd N, E's
-    middle row and column are those of m times sqrt 2, and its corner is
-    m[p, p]. The singular values of m are those of E and O together
-    (Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976). So each pass
-    evaluates only the top ceil(N / 2) rows and folds them into every sector
-    still open, and each Ritz block is evaluated on the top rows at its
-    columns c and N - 1 - c. Only once twice a sector's block reaches its
-    order is that sector assembled whole, with its Gram matrix.
-
-    k, the Ritz columns of all the sectors together, starts at
-    ``first_block``, split evenly between them: each sector holds about half
-    the modes. The scenario runner sets it to the ``ritz_block`` of its
-    coarse grid (module docstring). The mass check still accepts every block.
     """
     axis = grid.omega_s
     n = axis.size
@@ -524,7 +532,7 @@ def schmidt_rows(
     row_args, col_factors, pump_rows = _amplitude_factors(kernel, crystal, pump, axis)
     half = n // 2  # the odd sector's order
     top = n - half
-    sizes = [top, half]
+    sizes = (top, half)
     if top > half:
         # E's middle row and column, those of m times sqrt 2, and its corner m[p, p]
         # are the fold of two copies of the middle of m weighted by sqrt(1/2) more
@@ -533,6 +541,7 @@ def schmidt_rows(
     # boundary, so sector blocks carry zero rows or columns up to a multiple of
     # 64: their QR and B = Q^T s are then the same for any thread count
     padded = [-(-size // 64) * 64 for size in sizes]
+    height = min(top, max(1, BLOCK_ELEMENTS // n))
 
     def fold(left, right, sector, lo, out):
         # rows lo, lo + 1, ... of sector 0 (even) or 1 (odd), from top rows at columns j
@@ -542,129 +551,77 @@ def schmidt_rows(
         fold_op(left[: len(out)], right[: len(out)], out=out[:, : left.shape[1]])
         return out
 
-    def columns(picks):
-        # the top rows of m at every pick c and at its mirror N - 1 - c, in one
-        # evaluation, up to the column weights, which do not change a span
-        idx = np.concatenate([np.concatenate((c, n - 1 - c)) for c in picks if c is not None])
-        work = [np.empty((top, idx.size)), np.empty((top, idx.size))]
-        block = _kernel_block(kernel, row_args[:top], col_factors[..., idx], work)
-        del work  # the scratch half is freed before the QR
-        block *= pump_rows[:top, idx]
-        block *= sw[:top, None]
-        out, at = [], 0
-        for sector, c in enumerate(picks):
-            if c is None:
-                out.append(None)
-                continue
-            out.append(np.zeros((padded[sector], c.size)))
-            fold(block[:, at : at + c.size], block[:, at + c.size : at + 2 * c.size], sector, 0, out[-1])
-            at += 2 * c.size
-        return out
-
-    def rows(live):
-        work = np.empty((2, min(top, max(1, BLOCK_ELEMENTS // n)), n))
-        folds = [np.zeros((len(work[0]), width)) for width in padded]
-        for lo, block in _amplitude_rows(kernel, crystal, pump, axis, work, top):
-            block *= sw[lo : lo + len(block), None]
-            block *= sw
-            yield lo, [
-                fold(block[:, :size], block[:, ::-1][:, :size], sector, lo, folds[sector][: len(block)])
-                if live[sector] else None
-                for sector, size in enumerate(sizes)
-            ]
-
-    lam, mass, block = _rayleigh_ritz(grid, sizes, columns, rows, first_block)
-    return _schmidt_report(lam / mass, n, block)
-
-
-def _rayleigh_ritz(
-    grid: FrequencyGrid, sizes, columns, rows, k: int = SCHMIDT_BLOCK
-) -> tuple[np.ndarray, float, int | None]:
-    """Descending Ritz values of a real m m^T, ||m||_F^2 and the largest accepted block's k.
-
-    m is orthogonally equivalent to the direct sum of sectors of orders
-    ``sizes``, so its Ritz values are the union of theirs and ||m||_F^2 is
-    the sum of their masses ||s||_F^2. A sector s takes the Ritz values of
-    s s^T on an orthonormal block Q, the QR of evenly spaced columns of s:
-    the eigenvalues of B B^T with B = Q^T s, without forming s s^T. With
-    R = (I - Q Q^T) s, the mass the block misses, ||s||_F^2 - sum lambda, is
-    tr R^T R, and s^T s = B^T B + R^T R, so by Weyl's inequality every
-    lambda is within that mass of its exact value. k counts the columns of
-    all the sectors' blocks together: each of the S sectors has its own
-    block, from k / S columns, its own doubling, and its own Q = I once
-    twice its block reaches its order; its lambda are then the eigenvalues
-    of s s^T. ``columns(picks)`` gets, per sector,
-    the column indices of its block or None, and returns, per sector, those
-    columns of it (or any matrix of the same column span) or None. ``rows(live)``
-    yields (lo, per sector, its rows lo, lo + 1, ... or None where ``live``
-    is False) over every sector's rows, a block being read before the next
-    is asked for. Each pass sums B = Q^T s and ||s||_F^2 over the row
-    blocks of every open sector s; with Q = I, B is s itself, copied
-    together from the blocks.
-
-    All sectors close when the mass the union misses, the sum over the
-    sectors of ||s||_F^2 - sum lambda (0 at Q = I), is below
-    SCHMIDT_MASS_TOL ||m||_F^2. Otherwise a sector closes when its own
-    missed mass is below SCHMIDT_MASS_TOL ||s||_F^2, or at Q = I, or when its
-    mass is 0 (it adds no coefficient), and every other open sector doubles
-    its block. A non-finite mass, or a total that is not positive, checked
-    before any B reaches eigvalsh, or a LinAlgError raises
-    NumericalConsistencyError. The k returned is S times the largest block
-    among the sectors that closed with a proper block, None if none did.
-    """
-    widths = [max(1, k // len(sizes))] * len(sizes)
-    mass = [0.0] * len(sizes)
-    closed = [None] * len(sizes)  # per sector: (lambda, missed mass, k or None at Q = I)
+    widths = [max(1, first_block // 2)] * 2
+    mass = [0.0, 0.0]
+    closed = [None, None]  # per sector: (lambda, missed mass, its block's columns or None at Q = I)
     try:
         while None in closed:
-            live = [result is None for result in closed]
+            live = [i for i in (0, 1) if closed[i] is None]
             picks = [
-                (np.arange(width) * size) // width if open_ and 2 * width < size else None
-                for open_, width, size in zip(live, widths, sizes)
+                (np.arange(width) * size) // width if i in live and 2 * width < size else None
+                for i, (width, size) in enumerate(zip(widths, sizes))
             ]
-            qs = [None] * len(sizes)
+            qs = [None, None]
             if any(c is not None for c in picks):
-                qs = [None if c is None else np.linalg.qr(c)[0] for c in columns(picks)]
-            b = [None] * len(sizes)
-            for i in np.flatnonzero(live):
+                # the top rows of m at every pick c and at its mirror N - 1 - c, in one
+                # evaluation, up to the column weights, which do not change a span
+                idx = np.concatenate([np.concatenate((c, n - 1 - c)) for c in picks if c is not None])
+                work = [np.empty((top, idx.size)), np.empty((top, idx.size))]
+                block = _kernel_block(kernel, row_args[:top], col_factors[..., idx], work)
+                del work  # the scratch half is freed before the QR
+                block *= pump_rows[:top, idx]
+                block *= sw[:top, None]
+                at = 0
+                for i, c in enumerate(picks):
+                    if c is not None:
+                        qs[i] = np.zeros((padded[i], c.size))
+                        fold(block[:, at : at + c.size], block[:, at + c.size : at + 2 * c.size], i, 0, qs[i])
+                        at += 2 * c.size
+                del block
+                qs = [None if c is None else np.linalg.qr(c)[0] for c in qs]
+            b = [None, None]
+            for i in live:
                 mass[i] = 0.0
-            for lo, parts in rows(live):
-                for i, block in enumerate(parts):
-                    if block is None:
-                        continue
+            folds = [np.zeros((height, width)) for width in padded]
+            for lo, block in _amplitude_rows(kernel, crystal, pump, axis, np.empty((2, height, n)), top):
+                block *= sw[lo : lo + len(block), None]
+                block *= sw
+                for i in live:
+                    part = fold(block[:, : sizes[i]], block[:, ::-1][:, : sizes[i]], i, lo, folds[i][: len(block)])
                     # einsum's own loop, not a BLAS dot: the sum is the same for any thread count
-                    mass[i] += float(np.einsum("ij,ij->", block, block))
+                    mass[i] += float(np.einsum("ij,ij->", part, part))
                     if qs[i] is None:  # B = s, copied together from its row blocks
                         if lo == 0:
-                            b[i] = np.empty((sizes[i], block.shape[1]))
-                        b[i][lo : lo + len(block)] = block
+                            b[i] = np.empty((sizes[i], part.shape[1]))
+                        b[i][lo : lo + len(part)] = part
                     elif lo == 0:
-                        b[i] = qs[i][: len(block)].T @ block
+                        b[i] = qs[i][: len(part)].T @ part
                     else:
-                        b[i] += qs[i][lo : lo + len(block)].T @ block
+                        b[i] += qs[i][lo : lo + len(part)].T @ part
             total = sum(mass)
             if not np.isfinite(total):
                 raise _schmidt_error(grid, "non-finite amplitude")
             if not total > 0.0:
                 raise _schmidt_error(grid, "zero amplitude")
-            found = {}
-            for i in np.flatnonzero(live):
+            found = list(closed)
+            for i in live:
                 if mass[i] == 0.0:  # no coefficient, and no block
                     found[i] = (np.empty(0), 0.0, None)
                     continue
                 lam = np.linalg.eigvalsh(b[i] @ b[i].T)[::-1]
                 found[i] = (lam, 0.0, None) if qs[i] is None else (lam, mass[i] - float(np.sum(lam)), widths[i])
-            missed = sum(r[1] for r in closed + list(found.values()) if r is not None)
-            for i, (lam, left, width) in found.items():
+            missed = sum(r[1] for r in found)
+            for i in live:
+                _, left, width = found[i]
                 if missed < SCHMIDT_MASS_TOL * total or width is None or left < SCHMIDT_MASS_TOL * mass[i]:
-                    closed[i] = (lam, left, width)
+                    closed[i] = found[i]
                 else:
                     widths[i] *= 2
     except np.linalg.LinAlgError as exc:
         raise _schmidt_error(grid, exc) from exc
-    lam = np.sort(np.concatenate([result[0] for result in closed]))[::-1]
+    lam = np.sort(np.concatenate([r[0] for r in closed]))[::-1]
     accepted = [r[2] for r in closed if r[2] is not None]
-    return lam, total, len(sizes) * max(accepted) if accepted else None
+    return _schmidt_report(lam / total, n, 2 * max(accepted) if accepted else None)
 
 
 def _schmidt_error(grid: FrequencyGrid, reason) -> NumericalConsistencyError:

@@ -340,14 +340,10 @@ def g1_scan(
     delta_z_mm: np.ndarray,
     *,
     resolution: float = 1.0,
-    include_carrier: bool = True,
 ) -> np.ndarray:
-    """Complex correlation over a path-delay scan (z3 varies, all else fixed)."""
+    """Complex correlation over a path-delay scan (z3 varies, all else fixed), with its carrier."""
     corr, t1 = _scan_correlator(crystal, pump, geometry, sample, delta_z_mm, resolution)
-    g = corr.correlation(t1)
-    if include_carrier:
-        g = g * np.exp(1j * carrier_phase(crystal, geometry, delta_z_mm))
-    return g
+    return corr.correlation(t1) * np.exp(1j * carrier_phase(crystal, geometry, delta_z_mm))
 
 
 def _scan_correlator(crystal, pump, geometry, sample, delta_z_mm, resolution):

@@ -177,10 +177,7 @@ def interferogram_numeric(
     """
     _require_synchronized(geometry, crystal)
     dz = np.asarray(delta_z_mm, dtype=float)
-    g = g1_scan(
-        crystal, pump, geometry, sample, dz,
-        resolution=resolution, include_carrier=True,
-    )
+    g = g1_scan(crystal, pump, geometry, sample, dz, resolution=resolution)
     return _interferogram(crystal, dz, g, np.abs(g), fringes)
 
 

@@ -29,7 +29,7 @@ import pytest
 from nlintsim.biphoton import (
     fwhm_interpolated,
     joint_spectral_intensity,
-    schmidt_analysis,
+    schmidt_rows,
     signal_spectrum,
 )
 from nlintsim.coherence import (
@@ -73,7 +73,7 @@ def test_criterion_1_separable_point():
     gamma = gamma_param(crystal, pump)
     assert abs(gamma - 1.0) <= 0.01
     grid = make_frequency_grid(crystal, pump, 2048)
-    report = schmidt_analysis(joint_spectral_intensity("gaussian", crystal, pump, grid))
+    report = schmidt_rows("gaussian", crystal, pump, grid)
     assert report.schmidt_number_K <= 1.01
     assert report.entropy_bits <= 0.02
     print(
@@ -89,12 +89,10 @@ def test_criterion_2_schmidt_number_oracle():
         t0 = SINC_GAUSS_ALPHA * crystal.dl / (2.0 * np.sqrt(2.0) * gamma)
         pump = PumpPulse(t0)
         grid = make_frequency_grid(crystal, pump, 2048)
-        k_svd = schmidt_analysis(
-            joint_spectral_intensity("gaussian", crystal, pump, grid)
-        ).schmidt_number_K
+        k_grid = schmidt_rows("gaussian", crystal, pump, grid).schmidt_number_K
         k_analytic = (gamma + 1.0 / gamma) / 2.0
-        assert abs(k_svd - k_analytic) <= 0.01 * k_analytic, (gamma, k_svd, k_analytic)
-        results.append(f"gamma={gamma:g}: K={k_svd:.4f} vs {k_analytic:.4f}")
+        assert abs(k_grid - k_analytic) <= 0.01 * k_analytic, (gamma, k_grid, k_analytic)
+        results.append(f"gamma={gamma:g}: K={k_grid:.4f} vs {k_analytic:.4f}")
     print("\n[criterion 2] PASS: " + "; ".join(results))
 
 
@@ -159,7 +157,7 @@ def test_criterion_6_quadrature_matches_closed_form():
     envs = {}
     for t0_fs in (1e5, 2000.0, 100.0):
         pump = PumpPulse(t0_fs)
-        g = np.abs(g1_scan(crystal, pump, geom, mirror, dz, include_carrier=False))
+        g = np.abs(g1_scan(crystal, pump, geom, mirror, dz))
         expected = g1_envelope(t1, 0.0, crystal, pump)
         dev = float(np.max(np.abs(g - expected)))
         assert dev < 1e-3, (t0_fs, dev)
@@ -271,10 +269,8 @@ def test_criterion_9_property_suite(tmp_path):
 
     # grid refinement: doubled quadrature density moves |g1| by < 1e-4
     sub = dz[::4]
-    g_r1 = np.abs(g1_scan(crystal, pump, geom, UniformSample(1.0), sub,
-                          resolution=1.0, include_carrier=False))
-    g_r2 = np.abs(g1_scan(crystal, pump, geom, UniformSample(1.0), sub,
-                          resolution=2.0, include_carrier=False))
+    g_r1 = np.abs(g1_scan(crystal, pump, geom, UniformSample(1.0), sub, resolution=1.0))
+    g_r2 = np.abs(g1_scan(crystal, pump, geom, UniformSample(1.0), sub, resolution=2.0))
     refine_delta = float(np.max(np.abs(g_r2 - g_r1)))
     assert refine_delta < 1e-4
 

@@ -591,68 +591,31 @@ def eigvalsh_sizes(monkeypatch):
     return sizes
 
 
-def drive_rayleigh_ritz(grid, sectors):
-    # the Ritz loop on given sector matrices; records the sectors each pass reads
-    passes = []
+@pytest.fixture
+def streamed_amplitude(monkeypatch):
+    """schmidt_rows on ``grid`` with a given N x N centrosymmetric P as its streamed amplitude."""
 
-    def rows(live):
-        passes.append(list(live))
-        return [(0, [s if on else None for s, on in zip(sectors, live)])]
+    def run(grid, p):
+        # the Gaussian kernel block at zero arguments is exactly 1, so the amplitude is P
+        n = grid.n_points
+        factors = (np.zeros(n), coherence._kernel_columns("gaussian", np.zeros(n)), p)
+        monkeypatch.setattr(biphoton, "_amplitude_factors", lambda *args: factors)
+        return schmidt_rows("gaussian", CRYSTAL, PumpPulse(212.0), grid)
 
-    def columns(picks):
-        return [None if c is None else s[:, c] for s, c in zip(sectors, picks)]
-
-    result = biphoton._rayleigh_ritz(grid, [len(s) for s in sectors], columns, rows)
-    return result, passes
-
-
-def one_sector_ritz(js):
-    # the Ritz loop on the whole weighted amplitude m, as one sector, and its report
-    sw = np.sqrt(js.grid.weights_s)
-    (lam, _, block), _ = drive_rayleigh_ritz(js.grid, [js.amplitude * sw[:, None] * sw])
-    return biphoton._schmidt_report(lam, js.grid.n_points, block)
+    return run
 
 
-@pytest.mark.parametrize("kernel,gamma,blocks", [
-    pytest.param("gaussian", 0.5, [64], id="gaussian-0.5"),
-    pytest.param("exact", 1.0, [64], id="exact-1"),
-    pytest.param("exact", 2.0, [64, 128], id="exact-2-doubles"),
-    pytest.param("exact", 10.0, [64, 128, 256, 512], id="exact-10-doubles-thrice"),
-])
-def test_schmidt_subspace_matches_gram_oracle(monkeypatch, eigvalsh_sizes, kernel, gamma, blocks):
-    js = gamma_spectrum(kernel, gamma, 2048)
-    report = one_sector_ritz(js)
-    # the 2048 x 2048 Gram matrix is never formed: eigvalsh only sees k x k blocks
-    assert eigvalsh_sizes == blocks
-    monkeypatch.undo()
-    oracle = gram_oracle(kernel, gamma, 2048)
-    lam = report.coefficients
-    assert lam.size == oracle.coefficients.size
-    assert np.max(np.abs(lam - oracle.coefficients)) <= 1e-14
-    assert report.schmidt_number_K == pytest.approx(oracle.schmidt_number_K, rel=1e-13, abs=0.0)
-
-
-def test_schmidt_subspace_rank_one_input(eigvalsh_sizes):
+def test_schmidt_subspace_rank_one_input(streamed_amplitude, eigvalsh_sizes, row_passes):
     grid = make_frequency_grid(CRYSTAL, PumpPulse(212.0), 2048)
     f = np.exp(-((grid.omega_s / 0.01) ** 2))
-    amp = np.outer(f, f)
-    w = grid.weights_s
-    amp /= np.sqrt(w @ amp ** 2 @ w)
-    report = one_sector_ritz(JointSpectrum(grid=grid, amplitude=amp))
-    assert eigvalsh_sizes == [64]
+    report = streamed_amplitude(grid, np.outer(f, f))
+    # f is even, so the odd sector is 0 and closes without eigvalsh
+    assert eigvalsh_sizes == [32]
+    assert len(row_passes) == 1
     assert report.coefficients.size == 1
     assert report.coefficients[0] == pytest.approx(1.0, abs=1e-12)
     assert report.schmidt_number_K == pytest.approx(1.0, abs=1e-12)
     assert report.entropy_bits == pytest.approx(0.0, abs=1e-12)
-
-
-def test_schmidt_small_grid_takes_the_gram_path(eigvalsh_sizes):
-    # gamma = 10 keeps more modes than a 128 block resolves; at k = 256 on 512
-    # points 2 k >= N, so Q = I and the result is the Gram eigenvalues bit for bit
-    js = gamma_spectrum("exact", 10.0, 512)
-    lam = one_sector_ritz(js).coefficients
-    assert eigvalsh_sizes == [64, 128, 512]
-    assert lam.tobytes() == gram_oracle("exact", 10.0, 512).coefficients.tobytes()
 
 
 @pytest.mark.parametrize("kernel,gamma,n,blocks", [
@@ -681,55 +644,50 @@ def test_streamed_schmidt_matches_the_full_build(eigvalsh_sizes, kernel, gamma, 
     assert report.schmidt_number_K == pytest.approx(oracle.schmidt_number_K, rel=1e-12, abs=0.0)
 
 
-def centrosymmetric_sectors(m):
-    # the even and odd sectors that schmidt_rows folds m into: E = A + C J,
-    # O = A - C J, and for odd N E's middle row and column times sqrt 2
-    n = m.shape[0]
-    top, half = n - n // 2, n // 2
-    even = m[:top, :top] + m[:top, ::-1][:, :top]
-    if top > half:
-        even[-1] *= np.sqrt(0.5)
-        even[:, -1] *= np.sqrt(0.5)
-    return [even, m[:half, :half] - m[:half, ::-1][:, :half]]
+def normalized_svd_spectrum(grid, p):
+    # squared singular values of m = P sqrt(w) sqrt(w), divided by ||m||_F^2
+    sw = np.sqrt(grid.weights_s)
+    m = p * sw[:, None] * sw
+    return np.linalg.svd(m, compute_uv=False) ** 2 / np.sum(m * m)
 
 
 @pytest.mark.parametrize("n", [1024, 1025])
-def test_sector_of_zero_mass_closes_at_once(eigvalsh_sizes, n):
-    # an even input: m[i, N-1-j] = m[i, j] bit for bit, so the odd sector is 0
+def test_sector_of_zero_mass_closes_at_once(streamed_amplitude, eigvalsh_sizes, row_passes, n):
+    # an even input: P[i, N-1-j] = P[i, j] bit for bit, so the odd sector is 0
     pump = gamma_pump(CRYSTAL, 2.0)
     js = joint_spectral_intensity("exact", CRYSTAL, pump, make_frequency_grid(CRYSTAL, pump, n))
-    sw = np.sqrt(js.grid.weights_s)
-    m = js.amplitude * sw[:, None] * sw
-    m = (m + m[:, ::-1]) / 2.0
-    sectors = centrosymmetric_sectors(m)
-    assert not np.any(sectors[1])
-    (lam, mass, block), passes = drive_rayleigh_ritz(js.grid, sectors)
+    p = (js.amplitude + js.amplitude[:, ::-1]) / 2.0
+    assert np.array_equal(p, p[:, ::-1]) and np.array_equal(p, p[::-1, ::-1])
+    row_passes.clear()  # joint_spectral_intensity's own pass
+    report = streamed_amplitude(js.grid, p)
     # the odd sector closes in the first pass and never reaches eigvalsh, while
     # the even one doubles to 64 columns
     assert eigvalsh_sizes == [32, 64]
-    assert passes == [[True, True], [True, False]]
-    assert (lam.size, block) == (64, 128)  # it adds no coefficient, and no block
-    assert mass == pytest.approx(np.sum(m * m), rel=1e-14)
-    oracle = np.linalg.svd(m, compute_uv=False) ** 2
+    assert len(row_passes) == 2
+    assert report.ritz_block == 128  # it adds no block
+    oracle = normalized_svd_spectrum(js.grid, p)
+    lam = report.coefficients
     assert np.max(np.abs(lam[:40] - oracle[:40])) <= 1e-13 * oracle[0]
 
 
-def test_sectors_double_apart(eigvalsh_sizes):
+def test_sectors_double_apart(streamed_amplitude, eigvalsh_sizes, row_passes):
     # a rank-one even sector closes at 32 columns while the odd one doubles alone
     pump = gamma_pump(CRYSTAL, 10.0)
     js = joint_spectral_intensity("exact", CRYSTAL, pump, make_frequency_grid(CRYSTAL, pump, 2048))
-    sw = np.sqrt(js.grid.weights_s)
-    _, odd = centrosymmetric_sectors(js.amplitude * sw[:, None] * sw)
-    f = np.exp(-np.linspace(-3.0, 0.0, odd.shape[0]) ** 2)
-    sectors = [np.outer(f, f) * 1e-3, odd]
-    (lam, mass, block), passes = drive_rayleigh_ritz(js.grid, sectors)
+    axis = js.grid.omega_s
+    f = np.exp(-((3.0 * axis / axis[-1]) ** 2))
+    # the odd part of the gamma = 10 amplitude, plus an even rank-one part
+    p = (js.amplitude - js.amplitude[:, ::-1]) / 2.0 + np.outer(f, f)
+    assert np.array_equal(p, p[::-1, ::-1])
+    row_passes.clear()  # joint_spectral_intensity's own pass
+    report = streamed_amplitude(js.grid, p)
     assert eigvalsh_sizes == [32, 32, 64, 128, 256]
-    assert passes == [[True, True], [False, True], [False, True], [False, True]]
-    assert block == 2 * 256
-    assert mass == pytest.approx(sum(np.sum(s * s) for s in sectors), rel=1e-14)
-    oracle = np.sort(np.concatenate([np.linalg.svd(s, compute_uv=False) ** 2 for s in sectors]))[::-1]
+    assert len(row_passes) == 4
+    assert report.ritz_block == 2 * 256
+    oracle = normalized_svd_spectrum(js.grid, p)
+    lam = report.coefficients
     kept = lam[lam > 1e-12 * lam[0]]
-    assert np.max(np.abs(kept - oracle[: kept.size])) <= 1e-13 * mass
+    assert np.max(np.abs(kept - oracle[: kept.size])) <= 1e-13
 
 
 @pytest.fixture

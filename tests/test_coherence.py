@@ -180,7 +180,7 @@ def test_numeric_matches_closed_form(t0_fs):
     pump = PumpPulse(t0_fs)
     geom = synced_geometry(CRYSTAL)
     dz = np.linspace(-1.1, 1.1, 61) * CRYSTAL.dl * C_MM_FS
-    g = g1_scan(CRYSTAL, pump, geom, MIRROR, dz, include_carrier=False)
+    g = g1_scan(CRYSTAL, pump, geom, MIRROR, dz)
     expected = g1_envelope(dz / C_MM_FS, 0.0, CRYSTAL, pump)
     assert np.max(np.abs(np.abs(g) - expected)) < 1e-3
 
@@ -199,7 +199,7 @@ def test_numeric_accepts_grid_as_density_hint():
     grid = make_frequency_grid(CRYSTAL, pump, 1024)
     g = g1_scan(
         CRYSTAL, pump, geom, MIRROR, [timing_from_geometry(geom, CRYSTAL).delta_z_mm],
-        resolution=grid.n_points / 2048, include_carrier=False,
+        resolution=grid.n_points / 2048,
     )[0]
     assert abs(g) == pytest.approx(1.0, abs=1e-3)
 
@@ -208,8 +208,8 @@ def test_absorbing_sample_kills_coherence():
     # at dz = 0, inside the |T1| <= |D|L support, where a mirror is coherent
     pump = PumpPulse(500.0)
     geom = synced_geometry(CRYSTAL)
-    mirror = g1_scan(CRYSTAL, pump, geom, MIRROR, [0.0], include_carrier=False)[0]
-    absorber = g1_scan(CRYSTAL, pump, geom, UniformSample(0.0), [0.0], include_carrier=False)[0]
+    mirror = g1_scan(CRYSTAL, pump, geom, MIRROR, [0.0])[0]
+    absorber = g1_scan(CRYSTAL, pump, geom, UniformSample(0.0), [0.0])[0]
     assert abs(mirror) > 0.99
     assert absorber == 0
 
@@ -218,12 +218,9 @@ def test_uniform_loss_linearity():
     pump = PumpPulse(500.0)
     geom = geometry_for_delta_z(synced_geometry(CRYSTAL), CRYSTAL, 0.01)
     dz = np.array([0.0, 0.01, 0.03])
-    g_full = g1_scan(CRYSTAL, pump, geom, MIRROR, dz, include_carrier=False)
+    g_full = g1_scan(CRYSTAL, pump, geom, MIRROR, dz)
     rho, phase = 0.5, 0.7
-    g_lossy = g1_scan(
-        CRYSTAL, pump, geom, UniformSample(rho * np.exp(1j * phase)), dz,
-        include_carrier=False,
-    )
+    g_lossy = g1_scan(CRYSTAL, pump, geom, UniformSample(rho * np.exp(1j * phase)), dz)
     assert np.max(np.abs(np.abs(g_lossy) - rho * np.abs(g_full))) < 1e-6
     dphi = np.angle(g_lossy / g_full)
     assert np.max(np.abs(dphi + phase)) < 1e-9
@@ -772,7 +769,7 @@ def test_embedded_check_tracks_a_halved_build(length_mm, t0_fs):
     corr, t1 = coherence._scan_correlator(crystal, pump, geom, table, dz, 1.0)
     fine = np.abs(corr.correlation(t1))
     embedded = np.max(np.abs(fine - np.abs(corr.coarse_correlation(t1))))
-    half = g1_scan(crystal, pump, geom, table, dz, resolution=0.5, include_carrier=False)
+    half = g1_scan(crystal, pump, geom, table, dz, resolution=0.5)
     standalone = np.max(np.abs(fine - np.abs(half)))
     assert np.max(fine) > 0.1 and standalone > 0
     assert 0.5 <= embedded / standalone <= 2.0
