@@ -306,17 +306,19 @@ def _require_unit_norm(norm: float, caller: str) -> None:
 @dataclass(frozen=True)
 class SignalSpectrum:
     """Normalized signal marginal S(ws) with its measured bandwidth, and ``signal_spectrum``'s
-    by its embedded coarse rule (``coarse_fwhm_nm``; None for a grid marginal)."""
+    unnormalized density on ``omega_s[::2]`` by its embedded coarse rule (``coarse_density``;
+    None for a grid marginal)."""
 
     omega_s: np.ndarray
     density: np.ndarray
     fwhm_rad_fs: float
     fwhm_nm: float
-    coarse_fwhm_nm: float | None = None
+    coarse_density: np.ndarray | None = None
 
     def __post_init__(self):
-        self.omega_s.setflags(write=False)
-        self.density.setflags(write=False)
+        for values in (self.omega_s, self.density, self.coarse_density):
+            if values is not None:
+                values.setflags(write=False)
 
 
 def fwhm_interpolated(x: np.ndarray, y: np.ndarray) -> float:
@@ -374,7 +376,7 @@ def marginal_spectrum(js: JointSpectrum, crystal: CrystalParams) -> SignalSpectr
     return _signal_marginal(js.grid.omega_s.copy(), dens, crystal)
 
 
-def _signal_marginal(omega_s, density, crystal, coarse_fwhm_nm=None) -> SignalSpectrum:
+def _signal_marginal(omega_s, density, crystal, coarse_density=None) -> SignalSpectrum:
     """The SignalSpectrum of a unit-norm marginal, with its interpolated FWHM."""
     width = fwhm_interpolated(omega_s, density)
     return SignalSpectrum(
@@ -382,7 +384,7 @@ def _signal_marginal(omega_s, density, crystal, coarse_fwhm_nm=None) -> SignalSp
         density=density,
         fwhm_rad_fs=width,
         fwhm_nm=bandwidth_nm(width, crystal.lambda_s_nm),
-        coarse_fwhm_nm=coarse_fwhm_nm,
+        coarse_density=coarse_density,
     )
 
 
@@ -401,7 +403,8 @@ def signal_spectrum(
     wherever that grid is resolvable. ``resolution`` scales both axis
     densities at fixed spans. The signal axis is exactly antisymmetric, so
     the even density is built on one half and mirrored. The axis is odd, and
-    ``coarse_fwhm_nm`` is the width on ``omega_s[::2]`` by the embedded coarse rule.
+    ``coarse_density`` is the density on ``omega_s[::2]`` by the embedded coarse
+    rule, unnormalized: a width read from it does not depend on scale.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -410,8 +413,7 @@ def signal_spectrum(
     ws = _symmetric_axis(half_s, max(257, int(4097 * resolution) | 1))
     dens, coarse = _pump_quadrature(crystal, pump, ws, kernel=kernel, resolution=resolution)
     dens = dens / np.sum(dens * _trapezoid_weights(ws))
-    coarse_nm = bandwidth_nm(fwhm_interpolated(ws[::2], coarse), crystal.lambda_s_nm)
-    return _signal_marginal(ws, dens, crystal, coarse_nm)
+    return _signal_marginal(ws, dens, crystal, coarse)
 
 
 def gaussian_marginal_fwhm(crystal: CrystalParams, pump: PumpPulse) -> float:

@@ -252,6 +252,12 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             raise ScenarioError(f"[{section}] {key}{problem}")
         return value
 
+    def need(section, key, message):
+        """``get(section, key)``, or ScenarioError(message) when the key is absent."""
+        if not given(section, key):
+            raise ScenarioError(message)
+        return get(section, key)
+
     # crystal
     if not cp.has_section("crystal"):
         raise ScenarioError("missing required section [crystal]")
@@ -310,37 +316,30 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         r_polar = (get("sample", "r_abs"), get("sample", "r_phase_rad"))
         sample: SampleModel = _build("sample", UniformSample, r_polar[0] * np.exp(1j * r_polar[1]))
     elif stype == "bilayer":
-        if not (given("sample", "thickness_um") and given("sample", "n_slab")):
-            raise ScenarioError("[sample] bilayer needs thickness_um and n_slab")
-        d0 = get("sample", "thickness_um")
-        n0 = get("sample", "n_slab")
+        missing = "[sample] bilayer needs thickness_um and n_slab"
+        d0 = need("sample", "thickness_um", missing)
+        n0 = need("sample", "n_slab", missing)
         if given("sample", "r0"):
-            if not given("sample", "r1"):
-                raise ScenarioError("[sample] bilayer with r0 also needs r1")
             sample = _build(
                 "sample", BilayerSample,
                 r0=get("sample", "r0"),
-                r1=get("sample", "r1"),
+                r1=need("sample", "r1", "[sample] bilayer with r0 also needs r1"),
                 d0_um=d0,
                 n0=n0,
                 omega_carrier=crystal.omega_i0,
             )
         else:
-            n_before = get("sample", "n_before")
-            if not given("sample", "n_after"):
-                raise ScenarioError("[sample] bilayer needs either (r0, r1) or n_after")
             sample = _build(
                 "sample", BilayerSample.from_fresnel,
-                n_before=n_before,
+                n_before=get("sample", "n_before"),
                 n_slab=n0,
-                n_after=get("sample", "n_after"),
+                n_after=need(
+                    "sample", "n_after", "[sample] bilayer needs either (r0, r1) or n_after"),
                 d0_um=d0,
                 omega_carrier=crystal.omega_i0,
             )
     else:  # tabulated
-        sample_file = get("sample", "file")
-        if sample_file is None:
-            raise ScenarioError("[sample] tabulated needs file")
+        sample_file = need("sample", "file", "[sample] tabulated needs file")
         path = Path(base_dir or ".") / sample_file
         if not path.exists():
             raise ScenarioError(f"[sample] file: no such file: {path}")
@@ -377,9 +376,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     )
 
     # tasks
-    run_raw = get("tasks", "run")
-    if run_raw is None:
-        raise ScenarioError("missing [tasks] run = <task, ...>")
+    run_raw = need("tasks", "run", "missing [tasks] run = <task, ...>")
     tasks = tuple(t.strip() for t in run_raw.split(",") if t.strip())
     if not tasks:
         raise ScenarioError("[tasks] run: at least one task required")
@@ -643,12 +640,6 @@ def _csv_blocks(table, first=None) -> list[str]:
 # ---------------------------------------------------------------------------
 # task execution
 
-def _scan_window(scenario: Scenario) -> tuple[float, float] | None:
-    if scenario.scan.delta_z_min_mm is None:
-        return None
-    return (scenario.scan.delta_z_min_mm, scenario.scan.delta_z_max_mm)
-
-
 def _grid(scenario: Scenario, points: int):
     return make_frequency_grid(
         scenario.crystal, scenario.pump, points, half_width=scenario.grid_half_width
@@ -670,20 +661,35 @@ def _coarser_grid(scenario: Scenario, points: int):
         return None
 
 
-def _numeric_scan(scenario: Scenario, geometry, points: int, dz: np.ndarray):
-    """g1 with its carrier on ``dz`` from ``g1_scan``'s correlator, and its convergence entry."""
+def _scan_delays(scenario: Scenario, default_points: int | None) -> np.ndarray:
+    """A scan task's delays [mm]: the ``[scan]`` window, else oct_scan's default window, at
+    ``[scan] points``, else ``default_points`` (None: as many as ``oct_scan.scan_axis`` takes)."""
+    scan = scenario.scan
+    window = None if scan.delta_z_min_mm is None else (scan.delta_z_min_mm, scan.delta_z_max_mm)
+    points = default_points if scan.points is None else scan.points
+    return oct_scan.scan_axis(scenario.crystal, scenario.sample, scan.fringes, points, window)
+
+
+def _numeric_g1(scenario: Scenario, points: int, dz: np.ndarray):
+    """g1 with its carrier on ``dz`` from ``g1_scan``'s correlator, and its convergence entry.
+
+    The entry holds the largest change of |g1| against the correlator's embedded
+    coarse rule, and the sinc^2 tail cut's bound max|r| / (pi TAIL_SINC_ARG),
+    which is not gated.
+    """
+    crystal, geometry, sample = scenario.crystal, scenario.effective_geometry(), scenario.sample
     corr, t1 = coherence._scan_correlator(
-        scenario.crystal, scenario.pump, geometry, scenario.sample, dz, points / 2048.0)
-    g = corr.correlation(t1) * np.exp(1j * coherence.carrier_phase(scenario.crystal, geometry, dz))
-    return g, _halved_resolution(scenario.sample, np.abs(g), corr.coarse_correlation(t1))
-
-
-def _halved_resolution(sample: TabulatedSample, g1_abs: np.ndarray, coarse: np.ndarray) -> dict:
-    """Convergence entry of a numeric-route scan: the largest change of |g1| over its delays,
-    and the sinc^2 tail cut's bound max|r| / (pi TAIL_SINC_ARG), which is not gated."""
-    delta = float(np.max(np.abs(g1_abs - np.abs(coarse))))
+        crystal, scenario.pump, geometry, sample, dz, points / 2048.0)
+    g = corr.correlation(t1) * np.exp(1j * coherence.carrier_phase(crystal, geometry, dz))
+    delta = float(np.max(np.abs(np.abs(g) - np.abs(corr.coarse_correlation(t1)))))
     bound = float(np.max(np.abs(sample.r))) / (np.pi * coherence.TAIL_SINC_ARG)
-    return {"delta": delta, "method": "halved-resolution", "tail_bound": bound}
+    return g, {"delta": delta, "method": "halved-resolution", "tail_bound": bound}
+
+
+def _series(scenario: Scenario, stem: str, columns: list[str], rows) -> dict:
+    """The file ``<stem>.<format>`` that ``export_series`` writes in the scenario's format."""
+    fmt = scenario.output_format
+    return {f"{stem}.{fmt}": export_series(columns, rows, fmt)}
 
 
 def _task_joint_spectrum(scenario: Scenario, points: int):
@@ -739,51 +745,31 @@ def _task_schmidt(scenario: Scenario, points: int):
 
 
 def _task_g1_scan(scenario: Scenario, points: int):
-    crystal, pump, sample = scenario.crystal, scenario.pump, scenario.sample
-    geometry = scenario.effective_geometry()
-    window = _scan_window(scenario)
-    dz = oct_scan.scan_axis(
-        crystal, sample, fringes=False,
-        n_points=401 if scenario.scan.points is None else scenario.scan.points,
-        window_mm=window,
-    )
-    if isinstance(sample, TabulatedSample):
-        g, conv = _numeric_scan(scenario, geometry, points, dz)
+    dz = _scan_delays(scenario, 401)
+    if isinstance(scenario.sample, TabulatedSample):
+        g, conv = _numeric_g1(scenario, points, dz)
     else:
-        g = coherence.g1_closed_form(crystal, pump, geometry, sample, dz)
+        g = coherence.g1_closed_form(
+            scenario.crystal, scenario.pump, scenario.effective_geometry(), scenario.sample, dz)
         conv = {"delta": 0.0, "method": "analytic"}
     rows = np.column_stack((dz, np.abs(g), np.angle(g)))
-    name = f"g1_scan.{scenario.output_format}"
-    files = {name: export_series(["delta_z_mm", "g1_abs", "g1_phase"], rows, scenario.output_format)}
-    return files, conv, {}
+    return _series(scenario, "g1_scan", ["delta_z_mm", "g1_abs", "g1_phase"], rows), conv, {}
 
 
 def _task_oct_scan(scenario: Scenario, points: int):
-    crystal, pump, sample = scenario.crystal, scenario.pump, scenario.sample
-    geometry = scenario.effective_geometry()
-    window = _scan_window(scenario)
-    dz = oct_scan.scan_axis(
-        crystal, sample, fringes=scenario.scan.fringes,
-        n_points=scenario.scan.points, window_mm=window,
-    )
-    if isinstance(sample, TabulatedSample):
+    dz = _scan_delays(scenario, None)
+    fringes = scenario.scan.fringes
+    if isinstance(scenario.sample, TabulatedSample):
         # what interferogram_numeric does, from the correlator that also gives the check
-        oct_scan._require_synchronized(geometry, crystal)
-        g, conv = _numeric_scan(scenario, geometry, points, dz)
-        ifg = oct_scan._interferogram(crystal, dz, g, np.abs(g), scenario.scan.fringes)
+        g, conv = _numeric_g1(scenario, points, dz)
+        ifg = oct_scan._interferogram(scenario.crystal, dz, g, np.abs(g), fringes)
     else:
         ifg = oct_scan.interferogram_closed_form(
-            crystal, pump, geometry, sample, dz, fringes=scenario.scan.fringes
-        )
+            scenario.crystal, scenario.pump, scenario.effective_geometry(), scenario.sample, dz,
+            fringes)
         conv = {"delta": 0.0, "method": "analytic"}
-    flux_norm = ifg.flux / ifg.n_signal
-    rows = np.column_stack((ifg.delta_z_mm, flux_norm, ifg.envelope))
-    name = f"interferogram.{scenario.output_format}"
-    files = {
-        name: export_series(
-            ["delta_z_mm", "flux_norm", "envelope"], rows, scenario.output_format
-        )
-    }
+    rows = np.column_stack((ifg.delta_z_mm, ifg.flux / ifg.n_signal, ifg.envelope))
+    files = _series(scenario, "interferogram", ["delta_z_mm", "flux_norm", "envelope"], rows)
     report = oct_scan.envelope_peaks(ifg)
     files["peaks.json"] = json.dumps(
         {
@@ -794,31 +780,21 @@ def _task_oct_scan(scenario: Scenario, points: int):
         },
         indent=2,
     ) + "\n"
-    extras = {
-        "n_peaks": len(report.positions_mm),
-        "resolved": report.resolved,
-    }
-    return files, conv, extras
+    return files, conv, {"n_peaks": len(report.positions_mm), "resolved": report.resolved}
 
 
 def _task_spectrum(scenario: Scenario, points: int):
     crystal = scenario.crystal
     spectrum = biphoton.signal_spectrum(crystal, scenario.pump, kernel=scenario.kernel)
-    omega_s0 = crystal.omega_s0
-    lam_nm = 2.0 * np.pi * C_NM_FS / (omega_s0 + spectrum.omega_s)
+    lam_nm = 2.0 * np.pi * C_NM_FS / (crystal.omega_s0 + spectrum.omega_s)
     rows = np.column_stack((spectrum.omega_s, lam_nm, spectrum.density))
-    name = f"spectrum.{scenario.output_format}"
-    files = {
-        name: export_series(
-            ["omega_s_rad_fs", "wavelength_nm", "density"], rows, scenario.output_format
-        )
-    }
-    delta = abs(spectrum.fwhm_nm - spectrum.coarse_fwhm_nm) / spectrum.fwhm_nm
-    return (
-        files,
-        {"delta": float(delta), "method": "halved-resolution"},
-        {"fwhm_nm": float(spectrum.fwhm_nm)},
-    )
+    files = _series(scenario, "spectrum", ["omega_s_rad_fs", "wavelength_nm", "density"], rows)
+    # the width on omega_s[::2] by the embedded coarse rule; a FWHM does not depend on scale
+    coarse = biphoton.fwhm_interpolated(spectrum.omega_s[::2], spectrum.coarse_density)
+    coarse_nm = biphoton.bandwidth_nm(coarse, crystal.lambda_s_nm)
+    delta = abs(spectrum.fwhm_nm - coarse_nm) / spectrum.fwhm_nm
+    conv = {"delta": float(delta), "method": "halved-resolution"}
+    return files, conv, {"fwhm_nm": float(spectrum.fwhm_nm)}
 
 
 _TASK_FN = {
@@ -837,7 +813,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     an identical manifest digest. Tasks run one after another. A grid size below
     MIN_GRID_POINTS, one the joint spectrum's stride leaves with fewer than two
     points per axis, or one too coarse for a joint_spectrum or schmidt task's
-    spectrum, is rejected before anything is computed or written. A task whose
+    spectrum, is rejected before anything is computed or written, and so is an
+    oct_scan whose pump path is not synchronized (T2 != 0). A task whose
     written series holds a non-finite value fails with NumericalConsistencyError,
     and no file of the run is written. On task failure its partial outputs are
     removed and the original exception propagates with a note naming the task.
@@ -850,6 +827,9 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     if grid_tasks:  # checks the grid without building it
         _noted(grid_tasks[0], _resolved_half_width, scenario.crystal, scenario.pump, points,
                scenario.grid_half_width)
+    if "oct_scan" in scenario.tasks:  # a depth scan needs the pump and idler pulses to meet
+        _build("geometry", oct_scan._require_synchronized, scenario.effective_geometry(),
+               scenario.crystal)
     target = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)
     try:
         target.mkdir(parents=True, exist_ok=True)

@@ -37,6 +37,7 @@ from .optics_model import (
 )
 
 SYNC_TOL_FS = 1e-6
+SCAN_PAD = 0.08            # default_scan_range scales each end of the support by 1 + this
 PEAK_FLOOR = 0.10          # peaks below this fraction of the global max are noise
 RESOLVED_VALLEY_FRACTION = 0.5
 
@@ -82,19 +83,15 @@ def _require_synchronized(geometry, crystal) -> float:
     return t2
 
 
-def default_scan_range(
-    crystal: CrystalParams, sample: SampleModel, pad: float = 0.08
-) -> tuple[float, float]:
-    """Path-delay window [mm] covering the full envelope support.
+def default_scan_range(crystal: CrystalParams, sample: SampleModel) -> tuple[float, float]:
+    """Path-delay window [mm] covering the full envelope support, each end scaled by 1 + SCAN_PAD.
 
     The triangular factor bounds the support to |T1| <= |D|L, shifted left by
     the sample round-trip delay for buried interfaces.
     """
     dl_mm = crystal.dl * C_MM_FS
     tau_mm = _max_sample_delay(sample) * C_MM_FS
-    lo = -(dl_mm + tau_mm) * (1.0 + pad)
-    hi = dl_mm * (1.0 + pad)
-    return lo, hi
+    return -(dl_mm + tau_mm) * (1.0 + SCAN_PAD), dl_mm * (1.0 + SCAN_PAD)
 
 
 def scan_axis(

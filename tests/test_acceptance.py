@@ -39,12 +39,7 @@ from nlintsim.coherence import (
     tri,
 )
 from nlintsim.cli_runner import parse_scenario, run_scenario
-from nlintsim.oct_scan import (
-    envelope_peaks,
-    interferogram_bilayer,
-    predicted_peak_shift,
-    scan_axis,
-)
+from nlintsim.oct_scan import interferogram_bilayer, predicted_peak_shift
 from nlintsim.optics_model import (
     BilayerSample,
     C_MM_FS,

@@ -644,11 +644,12 @@ def test_streamed_schmidt_matches_the_full_build(eigvalsh_sizes, kernel, gamma, 
     assert report.schmidt_number_K == pytest.approx(oracle.schmidt_number_K, rel=1e-12, abs=0.0)
 
 
-def normalized_svd_spectrum(grid, p):
-    # squared singular values of m = P sqrt(w) sqrt(w), divided by ||m||_F^2
+def normalized_gram_spectrum(grid, p):
+    # squared singular values of m = P sqrt(w) sqrt(w), descending, divided by ||m||_F^2:
+    # the eigenvalues of the Gram matrix m m^T, as the dense reference takes them
     sw = np.sqrt(grid.weights_s)
     m = p * sw[:, None] * sw
-    return np.linalg.svd(m, compute_uv=False) ** 2 / np.sum(m * m)
+    return np.linalg.eigvalsh(m @ m.T)[::-1] / np.sum(m * m)
 
 
 @pytest.mark.parametrize("n", [1024, 1025])
@@ -665,7 +666,7 @@ def test_sector_of_zero_mass_closes_at_once(streamed_amplitude, eigvalsh_sizes, 
     assert eigvalsh_sizes == [32, 64]
     assert len(row_passes) == 2
     assert report.ritz_block == 128  # it adds no block
-    oracle = normalized_svd_spectrum(js.grid, p)
+    oracle = normalized_gram_spectrum(js.grid, p)
     lam = report.coefficients
     assert np.max(np.abs(lam[:40] - oracle[:40])) <= 1e-13 * oracle[0]
 
@@ -684,7 +685,7 @@ def test_sectors_double_apart(streamed_amplitude, eigvalsh_sizes, row_passes):
     assert eigvalsh_sizes == [32, 32, 64, 128, 256]
     assert len(row_passes) == 4
     assert report.ritz_block == 2 * 256
-    oracle = normalized_svd_spectrum(js.grid, p)
+    oracle = normalized_gram_spectrum(js.grid, p)
     lam = report.coefficients
     kept = lam[lam > 1e-12 * lam[0]]
     assert np.max(np.abs(kept - oracle[: kept.size])) <= 1e-13

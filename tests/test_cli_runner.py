@@ -26,7 +26,8 @@ from nlintsim.cli_runner import (
     run_scenario,
 )
 from nlintsim.optics_model import (
-    SINC_GAUSS_ALPHA, FrequencyGrid, TabulatedSample, _symmetric_axis, mgo_linbo3_crystal,
+    C_MM_FS, SINC_GAUSS_ALPHA, FrequencyGrid, TabulatedSample, _symmetric_axis,
+    mgo_linbo3_crystal,
 )
 
 MINIMAL = """
@@ -369,6 +370,24 @@ def test_fresnel_bilayer_needs_positive_indices(tmp_path, capsys, n_before, n_sl
     text = text.replace("n_slab = 1.5", f"n_slab = {n_slab}").replace("n_after = 1.3", f"n_after = {n_after}")
     _assert_rejected_before_compute(tmp_path, capsys, text,
                                     "[sample] invalid parameters: refractive indices must be positive")
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param(MINIMAL.replace("run = schmidt", ""), "missing [tasks] run = <task, ...>",
+                 id="tasks-run"),
+    pytest.param(MINIMAL + "\n[sample]\ntype = tabulated\n", "[sample] tabulated needs file",
+                 id="tabulated-file"),
+    pytest.param(MINIMAL + "\n[sample]\ntype = bilayer\nthickness_um = 20\nn_after = 1.3\n",
+                 "[sample] bilayer needs thickness_um and n_slab", id="bilayer-n_slab"),
+    pytest.param(MINIMAL + "\n[sample]\ntype = bilayer\nn_slab = 1.5\nn_after = 1.3\n",
+                 "[sample] bilayer needs thickness_um and n_slab", id="bilayer-thickness_um"),
+    pytest.param(MINIMAL + "\n[sample]\ntype = bilayer\nr0 = 0.2\nthickness_um = 20\nn_slab = 1.5\n",
+                 "[sample] bilayer with r0 also needs r1", id="bilayer-r1"),
+    pytest.param(MINIMAL + "\n[sample]\ntype = bilayer\nthickness_um = 20\nn_slab = 1.5\n",
+                 "[sample] bilayer needs either (r0, r1) or n_after", id="bilayer-n_after"),
+])
+def test_required_key_absent_rejected_before_compute(tmp_path, capsys, text, message):
+    _assert_rejected_before_compute(tmp_path, capsys, text, message)
 
 
 FLOAT_TEXT = st.one_of(
@@ -944,6 +963,62 @@ def test_unresolved_grid_fails_before_any_task(tmp_path, monkeypatch, capsys):
     with pytest.raises(cli.GridResolutionError) as info:
         run_scenario(parse_scenario(text, base_dir=tmp_path), out_dir=out)
     assert info.value.__notes__ == ["task joint_spectrum"]
+    assert not out.exists()
+
+
+SPECTRUM_OCT = (MINIMAL.replace("run = schmidt", "run = spectrum, oct_scan")
+                + "\n[scan]\nfringes = false\n")
+# zp1 + c N_i L + z2 of MINIMAL's 5 mm crystal: the pump and idler pulses meet, T2 = 0
+SYNCHRONIZED_ZP2_MM = C_MM_FS * mgo_linbo3_crystal(5.0).N_i * 5.0
+
+
+@pytest.mark.parametrize("geometry,synchronized", [
+    pytest.param("zp2_mm = 4.0", False, id="zp2-4mm"),
+    pytest.param("synchronize = false", False, id="synchronize-false"),
+    pytest.param(f"zp2_mm = {SYNCHRONIZED_ZP2_MM!r}", True, id="zp2-synchronized"),
+])
+def test_oct_scan_pump_sync_checked_before_any_task(tmp_path, monkeypatch, capsys, geometry,
+                                                     synchronized):
+    # the spectrum task runs first: an unsynchronized oct_scan must stop the run before it
+    spectra = []
+    original = cli.biphoton.signal_spectrum
+
+    def spy(*args, **kwargs):
+        spectra.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli.biphoton, "signal_spectrum", spy)
+    text = SPECTRUM_OCT + f"\n[geometry]\n{geometry}\n"
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+    out = tmp_path / "out"
+    code = main(["run", str(scen), "--out", str(out)])
+    err = capsys.readouterr().err
+    if synchronized:
+        assert code == 0, err
+        assert len(spectra) == 1 and (out / "interferogram.csv").is_file()
+        return
+    assert code == 1
+    assert re.match(r"error: \[geometry\] .*T2 = ", err), err
+    assert spectra == [] and not out.exists()
+    with pytest.raises(ScenarioError, match=r"^\[geometry\] .*T2 = "):
+        run_scenario(parse_scenario(text), out_dir=out)
+    assert spectra == [] and not out.exists()
+
+
+def test_hand_built_unsynchronized_oct_scan_rejected_before_compute(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a task computed before the pump-sync check")
+
+    monkeypatch.setattr(cli.biphoton, "signal_spectrum", forbidden)
+    monkeypatch.setattr(cli.oct_scan, "interferogram_closed_form", forbidden)
+    s = parse_scenario(SPECTRUM_OCT)
+    s = dataclasses.replace(
+        s, synchronize=False, geometry=dataclasses.replace(s.geometry, zp2_mm=4.0))
+    out = tmp_path / "out"
+    with pytest.raises(ScenarioError, match=r"^\[geometry\] .*T2 = ") as info:
+        run_scenario(s, out_dir=out)
+    assert isinstance(info.value, ValueError)
     assert not out.exists()
 
 
