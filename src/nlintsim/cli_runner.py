@@ -15,6 +15,7 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -468,7 +469,10 @@ def export_series(columns: list[str], rows, fmt: str) -> str:
 
     ``rows`` is a 2-D table, one column per name. Every float is written as
     ``format(x, ".9g")`` writes it; an empty series yields just the header.
-    A NaN or infinite value raises NumericalConsistencyError naming its column.
+    In CSV, the columns of +0.0 that lead or trail a block of rows are written
+    as constant ``0`` runs without being formatted: ``format`` writes ``0``
+    for +0.0 and for no other value, so the bytes are the same. A NaN or
+    infinite value raises NumericalConsistencyError naming its column.
     """
     table = np.asarray(rows, dtype=float)
     table = table.reshape(len(table), len(columns))
@@ -486,6 +490,12 @@ def export_series(columns: list[str], rows, fmt: str) -> str:
 
 
 def _jsi_csv(axis: np.ndarray, inten: np.ndarray) -> str:
+    """Joint spectrum CSV: the axis as header row, then each intensity row after its omega_s.
+
+    Every value is written as ``format(x, ".9g")`` writes it. The axis values
+    are always formatted; of the intensities, the +0.0 columns outside a row
+    block's ridge are written as constant ``0`` runs, the same bytes.
+    """
     for name, values in (("omega_s", axis), ("intensity", inten)):
         _require_finite(name, values)
     header = "omega_s\\omega_i," + "".join(_csv_blocks(axis[None, :]))
@@ -499,41 +509,38 @@ def _jsi_csv(axis: np.ndarray, inten: np.ndarray) -> str:
 # value, one with y < 1e8 or rint(y) = 1e9, and a non-finite one are written
 # by _fmt9 itself. Each value fills a 24-byte field of three little-endian
 # words, NUL where ``format`` writes nothing; the NULs are dropped at the end.
+# A field holds, in order: the sign, the ``0.000`` prefix of -4 <= e < 0, the
+# first digit, the other 8 with the ``.`` after the integer ones, the exponent
+# of e < -4 or e > 8, and the separator. ``format`` writes ``0`` for +0.0 and
+# for no other value (-0.0 is ``-0``), so a block's leading and trailing
+# columns of +0.0 get no fields: each row writes them as the constant runs
+# ``0,`` and ``,0``, which are the bytes their fields would hold.
 
 TIE_TOL = 1e-4
 _CSV_BLOCK = 1 << 14  # values per pass: its temporaries stay cache-sized
 _POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
-_POW10_INT = 10 ** np.arange(13, dtype=np.uint64)
 _EXPONENT = np.array(
     [int.from_bytes(f"e{k:+03d}".encode(), "little") for k in range(-324, 309)], np.uint64
 )
 _MINUS = np.uint64(ord("-"))
-_FULL, _TRAIL, _DOT = 0, 10000, 20000  # row offsets into _DIGITS
+_ASCII_ZEROS = np.uint64(int.from_bytes(b"0" * 8, "little"))
 
 
-def _digit_words() -> np.ndarray:
-    """ASCII of 0..9999 as little-endian words, one row of 10000 per form.
+def _layout(e: int) -> tuple:
+    """Field words of exponent e: prefix, mask of the integer digits among the 8, ``.``, exponent.
 
-    Rows: every digit (``0420``), trailing zeros as NUL (``042``, all NUL for
-    0), then both again after a ``.`` (no ``.`` for 0 in the trailing row).
+    The ``.`` sits after the integer digits, and none goes among the 8 when
+    every one is an integer digit (e = 8) or a fraction digit behind the
+    ``0.000`` prefix (-4 <= e < 0).
     """
-    k = np.arange(10000)
-    chars = np.zeros((4, 10000, 8), np.uint8)
-    chars[2, :, 0] = ord(".")
-    chars[3, :, 0] = ord(".") * (k != 0)
-    for j, scale in enumerate((1000, 100, 10, 1)):
-        digit = k // scale % 10 + ord("0")
-        chars[0, :, j] = chars[2, :, j + 1] = digit
-        chars[1, :, j] = chars[3, :, j + 1] = digit * (k % (10 * scale) != 0)
-    return chars.view(np.uint64).ravel()
+    if e < -4 or e > 8:
+        return 0, 0, ord("."), int(_EXPONENT[e + 324])
+    if e < 0:
+        return int.from_bytes(("0." + "0" * (-1 - e)).encode(), "little"), 0, 0, 0
+    return 0, (1 << 8 * e) - 1, ord(".") << 8 * e if e < 8 else 0, 0
 
 
-_DIGITS = _digit_words()
-# positional layout: bytes 1-9 hold the integer part right-aligned; keep its
-# max(e + 1, 1) digits, e = -4..8
-_INT_MASK = np.where(
-    (np.arange(24) < 1) | (np.arange(24) > 8 - np.maximum(np.arange(-4, 9), 0)[:, None]), 255, 0
-).astype(np.uint8).view(np.uint64)
+_LAYOUT = np.array([_layout(e) for e in range(-324, 309)], np.uint64).T
 
 
 def _scaled(ax: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -543,48 +550,19 @@ def _scaled(ax: np.ndarray, e: np.ndarray) -> np.ndarray:
     return ax * np.where(tiny, 1e300, 1.0) * _POW10[k + 300 - 300 * tiny]
 
 
-def _fraction(v: np.ndarray, groups: int) -> list:
-    """``.`` and the 4 * groups digits of v, trailing zeros as NUL; one word per 4 digits.
+def _digit_word(v: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each v < 1e8, one per byte, most significant first.
 
-    All NUL, the ``.`` too, when v is 0.
+    D. Lemire, "Converting integers to fixed-digit representations quickly"
+    (2021): 4-digit halves in 32-bit lanes, then 2- and 1-digit ones, each
+    quotient by a multiply and a shift.
     """
-    words, tail = [], np.zeros(v.shape, bool)
-    for g in range(groups):  # least significant group first
-        q = v // 10000
-        digits = v - q * 10000
-        form = np.where(tail, _FULL, _TRAIL) + (_DOT if g == groups - 1 else 0)
-        words.append(_DIGITS[form + digits.view(np.int64)])
-        tail |= digits > 0
-        v = q
-    return words[::-1]
-
-
-def _positional_words(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Fields of digits d at exponent -4 <= e <= 8: integer part, ``.``, 12 fraction digits."""
-    p = _POW10_INT[8 - e]
-    ip = d // p
-    f1, f2, f3 = _fraction((d - ip * p) * _POW10_INT[e + 4], 3)
-    i1 = ip // 100000000
-    q = ip // 10000
-    i2 = _DIGITS[(q - i1 * 10000).view(np.int64)]
-    i3 = _DIGITS[(ip - q * 10000).view(np.int64)]
-    words = np.column_stack((
-        (i1 + ord("0")) << 8 | i2 << 16 | i3 << 48,
-        i3 >> 16 | f1 << 16 | f2 << 56,
-        f2 >> 8 | f3 << 24,
-    ))
-    return words & _INT_MASK[e + 4]
-
-
-def _scientific_words(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Fields of digits d at exponent e: ``d.dddddddd`` then ``e+XX``."""
-    d1 = d // 100000000
-    r1, r2 = _fraction(d - d1 * 100000000, 2)
-    return np.column_stack((
-        (d1 + ord("0")) << 8 | r1 << 16 | r2 << 56,
-        r2 >> 8 | _EXPONENT[e + 324] << 24,
-        np.zeros_like(d),
-    ))
+    hi = v // 10000
+    v = hi | (v - hi * 10000) << 32
+    q = v * 10486 >> 20 & 0x0000007F0000007F
+    v = q | (v - q * 100) << 16
+    q = v * 103 >> 10 & 0x000F000F000F000F
+    return q | (v - q * 10) << 8
 
 
 def _csv_block(x: np.ndarray) -> bytes:
@@ -604,11 +582,21 @@ def _csv_block(x: np.ndarray) -> bytes:
     d = np.rint(y)
     fast &= (y >= 1e8) & (d < 1e9) & (np.abs(np.abs(y - d) - 0.5) > TIE_TOL)
     d = np.where(fast, d, 0.0).astype(np.uint64)  # a zero's field reads "0"
-    fixed = (e >= -4) & (e <= 8)
+    top = d // 100000000
+    digits = _digit_word(d - top * 100000000)
+    # the bytes up to the last nonzero digit: first their top bits, then all 8 bits
+    kept = (digits + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080
+    for shift in (8, 16, 32):
+        kept |= kept >> shift
+    kept = (kept >> 7) * 255
+    prefix, ints, dot, exponent = np.take(_LAYOUT, e + 324, axis=1)
+    digits += _ASCII_ZEROS
+    fraction = digits & kept & ~ints  # trailing zeros as NUL
+    head = digits & ints | dot * (fraction != 0)  # integer digits and the "."
     words = np.empty((x.size, 3), np.uint64)
-    words[fixed] = _positional_words(d[fixed], e[fixed])
-    words[~fixed] = _scientific_words(d[~fixed], e[~fixed])
-    words[:, 0] |= np.signbit(x) * _MINUS
+    words[:, 0] = np.signbit(x) * _MINUS | prefix << 8 | (top + ord("0")) << 48 | head << 56
+    words[:, 1] = head >> 8 | fraction
+    words[:, 2] = exponent
     separators = np.full(cols, ord(","), np.uint64)
     separators[-1] = ord("\n")
     words.reshape(rows, cols, 3)[:, :, 2] |= separators << 56
@@ -623,17 +611,32 @@ def _csv_blocks(table, first=None) -> list[str]:
 
     Every value is written exactly as ``_fmt9`` writes it, separated by ``,``.
     ``first``, one value per row, is written before each row; only a block's
-    rows are copied to put it there. A caller joins the blocks once the
-    table is no longer needed.
+    rows are copied to put it there. Of each block, only ``first`` and the
+    columns from the first to the last one holding a value other than +0.0
+    are formatted; the +0.0 columns around them are written as ``0`` runs.
+    A block of +0.0 alone formats its first column. A caller joins the blocks
+    once the table is no longer needed.
     """
     table = np.asarray(table, dtype=float)
-    step = max(1, _CSV_BLOCK // (table.shape[1] + (first is not None)))
+    cols = table.shape[1]
+    step = max(1, _CSV_BLOCK // (cols + (first is not None)))
     blocks = []
     for r in range(0, len(table), step):
         rows = table[r:r + step]
+        live = np.flatnonzero(np.any((rows != 0) | np.signbit(rows), axis=0))
+        lo, hi = (live[0], live[-1] + 1) if live.size else (0, 1)
+        span = rows[:, lo:hi]
         if first is not None:
-            rows = np.column_stack((first[r:r + step], rows))
-        blocks.append(_csv_block(rows).decode())
+            span = np.column_stack((first[r:r + step], span))
+        text = _csv_block(span).decode()
+        if lo or hi < cols:
+            lead, trail = "0," * lo, ",0" * (cols - hi) + "\n"
+            lines = text.split("\n")[:-1]
+            if first is None:
+                text = "".join([lead + line + trail for line in lines])
+            else:  # the lead goes after the row's first value
+                text = "".join([line.replace(",", "," + lead, 1) + trail for line in lines])
+        blocks.append(text)
     return blocks
 
 
@@ -818,6 +821,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     written series holds a non-finite value fails with NumericalConsistencyError,
     and no file of the run is written. On task failure its partial outputs are
     removed and the original exception propagates with a note naming the task.
+    A run that fails after making its output directory removes each directory
+    it made, deepest first, while that one is empty.
     """
     points = scenario.grid_points
     if points < MIN_GRID_POINTS:
@@ -831,6 +836,20 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
         _build("geometry", oct_scan._require_synchronized, scenario.effective_geometry(),
                scenario.crystal)
     target = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)
+    made = list(itertools.takewhile(lambda path: not path.exists(), (target, *target.parents)))
+    try:
+        return _write_run(scenario, points, target)
+    except BaseException:
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:  # not empty: it and the directories above it stay
+                break
+        raise
+
+
+def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
+    """run_scenario's tasks, written into target with their manifest."""
     try:
         target.mkdir(parents=True, exist_ok=True)
         probe = target / ".write_probe"

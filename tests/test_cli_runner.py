@@ -488,7 +488,7 @@ def test_export_series_nine_significant_digits():
 
 def _fmt9_csv(rows):
     # per-value reference writer: one _fmt9 call for every value
-    return [",".join(cli._fmt9(v) for v in row) for row in rows]
+    return [",".join(map(cli._fmt9, row)) for row in np.asarray(rows, dtype=float).tolist()]
 
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.5e-310, 1e300, -1e300, 3.0, -7.0, 1e16, 123456789.0,
@@ -519,14 +519,65 @@ def test_csv_writers_match_per_value_reference():
         assert cli._jsi_csv(ws, inten) == "\n".join(lines) + "\n"
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+SIDES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=64)
+BLOCKS = st.sampled_from([cli._CSV_BLOCK, 1, 5, 64, 500])
+KINDS = st.sampled_from(["plain"] * 4 + ["band", "wide"])
+
+
+@st.composite
+def zero_margined_tables(draw):
+    # a block size for _CSV_BLOCK, mostly small so that a table spans many
+    # blocks, and a finite table whose rows lead and trail with runs of +0.0
+    # and -0.0 (some rows all zero), one column as often as not; now and then,
+    # with a small block, +0.0 fills more than one block: a band of rows ahead
+    # of the table, or rows wider than a block
+    block = draw(BLOCKS)
+    kind = "plain" if block == cli._CSV_BLOCK else draw(KINDS)
+    if kind == "wide":
+        rows, cols = draw(st.integers(1, 3)), block + draw(st.integers(1, 3))
+    else:
+        rows, cols = draw(SIDES)
+        cols = draw(st.sampled_from([1, cols]))
+    table = draw(hnp.arrays(np.float64, (rows, cols), elements=FINITE))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lead, trail = rng.integers(0, cols + 1, (2, rows, 1))
+    margin = (np.arange(cols) < lead) | (np.arange(cols) >= cols - trail)
+    negative = rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    table[margin] = np.where(negative, -0.0, 0.0)[margin]
+    if kind == "band":  # the first block and a row of the next
+        band = np.zeros((block // cols + 1 + draw(st.integers(0, 2)), cols))
+        table = np.concatenate((band, table))
+    return block, table
+
+
 @settings(max_examples=500, deadline=None)
-@given(hnp.arrays(
-    np.float64,
-    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=64),
-    elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
-))
-def test_csv_writer_matches_per_value_writer(table):
-    assert "".join(cli._csv_blocks(table)) == "".join(line + "\n" for line in _fmt9_csv(table))
+@given(zero_margined_tables())
+def test_csv_writer_matches_per_value_writer(case):
+    block, table = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CSV_BLOCK", block)
+        text = "".join(cli._csv_blocks(table))
+    assert text == "".join(line + "\n" for line in _fmt9_csv(table))
+
+
+@settings(max_examples=500, deadline=None)
+@given(zero_margined_tables(), st.data())
+def test_csv_writer_with_a_first_column_matches_per_value_writer(case, data):
+    # through _csv_blocks with a first column, and through _jsi_csv, whose
+    # axis heads both the columns and the rows of the table's leading square
+    block, table = case
+    first = data.draw(hnp.arrays(np.float64, len(table), elements=FINITE))
+    n = min(table.shape)
+    axis, square = first[:n], table[:n, :n]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CSV_BLOCK", block)
+        text = "".join(cli._csv_blocks(table, first=first))
+        jsi = cli._jsi_csv(axis, square)
+    assert text == "".join(line + "\n" for line in _fmt9_csv(np.column_stack((first, table))))
+    lines = ["omega_s\\omega_i," + _fmt9_csv([axis])[0]]
+    lines += [cli._fmt9(w) + "," + line for w, line in zip(axis, _fmt9_csv(square))]
+    assert jsi == "\n".join(lines) + "\n"
 
 
 def test_csv_writer_leaves_unproven_roundings_to_format(monkeypatch):
@@ -551,17 +602,37 @@ def test_csv_writer_leaves_unproven_roundings_to_format(monkeypatch):
     assert nan_text == "nan,1\n" and np.isnan(written[-1])
 
 
-@pytest.mark.parametrize("name", ["jsi_anticorrelated", "jsi_correlated", "jsi_separable"])
-def test_jsi_csv_of_bundled_scenarios_matches_per_value_writer(name):
-    # the 512-point slice the scenario writes
+def _bundled_jsi(name):
+    """The axis and the 512-point intensity slice a bundled scenario writes."""
     s = parse_scenario((SCENARIO_DIR / f"{name}.ini").read_text())
     grid = cli._grid(s, s.grid_points)
     inten, _ = cli.biphoton.joint_spectrum_rows(s.kernel, s.crystal, s.pump, grid, s.jsi_stride)
-    ws = grid.omega_s[::s.jsi_stride]
+    return grid.omega_s[::s.jsi_stride], inten
+
+
+@pytest.mark.parametrize("name", ["jsi_anticorrelated", "jsi_correlated", "jsi_separable"])
+def test_jsi_csv_of_bundled_scenarios_matches_per_value_writer(name):
+    ws, inten = _bundled_jsi(name)
     assert inten.shape == (512, 512)
     lines = ["omega_s\\omega_i," + _fmt9_csv([ws])[0]]
     lines += [cli._fmt9(w) + "," + line for w, line in zip(ws, _fmt9_csv(inten))]
     assert cli._jsi_csv(ws, inten) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name,share", [("jsi_anticorrelated", 0.10), ("jsi_correlated", 0.30)])
+def test_jsi_csv_formats_little_more_than_the_ridge(monkeypatch, name, share):
+    # a narrow ridge: the +0.0 columns around it are written as constant runs
+    ws, inten = _bundled_jsi(name)
+    formatted = []
+    block = cli._csv_block
+
+    def spy(x):
+        formatted.append(x.size - len(x))  # all but the omega_s column
+        return block(x)
+
+    monkeypatch.setattr(cli, "_csv_block", spy)
+    cli._csv_blocks(inten, first=ws)
+    assert sum(formatted) < share * inten.size
 
 
 def test_export_series_json_schema():
@@ -678,6 +749,45 @@ def test_cli_names_the_failing_task(tmp_path, monkeypatch, capsys):
     assert "error: task schmidt: no half-maximum crossing" in capsys.readouterr().err
 
 
+def _tree(root):
+    # every path under root, relative, with a file's bytes or None for a directory
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("route", ["run_scenario", "cli"])
+@pytest.mark.parametrize("out,before", [
+    pytest.param("failout/nested", {}, id="fresh-nested-path"),
+    pytest.param("out", {"out": None}, id="existing-empty-directory"),
+    pytest.param("out", {"out": None, "out/keep.txt": b"kept"},
+                 id="existing-directory-with-a-file"),
+])
+def test_failed_run_removes_only_the_directories_it_made(tmp_path, monkeypatch, capsys, route,
+                                                         out, before):
+    def fail(scenario, points):
+        raise cli.AnalysisError("no half-maximum crossing")
+
+    monkeypatch.setitem(cli._TASK_FN, "g1_scan", fail)
+    root = tmp_path / "root"
+    root.mkdir()
+    for name, content in before.items():
+        if content is None:
+            (root / name).mkdir()
+        else:
+            (root / name).write_bytes(content)
+    text = MINIMAL.replace("run = schmidt", "run = g1_scan")
+    if route == "run_scenario":
+        with pytest.raises(cli.AnalysisError) as info:
+            run_scenario(parse_scenario(text), out_dir=root / out)
+        assert info.value.__notes__ == ["task g1_scan"]
+    else:
+        scen = tmp_path / "s.ini"
+        scen.write_text(text)
+        assert main(["run", str(scen), "--out", str(root / out)]) == 1
+        assert "error: task g1_scan: no half-maximum crossing" in capsys.readouterr().err
+    assert _tree(root) == before
+
+
 @pytest.mark.parametrize("method,flagged", [
     ("halved-resolution", True),
     ("unavailable", False),
@@ -734,7 +844,7 @@ def test_gaussian_schmidt_modes_are_bounded_by_the_grid(tmp_path, capsys):
     assert main(["run", str(scen), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert re.search(r"task schmidt: gamma = .* Schmidt modes above 1e-12, more than 512", err)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 UNIFORM_OCT = MINIMAL.replace("run = schmidt", "run = oct_scan") + "\n[scan]\nfringes = false\n"
@@ -823,7 +933,7 @@ def test_non_finite_output_fails_closed(tmp_path, monkeypatch, capsys, task, own
     assert main(["run", str(scen), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"numerical failure: task {task}: series {series} holds a non-finite value" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_run_scenario_grid_override_changes_density(tmp_path):
