@@ -349,14 +349,20 @@ def _half_max_width(
 
 
 def _half_max_crossing(x, y, i: int, step: int, stop_at_neighbor: bool):
-    """Interpolated x where y first falls to y[i] / 2, walking from ``i`` by ``step``."""
+    """Interpolated x where y first falls to y[i] / 2, walking from ``i`` by ``step``.
+
+    The walk stops at the first sample not above half height (a NaN is not)
+    or at an edge of the grid, where a peak at an edge starts and ends it.
+    """
     side = "left" if step < 0 else "right"
     half = y[i] / 2.0
-    k = i
-    while 0 < k < y.size - 1 and y[k] > half:
-        k += step
-        if stop_at_neighbor and y[k] > half and y[k] > y[k - step]:
-            raise AnalysisError(f"{side} flank climbs into a neighboring peak")
+    flank = y[i::step] if 0 < i < y.size - 1 else y[i:i + 1]  # outward to the edge; no step off an edge
+    below = np.flatnonzero(~(flank[:-1] > half))
+    m = int(below[0]) if below.size else flank.size - 1
+    walked = flank[1:m + 1]
+    if stop_at_neighbor and np.any((walked > half) & (walked > flank[:m])):
+        raise AnalysisError(f"{side} flank climbs into a neighboring peak")
+    k = i + step * m
     if y[k] > half:
         raise AnalysisError(f"{side} half-maximum crossing outside grid")
     a = min(k, k - step)  # same anchor on both flanks: it sets the last bit of a width

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,6 +198,124 @@ def _build(section: str, factory, *args, **kwargs):
         raise ScenarioError(f"[{section}] invalid parameters: {exc}") from exc
 
 
+# Tabulated samples. A table whose body holds only [sign]digits[.digits][e[sign]digits]
+# fields is read in chunks of whole lines: each field as an integer mantissa M,
+# which np.fromstring reads from the chunk with its "." and signs removed, times
+# 10**j, with j and the signs from byte positions. M < 10**19 and 10**j, |j| <= 27,
+# are exact in x87's 64-bit significand, so M * 10**j is one correctly rounded long
+# double q, and q's rounding to double is the correctly rounded value unless q lies
+# on a midpoint between two doubles (its 11 low significand bits read 0x400):
+# Clinger's exact fast path (PLDI 1990) widened to 64 bits. float() reads those fields.
+
+_TABLE_CHUNK = 1 << 18  # bytes per pass: its temporaries stay cache-sized
+_TABLE_TIES = 64  # midpoint fields per chunk read by float(); a chunk with more goes to np.loadtxt
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+_POW10_LD = np.array([10 ** k for k in range(28)], np.longdouble)  # exact
+_TO_COMMA = bytes.maketrans(b"e\n", b",,")
+
+
+def _read_table(path: Path) -> np.ndarray:
+    """``np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)``, bit for bit, or its error.
+
+    Below an ASCII header line without CR, a body of ``[sign]digits[.digits]``
+    ``[e[sign]digits]`` fields, with at most 19 significant mantissa digits and
+    10**j within 10**±27, every row as wide as the first, is read
+    ``_TABLE_CHUNK`` bytes at a time. np.loadtxt reads any other table whole:
+    one with whitespace, ``#``, CRLF, blank lines, ``nan``, ``inf`` or ``E``,
+    ragged rows or an empty body, one with too many midpoints, and every table
+    where long double is not x87's.
+    """
+    blocks = []
+    with open(path, "rb") as f:
+        header = f.readline()
+        if _EXTENDED and header.isascii() and b"\r" not in header:
+            for chunk in _whole_lines(f):
+                blocks.append(_table_chunk(chunk, blocks[0].shape[1] if blocks else 0))
+                if blocks[-1] is None:
+                    blocks = []
+                    break
+    if blocks:
+        return np.concatenate(blocks)
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _whole_lines(f):
+    """The rest of binary file ``f``, about _TABLE_CHUNK bytes at a time, each ending in a newline."""
+    tail = b""
+    while data := f.read(_TABLE_CHUNK):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield tail + data[:cut]
+            tail = data[cut:]
+        else:
+            tail += data
+    if tail:
+        yield tail + b"\n"
+
+
+def _table_chunk(buf: bytes, cols: int) -> np.ndarray | None:
+    """The rows of whole table lines, or None when np.loadtxt must read the table.
+
+    ``cols`` is the width of the rows before, 0 for the first chunk.
+    """
+    b = np.frombuffer(buf, np.uint8)
+    p = np.flatnonzero((b - 48) > 9)  # the marks: every byte but a digit
+    k = b[p]
+    end = (k == 44) | (k == 10)  # "," or newline
+    i_sep, i_dot, i_e = np.flatnonzero(end), np.flatnonzero(k == 46), np.flatnonzero(k == 101)
+    p_sign = p[np.flatnonzero((k == 43) | (k == 45))]
+    rows, n = k[i_sep] == 10, i_sep.size
+    cols = cols or int(rows.argmax()) + 1
+    if (n % cols or not rows[cols - 1::cols].all() or np.count_nonzero(rows) != n // cols
+            or n + i_dot.size + i_e.size + p_sign.size != p.size):  # ragged, or another byte
+        return None
+    sep, p_dot, p_e = p[i_sep], p[i_dot], p[i_e]
+    field = np.cumsum(end, dtype=np.int32)  # the field of each mark but a separator
+    f_dot, f_e = field[i_dot].astype(np.intp), field[i_e].astype(np.intp)
+    start = np.concatenate(([0], sep[:-1] + 1))
+    mend = sep.copy()  # where each mantissa ends
+    mend[f_e] = p_e
+    # b[-1], read for a sign at byte 0, is the chunk's closing newline
+    head, after_e, before_sign = b[start], b[p_e + 1], b[p_sign - 1]
+    digits = mend - start - ((head == 43) | (head == 45))
+    np.subtract.at(digits, f_dot, 1)
+    # one "." and one "e" a field, the "." first; a sign leads the field or
+    # follows the "e"; the mantissa and the exponent each hold a digit
+    if (np.any(f_dot[1:] <= f_dot[:-1]) or np.any(f_e[1:] <= f_e[:-1])
+            or np.any(p_dot > mend[f_dot]) or digits.min() < 1
+            or not np.all((before_sign == 44) | (before_sign == 10) | (before_sign == 101))
+            or np.any(sep[f_e] - p_e - ((after_e == 43) | (after_e == 45)) < 2)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an older numpy warns where it stops early
+            tokens = np.fromstring(buf.translate(_TO_COMMA, b".+-"), np.uint64, sep=",")
+    except (ValueError, Warning):
+        return None
+    t_e = f_e + np.arange(f_e.size) + 1  # the exponents' tokens
+    if tokens.size != n + t_e.size:
+        return None
+    exponent = np.minimum(tokens[t_e], 999).astype(np.int64)
+    j = np.zeros(n, np.int64)
+    j[f_dot] = p_dot + 1 - mend[f_dot]
+    j[f_e] += np.where(after_e == 45, -exponent, exponent)
+    mantissa = np.delete(tokens, t_e)
+    if np.abs(j).max() > 27 or mantissa.max() >= 10 ** 19:  # also where uint64 saturated
+        return None
+    # one of the two factors is 1, so q is rounded once
+    q = mantissa.astype(np.longdouble)
+    q *= np.take(_POW10_LD, np.maximum(j, 0))
+    q /= np.take(_POW10_LD, np.maximum(-j, 0))
+    ties = np.flatnonzero(q.view(np.uint16)[::q.itemsize // 2] & 0x7FF == 0x400)
+    if ties.size > _TABLE_TIES:
+        return None
+    x = q.astype(np.float64)
+    np.negative(x, out=x, where=head == 45)
+    for i in ties:
+        x[i] = float(buf[start[i]:sep[i]])
+    return x.reshape(-1, cols)
+
+
 def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     """Parse and validate scenario text into a Scenario.
 
@@ -206,7 +325,9 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     an empty value is an error, not a request for its default. A crystal
     whose mean pair number per pulse exceeds MAX_PAIRS_PER_PULSE is outside
     the low-gain model and is rejected. ``base_dir`` anchors relative
-    tabulated-sample paths.
+    tabulated-sample paths. A tabulated sample's table is read by
+    ``_read_table``, into the arrays np.loadtxt reads, and a table np.loadtxt
+    rejects is reported under ``[sample] invalid parameters`` with its text.
     """
     cp = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
@@ -346,7 +467,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             raise ScenarioError(f"[sample] file: no such file: {path}")
         if not path.is_file():
             raise ScenarioError(f"[sample] file: not a file: {path}")
-        table = _build("sample", np.loadtxt, path, delimiter=",", skiprows=1, ndmin=2)
+        table = _build("sample", _read_table, path)
         if table.shape[1] < 3:
             raise ScenarioError(
                 "[sample] file must have columns omega_rad_fs, r_real, r_imag"
@@ -619,6 +740,8 @@ def _csv_blocks(table, first=None) -> list[str]:
     """
     table = np.asarray(table, dtype=float)
     cols = table.shape[1]
+    if not cols:  # no value to write: each row is an empty line
+        return ["\n" * len(table)]
     step = max(1, _CSV_BLOCK // (cols + (first is not None)))
     blocks = []
     for r in range(0, len(table), step):

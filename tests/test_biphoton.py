@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlintsim.biphoton import (
     JointSpectrum,
@@ -389,6 +391,46 @@ def test_fwhm_requires_interior_peak():
     x = np.linspace(0.0, 1.0, 64)
     with pytest.raises(AnalysisError):
         fwhm_interpolated(x, x)  # monotone, peak at edge
+
+
+def _half_max_crossing_loop(x, y, i, step, stop_at_neighbor):
+    # the sample-by-sample walk that biphoton._half_max_crossing replaces
+    side = "left" if step < 0 else "right"
+    half = y[i] / 2.0
+    k = i
+    while 0 < k < y.size - 1 and y[k] > half:
+        k += step
+        if stop_at_neighbor and y[k] > half and y[k] > y[k - step]:
+            raise AnalysisError(f"{side} flank climbs into a neighboring peak")
+    if y[k] > half:
+        raise AnalysisError(f"{side} half-maximum crossing outside grid")
+    a = min(k, k - step)
+    return x[a] + (x[a + 1] - x[a]) * (half - y[a]) / (y[a + 1] - y[a])
+
+
+def _crossing_or_error(crossing, x, y, i, step, stop_at_neighbor):
+    try:
+        with np.errstate(all="ignore"):  # a flat flank divides by zero in both
+            return np.float64(crossing(x, y, i, step, stop_at_neighbor)).view(np.uint64)
+    except (AnalysisError, IndexError) as exc:  # a one-sample grid has no interval
+        return type(exc).__name__, str(exc)
+
+
+# samples from a few levels, so that flanks hold plateaus, ties, NaNs and neighbouring peaks
+LEVELS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0, np.nan, -1.0])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(LEVELS | st.floats(-1.0, 5.0), min_size=1, max_size=40), st.data())
+def test_half_max_crossing_matches_the_sample_walk(levels, data):
+    y = np.array(levels)
+    x = np.cumsum(data.draw(st.lists(st.floats(0.01, 2.0), min_size=y.size, max_size=y.size)))
+    i = data.draw(st.integers(0, y.size - 1))
+    for step in (-1, 1):
+        for stop_at_neighbor in (False, True):
+            args = (x, y, i, step, stop_at_neighbor)
+            assert (_crossing_or_error(biphoton._half_max_crossing, *args)
+                    == _crossing_or_error(_half_max_crossing_loop, *args))
 
 
 def test_bandwidth_conversion():

@@ -8,7 +8,9 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -475,10 +477,260 @@ def test_readme_scenario_format_names_every_key_with_its_default():
         assert rows[section, key][2].startswith(written), (section, key)
 
 
+# ---------------------------------------------------------------- tabulated samples
+
+LOADTXT = np.loadtxt
+
+
+def _loadtxt(path):
+    """np.loadtxt as parse_scenario called it before _read_table: its array, or its error."""
+    try:
+        return LOADTXT(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        return exc
+
+
+def _read_as_loadtxt(path):
+    """_read_table's array, or its error, and whether it called np.loadtxt."""
+    with mock.patch.object(np, "loadtxt", wraps=LOADTXT) as spy:
+        try:
+            got = cli._read_table(path)
+        except ValueError as exc:
+            got = exc
+    return got, spy.called
+
+
+def _assert_same_reading(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# a field of the fast path: at most 19 mantissa digits and 10**j within 10**±27
+@st.composite
+def fast_decimals(draw):
+    digits = draw(st.text("0123456789", min_size=1, max_size=19))
+    point = draw(st.integers(0, len(digits)))
+    whole, frac = digits[:point], digits[point:]
+    text = draw(st.sampled_from(["", "-", "+"])) + whole
+    if frac or draw(st.booleans()):
+        text += "." + frac
+    if draw(st.booleans()):
+        exponent = draw(st.integers(len(frac) - 27, len(frac) + 27))
+        sign = "-" if exponent < 0 else draw(st.sampled_from(["", "+"]))
+        text += f"e{sign}{abs(exponent):0{draw(st.integers(1, 3))}d}"
+    return text
+
+
+FORMATS = {"repr": repr, "%.17g": lambda x: "%.17g" % x, "%.9g": lambda x: "%.9g" % x,
+           "%.18e": lambda x: "%.18e" % x}  # the last is np.savetxt's default
+BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+IN_RANGE = st.floats(1e-9, 1e9) | st.floats(-1e9, -1e-9) | st.just(0.0) | st.just(-0.0)
+
+
+def test_table_reader_matches_loadtxt_on_drawn_tables(tmp_path_factory):
+    # every table reads bit for bit as np.loadtxt reads it; one of fields that
+    # all lie within the fast path's digits and powers (written by any of the
+    # four formats from a value in [1e-9, 1e9], or drawn as decimal text) and
+    # of at most _TABLE_TIES fields is read without np.loadtxt
+    path = tmp_path_factory.mktemp("table") / "r.csv"
+    fast_paths = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 20), st.integers(1, 3), st.sampled_from(sorted(FORMATS)), st.data())
+    def check(rows, cols, fmt, data):
+        fast = data.draw(st.booleans())
+        field = (IN_RANGE.map(FORMATS[fmt]) | fast_decimals() if fast else
+                 BITS.filter(np.isfinite).map(FORMATS[fmt]) | fast_decimals())
+        fields = data.draw(st.lists(field, min_size=rows * cols, max_size=rows * cols))
+        lines = [",".join(fields[r * cols:(r + 1) * cols]) for r in range(rows)]
+        path.write_text("omega_rad_fs,r_real,r_imag\n" + "\n".join(lines)
+                        + data.draw(st.sampled_from(["\n", ""])))
+        got, called = _read_as_loadtxt(path)
+        _assert_same_reading(got, _loadtxt(path))
+        if fast:
+            assert not called, fields
+            fast_paths.append(fmt)
+
+    check()
+    assert set(fast_paths) == set(FORMATS)
+
+
+# A double-rounding trap: M * 10**j rounds, in long double, onto the midpoint
+# between two doubles that the decimal value itself does not sit on, and
+# rounding that midpoint to double goes the wrong way.
+TRAP = "1.803225543590477514e+3"
+MIDPOINT = "9007199254740993"  # 2**53 + 1, exactly between two doubles
+
+TABLE_CORPUS = [
+    # (body below the header, or the whole file as bytes; read without np.loadtxt)
+    pytest.param("-,1\n", False, id="lone-sign"),  # np.fromstring(int64) reads it as [0, 1]
+    pytest.param("12345678901234567890,1\n", False, id="20-digit-mantissa"),
+    pytest.param("99999999999999999999,1\n", False, id="saturating-mantissa"),  # uint64 caps it
+    pytest.param("1,\n2,\n", False, id="trailing-comma"),  # np.fromstring reads "1," as [1]
+    pytest.param(".\n", False, id="dot"),
+    pytest.param("1e\n", False, id="bare-e"),
+    pytest.param("e5\n", False, id="no-mantissa"),
+    pytest.param("1e+\n", False, id="signed-bare-e"),
+    pytest.param("--1\n", False, id="two-signs"),
+    pytest.param("1-2\n", False, id="inner-sign"),
+    pytest.param("1e+-2\n", False, id="two-exponent-signs"),
+    pytest.param("1.2.3\n", False, id="two-dots"),
+    pytest.param("1e2e3\n", False, id="two-e"),
+    pytest.param("12e0.5\n", False, id="dot-after-e"),
+    pytest.param(" 1,2\n", False, id="leading-space"),
+    pytest.param("1 ,2\n", False, id="inner-space"),
+    pytest.param("1\t2\n", False, id="tab"),
+    pytest.param("1,2\n# note\n3,4\n", False, id="comment-line"),
+    pytest.param("1,2 # note\n", False, id="trailing-comment"),
+    pytest.param("1,2\r\n3,4\r\n", False, id="crlf"),
+    pytest.param("1,2\n\n3,4\n", False, id="blank-line"),
+    pytest.param("nan,1\n", False, id="nan"),
+    pytest.param("-inf,1\n", False, id="inf"),
+    pytest.param("1E5,1\n", False, id="capital-e"),
+    pytest.param("0x10,1\n", False, id="hex"),
+    pytest.param("1_000,1\n", False, id="underscore"),
+    pytest.param("1,2\x00\n", False, id="nul"),
+    pytest.param("1,2\n3\n", False, id="ragged-short"),
+    pytest.param("1\n2,3\n", False, id="ragged-long"),
+    pytest.param("1,2\n3\n4,5,6\n", False, id="ragged-same-count"),
+    pytest.param(b"omega\rr\n1,2\n", False, id="header-with-cr"),
+    pytest.param(b"\xff\xfe,r\n1,2\n", False, id="header-not-utf8"),
+    pytest.param(b"omega,r\r\n1,2\n", False, id="header-with-crlf"),
+    pytest.param(b"omega,r", False, id="header-alone"),
+    pytest.param("", False, id="empty-body"),
+    pytest.param("1e28,1\n", False, id="power-above-27"),
+    pytest.param("1e-28,1\n", False, id="power-below-27"),
+    pytest.param("0.0000000000000000000000000001,1\n", False, id="fraction-beyond-27"),
+    pytest.param("1e400,1\n", False, id="overflow"),
+    pytest.param("1e18446744073709551617,1\n", False, id="saturating-exponent"),
+    pytest.param(f"{MIDPOINT}\n" * 65, False, id="midpoints-beyond-the-chunk-cap"),
+    pytest.param("1e27,-1e-27,1e+027\n", True, id="powers-at-27"),
+    pytest.param("0000000000000000000000001.5,2\n", True, id="leading-zeros"),
+    pytest.param("1.,.5,-.5e1\n", True, id="bare-dot-sides"),
+    pytest.param("-0,-0.0e0,+0\n", True, id="signed-zeros"),
+    pytest.param("1,2\n3,4", True, id="no-last-newline"),
+    pytest.param("5\n", True, id="one-value"),
+    pytest.param(f"{TRAP},{MIDPOINT},-{TRAP}\n", True, id="midpoints-read-by-float"),
+    pytest.param(f"{MIDPOINT}\n" * 64, True, id="midpoints-at-the-chunk-cap"),
+]
+
+
+def _parsed_sample(text, base_dir):
+    """The parsed table's arrays, or the ScenarioError text."""
+    try:
+        sample = parse_scenario(text, base_dir=base_dir).sample
+    except ScenarioError as exc:
+        return str(exc)
+    return sample.omega.tobytes() + sample.r.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.parametrize("body,fast", TABLE_CORPUS)
+def test_table_reader_corpus_reads_as_loadtxt(tmp_path, body, fast):
+    path = tmp_path / "r.csv"
+    path.write_bytes(body if isinstance(body, bytes) else ("omega_rad_fs,r_real,r_imag\n" + body).encode())
+    got, called = _read_as_loadtxt(path)
+    _assert_same_reading(got, _loadtxt(path))
+    assert called is not fast
+    # parse_scenario builds the same sample, or gives the same error text, as
+    # when it called np.loadtxt itself
+    text = MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE
+    with mock.patch.object(cli, "_read_table", lambda p: LOADTXT(p, delimiter=",", skiprows=1, ndmin=2)):
+        want = _parsed_sample(text, tmp_path)
+    assert _parsed_sample(text, tmp_path) == want
+
+
+def test_table_reader_rereads_midpoints_with_float(tmp_path):
+    assert [int(p) for p in cli._POW10_LD] == [10 ** k for k in range(28)]  # exact powers
+    path = tmp_path / "r.csv"
+    path.write_text(f"a\n{TRAP}\n")
+    assert cli._read_table(path)[0, 0] == float(TRAP)
+    # the long double value alone rounds the other way
+    mantissa = np.longdouble(int(TRAP.split("e")[0].replace(".", "")))
+    assert float(mantissa / cli._POW10_LD[15]) != float(TRAP)
+
+
+def test_table_reader_reads_a_table_in_chunks(tmp_path, monkeypatch):
+    # lines that straddle chunk edges, a line longer than a chunk, and a last line without newline
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-9, 9, (300, 3))
+    lines = [",".join(map(repr, row)) for row in values.tolist()]
+    monkeypatch.setattr(cli, "_TABLE_CHUNK", 37)
+    for body in ("\n".join(lines) + "\n", "\n".join(lines)):
+        path = tmp_path / "r.csv"
+        path.write_text("omega_rad_fs,r_real,r_imag\n" + body)
+        got, called = _read_as_loadtxt(path)
+        assert not called
+        _assert_same_reading(got, _loadtxt(path))
+    # rows of another width in later chunks send the whole table to np.loadtxt
+    narrow = [line.rsplit(",", 1)[0] for line in lines[200:]]
+    path.write_text("omega_rad_fs,r_real,r_imag\n" + "\n".join(lines[:200] + narrow))
+    got, called = _read_as_loadtxt(path)
+    assert called
+    _assert_same_reading(got, _loadtxt(path))
+
+
+def test_table_reader_without_x87_long_double_reads_every_table_with_loadtxt(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_EXTENDED", False)
+    path = tmp_path / "r.csv"
+    path.write_text("omega_rad_fs,r_real,r_imag\n-8,0.5,0.1\n8,0.5,0.1\n")
+    got, called = _read_as_loadtxt(path)
+    assert called
+    _assert_same_reading(got, _loadtxt(path))
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+@pytest.mark.parametrize("warn", [True, False])
+def test_table_reader_never_passes_a_partial_fromstring_read(tmp_path, monkeypatch, warn, action):
+    # an older numpy's np.fromstring warns, instead of raising, where unmatched
+    # text stops it, and returns what it read so far; the warning does not
+    # escape the reader, whether warnings are errors (python -W error) or shown
+    fromstring = np.fromstring
+
+    def partial(text, dtype, sep):
+        if warn:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return fromstring(text, dtype, sep=sep)[:-1]
+
+    monkeypatch.setattr(np, "fromstring", partial)
+    path = tmp_path / "r.csv"
+    path.write_text("omega_rad_fs,r_real,r_imag\n-8,0.5,0.1\n8,0.5,0.1\n")
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter(action)
+        got, called = _read_as_loadtxt(path)
+    assert called and not shown
+    _assert_same_reading(got, _loadtxt(path))
+
+
+@pytest.mark.parametrize("body", ["-,1\n", ".,1\n", "e5,1\n", "1e,1\n", "1e+,1\n", "1,\n"])
+def test_table_reader_does_not_count_on_fromstring_to_reject_an_empty_token(tmp_path, monkeypatch,
+                                                                          body):
+    # as np.fromstring(dtype=int64) reads "-,1" as [0, 1], read every empty token as 0
+    def zero_for_empty(text, dtype, sep):
+        return np.array([int(t or 0) for t in text.decode().split(sep)[:-1]], dtype)
+
+    monkeypatch.setattr(np, "fromstring", zero_for_empty)
+    path = tmp_path / "r.csv"
+    path.write_text("omega_rad_fs,r_real,r_imag\n" + body)
+    got, called = _read_as_loadtxt(path)
+    assert called
+    _assert_same_reading(got, _loadtxt(path))
+
+
 # ---------------------------------------------------------------- exports
 
 def test_export_series_empty_is_header_only():
     assert export_series(["a", "b"], [], "csv") == "a,b\n"
+
+
+def test_export_series_without_columns_writes_an_empty_line_a_row():
+    # the header of no columns is an empty line, and so is each row
+    assert export_series([], [], "csv") == "\n"
+    assert export_series([], [[], []], "csv") == "\n\n\n"
+    assert export_series([], [], "json") == '{\n  "columns": [],\n  "rows": []\n}\n'
 
 
 def test_export_series_nine_significant_digits():
