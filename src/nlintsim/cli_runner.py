@@ -205,10 +205,10 @@ def _build(section: str, factory, *args, **kwargs):
 # are exact in x87's 64-bit significand, so M * 10**j is one correctly rounded long
 # double q, and q's rounding to double is the correctly rounded value unless q lies
 # on a midpoint between two doubles (its 11 low significand bits read 0x400):
-# Clinger's exact fast path (PLDI 1990) widened to 64 bits. float() reads those fields.
+# Clinger's exact fast path (PLDI 1990) widened to 64 bits. float() reads the
+# midpoints and the fields outside those bounds.
 
 _TABLE_CHUNK = 1 << 18  # bytes per pass: its temporaries stay cache-sized
-_TABLE_TIES = 64  # midpoint fields per chunk read by float(); a chunk with more goes to np.loadtxt
 _EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
 _POW10_LD = np.array([10 ** k for k in range(28)], np.longdouble)  # exact
 _TO_COMMA = bytes.maketrans(b"e\n", b",,")
@@ -218,11 +218,10 @@ def _read_table(path: Path) -> np.ndarray:
     """``np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)``, bit for bit, or its error.
 
     Below an ASCII header line without CR, a body of ``[sign]digits[.digits]``
-    ``[e[sign]digits]`` fields, with at most 19 significant mantissa digits and
-    10**j within 10**±27, every row as wide as the first, is read
-    ``_TABLE_CHUNK`` bytes at a time. np.loadtxt reads any other table whole:
-    one with whitespace, ``#``, CRLF, blank lines, ``nan``, ``inf`` or ``E``,
-    ragged rows or an empty body, one with too many midpoints, and every table
+    ``[e[sign]digits]`` fields, every row as wide as the first, and blank lines
+    only at its end, is read ``_TABLE_CHUNK`` bytes at a time. np.loadtxt reads
+    any other table whole: one with whitespace, ``#``, CRLF, other blank lines,
+    ``nan``, ``inf`` or ``E``, ragged rows or an empty body, and every table
     where long double is not x87's.
     """
     blocks = []
@@ -240,16 +239,17 @@ def _read_table(path: Path) -> np.ndarray:
 
 
 def _whole_lines(f):
-    """The rest of binary file ``f``, about _TABLE_CHUNK bytes at a time, each ending in a newline."""
+    """The rest of binary file ``f`` without its closing blank lines, about
+    _TABLE_CHUNK bytes at a time, each piece ending in a newline."""
     tail = b""
     while data := f.read(_TABLE_CHUNK):
-        cut = data.rfind(b"\n") + 1
+        cut = data.rfind(b"\n", 0, len(data.rstrip(b"\n"))) + 1  # blank lines stay in tail
         if cut:
             yield tail + data[:cut]
             tail = data[cut:]
         else:
             tail += data
-    if tail:
+    if tail := tail.rstrip(b"\n"):
         yield tail + b"\n"
 
 
@@ -300,19 +300,16 @@ def _table_chunk(buf: bytes, cols: int) -> np.ndarray | None:
     j[f_dot] = p_dot + 1 - mend[f_dot]
     j[f_e] += np.where(after_e == 45, -exponent, exponent)
     mantissa = np.delete(tokens, t_e)
-    if np.abs(j).max() > 27 or mantissa.max() >= 10 ** 19:  # also where uint64 saturated
-        return None
     # one of the two factors is 1, so q is rounded once
     q = mantissa.astype(np.longdouble)
-    q *= np.take(_POW10_LD, np.maximum(j, 0))
-    q /= np.take(_POW10_LD, np.maximum(-j, 0))
-    ties = np.flatnonzero(q.view(np.uint16)[::q.itemsize // 2] & 0x7FF == 0x400)
-    if ties.size > _TABLE_TIES:
-        return None
+    q *= np.take(_POW10_LD, np.clip(j, 0, 27))
+    q /= np.take(_POW10_LD, np.clip(-j, 0, 27))
     x = q.astype(np.float64)
     np.negative(x, out=x, where=head == 45)
-    for i in ties:
-        x[i] = float(buf[start[i]:sep[i]])
+    # uint64 saturates at 2**64 - 1, so more than 19 digits reads as at least 10**19
+    slow = np.flatnonzero((q.view(np.uint16)[::q.itemsize // 2] & 0x7FF == 0x400)
+                          | (np.abs(j) > 27) | (mantissa >= 10 ** 19))
+    x[slow] = [float(buf[s:e]) for s, e in zip(start[slow].tolist(), sep[slow].tolist())]
     return x.reshape(-1, cols)
 
 

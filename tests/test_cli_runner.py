@@ -508,17 +508,17 @@ def _assert_same_reading(got, want):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# a field of the fast path: at most 19 mantissa digits and 10**j within 10**±27
+# a field of the fast path's grammar; beyond 19 mantissa digits or 10**±27, float() reads it
 @st.composite
 def fast_decimals(draw):
-    digits = draw(st.text("0123456789", min_size=1, max_size=19))
+    digits = draw(st.text("0123456789", min_size=1, max_size=22))
     point = draw(st.integers(0, len(digits)))
     whole, frac = digits[:point], digits[point:]
     text = draw(st.sampled_from(["", "-", "+"])) + whole
     if frac or draw(st.booleans()):
         text += "." + frac
     if draw(st.booleans()):
-        exponent = draw(st.integers(len(frac) - 27, len(frac) + 27))
+        exponent = draw(st.integers(len(frac) - 30, len(frac) + 30))
         sign = "-" if exponent < 0 else draw(st.sampled_from(["", "+"]))
         text += f"e{sign}{abs(exponent):0{draw(st.integers(1, 3))}d}"
     return text
@@ -531,31 +531,26 @@ IN_RANGE = st.floats(1e-9, 1e9) | st.floats(-1e9, -1e-9) | st.just(0.0) | st.jus
 
 
 def test_table_reader_matches_loadtxt_on_drawn_tables(tmp_path_factory):
-    # every table reads bit for bit as np.loadtxt reads it; one of fields that
-    # all lie within the fast path's digits and powers (written by any of the
-    # four formats from a value in [1e-9, 1e9], or drawn as decimal text) and
-    # of at most _TABLE_TIES fields is read without np.loadtxt
+    # every table of finite values written by any of the four formats (random
+    # bit patterns, or values in [1e-9, 1e9] where the exact route reads most
+    # fields), or of drawn decimal text, and closed by blank lines or not,
+    # reads bit for bit as np.loadtxt reads it, and without np.loadtxt
     path = tmp_path_factory.mktemp("table") / "r.csv"
-    fast_paths = []
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 20), st.integers(1, 3), st.sampled_from(sorted(FORMATS)), st.data())
     def check(rows, cols, fmt, data):
-        fast = data.draw(st.booleans())
-        field = (IN_RANGE.map(FORMATS[fmt]) | fast_decimals() if fast else
-                 BITS.filter(np.isfinite).map(FORMATS[fmt]) | fast_decimals())
+        values = data.draw(st.sampled_from([IN_RANGE, BITS.filter(np.isfinite)]))
+        field = values.map(FORMATS[fmt]) | fast_decimals()
         fields = data.draw(st.lists(field, min_size=rows * cols, max_size=rows * cols))
         lines = [",".join(fields[r * cols:(r + 1) * cols]) for r in range(rows)]
         path.write_text("omega_rad_fs,r_real,r_imag\n" + "\n".join(lines)
-                        + data.draw(st.sampled_from(["\n", ""])))
+                        + data.draw(st.sampled_from(["\n", "", "\n\n", "\n\n\n"])))
         got, called = _read_as_loadtxt(path)
         _assert_same_reading(got, _loadtxt(path))
-        if fast:
-            assert not called, fields
-            fast_paths.append(fmt)
+        assert not called, fields
 
     check()
-    assert set(fast_paths) == set(FORMATS)
 
 
 # A double-rounding trap: M * 10**j rounds, in long double, onto the midpoint
@@ -567,8 +562,6 @@ MIDPOINT = "9007199254740993"  # 2**53 + 1, exactly between two doubles
 TABLE_CORPUS = [
     # (body below the header, or the whole file as bytes; read without np.loadtxt)
     pytest.param("-,1\n", False, id="lone-sign"),  # np.fromstring(int64) reads it as [0, 1]
-    pytest.param("12345678901234567890,1\n", False, id="20-digit-mantissa"),
-    pytest.param("99999999999999999999,1\n", False, id="saturating-mantissa"),  # uint64 caps it
     pytest.param("1,\n2,\n", False, id="trailing-comma"),  # np.fromstring reads "1," as [1]
     pytest.param(".\n", False, id="dot"),
     pytest.param("1e\n", False, id="bare-e"),
@@ -587,6 +580,8 @@ TABLE_CORPUS = [
     pytest.param("1,2 # note\n", False, id="trailing-comment"),
     pytest.param("1,2\r\n3,4\r\n", False, id="crlf"),
     pytest.param("1,2\n\n3,4\n", False, id="blank-line"),
+    pytest.param("\n1,2\n", False, id="leading-blank-line"),
+    pytest.param("\n\n", False, id="blank-lines-alone"),
     pytest.param("nan,1\n", False, id="nan"),
     pytest.param("-inf,1\n", False, id="inf"),
     pytest.param("1E5,1\n", False, id="capital-e"),
@@ -601,20 +596,22 @@ TABLE_CORPUS = [
     pytest.param(b"omega,r\r\n1,2\n", False, id="header-with-crlf"),
     pytest.param(b"omega,r", False, id="header-alone"),
     pytest.param("", False, id="empty-body"),
-    pytest.param("1e28,1\n", False, id="power-above-27"),
-    pytest.param("1e-28,1\n", False, id="power-below-27"),
-    pytest.param("0.0000000000000000000000000001,1\n", False, id="fraction-beyond-27"),
-    pytest.param("1e400,1\n", False, id="overflow"),
-    pytest.param("1e18446744073709551617,1\n", False, id="saturating-exponent"),
-    pytest.param(f"{MIDPOINT}\n" * 65, False, id="midpoints-beyond-the-chunk-cap"),
     pytest.param("1e27,-1e-27,1e+027\n", True, id="powers-at-27"),
     pytest.param("0000000000000000000000001.5,2\n", True, id="leading-zeros"),
     pytest.param("1.,.5,-.5e1\n", True, id="bare-dot-sides"),
     pytest.param("-0,-0.0e0,+0\n", True, id="signed-zeros"),
     pytest.param("1,2\n3,4", True, id="no-last-newline"),
     pytest.param("5\n", True, id="one-value"),
-    pytest.param(f"{TRAP},{MIDPOINT},-{TRAP}\n", True, id="midpoints-read-by-float"),
-    pytest.param(f"{MIDPOINT}\n" * 64, True, id="midpoints-at-the-chunk-cap"),
+    pytest.param("1,2\n3,4\n\n\n", True, id="closing-blank-lines"),
+    pytest.param("1,2\n3,4\n\n", True, id="closing-blank-line"),
+    # float() reads the fields the exact route cannot
+    pytest.param(f"{TRAP},{MIDPOINT},-{TRAP}\n", True, id="midpoints"),
+    pytest.param("12345678901234567890,1\n", True, id="20-digit-mantissa"),
+    pytest.param("-99999999999999999999,1\n", True, id="saturating-mantissa"),  # uint64 caps it
+    pytest.param("1e28,-1e-28,1.2345678901234567e-12\n", True, id="powers-beyond-27"),
+    pytest.param("0.0000000000000000000000000001,1\n", True, id="fraction-beyond-27"),
+    pytest.param("1e400,-1e-400,5e-324\n", True, id="overflow-underflow-subnormal"),
+    pytest.param("1e18446744073709551617,1e-18446744073709551617\n", True, id="saturating-exponent"),
 ]
 
 
@@ -643,7 +640,7 @@ def test_table_reader_corpus_reads_as_loadtxt(tmp_path, body, fast):
     assert _parsed_sample(text, tmp_path) == want
 
 
-def test_table_reader_rereads_midpoints_with_float(tmp_path):
+def test_table_reader_reads_midpoints_with_float(tmp_path):
     assert [int(p) for p in cli._POW10_LD] == [10 ** k for k in range(28)]  # exact powers
     path = tmp_path / "r.csv"
     path.write_text(f"a\n{TRAP}\n")
@@ -659,7 +656,7 @@ def test_table_reader_reads_a_table_in_chunks(tmp_path, monkeypatch):
     values = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-9, 9, (300, 3))
     lines = [",".join(map(repr, row)) for row in values.tolist()]
     monkeypatch.setattr(cli, "_TABLE_CHUNK", 37)
-    for body in ("\n".join(lines) + "\n", "\n".join(lines)):
+    for body in ("\n".join(lines) + "\n", "\n".join(lines), "\n".join(lines) + "\n" * 100):
         path = tmp_path / "r.csv"
         path.write_text("omega_rad_fs,r_real,r_imag\n" + body)
         got, called = _read_as_loadtxt(path)
