@@ -605,7 +605,7 @@ TABLE_CORPUS = [
     pytest.param("1,2\n3,4\n\n\n", True, id="closing-blank-lines"),
     pytest.param("1,2\n3,4\n\n", True, id="closing-blank-line"),
     # float() reads the fields the exact route cannot
-    pytest.param(f"{TRAP},{MIDPOINT},-{TRAP}\n", True, id="midpoints"),
+    pytest.param(f"{TRAP},{MIDPOINT},-{TRAP}\n", True, id="midpoints-read-by-float"),
     pytest.param("12345678901234567890,1\n", True, id="20-digit-mantissa"),
     pytest.param("-99999999999999999999,1\n", True, id="saturating-mantissa"),  # uint64 caps it
     pytest.param("1e28,-1e-28,1.2345678901234567e-12\n", True, id="powers-beyond-27"),
@@ -640,7 +640,7 @@ def test_table_reader_corpus_reads_as_loadtxt(tmp_path, body, fast):
     assert _parsed_sample(text, tmp_path) == want
 
 
-def test_table_reader_reads_midpoints_with_float(tmp_path):
+def test_table_reader_rereads_midpoints_with_float(tmp_path):
     assert [int(p) for p in cli._POW10_LD] == [10 ** k for k in range(28)]  # exact powers
     path = tmp_path / "r.csv"
     path.write_text(f"a\n{TRAP}\n")
