@@ -938,11 +938,12 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     points per axis, or one too coarse for a joint_spectrum or schmidt task's
     spectrum, is rejected before anything is computed or written, and so is an
     oct_scan whose pump path is not synchronized (T2 != 0). A task whose
-    written series holds a non-finite value fails with NumericalConsistencyError,
-    and no file of the run is written. On task failure its partial outputs are
-    removed and the original exception propagates with a note naming the task.
-    A run that fails after making its output directory removes each directory
-    it made, deepest first, while that one is empty.
+    written series holds a non-finite value fails with NumericalConsistencyError.
+    A failed task's exception propagates with its type and a note naming the
+    task. No file is written before every task has run; how the files are
+    staged is ``_write_run``'s rule. A run that fails after making its output
+    directory removes each directory it made, deepest first, while that one is
+    empty.
     """
     points = scenario.grid_points
     if points < MIN_GRID_POINTS:
@@ -969,7 +970,14 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
 
 
 def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
-    """run_scenario's tasks, written into target with their manifest."""
+    """run_scenario's tasks, written into target with their manifest.
+
+    Every file, the manifest last, is first written as ``<name>.tmp``, and only
+    then is each renamed onto its name. A failure while staging removes every
+    temporary, so no file in target is replaced. Each rename is atomic within
+    target, but a failure among them leaves the files renamed so far beside
+    the older ones.
+    """
     try:
         target.mkdir(parents=True, exist_ok=True)
         probe = target / ".write_probe"
@@ -978,45 +986,20 @@ def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
     except OSError as exc:
         raise ScenarioError(f"output directory not writable: {target}: {exc}") from exc
 
-    results = {}
+    data, names, seconds, convergence, extras = {}, {}, {}, {}, {}
     for task in scenario.tasks:
         t0 = time.perf_counter()
-        files, conv, extras = _noted(task, _TASK_FN[task], scenario, points)
-        results[task] = (files, conv, extras, time.perf_counter() - t0)
-
-    manifest_files: dict = {}
-    seconds: dict = {}
-    convergence: dict = {}
-    extras_all: dict = {}
-    hashes = []
-    for task in scenario.tasks:
-        files, conv, extras, secs = results[task]
-        written = []
-        tmp = None
-        try:
-            for name, content in sorted(files.items()):
-                data = content.encode()  # the bytes hashed are the bytes written
-                tmp = target / (name + ".tmp")
-                tmp.write_bytes(data)
-                os.replace(tmp, target / name)
-                tmp = None
-                written.append(name)
-                hashes.append((name, hashlib.sha256(data).hexdigest()))
-        except OSError:
-            if tmp is not None:
-                tmp.unlink(missing_ok=True)
-            for name in written:
-                (target / name).unlink(missing_ok=True)
-            raise
-        manifest_files[task] = written
-        seconds[task] = round(secs, 6)
+        files, conv, extras[task] = _noted(task, _TASK_FN[task], scenario, points)
+        seconds[task] = round(time.perf_counter() - t0, 6)
+        names[task] = sorted(files)
+        for name in names[task]:  # the bytes hashed are the bytes written
+            data[name] = files.pop(name).encode()  # no text outlives its bytes
         # NaN fails the gate; only a check that could not run may report none
         conv["flagged"] = conv["method"] != "unavailable" and not (
             conv["delta"] <= CONVERGENCE_GATE
         )
         conv["gate"] = CONVERGENCE_GATE
         convergence[task] = conv
-        extras_all[task] = extras
 
     scen = hashlib.sha256(render_scenario(scenario).encode())
     if isinstance(scenario.sample, TabulatedSample):
@@ -1024,19 +1007,23 @@ def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
         scen.update(scenario.sample.omega)
         scen.update(scenario.sample.r)
     h = scen.copy()
-    for name, digest in sorted(hashes):
-        h.update(f"{name}:{digest}".encode())
-    manifest = RunManifest(
-        scenario_digest=scen.hexdigest(),
-        digest=h.hexdigest(),
-        grid_points=points,
-        files=manifest_files,
-        seconds=seconds,
-        convergence=convergence,
-        extras=extras_all,
-    )
-    payload = dataclasses.asdict(manifest)
-    (target / "run_manifest.json").write_text(json.dumps(payload, indent=2) + "\n")
+    for name in sorted(data):
+        h.update(f"{name}:{hashlib.sha256(data[name]).hexdigest()}".encode())
+    manifest = RunManifest(scenario_digest=scen.hexdigest(), digest=h.hexdigest(),
+                           grid_points=points, files=names, seconds=seconds,
+                           convergence=convergence, extras=extras)
+    data["run_manifest.json"] = (json.dumps(dataclasses.asdict(manifest), indent=2) + "\n").encode()
+    staged = []
+    try:
+        for name, content in data.items():
+            staged.append(target / (name + ".tmp"))  # before the write: a partial one goes too
+            staged[-1].write_bytes(content)
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, name in zip(staged, data):
+        os.replace(tmp, target / name)
     return manifest
 
 
@@ -1087,7 +1074,7 @@ def main(argv=None) -> int:
         if args.grid_points is not None:
             scenario = dataclasses.replace(scenario, grid_points=args.grid_points)
         manifest = run_scenario(scenario, out_dir=args.out)
-    except (ScenarioError, GridResolutionError, AnalysisError, ValueError) as exc:
+    except (ScenarioError, GridResolutionError, AnalysisError, ValueError, OSError) as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return 1
     except NumericalConsistencyError as exc:

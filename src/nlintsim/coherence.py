@@ -228,8 +228,7 @@ class PairCorrelator:
     one half and reduces each for ws and for its mirror -ws. Its point count
     is odd, so ``coarse_correlation`` takes ``omega_s[::2]`` by the embedded
     coarse rule of ``_pump_quadrature``: the halved-resolution check. Instances
-    are read-only after construction; distinct delay batches may be evaluated
-    concurrently against one instance.
+    are read-only after construction.
     """
 
     def __init__(
@@ -244,8 +243,6 @@ class PairCorrelator:
     ):
         if resolution <= 0:
             raise ValueError("resolution must be positive")
-        self.crystal = crystal
-        self.pump = pump
         self.t2_fs = float(t2_fs)
         t0 = pump.t0_fs
         dl = crystal.dl

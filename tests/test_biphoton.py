@@ -776,45 +776,28 @@ def test_schmidt_task_starts_the_run_grid_at_the_coarse_block(row_passes, points
     assert payload["entropy_bits"] == doubled.entropy_bits
 
 
-@pytest.mark.parametrize("bad,reason", [
-    pytest.param(np.nan, "non-finite amplitude", id="nan"),
-    pytest.param(0.0, "zero amplitude", id="zero"),
+@pytest.mark.parametrize("n,bad,reason", [
+    pytest.param(1024, np.nan, "non-finite amplitude", id="nan"),
+    pytest.param(1024, 0.0, "zero amplitude", id="zero"),
+    pytest.param(1025, np.nan, "non-finite amplitude", id="odd-sectors-nan"),
+    pytest.param(1025, 0.0, "zero amplitude", id="odd-sectors-zero"),
 ])
-def test_streamed_schmidt_fails_on_a_bad_amplitude(monkeypatch, bad, reason):
+def test_streamed_schmidt_fails_on_a_bad_amplitude(monkeypatch, n, bad, reason):
     pump = gamma_pump(CRYSTAL, 1.0)
-    grid = make_frequency_grid(CRYSTAL, pump, 1024)
+    grid = make_frequency_grid(CRYSTAL, pump, n)
     original = biphoton.pump_amplitude
 
     def bad_pump(p, omega):
         f = original(p, omega)
         if bad == 0.0:
             return np.zeros_like(f)
-        f[f.size // 2] = bad  # the pump peak, which every row and column block reads
+        # the pump peak, which every row and column block reads; on an odd grid the
+        # anti-diagonal, which the top rows and every Ritz block read
+        f[f.size // 2] = bad
         return f
 
     monkeypatch.setattr(biphoton, "pump_amplitude", bad_pump)
-    with pytest.raises(NumericalConsistencyError, match=f"1024x1024 grid.*{reason}"):
-        schmidt_rows("exact", CRYSTAL, pump, grid)
-
-
-@pytest.mark.parametrize("bad,reason", [
-    pytest.param(np.nan, "non-finite amplitude", id="odd-sectors-nan"),
-    pytest.param(0.0, "zero amplitude", id="odd-sectors-zero"),
-])
-def test_sector_schmidt_fails_on_a_bad_amplitude(monkeypatch, bad, reason):
-    pump = gamma_pump(CRYSTAL, 1.0)
-    grid = make_frequency_grid(CRYSTAL, pump, 1025)
-    original = biphoton.pump_amplitude
-
-    def bad_pump(p, omega):
-        f = original(p, omega)
-        if bad == 0.0:
-            return np.zeros_like(f)
-        f[f.size // 2] = bad  # the anti-diagonal, which the top rows and every Ritz block read
-        return f
-
-    monkeypatch.setattr(biphoton, "pump_amplitude", bad_pump)
-    with pytest.raises(NumericalConsistencyError, match=f"1025x1025 grid.*{reason}"):
+    with pytest.raises(NumericalConsistencyError, match=f"{n}x{n} grid.*{reason}"):
         schmidt_rows("exact", CRYSTAL, pump, grid)
 
 

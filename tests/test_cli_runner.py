@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -179,6 +180,17 @@ INVALID_NUMBERS = [
         MINIMAL + f"\n[sample]\ntype = tabulated\nfile = {Path(__file__).parent}\n",
         "[sample] file: not a file", id="sample-file-is-directory",
     ),
+    pytest.param(
+        MINIMAL + f"\n[sample]\ntype = tabulated\nfile = {Path(__file__).parent / 'absent.csv'}\n",
+        f"[sample] file: no such file: {Path(__file__).parent / 'absent.csv'}",
+        id="sample-file-absent",
+    ),
+    pytest.param(MINIMAL.replace("run = schmidt", "run = ,"),
+                 "[tasks] run: at least one task required", id="tasks-run-no-task"),
+    pytest.param(MINIMAL.replace("run = schmidt", "run = schmidt, schmidt"),
+                 "[tasks] run: duplicate task names", id="tasks-run-duplicate"),
+    pytest.param(MINIMAL + "\n[output]\ndirectory =\n", "[output] directory: empty value",
+                 id="output-directory-empty"),
 ]
 
 
@@ -375,6 +387,10 @@ def test_fresnel_bilayer_needs_positive_indices(tmp_path, capsys, n_before, n_sl
 
 
 @pytest.mark.parametrize("text,message", [
+    pytest.param(MINIMAL.replace("[crystal]\npreset = mgo_linbo3\nlength_mm = 5.0\n", ""),
+                 "missing required section [crystal]", id="crystal-section"),
+    pytest.param(MINIMAL.replace("[pump]\nt0_fs = 212.0\n", ""),
+                 "missing required section [pump]", id="pump-section"),
     pytest.param(MINIMAL.replace("run = schmidt", ""), "missing [tasks] run = <task, ...>",
                  id="tasks-run"),
     pytest.param(MINIMAL + "\n[sample]\ntype = tabulated\n", "[sample] tabulated needs file",
@@ -390,6 +406,18 @@ def test_fresnel_bilayer_needs_positive_indices(tmp_path, capsys, n_before, n_sl
 ])
 def test_required_key_absent_rejected_before_compute(tmp_path, capsys, text, message):
     _assert_rejected_before_compute(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize("body,message", [
+    pytest.param("2,0.2,0\n-2,0.2,0\n", "tabulated omega grid must be strictly ascending",
+                 id="descending"),
+    pytest.param("-2,1.2,0\n2,0.2,0\n", "tabulated |r| exceeds 1", id="r-above-1"),
+])
+def test_invalid_table_rejected_before_compute(tmp_path, capsys, body, message):
+    table = tmp_path / "r.csv"
+    table.write_text("omega_rad_fs,r_real,r_imag\n" + body)
+    text = MINIMAL + f"\n[sample]\ntype = tabulated\nfile = {table}\n"
+    _assert_rejected_before_compute(tmp_path, capsys, text, f"[sample] invalid parameters: {message}")
 
 
 FLOAT_TEXT = st.one_of(
@@ -1037,6 +1065,87 @@ def test_failed_run_removes_only_the_directories_it_made(tmp_path, monkeypatch, 
     assert _tree(root) == before
 
 
+class _DiskFull(OSError):
+    """A write that found no room on its device."""
+
+
+PULSED_OCT_FILES = ["interferogram.csv", "peaks.json", "spectrum.csv", "run_manifest.json"]
+
+
+def _fail_staging(monkeypatch, name):
+    # a run writes each file by Path.write_bytes: the one staged for ``name`` stops
+    # after a few bytes, as a full disk would stop it
+    write_bytes = Path.write_bytes
+
+    def write(path, data):
+        if path.name != name + ".tmp":
+            return write_bytes(path, data)
+        write_bytes(path, data[:16])
+        raise _DiskFull(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(Path, "write_bytes", write)
+
+
+@pytest.mark.parametrize("name", PULSED_OCT_FILES)
+@pytest.mark.parametrize("out,before", [
+    pytest.param("fresh/nested", {}, id="fresh-nested-path"),
+    pytest.param("out", {"out": None, **{f"out/{n}": f"earlier {n}\n".encode()
+                                         for n in PULSED_OCT_FILES}}, id="earlier-run"),
+])
+def test_failed_write_replaces_no_file(tmp_path, monkeypatch, out, before, name):
+    root = tmp_path / "root"
+    root.mkdir()
+    for path, content in before.items():
+        if content is None:
+            (root / path).mkdir()
+        else:
+            (root / path).write_bytes(content)
+    scenario = parse_scenario((SCENARIO_DIR / "oct_long_crystal_pulsed.ini").read_text())
+    _fail_staging(monkeypatch, name)
+    with pytest.raises(_DiskFull) as info:
+        run_scenario(scenario, out_dir=root / out)
+    assert type(info.value) is _DiskFull
+    assert _tree(root) == before
+
+
+def test_cli_reports_a_failed_write(tmp_path, monkeypatch, capsys):
+    _fail_staging(monkeypatch, "spectrum.csv")
+    out = tmp_path / "out"
+    assert main(["run", str(SCENARIO_DIR / "oct_long_crystal_pulsed.ini"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No space left on device" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["run_scenario", "cli"])
+def test_unwritable_output_directory_rejected_before_compute(tmp_path, monkeypatch, capsys, route):
+    def forbidden(scenario, points):
+        raise AssertionError("a task ran")
+
+    scen = tmp_path / "s.ini"
+    scen.write_text(MINIMAL)
+    # root writes where file modes forbid it, so the probe's write fails by a patch
+    write_text = Path.write_text
+
+    def read_only(path, *args, **kwargs):
+        if path.name == ".write_probe":
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", read_only)
+    monkeypatch.setitem(cli._TASK_FN, "schmidt", forbidden)
+    out = tmp_path / "out" / "nested"
+    message = f"output directory not writable: {out}: [Errno 13] Permission denied"
+    if route == "run_scenario":
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            run_scenario(parse_scenario(MINIMAL), out_dir=out)
+    else:
+        assert main(["run", str(scen), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("method,flagged", [
     ("halved-resolution", True),
     ("unavailable", False),
@@ -1260,6 +1369,23 @@ def test_cli_grid_points_override_is_in_the_scenario_digest(tmp_path):
     assert manifests["256"]["scenario_digest"] != manifests["384"]["scenario_digest"]
     for key in ("grid_points", "scenario_digest", "digest"):
         assert manifests["384"][key] == manifests["file-384"][key]
+
+
+def test_cli_format_override_is_in_the_scenario_digest(tmp_path):
+    # --format json runs the scenario whose [output] format is json, digests included
+    text = OCT_SCENARIO.replace("run = oct_scan, g1_scan", "run = g1_scan")
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+    edited = tmp_path / "edited.ini"
+    edited.write_text(text + "\n[output]\nformat = json\n")
+    manifests = {}
+    for name, args in {"override": [str(scen), "--format", "json"], "file": [str(edited)]}.items():
+        out = tmp_path / name
+        assert main(["run", *args, "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["g1_scan.json", "run_manifest.json"]
+        manifests[name] = json.loads((out / "run_manifest.json").read_text())
+    for key in ("files", "scenario_digest", "digest"):
+        assert manifests["override"][key] == manifests["file"][key]
 
 
 TABULATED_OCT = """
