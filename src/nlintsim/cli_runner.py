@@ -220,21 +220,37 @@ def _read_table(path: Path) -> np.ndarray:
     Below an ASCII header line without CR, a body of ``[sign]digits[.digits]``
     ``[e[sign]digits]`` fields, every row as wide as the first, and blank lines
     only at its end, is read ``_TABLE_CHUNK`` bytes at a time. np.loadtxt reads
-    any other table whole: one with whitespace, ``#``, CRLF, other blank lines,
+    any other table: one with whitespace, ``#``, CRLF, other blank lines,
     ``nan``, ``inf`` or ``E``, ragged rows or an empty body, and every table
-    where long double is not x87's.
+    where long double is not x87's. It reads only the rest of the file from a
+    chunk after the first on, and the whole file when the rest fails, so that
+    its error names the row in the file.
     """
     blocks = []
     with open(path, "rb") as f:
         header = f.readline()
+        offset = len(header)  # where the chunk being read starts
         if _EXTENDED and header.isascii() and b"\r" not in header:
             for chunk in _whole_lines(f):
-                blocks.append(_table_chunk(chunk, blocks[0].shape[1] if blocks else 0))
-                if blocks[-1] is None:
-                    blocks = []
+                block = _table_chunk(chunk, blocks[0].shape[1] if blocks else 0)
+                if block is None:
                     break
-    if blocks:
-        return np.concatenate(blocks)
+                blocks.append(block)
+                offset += len(chunk)
+            else:
+                if blocks:
+                    return np.concatenate(blocks)
+    if blocks:  # a later chunk failed
+        try:
+            with open(path) as f, warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a rest of comments holds no data
+                f.seek(offset)
+                rest = np.loadtxt(f, delimiter=",", ndmin=2)
+        except (ValueError, OSError):
+            pass  # the whole file's read below raises it, naming the row in the file
+        else:
+            if rest.size == 0 or rest.shape[1] == blocks[0].shape[1]:
+                return np.concatenate([*blocks, rest.reshape(-1, blocks[0].shape[1])])
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
@@ -951,8 +967,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     _check_jsi_stride(scenario.tasks, scenario.jsi_stride, points)
     grid_tasks = [task for task in scenario.tasks if task in ("joint_spectrum", "schmidt")]
     if grid_tasks:  # checks the grid without building it
-        _noted(grid_tasks[0], _resolved_half_width, scenario.crystal, scenario.pump, points,
-               scenario.grid_half_width)
+        _noted(f"task {grid_tasks[0]}", _resolved_half_width, scenario.crystal, scenario.pump,
+               points, scenario.grid_half_width)
     if "oct_scan" in scenario.tasks:  # a depth scan needs the pump and idler pulses to meet
         _build("geometry", oct_scan._require_synchronized, scenario.effective_geometry(),
                scenario.crystal)
@@ -973,10 +989,10 @@ def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
     """run_scenario's tasks, written into target with their manifest.
 
     Every file, the manifest last, is first written as ``<name>.tmp``, and only
-    then is each renamed onto its name. A failure while staging removes every
-    temporary, so no file in target is replaced. Each rename is atomic within
-    target, but a failure among them leaves the files renamed so far beside
-    the older ones.
+    then is each renamed onto its name. A failure while staging gets the note
+    ``writing <name>`` and removes every temporary, so no file in target is
+    replaced. Each rename is atomic within target, but a failure among them
+    leaves the files renamed so far beside the older ones.
     """
     try:
         target.mkdir(parents=True, exist_ok=True)
@@ -989,7 +1005,7 @@ def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
     data, names, seconds, convergence, extras = {}, {}, {}, {}, {}
     for task in scenario.tasks:
         t0 = time.perf_counter()
-        files, conv, extras[task] = _noted(task, _TASK_FN[task], scenario, points)
+        files, conv, extras[task] = _noted(f"task {task}", _TASK_FN[task], scenario, points)
         seconds[task] = round(time.perf_counter() - t0, 6)
         names[task] = sorted(files)
         for name in names[task]:  # the bytes hashed are the bytes written
@@ -1017,7 +1033,7 @@ def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
     try:
         for name, content in data.items():
             staged.append(target / (name + ".tmp"))  # before the write: a partial one goes too
-            staged[-1].write_bytes(content)
+            _noted(f"writing {name}", staged[-1].write_bytes, content)
     except BaseException:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
@@ -1027,12 +1043,12 @@ def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
     return manifest
 
 
-def _noted(task: str, fn, *args):
-    """fn(*args); what it raises keeps its type and gets the note ``task <task>`` (add_note)."""
+def _noted(note: str, fn, *args):
+    """fn(*args); what it raises keeps its type and gets ``note`` (add_note)."""
     try:
         return fn(*args)
     except Exception as exc:
-        exc.__notes__ = [*getattr(exc, "__notes__", ()), f"task {task}"]
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
         raise
 
 

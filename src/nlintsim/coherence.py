@@ -26,12 +26,12 @@ arbitrary r(w). It reproduces the closed form to within its sinc^2 tail cut
 and stays the closed form's test oracle. The idler integral is reduced once
 per correlator (``_pump_quadrature``) as the square of the signed sinc block
 ``_kernel_block``, built by BLAS products of 1-D trig values, against
-r*(wi) e^{i wi T2} read once per point of one 1-D idler lattice (the joint
-spectrum takes the block unsquared). The pump and the phase matching are
-even, and the signal and pump axes are exactly antisymmetric
-(``_symmetric_axis``), so the block row at -ws is the row at ws reversed:
-only the rows ws <= 0 are built, each reduced against f(wi) for ws and
-against f(-wi) for -ws. The signal-frequency sum over a uniform delay axis
+r*(wi) e^{i wi T2} on one 1-D idler lattice, evaluated by each chunk of rows
+on the lattice points they read (the joint spectrum takes the block
+unsquared). The pump and the phase matching are even, and the signal and
+pump axes are exactly antisymmetric (``_symmetric_axis``), so the block row
+at -ws is the row at ws reversed: only the rows ws <= 0 are built, each
+reduced against f(wi) for ws and against f(-wi) for -ws. The signal-frequency sum over a uniform delay axis
 is then a chirp-z transform (Bluestein's algorithm), so a scan of K delays over N signal
 frequencies costs O((N + K) log(N + K)) rather than O(N K). The route's convergence
 check is a coarse rule embedded in the same nodes. Every streamed kernel evaluation,
@@ -46,6 +46,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics_model import (
     C_MM_FS,
@@ -553,16 +554,13 @@ def _pump_quadrature(
     ones reversed.
 
     With a sample, u is the lattice axis: wi = kappa h, and row n reads the
-    lattice indices kappa = ((N-1)/2 - n) m - n_u // 2 + j. Chunks run from
-    the last row built down to row 0, so outward from the middle. Each
-    evaluates f once on the points it reads, min(m, n_u) per row plus the
-    first row's tail (which the next chunk reuses), and sees them as the
-    (ws, u) block through a strided view with row stride -min(m, n_u); the
-    mirror rows read f(-wi) through the same view. Near the middle, f(-wi) at kappa is f at -kappa, which the chunk
-    holds already; copied from there, it leaves r evaluated at as many
-    points as the whole axis reads, with two f buffers per chunk. The real
-    weighted block is reduced against that view's (re, im) pairs, so no
-    complex block and no 2-D interpolation is formed.
+    lattice indices kappa = ((N-1)/2 - n) m - n_u // 2 + j. Each chunk of c
+    rows evaluates f(wi) and f(-wi) on the (c - 1) p + n_u points its rows
+    read, p = min(m, n_u), into one buffer pair allocated for the largest
+    chunk, and sees them as the (ws, u) block through a sliding-window view
+    with row stride -p. The real weighted block is reduced against that
+    view's (re, im) pairs, so no complex block and no 2-D interpolation is
+    formed.
 
     Returns R, and R on ``omega_s[::2]`` by the embedded coarse rule of Romberg
     integration: the trapezoid rule at twice the step on nodes of this one, at
@@ -605,37 +603,26 @@ def _pump_quadrature(
     out = np.empty(n_s, dtype=complex)
     coarse = np.empty(n_s, dtype=complex) if thin else out
     buffers = np.empty((2, (chunk - 1) * p + n_u), dtype=complex)
-    for hi in range(top, 0, -chunk):
-        lo = max(0, hi - chunk)
+    # window w of each buffer reads its (re, im) pairs from w p to w p + n_u - 1
+    windows = sliding_window_view(buffers.view(np.float64).reshape(2, -1, 2), (n_u, 2),
+                                  axis=(1, 2))[:, ::p, 0]
+    for lo in range(0, top, chunk):
+        hi = min(lo + chunk, top)
         rows = hi - lo
         size = (rows - 1) * p + n_u
-        fs = buffers[:, :size]
-        if hi == top:
-            kept = 0
-        else:  # the previous (full) chunk's first row's tail, which this chunk's last row reads
-            kept = n_u - p
-            fs[:, :kept] = buffers[:, chunk * p : chunk * p + kept]
-        # position q holds column q % p of row hi - 1 - q // p; each kappa is
-        # a sum of whole or half numbers, exact, so wi(-kappa) = -wi(kappa)
-        first = kept // p
+        # position q holds column q % p of row hi - 1 - q // p, so row lo + r
+        # reads window rows - 1 - r
         start = ((n_s - 1) / 2.0 - (hi - 1)) * m - n_u // 2  # row hi - 1's first kappa
-        rows_kappa = np.arange(first, -(-size // p)) * float(m) + start
-        kappa = np.add.outer(rows_kappa, np.arange(p, dtype=float))
-        wi = kappa.ravel()[kept - first * p : size - first * p]
+        kappa = np.add.outer(np.arange(-(-size // p)) * float(m) + start, np.arange(p, dtype=float))
+        wi = kappa.ravel()[:size]
         wi *= h
-        if hi == top:
-            # the mirrors of the first size - skip points are points of this
-            # chunk, reversed; only the rest of f(-wi) is new
-            skip = (n_s - lo - hi) * p
-            _idler_factor(sample, t2_fs, wi, fs[0])
-            fs[1, : size - skip] = fs[0, : size - skip][::-1]
-            _idler_factor(sample, t2_fs, -wi[size - skip :], fs[1, size - skip :])
-        else:
-            _idler_factor(sample, t2_fs, wi, fs[0, kept:], fs[1, kept:])
+        fs = buffers[:, :size]
+        _idler_factor(sample, t2_fs, wi, fs[0])
+        _idler_factor(sample, t2_fs, -wi, fs[1])
         block = _kernel_block(kernel, b[lo:hi], columns, work[:, :rows])
         block *= block
         block *= pump_row
-        views = [_lattice_view(f, rows, n_u, p) for f in fs]
+        views = windows[:, rows - 1 :: -1]
         out[lo:hi] = (block[:, None, :] @ views[0]).view(complex).ravel()
         k = min(hi, paired) - lo
         mirror = (block[:k, None, :] @ views[1][:k]).view(complex).ravel()
@@ -649,28 +636,8 @@ def _pump_quadrature(
     return out, coarse[::2]
 
 
-def _idler_factor(sample: SampleModel, t2_fs: float, wi: np.ndarray, f, f_mirror=None) -> None:
-    """Write f(wi) = r*(wi) e^{i wi T2} to ``f`` and, if given, f(-wi) to ``f_mirror``.
-
-    f(-wi) takes the conjugate of the phase e^{i wi T2}, which is e^{-i wi T2}.
-    """
+def _idler_factor(sample: SampleModel, t2_fs: float, wi: np.ndarray, f) -> None:
+    """Write f(wi) = r*(wi) e^{i wi T2} to ``f``."""
     np.conjugate(sample.reflectivity(wi), out=f)
-    if f_mirror is not None:
-        np.conjugate(sample.reflectivity(-wi), out=f_mirror)
     if t2_fs != 0.0:
-        phase = np.exp(1j * t2_fs * wi)
-        f *= phase
-        if f_mirror is not None:
-            f_mirror *= np.conjugate(phase, out=phase)
-
-
-def _lattice_view(f: np.ndarray, rows: int, n_u: int, p: int) -> np.ndarray:
-    """(rows, n_u, 2) view of f's (re, im) pairs: row r reads f[(rows - 1 - r) p + j]."""
-    pairs = f.view(np.float64)
-    step = pairs.itemsize
-    return np.lib.stride_tricks.as_strided(
-        pairs[2 * (rows - 1) * p :],
-        shape=(rows, n_u, 2),
-        strides=(-2 * p * step, 2 * step, step),
-        writeable=False,
-    )
+        f *= np.exp(1j * t2_fs * wi)

@@ -698,23 +698,6 @@ def test_reduction_near_zero_argument(sample):
     assert_matches_reference(omega_s, crystal=crystal, sample=sample, pump=pump)
 
 
-def assert_reads_each_lattice_point_once(omega_s, pump, monkeypatch):
-    monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", 20_000)
-    seen = []
-    reflectivity = TabulatedSample.reflectivity
-
-    def counting(self, omega_i):
-        seen.append(np.size(omega_i))
-        return reflectivity(self, omega_i)
-
-    monkeypatch.setattr(TabulatedSample, "reflectivity", counting)
-    _pump_quadrature(CRYSTAL, pump, omega_s, sample=TABULATED)
-    h_s = (omega_s[-1] - omega_s[0]) / (omega_s.size - 1)
-    u, m = _u_axis(CRYSTAL, pump, lattice_step=h_s)
-    assert len(seen) > 1
-    assert sum(seen) <= omega_s.size * min(m, u.size) + u.size
-
-
 LATTICE_PUMPS = pytest.mark.parametrize(
     "t0_fs", [500.0, 1e5], ids=["m-below-n_u", "m-above-n_u"]
 )
@@ -726,8 +709,43 @@ LATTICE_AXES = {**SYMMETRIC_AXES, "signal-axis": SIGNAL_AXIS}
 
 @pytest.mark.parametrize("axis", LATTICE_AXES)
 @LATTICE_PUMPS
-def test_mirrored_reduction_reads_each_lattice_point_once(t0_fs, axis, monkeypatch):
-    assert_reads_each_lattice_point_once(LATTICE_AXES[axis], PumpPulse(t0_fs), monkeypatch)
+def test_reduction_reads_each_chunks_lattice_points(t0_fs, axis, monkeypatch):
+    # each chunk of rows_c rows reads f(wi), then f(-wi), on the
+    # (rows_c - 1) p + n_u lattice points its rows read, p = min(m, n_u)
+    monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", 20_000)
+    omega_s, pump = LATTICE_AXES[axis], PumpPulse(t0_fs)
+    seen = []
+    reflectivity = TabulatedSample.reflectivity
+
+    def counting(self, omega_i):
+        seen.append(np.size(omega_i))
+        return reflectivity(self, omega_i)
+
+    monkeypatch.setattr(TabulatedSample, "reflectivity", counting)
+    _pump_quadrature(CRYSTAL, pump, omega_s, sample=TABULATED)
+    h_s = (omega_s[-1] - omega_s[0]) / (omega_s.size - 1)
+    u, m = _u_axis(CRYSTAL, pump, lattice_step=h_s)
+    top = (omega_s.size + 1) // 2
+    chunk = 20_000 // u.size
+    reads = [(min(chunk, top - lo) - 1) * min(m, u.size) + u.size for lo in range(0, top, chunk)]
+    assert seen == [n for n in reads for _ in range(2)]
+    assert sum(seen) == 2 * sum(reads)
+
+
+@pytest.mark.parametrize("axis", LATTICE_AXES)
+@pytest.mark.parametrize(
+    # the exact kernel's r = 1 matvec rounds by its chunk's shape
+    "case", [case for case in REDUCTION_CASES if case.id != "no-sample-exact"]
+)
+def test_reduction_is_bit_identical_for_every_block_size(case, axis, monkeypatch):
+    results = []
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", block)
+        kw = {"pump": PumpPulse(500.0), **case}
+        results.append(_pump_quadrature(CRYSTAL, kw.pop("pump"), LATTICE_AXES[axis], **kw))
+    for fine, coarse in results[1:]:
+        assert fine.tobytes() == results[0][0].tobytes()
+        assert coarse.tobytes() == results[0][1].tobytes()
 
 
 def slab_table(crystal, pump, d_um=20.0):
