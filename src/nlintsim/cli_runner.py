@@ -220,37 +220,21 @@ def _read_table(path: Path) -> np.ndarray:
     Below an ASCII header line without CR, a body of ``[sign]digits[.digits]``
     ``[e[sign]digits]`` fields, every row as wide as the first, and blank lines
     only at its end, is read ``_TABLE_CHUNK`` bytes at a time. np.loadtxt reads
-    any other table: one with whitespace, ``#``, CRLF, other blank lines,
+    any other table whole: one with whitespace, ``#``, CRLF, other blank lines,
     ``nan``, ``inf`` or ``E``, ragged rows or an empty body, and every table
-    where long double is not x87's. It reads only the rest of the file from a
-    chunk after the first on, and the whole file when the rest fails, so that
-    its error names the row in the file.
+    where long double is not x87's.
     """
     blocks = []
     with open(path, "rb") as f:
         header = f.readline()
-        offset = len(header)  # where the chunk being read starts
         if _EXTENDED and header.isascii() and b"\r" not in header:
             for chunk in _whole_lines(f):
-                block = _table_chunk(chunk, blocks[0].shape[1] if blocks else 0)
-                if block is None:
+                blocks.append(_table_chunk(chunk, blocks[0].shape[1] if blocks else 0))
+                if blocks[-1] is None:
+                    blocks = []
                     break
-                blocks.append(block)
-                offset += len(chunk)
-            else:
-                if blocks:
-                    return np.concatenate(blocks)
-    if blocks:  # a later chunk failed
-        try:
-            with open(path) as f, warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # a rest of comments holds no data
-                f.seek(offset)
-                rest = np.loadtxt(f, delimiter=",", ndmin=2)
-        except (ValueError, OSError):
-            pass  # the whole file's read below raises it, naming the row in the file
-        else:
-            if rest.size == 0 or rest.shape[1] == blocks[0].shape[1]:
-                return np.concatenate([*blocks, rest.reshape(-1, blocks[0].shape[1])])
+    if blocks:
+        return np.concatenate(blocks)
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 

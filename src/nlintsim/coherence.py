@@ -46,7 +46,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics_model import (
     C_MM_FS,
@@ -604,8 +603,8 @@ def _pump_quadrature(
     coarse = np.empty(n_s, dtype=complex) if thin else out
     buffers = np.empty((2, (chunk - 1) * p + n_u), dtype=complex)
     # window w of each buffer reads its (re, im) pairs from w p to w p + n_u - 1
-    windows = sliding_window_view(buffers.view(np.float64).reshape(2, -1, 2), (n_u, 2),
-                                  axis=(1, 2))[:, ::p, 0]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        buffers.view(np.float64).reshape(2, -1, 2), (n_u, 2), axis=(1, 2))[:, ::p, 0]
     for lo in range(0, top, chunk):
         hi = min(lo + chunk, top)
         rows = hi - lo

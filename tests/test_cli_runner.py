@@ -690,38 +690,17 @@ def test_table_reader_reads_a_table_in_chunks(tmp_path, monkeypatch):
         got, called = _read_as_loadtxt(path)
         assert not called
         _assert_same_reading(got, _loadtxt(path))
-    # rows of another width in later chunks send the whole table to np.loadtxt
+    # rows of another width in later chunks, or one line the fast path cannot
+    # read amid or after the later rows, send the whole table to np.loadtxt
     narrow = [line.rsplit(",", 1)[0] for line in lines[200:]]
-    path.write_text("omega_rad_fs,r_real,r_imag\n" + "\n".join(lines[:200] + narrow))
-    got, called = _read_as_loadtxt(path)
-    assert called
-    _assert_same_reading(got, _loadtxt(path))
-
-
-@pytest.mark.parametrize("late,whole", [
-    pytest.param("# end of table\n", False, id="closing-comment"),
-    pytest.param(" 1.5 , -2e3 ,\t7\n", False, id="whitespace-row"),
-    pytest.param("1.5,-2e3\n", True, id="ragged-row"),
-])
-def test_table_reader_reads_the_rest_after_a_late_failure(tmp_path, monkeypatch, late, whole):
-    # a line the fast path cannot read after its first chunk: np.loadtxt reads
-    # the file from that chunk on, and the whole file only for its error
-    rng = np.random.default_rng(4)
-    values = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-9, 9, (300, 3))
-    lines = [",".join(map(repr, row)) + "\n" for row in values.tolist()]
-    monkeypatch.setattr(cli, "_TABLE_CHUNK", 37)
-    path = tmp_path / "r.csv"
-    for at in (200, 300):  # amid the rows, and closing the table
-        path.write_text("omega_rad_fs,r_real,r_imag\n" + "".join(lines[:at]) + late + "".join(lines[at:]))
-        with mock.patch.object(np, "loadtxt", wraps=LOADTXT) as spy:
-            try:
-                got = cli._read_table(path)
-            except ValueError as exc:
-                got = exc
+    bodies = [lines[:200] + narrow]
+    for late in ("# end of table", " 1.5 , -2e3 ,\t7", "1.5,-2e3"):
+        bodies += [lines[:200] + [late] + lines[200:], lines + [late]]
+    for body in bodies:
+        path.write_text("omega_rad_fs,r_real,r_imag\n" + "\n".join(body))
+        got, called = _read_as_loadtxt(path)
+        assert called
         _assert_same_reading(got, _loadtxt(path))
-        assert isinstance(got, ValueError) is whole
-        read = [call.args[0] for call in spy.call_args_list]
-        assert read[1:] == ([path] if whole else []) and read[0] is not path
 
 
 def test_table_reader_without_x87_long_double_reads_every_table_with_loadtxt(tmp_path, monkeypatch):
