@@ -32,8 +32,6 @@ from .biphoton import (
     JointSpectrum,
     SchmidtReport,
     SignalSpectrum,
-    biphoton_exact,
-    biphoton_gaussian,
     gaussian_marginal_fwhm,
     joint_spectral_intensity,
     joint_spectrum_rows,

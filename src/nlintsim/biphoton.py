@@ -69,7 +69,6 @@ from .optics_model import (
     _symmetric_axis,
     _trapezoid_weights,
     pump_amplitude,
-    sinc,
 )
 
 NORMALIZATION_TOL = 1e-6
@@ -81,36 +80,6 @@ SCHMIDT_MASS_TOL = 1e-13
 
 # Smallest Schmidt coefficient that schmidt.json writes and schmidt_gaussian keeps.
 SCHMIDT_COEFF_FLOOR = 1e-12
-
-
-def biphoton_exact(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i):
-    """Sinc-kernel pair amplitude i sigma L F(ws + wi) sinc(dk L / 2)."""
-    ws = np.asarray(omega_s, dtype=float)
-    wi = np.asarray(omega_i, dtype=float)
-    return (
-        1j * crystal.sigma * crystal.length_mm
-        * pump_amplitude(pump, ws + wi)
-        * sinc(crystal.phase_mismatch(ws, wi) * crystal.length_mm / 2.0)
-    )
-
-
-def biphoton_gaussian(crystal: CrystalParams, pump: PumpPulse, omega_s, omega_i):
-    """Gaussian-approximated pair amplitude, analytically unit-normalized.
-
-    (alpha T0 |D| L / (sqrt(2) pi))^(1/2)
-        * exp[-(ws+wi)^2 T0^2 / 2] * exp[-alpha^2 (D L)^2 (ws-wi)^2 / 16]
-
-    D_plus is ignored by construction.
-    """
-    ws = np.asarray(omega_s, dtype=float)
-    wi = np.asarray(omega_i, dtype=float)
-    t0 = pump.t0_fs
-    dl = crystal.dl
-    pref = np.sqrt(SINC_GAUSS_ALPHA * t0 * dl / (np.sqrt(2.0) * np.pi))
-    return pref * np.exp(
-        -0.5 * ((ws + wi) * t0) ** 2
-        - (SINC_GAUSS_ALPHA * dl / 4.0) ** 2 * (ws - wi) ** 2
-    )
 
 
 @dataclass(frozen=True)
@@ -145,8 +114,9 @@ def joint_spectral_intensity(
 ) -> JointSpectrum:
     """Real pair amplitude F(ws + wi) PM(dk L / 2) on ``grid``, of unit quadrature sum.
 
-    ``kernel`` is "exact" (``biphoton_exact`` less its factor i) or "gaussian".
-    The amplitude is ``_amplitude_rows`` in one block of all N rows.
+    ``kernel`` is "exact" (the tests' pointwise amplitude less its i) or
+    "gaussian"; the amplitude is ``_amplitude_rows`` in one block of all N
+    rows. A norm that is not positive, NaN too, raises NumericalConsistencyError.
     """
     n = grid.n_points
     work = (np.empty((n, n)), np.empty((n, n)))
@@ -154,8 +124,8 @@ def joint_spectral_intensity(
     del work  # the scratch half is freed before the norm's N x N temporary
     w = grid.weights_s
     norm = w @ (amp * amp) @ w
-    if norm <= 0:
-        raise NumericalConsistencyError("joint spectrum has zero quadrature norm")
+    if not norm > 0:
+        raise NumericalConsistencyError("joint spectrum has no positive quadrature norm")
     amp /= np.sqrt(norm)
     return JointSpectrum(grid=grid, amplitude=amp)
 
@@ -588,8 +558,9 @@ def schmidt_rows(
                 del block
                 qs = [None if c is None else np.linalg.qr(c)[0] for c in qs]
             b = [None, None]
-            for i in live:
+            for i in live:  # B is s itself at Q = I, else Q^T s summed over the row blocks
                 mass[i] = 0.0
+                b[i] = np.empty((sizes[i], padded[i])) if qs[i] is None else np.zeros((qs[i].shape[1], padded[i]))
             folds = [np.zeros((height, width)) for width in padded]
             for lo, block in _amplitude_rows(kernel, crystal, pump, axis, np.empty((2, height, n)), top):
                 block *= sw[lo : lo + len(block), None]
@@ -598,12 +569,8 @@ def schmidt_rows(
                     part = fold(block[:, : sizes[i]], block[:, ::-1][:, : sizes[i]], i, lo, folds[i][: len(block)])
                     # einsum's own loop, not a BLAS dot: the sum is the same for any thread count
                     mass[i] += float(np.einsum("ij,ij->", part, part))
-                    if qs[i] is None:  # B = s, copied together from its row blocks
-                        if lo == 0:
-                            b[i] = np.empty((sizes[i], part.shape[1]))
+                    if qs[i] is None:
                         b[i][lo : lo + len(part)] = part
-                    elif lo == 0:
-                        b[i] = qs[i][: len(part)].T @ part
                     else:
                         b[i] += qs[i][lo : lo + len(part)].T @ part
             total = sum(mass)

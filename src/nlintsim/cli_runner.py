@@ -576,6 +576,16 @@ def _round9(values) -> list[float]:
     return [float(_fmt9(v)) for v in values]
 
 
+def _json(payload) -> str:
+    """``payload`` as indented JSON (RFC 8259): a NaN or infinity raises ValueError."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _or_null(x):
+    """None, written as JSON ``null``, for a NaN: a value that could not be computed."""
+    return None if np.isnan(x) else x
+
+
 def _require_finite(series: str, values) -> None:
     """Fail closed: a series about to be written must hold only finite numbers."""
     if not np.all(np.isfinite(values)):
@@ -599,11 +609,7 @@ def export_series(columns: list[str], rows, fmt: str) -> str:
     if fmt == "csv":
         return "".join([",".join(columns) + "\n", *_csv_blocks(table)])
     if fmt == "json":
-        payload = {
-            "columns": list(columns),
-            "rows": [_round9(row) for row in table],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json({"columns": list(columns), "rows": [_round9(row) for row in table]})
     raise ValueError(f"unknown export format {fmt!r}")
 
 
@@ -863,7 +869,7 @@ def _task_schmidt(scenario: Scenario, points: int):
     }
     for key, value in payload.items():
         _require_finite(key, value)
-    files = {"schmidt.json": json.dumps(payload, indent=2) + "\n"}
+    files = {"schmidt.json": _json(payload)}
     return files, conv, {"schmidt_number_K": float(report.schmidt_number_K)}
 
 
@@ -894,15 +900,12 @@ def _task_oct_scan(scenario: Scenario, points: int):
     rows = np.column_stack((ifg.delta_z_mm, ifg.flux / ifg.n_signal, ifg.envelope))
     files = _series(scenario, "interferogram", ["delta_z_mm", "flux_norm", "envelope"], rows)
     report = oct_scan.envelope_peaks(ifg)
-    files["peaks.json"] = json.dumps(
-        {
-            "positions_mm": _round9(report.positions_mm),
-            "separations_um": _round9(report.separations_um),
-            "fwhm_um": _round9(report.fwhm_um),
-            "resolved": report.resolved,
-        },
-        indent=2,
-    ) + "\n"
+    files["peaks.json"] = _json({
+        "positions_mm": _round9(report.positions_mm),
+        "separations_um": _round9(report.separations_um),
+        "fwhm_um": [_or_null(v) for v in _round9(report.fwhm_um)],
+        "resolved": report.resolved,
+    })
     return files, conv, {"n_peaks": len(report.positions_mm), "resolved": report.resolved}
 
 
@@ -1012,7 +1015,10 @@ def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
     manifest = RunManifest(scenario_digest=scen.hexdigest(), digest=h.hexdigest(),
                            grid_points=points, files=names, seconds=seconds,
                            convergence=convergence, extras=extras)
-    data["run_manifest.json"] = (json.dumps(dataclasses.asdict(manifest), indent=2) + "\n").encode()
+    record = dataclasses.asdict(manifest)  # a copy: the manifest keeps its NaN
+    for conv in record["convergence"].values():
+        conv["delta"] = _or_null(conv["delta"])
+    data["run_manifest.json"] = _json(record).encode()
     staged = []
     try:
         for name, content in data.items():

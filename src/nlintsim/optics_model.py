@@ -68,6 +68,7 @@ class CrystalParams:
 
     ``D`` keeps its sign (negative for the reference crystal); envelope
     widths always use |D|, the interferogram peak-shift factor needs the sign.
+    First-order phase mismatch: Delta k = D_plus (ws + wi) + D (ws - wi) / 2.
     """
 
     length_mm: float
@@ -113,14 +114,6 @@ class CrystalParams:
     def dl(self) -> float:
         """Unsigned group-delay spread |D| * L [fs]."""
         return abs(self.D) * self.length_mm
-
-    def phase_mismatch(self, omega_s, omega_i):
-        """First-order wave vector mismatch Delta k [rad/mm].
-
-        Delta k = D_plus*(omega_s + omega_i) + D*(omega_s - omega_i)/2 under a
-        first-order Taylor expansion with perfect matching at the carriers.
-        """
-        return self.D_plus * (omega_s + omega_i) + self.D * (omega_s - omega_i) / 2.0
 
 
 def _require_finite(kind: str, params) -> None:

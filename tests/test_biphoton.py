@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from nlintsim.biphoton import (
     JointSpectrum,
-    biphoton_exact,
-    biphoton_gaussian,
     bandwidth_nm,
     fwhm_interpolated,
     gaussian_marginal_fwhm,
@@ -33,6 +31,7 @@ from nlintsim.optics_model import (
     make_frequency_grid,
     mgo_linbo3_crystal,
 )
+from pair_amplitude import biphoton_exact, biphoton_gaussian
 
 CRYSTAL = mgo_linbo3_crystal(5.0)
 
@@ -197,6 +196,38 @@ def test_jsi_orientation_regimes():
         grid = make_frequency_grid(crystal, pump, n)
         corr = weighted_correlation(joint_spectral_intensity("gaussian", crystal, pump, grid))
         assert check(corr), f"T0={pump.t0_fs}: correlation {corr}"
+
+
+def plant_in_pump(monkeypatch, bad):
+    """Make biphoton's pump factor 0 everywhere (``bad`` = 0), else ``bad`` at its peak."""
+    original = biphoton.pump_amplitude
+
+    def bad_pump(p, omega):
+        f = original(p, omega)
+        if bad == 0.0:
+            return np.zeros_like(f)
+        # the pump peak, which every row and column block reads; on an odd grid the
+        # anti-diagonal, which the top rows and every Ritz block read
+        f[f.size // 2] = bad
+        return f
+
+    monkeypatch.setattr(biphoton, "pump_amplitude", bad_pump)
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+@pytest.mark.parametrize("build,bad", [
+    pytest.param(joint_spectral_intensity, np.nan, id="full-build-nan"),
+    pytest.param(joint_spectral_intensity, 0.0, id="full-build-zero"),
+    pytest.param(functools.partial(joint_spectrum_rows, stride=2), np.nan, id="rows-nan"),
+    pytest.param(functools.partial(joint_spectrum_rows, stride=2), 0.0, id="rows-zero"),
+])
+def test_jsa_builds_fail_on_a_bad_amplitude(monkeypatch, kernel, build, bad):
+    # a NaN norm is not positive either: no all-NaN amplitude is returned
+    pump = PumpPulse(212.0)
+    grid = make_frequency_grid(CRYSTAL, pump, 512)
+    plant_in_pump(monkeypatch, bad)
+    with pytest.raises(NumericalConsistencyError, match="no positive quadrature norm"):
+        build(kernel, CRYSTAL, pump, grid)
 
 
 def test_jsi_rejects_unknown_kernel():
@@ -785,18 +816,7 @@ def test_schmidt_task_starts_the_run_grid_at_the_coarse_block(row_passes, points
 def test_streamed_schmidt_fails_on_a_bad_amplitude(monkeypatch, n, bad, reason):
     pump = gamma_pump(CRYSTAL, 1.0)
     grid = make_frequency_grid(CRYSTAL, pump, n)
-    original = biphoton.pump_amplitude
-
-    def bad_pump(p, omega):
-        f = original(p, omega)
-        if bad == 0.0:
-            return np.zeros_like(f)
-        # the pump peak, which every row and column block reads; on an odd grid the
-        # anti-diagonal, which the top rows and every Ritz block read
-        f[f.size // 2] = bad
-        return f
-
-    monkeypatch.setattr(biphoton, "pump_amplitude", bad_pump)
+    plant_in_pump(monkeypatch, bad)
     with pytest.raises(NumericalConsistencyError, match=f"{n}x{n} grid.*{reason}"):
         schmidt_rows("exact", CRYSTAL, pump, grid)
 

@@ -33,6 +33,8 @@ from nlintsim.optics_model import (
     mgo_linbo3_crystal,
 )
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
 MINIMAL = """
 [crystal]
 preset = mgo_linbo3
@@ -133,6 +135,14 @@ def test_round_trip_canonical():
     for text in (MINIMAL, OCT_SCENARIO, *bundled):
         s = parse_scenario(text)
         assert parse_scenario(render_scenario(s)) == s
+
+
+def test_render_needs_a_tabulated_samples_file_name():
+    # a table given as arrays has no file for its canonical text to name
+    table = TabulatedSample(omega=(-1.0, 1.0), r=(0.5, 0.5))
+    s = dataclasses.replace(parse_scenario(MINIMAL), sample=table)
+    with pytest.raises(ScenarioError, match="tabulated sample has no source file to render"):
+        render_scenario(s)
 
 
 def _grid_line(line):
@@ -972,11 +982,57 @@ def test_peaks_json_carries_nine_significant_digits(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.oct_scan, "envelope_peaks", lambda ifg: report)
     run_scenario(parse_scenario(OCT_SCENARIO), out_dir=tmp_path)
     text = (tmp_path / "peaks.json").read_text()
-    assert "NaN" in text
+    assert "null" in text
     peaks = json.loads(text)
     assert peaks["positions_mm"] == [-0.0425752372, -5.18577781e-05]
     assert peaks["separations_um"] == [42.5233794]
-    assert np.isnan(peaks["fwhm_um"][0]) and peaks["fwhm_um"][1] == 28.9630126
+    assert peaks["fwhm_um"][0] is None and peaks["fwhm_um"][1] == 28.9630126
+
+
+def _strict_json(path):
+    # RFC 8259 has no NaN or Infinity: parse as jq and JSON.parse do, rejecting both
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+EXACT_SCHMIDT = MINIMAL.replace("kernel = gaussian", "kernel = exact")
+SMALLEST_EXACT_SCHMIDT = EXACT_SCHMIDT.replace("points = 512", "points = 256")
+# at this half width 300 points resolve the spectrum, and the coarsen check's 256 do not
+COARSE_UNRESOLVABLE = EXACT_SCHMIDT.replace("points = 512", "points = 300\nhalf_width_rad_fs = 0.22")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param((SCENARIO_DIR / "oct_long_crystal_pulsed.ini").read_text(),
+                 id="oct_long_crystal_pulsed"),
+    pytest.param(SMALLEST_EXACT_SCHMIDT, id="exact-schmidt-256"),
+    pytest.param(COARSE_UNRESOLVABLE, id="exact-schmidt-coarse-unresolvable"),
+])
+def test_every_json_file_of_a_run_is_strict_json(tmp_path, text):
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+    names = [path.name for path in sorted((tmp_path / "out").glob("*.json"))]
+    assert "run_manifest.json" in names
+    for name in names:
+        _strict_json(tmp_path / "out" / name)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(SMALLEST_EXACT_SCHMIDT, id="smallest-grid"),
+    pytest.param(COARSE_UNRESOLVABLE, id="coarse-grid-unresolvable"),
+])
+def test_unavailable_check_keeps_nan_and_writes_null(tmp_path, capsys, text):
+    manifest = run_scenario(parse_scenario(text), out_dir=tmp_path / "direct")
+    entry = manifest.convergence["schmidt"]
+    assert entry["method"] == "unavailable" and np.isnan(entry["delta"]) and not entry["flagged"]
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+    assert "(convergence nan, unavailable, ok)" in capsys.readouterr().out
+    written = _strict_json(tmp_path / "out" / "run_manifest.json")["convergence"]["schmidt"]
+    assert written == {**entry, "delta": None}
 
 
 def test_run_scenario_joint_spectrum_bundle(tmp_path):
@@ -1068,6 +1124,23 @@ def test_failed_run_removes_only_the_directories_it_made(tmp_path, monkeypatch, 
         assert main(["run", str(scen), "--out", str(root / out)]) == 1
         assert "error: task g1_scan: no half-maximum crossing" in capsys.readouterr().err
     assert _tree(root) == before
+
+
+def test_failed_run_stops_removing_at_a_directory_that_holds_a_file(tmp_path, monkeypatch):
+    # the run makes a, a/b and a/b/c; a file put in a/b while it runs keeps a/b, and
+    # the removal stops there, so a stays too, though it is empty
+    root = tmp_path / "root"
+    root.mkdir()
+
+    def fail(scenario, points):
+        (root / "a" / "b" / "other.txt").write_bytes(b"other")
+        raise cli.AnalysisError("no half-maximum crossing")
+
+    monkeypatch.setitem(cli._TASK_FN, "g1_scan", fail)
+    text = MINIMAL.replace("run = schmidt", "run = g1_scan")
+    with pytest.raises(cli.AnalysisError):
+        run_scenario(parse_scenario(text), out_dir=root / "a" / "b" / "c")
+    assert _tree(root) == {"a": None, "a/b": None, "a/b/other.txt": b"other"}
 
 
 class _DiskFull(OSError):
@@ -1710,9 +1783,6 @@ def test_quasi_cw_tabulated_oct_scan_task_stays_in_its_blocks():
 
 
 # ---------------------------------------------------------------- shipped recipes
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-
 
 def test_shipped_scenarios_parse():
     files = sorted(SCENARIO_DIR.glob("*.ini"))

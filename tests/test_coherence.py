@@ -242,6 +242,17 @@ def test_tabulated_sample_must_cover_quadrature_band():
         g1_scan(CRYSTAL, pump, geom, narrow, [0.0])
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: signal_spectrum(CRYSTAL, PumpPulse(212.0), resolution=0.0),
+                 id="signal_spectrum"),
+    pytest.param(lambda: PairCorrelator(CRYSTAL, PumpPulse(212.0), MIRROR, 0.0, 100.0,
+                                        resolution=0.0), id="PairCorrelator"),
+])
+def test_pump_quadratures_reject_a_zero_resolution(build):
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        build()
+
+
 # ---------------------------------------------------------------- closed form vs numeric
 
 THIN = mgo_linbo3_crystal(0.5)

@@ -174,6 +174,13 @@ def test_numeric_mirror_single_peak_at_zero():
     assert abs(report.positions_mm[0]) < 2e-3  # within two scan steps of zero
 
 
+def test_bilayer_scan_needs_a_bilayer():
+    crystal = mgo_linbo3_crystal(0.5)
+    dz = np.linspace(-0.1, 0.05, 64)
+    with pytest.raises(TypeError, match="needs a BilayerSample"):
+        interferogram_bilayer(crystal, QUASI_CW, synced(crystal), UniformSample(0.9), dz)
+
+
 # ------------------------------------------------------------- analytics
 
 def test_envelope_peaks_rejects_clipped_scan():
@@ -182,6 +189,13 @@ def test_envelope_peaks_rejects_clipped_scan():
     dz = np.linspace(-0.05, 0.05, 301)  # far inside the 0.79 mm envelope
     ifg = interferogram_bilayer(crystal, QUASI_CW, synced(crystal), sample, dz)
     with pytest.raises(AnalysisError, match="clipped"):
+        envelope_peaks(ifg)
+
+
+def test_envelope_peaks_rejects_a_zero_envelope():
+    dz = np.linspace(-1.0, 1.0, 201)
+    ifg = Interferogram(dz, np.ones(dz.size), np.zeros(dz.size), 1.0, False)
+    with pytest.raises(AnalysisError, match="envelope is identically zero"):
         envelope_peaks(ifg)
 
 

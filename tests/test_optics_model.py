@@ -66,6 +66,11 @@ def test_sigma_rejects_nonpositive():
         nonlinear_sigma(**dict(SIGMA_ARGS, n_p=-1.0))
 
 
+def test_sigma_rejects_a_negative_photon_number():
+    with pytest.raises(ValueError, match="photon number must be nonnegative"):
+        nonlinear_sigma(**dict(SIGMA_ARGS, n0_photons_per_pulse=-1.0))
+
+
 # ---------------------------------------------------------------- pump
 
 def test_pump_peak_magnitude():
@@ -172,6 +177,11 @@ def test_tabulated_sample_from_arrays():
         s.reflectivity(np.array([0.0, np.nextafter(1.0, 2.0)]))
 
 
+def test_tabulated_sample_equals_only_a_tabulated_sample():
+    s = TabulatedSample(omega=(-1.0, 0.0, 1.0), r=(0.2, 0.5, 0.4))
+    assert (s == 3) is False and (s != 3) is True
+
+
 def test_tabulated_sample_holds_its_table_once():
     w = np.linspace(-1.0, 1.0, 100_001)
     s = TabulatedSample(omega=w, r=0.5 * np.exp(1j * w))
@@ -260,10 +270,12 @@ NONFINITE_PARAMETERS = [
     pytest.param(_crystal(N_i=np.inf), id="crystal-N-i-inf"),
     pytest.param(_crystal(sigma=np.nan), id="crystal-sigma-nan"),
     pytest.param(_crystal(sigma=-1.0), id="crystal-sigma-negative"),
+    pytest.param(_crystal(lambda_s_nm=0.0), id="crystal-lambda-s-zero"),
     pytest.param(lambda: PumpPulse(np.inf), id="pump-inf"),
     pytest.param(lambda: UniformSample(np.nan), id="uniform-nan"),
     pytest.param(_bilayer(r0=np.nan), id="bilayer-r0-nan"),
     pytest.param(_bilayer(d0_um=np.nan), id="bilayer-d0-nan"),
+    pytest.param(_bilayer(d0_um=-1.0), id="bilayer-d0-negative"),
     pytest.param(
         lambda: TabulatedSample(omega=(-1.0, np.nan, 1.0), r=(0.2, 0.3, 0.4)),
         id="tabulated-omega-nan",
