@@ -25,7 +25,9 @@ matching factor of ws - wi, so ``joint_spectrum_rows`` evaluates only its
 strided slice and takes the marginal from the two factors on the grid's
 2N - 1 sums and differences. Its signal marginal's width has a closed form,
 ``gaussian_marginal_fwhm``, and so has its Schmidt spectrum, in gamma,
-``schmidt_gaussian``. For any amplitude, ``schmidt_rows`` takes the Schmidt
+``schmidt_gaussian``. ``signal_spectrum`` takes the exact kernel's signal
+marginal without a grid, as the transform of its Fourier pair, the lossless
+g1 envelope of ``coherence``. For any amplitude, ``schmidt_rows`` takes the Schmidt
 coefficients in one loop over the two parity sectors of the weighted
 amplitude m, as the Ritz values of each sector on the range of a block of
 its own columns (a Rayleigh-Ritz step, cf. Halko, Martinsson & Tropp,
@@ -53,9 +55,9 @@ from .coherence import (
     _kernel_args,
     _kernel_block,
     _kernel_columns,
-    _pump_quadrature,
     _ridge,
     _span,
+    g1_envelope,
 )
 from .optics_model import (
     AnalysisError,
@@ -275,20 +277,16 @@ def _require_unit_norm(norm: float, caller: str) -> None:
 
 @dataclass(frozen=True)
 class SignalSpectrum:
-    """Normalized signal marginal S(ws) with its measured bandwidth, and ``signal_spectrum``'s
-    unnormalized density on ``omega_s[::2]`` by its embedded coarse rule (``coarse_density``;
-    None for a grid marginal)."""
+    """Normalized signal marginal S(ws) on ``omega_s``, with its interpolated bandwidth."""
 
     omega_s: np.ndarray
     density: np.ndarray
     fwhm_rad_fs: float
     fwhm_nm: float
-    coarse_density: np.ndarray | None = None
 
     def __post_init__(self):
-        for values in (self.omega_s, self.density, self.coarse_density):
-            if values is not None:
-                values.setflags(write=False)
+        self.omega_s.setflags(write=False)
+        self.density.setflags(write=False)
 
 
 def fwhm_interpolated(x: np.ndarray, y: np.ndarray) -> float:
@@ -352,7 +350,7 @@ def marginal_spectrum(js: JointSpectrum, crystal: CrystalParams) -> SignalSpectr
     return _signal_marginal(js.grid.omega_s.copy(), dens, crystal)
 
 
-def _signal_marginal(omega_s, density, crystal, coarse_density=None) -> SignalSpectrum:
+def _signal_marginal(omega_s, density, crystal) -> SignalSpectrum:
     """The SignalSpectrum of a unit-norm marginal, with its interpolated FWHM."""
     width = fwhm_interpolated(omega_s, density)
     return SignalSpectrum(
@@ -360,7 +358,6 @@ def _signal_marginal(omega_s, density, crystal, coarse_density=None) -> SignalSp
         density=density,
         fwhm_rad_fs=width,
         fwhm_nm=bandwidth_nm(width, crystal.lambda_s_nm),
-        coarse_density=coarse_density,
     )
 
 
@@ -370,26 +367,38 @@ def signal_spectrum(
     kernel: str = "exact",
     resolution: float = 1.0,
 ) -> SignalSpectrum:
-    """Signal marginal by direct quadrature in pump-centered variables.
+    """Signal marginal S(ws), normalized by its trapezoid sum, without a grid.
 
-    Integrates |amp(ws, wi)|^2 over wi after substituting u = ws + wi, which
-    keeps the pump Gaussian resolved for arbitrarily narrowband pumps; it is
-    PairCorrelator's pump quadrature at r = 1 and T2 = 0. This is the
-    production marginal; ``marginal_spectrum`` on a square grid matches it
-    wherever that grid is resolvable. ``resolution`` scales both axis
-    densities at fixed spans. The signal axis is exactly antisymmetric, so
-    the even density is built on one half and mirrored. The axis is odd, and
-    ``coarse_density`` is the density on ``omega_s[::2]`` by the embedded coarse
-    rule, unnormalized: a width read from it does not depend on scale.
+    The axis spans max(24 / |D|L, 6 / T0) + ``_ridge`` 8 / T0 with
+    max(257, int(4097 resolution) | 1) points, exactly antisymmetric, so the
+    even density is evaluated for ws <= 0 and mirrored; at resolution 0.5 it
+    is the full axis's ``omega_s[::2]``. The Gaussian kernel's marginal is the
+    Gaussian of width ``gaussian_marginal_fwhm``. The exact kernel's is the
+    transform of the lossless g1 envelope E(T) = ``g1_envelope(T, 0)``
+    (``coherence.tri``), integral_0^span E(T) cos(ws T) dT, span = min(|D|L,
+    28 T0 / |w|), w = 1 - 2 D_plus / D, by Gauss-Legendre on ceil(resolution
+    (max|ws| span / pi + 64)) nodes: at most 108 at resolution 1 for the
+    MgO:LiNbO3 preset, since max|ws| span <= max(24, 168 / |w|) + 112.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    t0 = pump.t0_fs
-    half_s = max(24.0 / crystal.dl, 6.0 / t0) + _ridge(crystal, kernel) * 8.0 / t0
+    t0, ridge = pump.t0_fs, _ridge(crystal, kernel)
+    half_s = max(24.0 / crystal.dl, 6.0 / t0) + ridge * 8.0 / t0
     ws = _symmetric_axis(half_s, max(257, int(4097 * resolution) | 1))
-    dens, coarse = _pump_quadrature(crystal, pump, ws, kernel=kernel, resolution=resolution)
-    dens = dens / np.sum(dens * _trapezoid_weights(ws))
-    return _signal_marginal(ws, dens, crystal, coarse)
+    low = ws[: ws.size - ws.size // 2]
+    if kernel == "gaussian":
+        half = np.exp(-np.log(16.0) * (low / gaussian_marginal_fwhm(crystal, pump)) ** 2)
+    else:
+        span = min(crystal.dl, 28.0 * t0 / (2.0 * ridge)) if ridge else crystal.dl
+        # Gauss-Legendre from the Jacobi matrix's eigenpairs (Golub & Welsch, Math. Comp. 23, 221, 1969)
+        k = np.arange(1.0, np.ceil(resolution * (half_s * span / np.pi + 64.0)))
+        beta = k / np.sqrt(4.0 * k * k - 1.0)
+        x, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+        t = 0.5 * span * (1.0 + x)
+        half = np.cos(np.multiply.outer(low, t)) @ (2.0 * v[0] ** 2 * g1_envelope(t, 0.0, crystal, pump))
+    dens = np.concatenate((half, half[-2::-1]))  # the axis is odd: its middle point is low's last
+    dens /= np.sum(dens * _trapezoid_weights(ws))
+    return _signal_marginal(ws, dens, crystal)
 
 
 def gaussian_marginal_fwhm(crystal: CrystalParams, pump: PumpPulse) -> float:
@@ -397,8 +406,7 @@ def gaussian_marginal_fwhm(crystal: CrystalParams, pump: PumpPulse) -> float:
 
     |amp|^2 = exp[-T0^2 (ws + wi)^2 - (c / 4) (ws - wi)^2] with
     c = 2 alpha^2 (D L / 2)^2; integrated over wi it leaves exp(-kappa ws^2),
-    kappa = T0^2 c / (T0^2 + c / 4), of width 2 sqrt(ln 2 / kappa). It is the
-    width ``signal_spectrum(kernel="gaussian")`` takes by quadrature.
+    kappa = T0^2 c / (T0^2 + c / 4), of width 2 sqrt(ln 2 / kappa).
     """
     t2 = pump.t0_fs ** 2
     c = 2.0 * (SINC_GAUSS_ALPHA * crystal.dl / 2.0) ** 2

@@ -775,19 +775,20 @@ def _grid(scenario: Scenario, points: int):
     )
 
 
-def _coarser_grid(scenario: Scenario, points: int):
-    """The coarsen check's grid of ``points // 2``, but never below MIN_GRID_POINTS.
-
-    None when no strictly smaller grid exists (``points`` is already the
-    smallest allowed) or when that grid cannot resolve the spectrum.
-    """
+def _coarsen_points(scenario: Scenario, points: int) -> int:
+    """The exact-kernel schmidt task's coarsen grid size, half the points but at least
+    MIN_GRID_POINTS; ScenarioError unless it is smaller and resolves the spectrum."""
     coarse = max(MIN_GRID_POINTS, points // 2)
     if coarse >= points:
-        return None
-    try:
-        return _grid(scenario, coarse)
-    except GridResolutionError:
-        return None
+        raise ScenarioError(f"[grid] points = {points} leaves the exact-kernel schmidt task's"
+                            f" coarsen check no smaller grid of at least {coarse} points")
+    try:  # checks the grid without building it
+        _resolved_half_width(scenario.crystal, scenario.pump, coarse, scenario.grid_half_width)
+    except GridResolutionError as exc:
+        raise ScenarioError(f"[grid] points = {points} (or half_width_rad_fs): the exact-kernel"
+                            f" schmidt task's coarsen check runs on {coarse} points, whose {exc}"
+                            ) from exc
+    return coarse
 
 
 def _scan_delays(scenario: Scenario, default_points: int | None) -> np.ndarray:
@@ -829,7 +830,7 @@ def _task_joint_spectrum(scenario: Scenario, points: int):
     )
     files = {"joint_spectrum.csv": _jsi_csv(grid.omega_s[::stride], inten)}
     # convergence: the grid marginal's bandwidth against the Gaussian kernel's
-    # closed form, or the exact kernel's pump-adaptive reference quadrature
+    # closed form, or the exact kernel's grid-free signal_spectrum
     crystal, pump = scenario.crystal, scenario.pump
     if scenario.kernel == "gaussian":
         width = biphoton.gaussian_marginal_fwhm(crystal, pump)
@@ -848,19 +849,14 @@ def _task_schmidt(scenario: Scenario, points: int):
         report = biphoton.schmidt_gaussian(gamma, max_modes=points)
         conv = {"delta": 0.0, "method": "analytic"}
     else:
-        crystal, pump = scenario.crystal, scenario.pump
-        grid, coarse = _grid(scenario, points), _coarser_grid(scenario, points)
-        if coarse is None:
-            report = biphoton.schmidt_rows(scenario.kernel, crystal, pump, grid)
-            conv = {"delta": float("nan"), "method": "unavailable"}
-        else:
-            # the mode count is the state's, so the run grid starts at the Ritz
-            # block the coarse grid accepted, and mostly streams its rows once
-            rough = biphoton.schmidt_rows(scenario.kernel, crystal, pump, coarse)
-            first = rough.ritz_block or biphoton.SCHMIDT_BLOCK
-            report = biphoton.schmidt_rows(scenario.kernel, crystal, pump, grid, first_block=first)
-            k, k_coarse = report.schmidt_number_K, rough.schmidt_number_K
-            conv = {"delta": float(abs(k - k_coarse) / k), "method": "coarsen"}
+        # the mode count is the state's, so the run grid starts at the Ritz block
+        # the coarse grid accepted, and mostly streams its rows once
+        state = (scenario.kernel, scenario.crystal, scenario.pump)
+        rough = biphoton.schmidt_rows(*state, _grid(scenario, _coarsen_points(scenario, points)))
+        first = rough.ritz_block or biphoton.SCHMIDT_BLOCK
+        report = biphoton.schmidt_rows(*state, _grid(scenario, points), first_block=first)
+        k, k_coarse = report.schmidt_number_K, rough.schmidt_number_K
+        conv = {"delta": float(abs(k - k_coarse) / k), "method": "coarsen"}
     floor = biphoton.SCHMIDT_COEFF_FLOOR
     payload = {
         "coefficients": [float(v) for v in report.coefficients if v > floor],
@@ -911,14 +907,13 @@ def _task_oct_scan(scenario: Scenario, points: int):
 
 def _task_spectrum(scenario: Scenario, points: int):
     crystal = scenario.crystal
-    spectrum = biphoton.signal_spectrum(crystal, scenario.pump, kernel=scenario.kernel)
+    # the spectrum, and the same rule on omega_s[::2] at half the nodes: the halved-resolution check
+    spectrum, half = (biphoton.signal_spectrum(crystal, scenario.pump, kernel=scenario.kernel,
+                                               resolution=r) for r in (1.0, 0.5))
     lam_nm = 2.0 * np.pi * C_NM_FS / (crystal.omega_s0 + spectrum.omega_s)
     rows = np.column_stack((spectrum.omega_s, lam_nm, spectrum.density))
     files = _series(scenario, "spectrum", ["omega_s_rad_fs", "wavelength_nm", "density"], rows)
-    # the width on omega_s[::2] by the embedded coarse rule; a FWHM does not depend on scale
-    coarse = biphoton.fwhm_interpolated(spectrum.omega_s[::2], spectrum.coarse_density)
-    coarse_nm = biphoton.bandwidth_nm(coarse, crystal.lambda_s_nm)
-    delta = abs(spectrum.fwhm_nm - coarse_nm) / spectrum.fwhm_nm
+    delta = abs(spectrum.fwhm_nm - half.fwhm_nm) / spectrum.fwhm_nm
     conv = {"delta": float(delta), "method": "halved-resolution"}
     return files, conv, {"fwhm_nm": float(spectrum.fwhm_nm)}
 
@@ -940,7 +935,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     MIN_GRID_POINTS, one the joint spectrum's stride leaves with fewer than two
     points per axis, or one too coarse for a joint_spectrum or schmidt task's
     spectrum, is rejected before anything is computed or written, and so is an
-    oct_scan whose pump path is not synchronized (T2 != 0). A task whose
+    exact-kernel schmidt task whose coarsen grid (``_coarsen_points``) is not,
+    and an oct_scan whose pump path is not synchronized (T2 != 0). A task whose
     written series holds a non-finite value fails with NumericalConsistencyError.
     A failed task's exception propagates with its type and a note naming the
     task. No file is written before every task has run; how the files are
@@ -956,6 +952,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     if grid_tasks:  # checks the grid without building it
         _noted(f"task {grid_tasks[0]}", _resolved_half_width, scenario.crystal, scenario.pump,
                points, scenario.grid_half_width)
+    if "schmidt" in scenario.tasks and scenario.kernel == "exact":
+        _coarsen_points(scenario, points)
     if "oct_scan" in scenario.tasks:  # a depth scan needs the pump and idler pulses to meet
         _build("geometry", oct_scan._require_synchronized, scenario.effective_geometry(),
                scenario.crystal)
@@ -997,10 +995,7 @@ def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
         names[task] = sorted(files)
         for name in names[task]:  # the bytes hashed are the bytes written
             data[name] = files.pop(name).encode()  # no text outlives its bytes
-        # NaN fails the gate; only a check that could not run may report none
-        conv["flagged"] = conv["method"] != "unavailable" and not (
-            conv["delta"] <= CONVERGENCE_GATE
-        )
+        conv["flagged"] = not conv["delta"] <= CONVERGENCE_GATE  # NaN fails the gate
         conv["gate"] = CONVERGENCE_GATE
         convergence[task] = conv
 

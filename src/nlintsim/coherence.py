@@ -18,7 +18,9 @@ the echo sum
 
 times the carrier. The scenario runner takes it for every layered sample,
 reports its scan convergence as ``analytic``, and sends only tabulated
-samples, which have no echoes, down the numeric route.
+samples, which have no echoes, down the numeric route. The envelope at
+T2 = 0 is the Fourier transform of the signal marginal (``tri``), so
+``biphoton.signal_spectrum`` takes that spectrum as its cosine transform.
 
 The numeric route integrates the pair kernels of the two sources over the
 signal/idler detunings with the sample reflectivity folded in, and supports
@@ -130,6 +132,8 @@ def tri(x):
     """Triangular function: 1 - |x| on [-1, 1], zero outside.
 
     Fourier pair of sinc^2: tri(xi/2) = (1/pi) integral sinc^2(x) e^(i xi x) dx.
+    At x = D L ws / 2, xi = 2 T / |D|L, it makes ``g1_envelope(T, 0)`` the
+    transform of the signal marginal, which ``biphoton.signal_spectrum`` inverts.
     """
     ax = np.abs(np.asarray(x, dtype=float))
     return np.where(ax < 1.0, 1.0 - ax, 0.0)
@@ -405,34 +409,27 @@ def _u_axis(
     crystal: CrystalParams,
     pump: PumpPulse,
     *,
-    kernel: str = "exact",
-    t2_fs: float = 0.0,
-    extra_delay_fs: float = 0.0,
+    lattice_step: float,
+    delay_fs: float = 0.0,
     resolution: float = 1.0,
-    lattice_step: float | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Pump-detuning axis u = ws + wi of the idler reduction, and its lattice ratio m.
+    """Pump-detuning lattice u_j = j h of the idler reduction, and its ratio m = h_s / h.
 
-    The axis spans the pump band +-8/T0 with a step that resolves the pump
-    Gaussian, the phase-matching variation along u and the idler phase over
-    T2 plus the sample delay, so it stays resolved for any pulse duration;
-    ``resolution`` divides the step. Without ``lattice_step`` the axis is that
-    uniform span and m is 0. Given the signal step h_s, the step is refined
-    to h = h_s / m for the smallest whole m that is no coarser, and the axis
-    becomes u_j = j h, so that every wi = u_j - ws_n lies on one lattice of
-    step h.
+    The lattice spans the pump band +-8/T0 with at least 33 points, at a step,
+    divided by ``resolution``, that resolves the pump Gaussian, the phase
+    matching along u and the idler phase over ``delay_fs`` (|T2| plus the
+    sample delay). h = h_s / m for the signal step h_s (``lattice_step``) and
+    the smallest whole m that is no coarser, so every wi = u_j - ws_n is on it.
     """
     t0 = pump.t0_fs
-    b_u = abs(_walkoff(crystal, kernel) - crystal.D / 2.0) * crystal.length_mm / 2.0
+    b_u = abs(crystal.D_plus - crystal.D / 2.0) * crystal.length_mm / 2.0
     h_u = min(
         0.5 / t0,
         np.pi / (8.0 * b_u) if b_u > 0 else np.inf,
-        0.4 / (abs(t2_fs) + abs(extra_delay_fs) + 1.0),
+        0.4 / (delay_fs + 1.0),
     ) / resolution
     half_u = 8.0 / t0
     n_u = max(33, int(np.ceil(2.0 * half_u / h_u)) | 1)
-    if lattice_step is None:
-        return _symmetric_axis(half_u, n_u), 0
     m = int(np.ceil(lattice_step / (2.0 * half_u / (n_u - 1))))
     h = lattice_step / m
     half_j = int(np.ceil(half_u / h))
@@ -527,39 +524,32 @@ def _pump_quadrature(
     pump: PumpPulse,
     omega_s: np.ndarray,
     *,
-    kernel: str = "exact",
-    sample: SampleModel | None = None,
+    sample: SampleModel,
     t2_fs: float = 0.0,
     extra_delay_fs: float = 0.0,
     resolution: float = 1.0,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Idler-side integral of the pair kernel over the pump detuning u = ws + wi.
 
-        R(ws) = sum_u w_u |F(u)|^2 PM(dk L / 2) f(wi),  f(wi) = r*(wi) e^{i wi T2},  wi = u - ws
+        R(ws) = sum_u w_u |F(u)|^2 sinc^2(dk L / 2) f(wi),  f(wi) = r*(wi) e^{i wi T2},  wi = u - ws
 
-    PM is sinc^2 for the exact kernel and exp(-2 (alpha x)^2) for the Gaussian
-    one, the square of ``_kernel_block`` over the u axis of ``_u_axis``.
-    Rows are taken in chunks of about BLOCK_ELEMENTS block elements.
+    sinc^2 is the square of ``_kernel_block`` over the lattice u of ``_u_axis``,
+    in chunks of rows of about BLOCK_ELEMENTS block elements.
 
     ``omega_s`` must be ``_symmetric_axis``'s, ws_{N-1-n} = -ws_n bit for bit,
-    as both callers' are. Both the pump and PM are even, and the u axis is
-    antisymmetric in the same way, so row N-1-n of the block is row n
+    as PairCorrelator's is. Both the pump and sinc^2 are even, and the u axis
+    is antisymmetric in the same way, so row N-1-n of the block is row n
     reversed. Only the rows n <= (N-1)/2 are built, and each reduces twice:
     R(ws_n) against f(wi) and R(ws_{N-1-n}) against f(-wi). The middle row
     of an odd axis reduces once.
 
-    With ``sample=None`` (r = 1) the block is reduced against the weighted
-    pump row by a real matvec, and R is even: the upper rows are the lower
-    ones reversed.
-
-    With a sample, u is the lattice axis: wi = kappa h, and row n reads the
-    lattice indices kappa = ((N-1)/2 - n) m - n_u // 2 + j. Each chunk of c
-    rows evaluates f(wi) and f(-wi) on the (c - 1) p + n_u points its rows
-    read, p = min(m, n_u), into one buffer pair allocated for the largest
-    chunk, and sees them as the (ws, u) block through a sliding-window view
-    with row stride -p. The real weighted block is reduced against that
-    view's (re, im) pairs, so no complex block and no 2-D interpolation is
-    formed.
+    Row n reads the lattice indices kappa = ((N-1)/2 - n) m - n_u // 2 + j.
+    Each chunk of c rows evaluates f(wi) and f(-wi) on the (c - 1) p + n_u
+    points its rows read, p = min(m, n_u), into one buffer pair allocated for
+    the largest chunk, and sees them as the (ws, u) block through a
+    sliding-window view with row stride -p. The real weighted block is
+    reduced against that view's (re, im) pairs, so no complex block and no
+    2-D interpolation is formed.
 
     Returns R, and R on ``omega_s[::2]`` by the embedded coarse rule of Romberg
     integration: the trapezoid rule at twice the step on nodes of this one, at
@@ -567,36 +557,21 @@ def _pump_quadrature(
     ``_u_axis`` at half the resolution keeps its 33-point floor, R[::2].
     """
     n_s = omega_s.size
-    sizing = {"kernel": kernel, "t2_fs": t2_fs, "extra_delay_fs": extra_delay_fs}
-    step = None if sample is None else (omega_s[-1] - omega_s[0]) / (n_s - 1)
-    u, m = _u_axis(crystal, pump, **sizing, resolution=resolution, lattice_step=step)
-    half = _u_axis(crystal, pump, **sizing, resolution=resolution / 2.0,
-                   lattice_step=None if step is None else 2.0 * step)[0].size
+    step, delay = (omega_s[-1] - omega_s[0]) / (n_s - 1), abs(t2_fs) + abs(extra_delay_fs)
+    u, m = _u_axis(crystal, pump, lattice_step=step, delay_fs=delay, resolution=resolution)
+    half = _u_axis(crystal, pump, lattice_step=2.0 * step, delay_fs=delay,
+                   resolution=resolution / 2.0)[0].size
     thin = abs(half - (u.size + 1) // 2) < abs(half - u.size)
     t0 = pump.t0_fs
     n_u = u.size
     pump_row = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2)) * _trapezoid_weights(u)
-    b, a = _kernel_args(crystal, kernel, omega_s, u)
-    columns = _kernel_columns(kernel, a)
+    b, a = _kernel_args(crystal, "exact", omega_s, u)
+    columns = _kernel_columns("exact", a)
     # rows n < paired also give row N-1-n; rows from top on are not built
     paired = n_s // 2
     top = n_s - paired
     chunk = min(top, max(1, BLOCK_ELEMENTS // n_u))
     work = np.empty((2, chunk, n_u))
-    if sample is None:
-        out = np.empty(n_s)
-        coarse, coarse_row = np.empty(n_s) if thin else out, np.zeros(n_u)
-        coarse_row[::2] = 2.0 * pump_row[::2]  # a contiguous matvec beats a strided one
-        for lo in range(0, top, chunk):
-            hi = min(lo + chunk, top)
-            block = _kernel_block(kernel, b[lo:hi], columns, work[:, : hi - lo])
-            out[lo:hi] = np.square(block, out=block) @ pump_row
-            if thin:
-                coarse[lo:hi] = block @ coarse_row
-        out[top:] = out[:paired][::-1]
-        coarse[top:] = coarse[:paired][::-1]
-        return out, coarse[::2]
-
     p = min(m, n_u)
     h = u[-1] / (n_u // 2)
     out = np.empty(n_s, dtype=complex)
@@ -618,7 +593,7 @@ def _pump_quadrature(
         fs = buffers[:, :size]
         _idler_factor(sample, t2_fs, wi, fs[0])
         _idler_factor(sample, t2_fs, -wi, fs[1])
-        block = _kernel_block(kernel, b[lo:hi], columns, work[:, :rows])
+        block = _kernel_block("exact", b[lo:hi], columns, work[:, :rows])
         block *= block
         block *= pump_row
         views = windows[:, rows - 1 :: -1]

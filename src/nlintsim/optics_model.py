@@ -196,11 +196,13 @@ def nonlinear_sigma(
     Inputs: chi2 in pm/V, interaction area in um^2, carrier frequencies in
     rad/fs. Scales linearly in chi2 and as sqrt(N0).
     """
-    vals = (chi2_pm_V, area_um2, n_p, n_s, n_i, omega_p0, omega_s0, omega_i0)
-    if any(v <= 0 for v in vals):
-        raise ValueError("all nonlinear_sigma inputs except N0 must be positive")
-    if n0_photons_per_pulse < 0:
-        raise ValueError("photon number must be nonnegative")
+    vals = dict(chi2_pm_V=chi2_pm_V, area_um2=area_um2, n_p=n_p, n_s=n_s, n_i=n_i,
+                omega_p0=omega_p0, omega_s0=omega_s0, omega_i0=omega_i0)
+    for name, v in vals.items():  # NaN is neither positive nor finite
+        if not 0 < v < np.inf:
+            raise ValueError(f"all nonlinear_sigma inputs except N0 must be positive and finite: {name} = {v!r}")
+    if not 0 <= n0_photons_per_pulse < np.inf:
+        raise ValueError(f"photon number must be nonnegative and finite, got {n0_photons_per_pulse!r}")
     chi2_si = chi2_pm_V * 1e-12          # m/V
     area_si = area_um2 * 1e-12           # m^2
     w_p = omega_p0 * 1e15                # rad/s

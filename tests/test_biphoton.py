@@ -382,11 +382,11 @@ def _sweep_and_bundled_gaussian_setups():
 
 @pytest.mark.parametrize("crystal,pump", _sweep_and_bundled_gaussian_setups())
 def test_gaussian_marginal_width_in_closed_form(crystal, pump):
-    # the quadrature's interpolated FWHM is 2e-7 to 6.1e-6 off the closed form
-    # on these twelve setups
-    quadrature = signal_spectrum(crystal, pump, kernel="gaussian")
+    # signal_spectrum's width, interpolated on its axis, is 2e-7 to 6.1e-6 off
+    # the closed form on these twelve setups
+    sampled = signal_spectrum(crystal, pump, kernel="gaussian")
     closed = gaussian_marginal_fwhm(crystal, pump)
-    assert closed == pytest.approx(quadrature.fwhm_rad_fs, rel=1e-5, abs=0.0)
+    assert closed == pytest.approx(sampled.fwhm_rad_fs, rel=1e-5, abs=0.0)
 
 
 # ---------------------------------------------------------------- marginals
@@ -783,8 +783,6 @@ def row_passes(monkeypatch):
     pytest.param(1024, [512, 512, 1024], id="coarse-block"),
     # at 64 columns the 256-point coarse grid's 128-row sectors take Q = I, so the run grid doubles
     pytest.param(512, [256, 256, 512, 512], id="coarse-gram-falls-back"),
-    # no grid below MIN_GRID_POINTS = 256 to coarsen to
-    pytest.param(256, [256, 256], id="no-coarse-falls-back"),
 ])
 def test_schmidt_task_starts_the_run_grid_at_the_coarse_block(row_passes, points, passes):
     # the exact schmidt_sweep item at gamma = 2^(1/4), whose 32-column sector blocks miss mass

@@ -250,7 +250,7 @@ def test_unused_key_rejected_before_compute(tmp_path, capsys, text, field):
     assert not (tmp_path / "out").exists()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     r_abs=st.floats(0.0, 1.0),
     r_phase=st.floats(-np.pi, np.pi),
@@ -843,7 +843,7 @@ def zero_margined_tables(draw):
     return block, table
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(zero_margined_tables())
 def test_csv_writer_matches_per_value_writer(case):
     block, table = case
@@ -853,7 +853,7 @@ def test_csv_writer_matches_per_value_writer(case):
     assert text == "".join(line + "\n" for line in _fmt9_csv(table))
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(zero_margined_tables(), st.data())
 def test_csv_writer_with_a_first_column_matches_per_value_writer(case, data):
     # through _csv_blocks with a first column, and through _jsi_csv, whose
@@ -1001,38 +1001,59 @@ EXACT_SCHMIDT = MINIMAL.replace("kernel = gaussian", "kernel = exact")
 SMALLEST_EXACT_SCHMIDT = EXACT_SCHMIDT.replace("points = 512", "points = 256")
 # at this half width 300 points resolve the spectrum, and the coarsen check's 256 do not
 COARSE_UNRESOLVABLE = EXACT_SCHMIDT.replace("points = 512", "points = 300\nhalf_width_rad_fs = 0.22")
+NO_COARSEN_GRID = {
+    "smallest-grid": (SMALLEST_EXACT_SCHMIDT,
+                      "[grid] points = 256 leaves the exact-kernel schmidt task's coarsen check"
+                      " no smaller grid of at least 256 points"),
+    "coarse-grid-unresolvable": (COARSE_UNRESOLVABLE,
+                                 "[grid] points = 300 (or half_width_rad_fs): the exact-kernel"
+                                 " schmidt task's coarsen check runs on 256 points, whose grid"
+                                 " step"),
+}
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param((SCENARIO_DIR / "oct_long_crystal_pulsed.ini").read_text(),
+@pytest.mark.parametrize("text,message", [
+    pytest.param((SCENARIO_DIR / "oct_long_crystal_pulsed.ini").read_text(), None,
                  id="oct_long_crystal_pulsed"),
-    pytest.param(SMALLEST_EXACT_SCHMIDT, id="exact-schmidt-256"),
-    pytest.param(COARSE_UNRESOLVABLE, id="exact-schmidt-coarse-unresolvable"),
+    pytest.param(*NO_COARSEN_GRID["smallest-grid"], id="exact-schmidt-256"),
+    pytest.param(*NO_COARSEN_GRID["coarse-grid-unresolvable"],
+                 id="exact-schmidt-coarse-unresolvable"),
 ])
-def test_every_json_file_of_a_run_is_strict_json(tmp_path, text):
+def test_every_json_file_of_a_run_is_strict_json(tmp_path, capsys, text, message):
+    # the exact schmidt runs without a coarsen grid exit 1 before any directory
+    # is made, so no run writes a delta it could not compute
     scen = tmp_path / "s.ini"
     scen.write_text(text)
-    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
-    names = [path.name for path in sorted((tmp_path / "out").glob("*.json"))]
+    out = tmp_path / "out"
+    code = main(["run", str(scen), "--out", str(out)])
+    if message is not None:
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+        return
+    assert code == 0
+    names = [path.name for path in sorted(out.glob("*.json"))]
     assert "run_manifest.json" in names
     for name in names:
-        _strict_json(tmp_path / "out" / name)
+        _strict_json(out / name)
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param(SMALLEST_EXACT_SCHMIDT, id="smallest-grid"),
-    pytest.param(COARSE_UNRESOLVABLE, id="coarse-grid-unresolvable"),
-])
-def test_unavailable_check_keeps_nan_and_writes_null(tmp_path, capsys, text):
-    manifest = run_scenario(parse_scenario(text), out_dir=tmp_path / "direct")
-    entry = manifest.convergence["schmidt"]
-    assert entry["method"] == "unavailable" and np.isnan(entry["delta"]) and not entry["flagged"]
-    scen = tmp_path / "s.ini"
-    scen.write_text(text)
-    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
-    assert "(convergence nan, unavailable, ok)" in capsys.readouterr().out
-    written = _strict_json(tmp_path / "out" / "run_manifest.json")["convergence"]["schmidt"]
-    assert written == {**entry, "delta": None}
+@pytest.mark.parametrize("case", NO_COARSEN_GRID)
+def test_exact_schmidt_without_a_coarsen_grid_fails_before_any_task(tmp_path, monkeypatch, case):
+    text, message = NO_COARSEN_GRID[case]
+
+    def forbidden(scenario, points):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setitem(cli._TASK_FN, "schmidt", forbidden)
+    out = tmp_path / "out"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        run_scenario(parse_scenario(text), out_dir=out)
+    assert not out.exists()
+    # the Gaussian kernel's schmidt task is analytic: it needs no coarsen grid
+    monkeypatch.undo()
+    gaussian = parse_scenario(text.replace("kernel = exact", "kernel = gaussian"))
+    assert run_scenario(gaussian, out_dir=out).convergence["schmidt"]["method"] == "analytic"
 
 
 def test_run_scenario_joint_spectrum_bundle(tmp_path):
@@ -1226,7 +1247,6 @@ def test_unwritable_output_directory_rejected_before_compute(tmp_path, monkeypat
 
 @pytest.mark.parametrize("method,flagged", [
     ("halved-resolution", True),
-    ("unavailable", False),
 ])
 def test_nan_delta_fails_the_gate(tmp_path, monkeypatch, capsys, method, flagged):
     def nan_delta(scenario, points):
@@ -1242,7 +1262,7 @@ def test_nan_delta_fails_the_gate(tmp_path, monkeypatch, capsys, method, flagged
 
 
 @pytest.mark.parametrize("points,built,methods", [
-    pytest.param(256, [256, 256], ("reference", "unavailable"), id="smallest-grid"),
+    pytest.param(256, [], None, id="smallest-grid"),
     pytest.param(384, [256, 384, 384], ("reference", "coarsen"), id="coarsens-to-256"),
 ])
 def test_coarsen_check_never_compares_a_grid_with_itself(tmp_path, monkeypatch, points,
@@ -1260,14 +1280,15 @@ def test_coarsen_check_never_compares_a_grid_with_itself(tmp_path, monkeypatch, 
     text = MINIMAL.replace("run = schmidt", "run = joint_spectrum, schmidt")
     text = text.replace("points = 512", f"points = {points}")
     text = text.replace("kernel = gaussian", "kernel = exact")
+    if methods is None:  # no grid smaller than 256 points: rejected before any is built
+        with pytest.raises(ScenarioError, match=re.escape("[grid] points = 256 leaves")):
+            run_scenario(parse_scenario(text), out_dir=tmp_path)
+        assert sizes == built
+        return
     manifest = run_scenario(parse_scenario(text), out_dir=tmp_path)
     assert sorted(sizes) == built
     conv = manifest.convergence
     assert (conv["joint_spectrum"]["method"], conv["schmidt"]["method"]) == methods
-    if points == 256:
-        assert np.isfinite(conv["joint_spectrum"]["delta"])
-        assert np.isnan(conv["schmidt"]["delta"])
-        assert not conv["schmidt"]["flagged"]
 
 
 def test_gaussian_schmidt_modes_are_bounded_by_the_grid(tmp_path, capsys):
@@ -1559,7 +1580,8 @@ def test_oct_scan_pump_sync_checked_before_any_task(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     if synchronized:
         assert code == 0, err
-        assert len(spectra) == 1 and (out / "interferogram.csv").is_file()
+        # the spectrum task's two calls: at full and at half resolution
+        assert len(spectra) == 2 and (out / "interferogram.csv").is_file()
         return
     assert code == 1
     assert re.match(r"error: \[geometry\] .*T2 = ", err), err
@@ -1688,49 +1710,56 @@ def test_joint_spectrum_task_holds_no_full_grid_array():
     assert peak < 4096 ** 2 * 8 // 4
 
 
-@pytest.mark.parametrize("kernel,quadratures", [("gaussian", 0), ("exact", 1)])
+@pytest.mark.parametrize("kernel,spectra", [("gaussian", 0), ("exact", 1)])
 def test_joint_spectrum_task_takes_the_gaussian_reference_in_closed_form(
-    monkeypatch, kernel, quadratures
+    monkeypatch, kernel, spectra
 ):
     calls = []
+    original = cli.biphoton.signal_spectrum
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("resolution", 1.0))
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli.biphoton, "signal_spectrum", counted(cli.biphoton.signal_spectrum))
-    monkeypatch.setattr(cli.biphoton, "_pump_quadrature", counted(cli.biphoton._pump_quadrature))
+    monkeypatch.setattr(cli.biphoton, "signal_spectrum", counted)
     s = parse_scenario(MINIMAL.replace("run = schmidt", "run = joint_spectrum")
                        .replace("kernel = gaussian", f"kernel = {kernel}"))
     _, conv, extras = cli._task_joint_spectrum(s, s.grid_points)
-    assert calls == ["signal_spectrum", "_pump_quadrature"] * quadratures
+    assert calls == [1.0] * spectra
     assert conv["method"] == "reference"
     if kernel == "gaussian":
         width = cli.biphoton.gaussian_marginal_fwhm(s.crystal, s.pump)
         ref_nm = cli.biphoton.bandwidth_nm(width, s.crystal.lambda_s_nm)
-        assert conv["delta"] == abs(extras["marginal_fwhm_nm"] - ref_nm) / ref_nm
+    else:
+        ref_nm = original(s.crystal, s.pump, "exact").fwhm_nm
+    assert conv["delta"] == abs(extras["marginal_fwhm_nm"] - ref_nm) / ref_nm
 
 
 def test_spectrum_task_takes_its_check_from_one_quadrature(monkeypatch):
+    # both kernels take the check from signal_spectrum at half the resolution:
+    # on omega_s[::2], at half the nodes for the exact kernel
     calls = []
-    quadrature = cli.biphoton._pump_quadrature
+    original = cli.biphoton.signal_spectrum
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("resolution", 1.0))
-        return quadrature(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli.biphoton, "_pump_quadrature", counted)
-    s = parse_scenario(MINIMAL.replace("run = schmidt", "run = spectrum"))
-    files, conv, extras = cli._task_spectrum(s, s.grid_points)
-    assert calls == [1.0]
-    assert files["spectrum.csv"].count("\n") == 4098
-    # the embedded coarse rule's width against a second quadrature at half the resolution
-    half = cli.biphoton.signal_spectrum(s.crystal, s.pump, s.kernel, resolution=0.5).fwhm_nm
-    standalone = abs(extras["fwhm_nm"] - half) / extras["fwhm_nm"]
-    assert conv["method"] == "halved-resolution" and 0 < conv["delta"] <= cli.CONVERGENCE_GATE
-    assert 0.5 <= conv["delta"] / standalone <= 2.0
+    monkeypatch.setattr(cli.biphoton, "signal_spectrum", counted)
+    for kernel in ("exact", "gaussian"):
+        calls.clear()
+        s = parse_scenario(MINIMAL.replace("run = schmidt", "run = spectrum")
+                           .replace("kernel = gaussian", f"kernel = {kernel}"))
+        files, conv, extras = cli._task_spectrum(s, s.grid_points)
+        assert calls == [1.0, 0.5]
+        assert files["spectrum.csv"].count("\n") == 4098
+        full = original(s.crystal, s.pump, kernel)
+        half = original(s.crystal, s.pump, kernel, resolution=0.5)
+        assert half.omega_s.size == 2049 and half.omega_s.tobytes() == full.omega_s[::2].tobytes()
+        assert extras["fwhm_nm"] == full.fwhm_nm
+        assert conv["method"] == "halved-resolution"
+        assert conv["delta"] == abs(full.fwhm_nm - half.fwhm_nm) / full.fwhm_nm
+        assert 0 < conv["delta"] <= cli.CONVERGENCE_GATE
 
 
 def test_exact_schmidt_task_holds_no_full_grid_array():

@@ -1,11 +1,17 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlintsim import coherence
+import nlintsim
+from nlintsim import biphoton, cli_runner, coherence
 from nlintsim.coherence import (
     CHIRP_Z_PHASE_TOL,
     DIRECT_SINC_ARG,
@@ -492,7 +498,7 @@ def test_kernel_block_columns_as_schmidt_rows_builds_them(kernel):
     assert_block_is_outer_block(kernel, b, a[cols], _kernel_columns(kernel, a)[..., cols])
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(
     kernel=st.sampled_from(["exact", "gaussian"]),
     a0=st.floats(-20.0, 20.0),
@@ -535,33 +541,30 @@ def reference_quadrature(crystal, pump, omega_s, u, *, kernel="exact", sample=No
     return np.concatenate(rows)
 
 
-def build_axes(crystal, pump, omega_s, *, kernel="exact", sample=None,
-               t2_fs=0.0, extra_delay_fs=0.0, resolution=1.0):
+def build_axes(crystal, pump, omega_s, *, sample, t2_fs=0.0, extra_delay_fs=0.0, resolution=1.0):
     """The u axis ``_pump_quadrature`` builds for the same call, and its coarse rule's u nodes.
 
     The coarse rule takes every other node where ``_u_axis`` at half the
     resolution and twice the signal step is nearer half as long, else every node.
     """
     h_s = (omega_s[-1] - omega_s[0]) / (omega_s.size - 1)
-    sizing = {"kernel": kernel, "t2_fs": t2_fs, "extra_delay_fs": extra_delay_fs}
-    u, _ = _u_axis(crystal, pump, **sizing, resolution=resolution,
-                   lattice_step=None if sample is None else h_s)
-    half, _ = _u_axis(crystal, pump, **sizing, resolution=resolution / 2,
-                      lattice_step=None if sample is None else 2 * h_s)
+    sizing = {"delay_fs": abs(t2_fs) + abs(extra_delay_fs)}
+    u, _ = _u_axis(crystal, pump, **sizing, resolution=resolution, lattice_step=h_s)
+    half, _ = _u_axis(crystal, pump, **sizing, resolution=resolution / 2, lattice_step=2 * h_s)
     thin = abs(half.size - (u.size + 1) // 2) < abs(half.size - u.size)
     return u, u[::2] if thin else u
 
 
-def reference_on_build_axes(crystal, pump, omega_s, *, kernel="exact", sample=None,
-                            t2_fs=0.0, extra_delay_fs=0.0, resolution=1.0):
+def reference_on_build_axes(crystal, pump, omega_s, *, sample, t2_fs=0.0, extra_delay_fs=0.0,
+                            resolution=1.0):
     """``reference_quadrature`` on the nodes ``_pump_quadrature`` takes for the same call.
 
     As that does, it returns R on ``omega_s`` and on ``omega_s[::2]`` by the coarse rule.
     """
-    u, u_coarse = build_axes(crystal, pump, omega_s, kernel=kernel, sample=sample, t2_fs=t2_fs,
+    u, u_coarse = build_axes(crystal, pump, omega_s, sample=sample, t2_fs=t2_fs,
                              extra_delay_fs=extra_delay_fs, resolution=resolution)
     return tuple(
-        reference_quadrature(crystal, pump, ws, nodes, kernel=kernel, sample=sample, t2_fs=t2_fs)
+        reference_quadrature(crystal, pump, ws, nodes, sample=sample, t2_fs=t2_fs)
         for ws, nodes in ((omega_s, u), (omega_s[::2], u_coarse))
     )
 
@@ -588,8 +591,6 @@ REDUCTION_CASES = [
     pytest.param({"sample": SLAB, "resolution": 0.5}, id="half-resolution"),
     # m > n_u: the rows read disjoint runs of lattice points
     pytest.param({"sample": SLAB, "pump": PumpPulse(1e5)}, id="quasi-cw"),
-    pytest.param({}, id="no-sample-exact"),
-    pytest.param({"kernel": "gaussian"}, id="no-sample-gaussian"),
 ]
 
 
@@ -624,7 +625,6 @@ def test_symmetric_axes_are_exactly_antisymmetric():
     for length_mm, t0_fs, t1_max in [(5.0, 500.0, 400.0), (0.5, 1e5, 3000.0), (2.5, 100.0, 0.0)]:
         crystal, pump = mgo_linbo3_crystal(length_mm), PumpPulse(t0_fs)
         axes.append(PairCorrelator(crystal, pump, MIRROR, t2_fs=0.0, t1_max_fs=t1_max).omega_s)
-        axes.append(_u_axis(crystal, pump)[0])
         axes.append(_u_axis(crystal, pump, lattice_step=2e-3)[0])
         for kernel in ("exact", "gaussian"):
             axes.append(signal_spectrum(crystal, pump, kernel=kernel).omega_s)
@@ -672,7 +672,7 @@ def test_coarse_rule_takes_the_even_fine_nodes(t0_fs, half_width, n, thin, half_
         assert np.array_equal(coarse, fine[::2])
 
 
-@pytest.mark.parametrize("sample", [None, SLAB], ids=["no-sample", "bilayer"])
+@pytest.mark.parametrize("sample", [SLAB], ids=["bilayer"])
 def test_reduction_builds_half_the_rows_of_a_symmetric_axis(sample, monkeypatch):
     monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", 20_000)
     rows = []
@@ -690,14 +690,14 @@ def test_reduction_builds_half_the_rows_of_a_symmetric_axis(sample, monkeypatch)
         assert len(rows) > 1
 
 
-@pytest.mark.parametrize("sample", [None, SLAB], ids=["no-sample", "bilayer"])
+@pytest.mark.parametrize("sample", [SLAB], ids=["bilayer"])
 def test_reduction_near_zero_argument(sample):
     # b_n + a_j = 0 where D ws_n = -(2 D_plus - D) u_j, so the pump walk-off is
     # tuned to bring the argument at row n = 45, column j0 within 3e-10 of 0;
     # at T0 = 20 ps the u axis is set by the pump alone, whatever that D_plus
     pump = PumpPulse(2e4)
     omega_s = _symmetric_axis(0.005, 81)
-    lattice = None if sample is None else omega_s[1] - omega_s[0]
+    lattice = omega_s[1] - omega_s[0]
     u, _ = _u_axis(CRYSTAL, pump, lattice_step=lattice)
     j0 = u.size // 2 + 3  # near the pump peak, where a_j is not 0
     b, _ = _kernel_args(CRYSTAL, "exact", omega_s, u)
@@ -744,10 +744,7 @@ def test_reduction_reads_each_chunks_lattice_points(t0_fs, axis, monkeypatch):
 
 
 @pytest.mark.parametrize("axis", LATTICE_AXES)
-@pytest.mark.parametrize(
-    # the exact kernel's r = 1 matvec rounds by its chunk's shape
-    "case", [case for case in REDUCTION_CASES if case.id != "no-sample-exact"]
-)
+@pytest.mark.parametrize("case", REDUCTION_CASES)
 def test_reduction_is_bit_identical_for_every_block_size(case, axis, monkeypatch):
     results = []
     for block in BLOCK_SIZES:
@@ -757,6 +754,75 @@ def test_reduction_is_bit_identical_for_every_block_size(case, axis, monkeypatch
     for fine, coarse in results[1:]:
         assert fine.tobytes() == results[0][0].tobytes()
         assert coarse.tobytes() == results[0][1].tobytes()
+
+
+# ---------------------------------------------------------------- signal spectrum
+
+def _spectrum_setups():
+    """The nine bundled scenarios, the benchmark's items and gamma = 10, as (crystal, pump)."""
+    setups = []
+    for path in sorted((Path(__file__).parent.parent / "scenarios").glob("*.ini")):
+        s = cli_runner.parse_scenario(path.read_text())
+        setups.append(pytest.param(s.crystal, s.pump, id=path.stem))
+    for k in range(-4, 5):  # schmidt_sweep: 5 mm, gamma = 2^(k/4)
+        t0 = float(SINC_GAUSS_ALPHA * CRYSTAL.dl / (2.0 * np.sqrt(2.0) * 2.0 ** (k / 4.0)))
+        setups.append(pytest.param(CRYSTAL, PumpPulse(t0), id=f"sweep-gamma=2^({k}/4)"))
+    setups.append(pytest.param(mgo_linbo3_crystal(2.5), PumpPulse(100.0), id="slab-pulsed"))
+    setups.append(pytest.param(mgo_linbo3_crystal(0.5), PumpPulse(1e5), id="slab-quasi-cw"))
+    setups.append(pytest.param(CRYSTAL, PumpPulse(21.194), id="gamma-10"))
+    return setups
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+@pytest.mark.parametrize("crystal,pump", _spectrum_setups())
+def test_signal_spectrum_matches_the_pointwise_reduction(crystal, pump, kernel):
+    # the r = 1 idler reduction term by term on the spectrum's own axis, over a
+    # pump lattice no coarser than the reduction's for the kernel's walk-off
+    # (the Gaussian kernel drops D_plus); both are even, so on the half ws <= 0
+    spectrum = signal_spectrum(crystal, pump, kernel)
+    ws = spectrum.omega_s
+    sized = crystal if kernel == "exact" else dataclasses.replace(crystal, D_plus=0.0)
+    u = _u_axis(sized, pump, lattice_step=ws[1] - ws[0])[0]
+    half = reference_quadrature(crystal, pump, ws[: ws.size - ws.size // 2], u, kernel=kernel)
+    ref = np.concatenate((half, half[-2::-1]))
+    ref /= np.sum(ref * _trapezoid_weights(ws))
+    assert np.array_equal(spectrum.density, spectrum.density[::-1])
+    assert np.max(np.abs(spectrum.density - ref)) <= 1e-12 * np.max(ref)
+
+
+@pytest.mark.parametrize("crystal,pump", [
+    pytest.param(CRYSTAL, PumpPulse(1e-3), id="1-as-pump"),
+    pytest.param(mgo_linbo3_crystal(1e-9), PumpPulse(212.0), id="1-pm-crystal"),
+])
+def test_signal_spectrum_work_is_bounded_on_runaway_inputs(crystal, pump, monkeypatch):
+    nodes = []  # the envelope is evaluated once, on the quadrature's nodes
+    envelope = biphoton.g1_envelope
+
+    def counting(t, *args):
+        nodes.append(np.size(t))
+        return envelope(t, *args)
+
+    monkeypatch.setattr(biphoton, "g1_envelope", counting)
+    walk = abs(1.0 - 2.0 * crystal.D_plus / crystal.D)
+    span = min(crystal.dl, 28.0 * pump.t0_fs / walk)
+    for resolution in (1.0, 0.5):
+        start = time.perf_counter()
+        spectrum = signal_spectrum(crystal, pump, resolution=resolution)
+        assert time.perf_counter() - start < 1.0
+        assert np.all(np.isfinite(spectrum.density)) and np.isfinite(spectrum.fwhm_nm)
+        # the docstring's rule, at most 108 nodes at resolution 1 for this preset
+        rule = resolution * (np.max(np.abs(spectrum.omega_s)) * span / np.pi + 64.0)
+        assert nodes[-1] <= min(np.ceil(rule), np.ceil(108 * resolution))
+
+
+def test_signal_spectrum_loads_no_polynomial_module():
+    # its Gauss-Legendre nodes come from np.linalg.eigh; numpy.polynomial costs
+    # milliseconds and about a MB to load
+    code = ("import sys\nimport nlintsim\n"
+            "nlintsim.signal_spectrum(nlintsim.mgo_linbo3_crystal(5.0), nlintsim.PumpPulse(212.0))\n"
+            "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(nlintsim.__file__).parent.parent)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def slab_table(crystal, pump, d_um=20.0):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,20 @@ def test_sigma_rejects_nonpositive():
 def test_sigma_rejects_a_negative_photon_number():
     with pytest.raises(ValueError, match="photon number must be nonnegative"):
         nonlinear_sigma(**dict(SIGMA_ARGS, n0_photons_per_pulse=-1.0))
+
+
+@pytest.mark.parametrize("name,value,message", [
+    pytest.param("chi2_pm_V", np.nan, "positive and finite: chi2_pm_V = nan", id="nan-chi2"),
+    pytest.param("area_um2", np.nan, "positive and finite: area_um2 = nan", id="nan-area"),
+    pytest.param("n0_photons_per_pulse", np.nan, "nonnegative and finite, got nan",
+                 id="nan-photon-number"),
+    pytest.param("n0_photons_per_pulse", np.inf, "nonnegative and finite, got inf",
+                 id="inf-photon-number"),
+])
+def test_sigma_rejects_a_non_finite_input_by_name(name, value, message):
+    # NaN compares false both ways, so it fails "positive" rather than passing "not negative"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        nonlinear_sigma(**dict(SIGMA_ARGS, **{name: value}))
 
 
 # ---------------------------------------------------------------- pump
