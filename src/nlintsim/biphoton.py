@@ -376,9 +376,10 @@ def signal_spectrum(
     Gaussian of width ``gaussian_marginal_fwhm``. The exact kernel's is the
     transform of the lossless g1 envelope E(T) = ``g1_envelope(T, 0)``
     (``coherence.tri``), integral_0^span E(T) cos(ws T) dT, span = min(|D|L,
-    28 T0 / |w|), w = 1 - 2 D_plus / D, by Gauss-Legendre on ceil(resolution
-    (max|ws| span / pi + 64)) nodes: at most 108 at resolution 1 for the
-    MgO:LiNbO3 preset, since max|ws| span <= max(24, 168 / |w|) + 112.
+    28 T0 / |w|), w = 1 - 2 D_plus / D, by Gauss-Legendre (``_gauss_legendre``)
+    on ceil(resolution (max|ws| span / pi + 64)) nodes: at most 108 at
+    resolution 1 for the MgO:LiNbO3 preset, since max|ws| span <= max(24,
+    168 / |w|) + 112.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -390,15 +391,36 @@ def signal_spectrum(
         half = np.exp(-np.log(16.0) * (low / gaussian_marginal_fwhm(crystal, pump)) ** 2)
     else:
         span = min(crystal.dl, 28.0 * t0 / (2.0 * ridge)) if ridge else crystal.dl
-        # Gauss-Legendre from the Jacobi matrix's eigenpairs (Golub & Welsch, Math. Comp. 23, 221, 1969)
-        k = np.arange(1.0, np.ceil(resolution * (half_s * span / np.pi + 64.0)))
-        beta = k / np.sqrt(4.0 * k * k - 1.0)
-        x, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+        x, w = _gauss_legendre(int(np.ceil(resolution * (half_s * span / np.pi + 64.0))))
         t = 0.5 * span * (1.0 + x)
-        half = np.cos(np.multiply.outer(low, t)) @ (2.0 * v[0] ** 2 * g1_envelope(t, 0.0, crystal, pump))
+        half = np.cos(np.multiply.outer(low, t)) @ (w * g1_envelope(t, 0.0, crystal, pump))
     dens = np.concatenate((half, half[-2::-1]))  # the axis is odd: its middle point is low's last
     dens /= np.sum(dens * _trapezoid_weights(ws))
     return _signal_marginal(ws, dens, crystal)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes on [-1, 1], ascending, and their weights, without LAPACK.
+
+    The roots x >= 0 of P_n come from Tricomi's estimate by Newton's method on
+    the three-term recurrence, stopped once no step exceeds 1e-12: a root's
+    error is then about x / (1 - x^2) step^2, below rounding. The other roots
+    are -x. A weight is 2 / ((1 - x^2) P_n'(x)^2), with P_n' of the last
+    iterate carried to the root by P_n'' = 2 x P_n' / (1 - x^2) there.
+    """
+    # Tricomi's cos(pi (i - 1/4) / (n + 1/2)) as a sine, so that an odd n's middle root is 0
+    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.sin(np.pi * np.arange(1 - n % 2, n, 2) / (2 * n + 1))
+    step = 1.0
+    while np.max(np.abs(step)) > 1e-12:
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):  # k P_k = (2k - 1) x P_k-1 - (k - 1) P_k-2
+            t = x * p1
+            p0, p1 = p1, t + (k - 1.0) / k * (t - p0)
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / dp
+        x = x - step
+    w = 2.0 / ((1.0 - x * x) * (dp * (1.0 - 2.0 * x * step / (1.0 - x * x))) ** 2)
+    return np.concatenate((-x[n % 2:][::-1], x)), np.concatenate((w[n % 2:][::-1], w))
 
 
 def gaussian_marginal_fwhm(crystal: CrystalParams, pump: PumpPulse) -> float:

@@ -50,6 +50,12 @@ TASK_NAMES = ("joint_spectrum", "schmidt", "g1_scan", "oct_scan", "spectrum")
 CONVERGENCE_GATE = 1e-4
 # the paper's low-gain model: coherence.photon_number of a crystal above this is rejected
 MAX_PAIRS_PER_PULSE = 0.1
+# its first-order dispersion: a bandwidth estimate max(1/T0, 1/(|D|L)) above this fraction
+# of the idler carrier is rejected (the bundled and benchmark scenarios reach 0.082)
+MAX_BANDWIDTH_FRACTION = 0.25
+# a scan of more delays is rejected before compute (the bundled and benchmark scans take
+# at most 17,494)
+MAX_SCAN_POINTS = 200_000
 
 CRYSTAL_PRESETS = {
     "mgo_linbo3": mgo_linbo3_crystal,
@@ -321,8 +327,10 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     invariant violations are reported with their field path. A key given with
     an empty value is an error, not a request for its default. A crystal
     whose mean pair number per pulse exceeds MAX_PAIRS_PER_PULSE is outside
-    the low-gain model and is rejected. ``base_dir`` anchors relative
-    tabulated-sample paths. A tabulated sample's table is read by
+    the low-gain model and is rejected, and so is a crystal and pump whose
+    bandwidth estimate max(1/T0, 1/(|D|L)) exceeds MAX_BANDWIDTH_FRACTION of
+    the idler carrier, outside first-order dispersion. ``base_dir`` anchors
+    relative tabulated-sample paths. A tabulated sample's table is read by
     ``_read_table``, into the arrays np.loadtxt reads, and a table np.loadtxt
     rejects is reported under ``[sample] invalid parameters`` with its text.
     """
@@ -417,6 +425,15 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         pump = _build("pump", PumpPulse, get("pump", "t0_fs"))
     else:
         pump = _build("pump", PumpPulse.from_ps, get("pump", "t0_ps"))
+    bandwidth = {f"[pump] {'t0_fs' if given('pump', 't0_fs') else 't0_ps'}": 1.0 / pump.t0_fs,
+                 "[crystal] length_mm": 1.0 / crystal.dl}
+    field = max(bandwidth, key=bandwidth.get)
+    bound = MAX_BANDWIDTH_FRACTION * crystal.omega_i0
+    if bandwidth[field] > bound:
+        raise ScenarioError(
+            f"{field}: bandwidth estimate max(1/T0, 1/(|D|L)) = {float(bandwidth[field])!r} rad/fs"
+            f" exceeds {MAX_BANDWIDTH_FRACTION} omega_i0 = {float(bound)!r} rad/fs, the first-order"
+            " dispersion model's bound")
 
     # geometry
     synchronize = get("geometry", "synchronize")
@@ -769,38 +786,52 @@ def _csv_blocks(table, first=None) -> list[str]:
 # ---------------------------------------------------------------------------
 # task execution
 
-def _grid(scenario: Scenario, points: int):
-    return make_frequency_grid(
-        scenario.crystal, scenario.pump, points, half_width=scenario.grid_half_width
-    )
+def _plan(scenario: Scenario) -> dict:
+    """Each task's ``route`` and the sizes it builds with, from the scenario alone, by task in
+    run order: make_frequency_grid's arguments of its ``grid`` and ``coarse`` grid, a scan's
+    ``window_mm`` and ``delays``, the numeric correlator's ``resolution``. Nothing is built or
+    written; the checks raise in the order run_scenario lists them."""
+    n, tasks, crystal, pump = scenario.grid_points, scenario.tasks, scenario.crystal, scenario.pump
+    if n < MIN_GRID_POINTS:
+        raise ScenarioError(f"grid points must be at least {MIN_GRID_POINTS}, got {n}")
+    _check_jsi_stride(tasks, scenario.jsi_stride, n)
+    first = next((task for task in tasks if task in ("joint_spectrum", "schmidt")), None)
+    grid = first and {"n_points": n, "half_width": _noted(  # checked without building it
+        f"task {first}", _resolved_half_width, crystal, pump, n, scenario.grid_half_width)}
+    reference = "closed-form" if scenario.kernel == "gaussian" else "envelope-transform"
+    plans = {"joint_spectrum": {"route": reference, "grid": grid}, "spectrum": {"route": reference},
+             "schmidt": {"route": "analytic", "grid": grid}}
+    if "schmidt" in tasks and scenario.kernel == "exact":
+        coarse = max(MIN_GRID_POINTS, n // 2)
+        if coarse >= n:
+            raise ScenarioError(f"[grid] points = {n} leaves the exact-kernel schmidt task's"
+                                f" coarsen check no smaller grid of at least {coarse} points")
+        try:
+            _resolved_half_width(crystal, pump, coarse, scenario.grid_half_width)
+        except GridResolutionError as exc:
+            raise ScenarioError(f"[grid] points = {n} (or half_width_rad_fs): the exact-kernel"
+                                f" schmidt task's coarsen check runs on {coarse} points, whose"
+                                f" {exc}") from exc
+        plans["schmidt"] = {"route": "coarsen", "grid": grid, "coarse": grid | {"n_points": coarse}}
+    if "oct_scan" in tasks:  # a depth scan needs the pump and idler pulses to meet
+        _build("geometry", oct_scan._require_synchronized, scenario.effective_geometry(), crystal)
+    # a scan's delays: the [scan] window, else oct_scan's, at [scan] points, else 401 for
+    # g1_scan and as many as scan_axis takes for oct_scan
+    scan, numeric = scenario.scan, isinstance(scenario.sample, TabulatedSample)
+    window = ((scan.delta_z_min_mm, scan.delta_z_max_mm) if scan.delta_z_min_mm is not None
+              else oct_scan.default_scan_range(crystal, scenario.sample))
+    for task in [task for task in tasks if task in ("g1_scan", "oct_scan")]:
+        delays = oct_scan.scan_points(crystal, window, scan.fringes,
+                                      scan.points or (401 if task == "g1_scan" else None))
+        if delays > MAX_SCAN_POINTS:
+            raise ScenarioError(f"[scan] {'points' if scan.points else 'fringes'}: {task} takes"
+                                f" {delays:.15g} delays, more than the {MAX_SCAN_POINTS} allowed")
+        plans[task] = {"route": "numeric" if numeric else "closed-form", "window_mm": window,
+                       "delays": int(delays), **({"resolution": n / 2048.0} if numeric else {})}
+    return {task: plans[task] for task in tasks}
 
 
-def _coarsen_points(scenario: Scenario, points: int) -> int:
-    """The exact-kernel schmidt task's coarsen grid size, half the points but at least
-    MIN_GRID_POINTS; ScenarioError unless it is smaller and resolves the spectrum."""
-    coarse = max(MIN_GRID_POINTS, points // 2)
-    if coarse >= points:
-        raise ScenarioError(f"[grid] points = {points} leaves the exact-kernel schmidt task's"
-                            f" coarsen check no smaller grid of at least {coarse} points")
-    try:  # checks the grid without building it
-        _resolved_half_width(scenario.crystal, scenario.pump, coarse, scenario.grid_half_width)
-    except GridResolutionError as exc:
-        raise ScenarioError(f"[grid] points = {points} (or half_width_rad_fs): the exact-kernel"
-                            f" schmidt task's coarsen check runs on {coarse} points, whose {exc}"
-                            ) from exc
-    return coarse
-
-
-def _scan_delays(scenario: Scenario, default_points: int | None) -> np.ndarray:
-    """A scan task's delays [mm]: the ``[scan]`` window, else oct_scan's default window, at
-    ``[scan] points``, else ``default_points`` (None: as many as ``oct_scan.scan_axis`` takes)."""
-    scan = scenario.scan
-    window = None if scan.delta_z_min_mm is None else (scan.delta_z_min_mm, scan.delta_z_max_mm)
-    points = default_points if scan.points is None else scan.points
-    return oct_scan.scan_axis(scenario.crystal, scenario.sample, scan.fringes, points, window)
-
-
-def _numeric_g1(scenario: Scenario, points: int, dz: np.ndarray):
+def _numeric_g1(scenario: Scenario, resolution: float, dz: np.ndarray):
     """g1 with its carrier on ``dz`` from ``g1_scan``'s correlator, and its convergence entry.
 
     The entry holds the largest change of |g1| against the correlator's embedded
@@ -808,8 +839,7 @@ def _numeric_g1(scenario: Scenario, points: int, dz: np.ndarray):
     which is not gated.
     """
     crystal, geometry, sample = scenario.crystal, scenario.effective_geometry(), scenario.sample
-    corr, t1 = coherence._scan_correlator(
-        crystal, scenario.pump, geometry, sample, dz, points / 2048.0)
+    corr, t1 = coherence._scan_correlator(crystal, scenario.pump, geometry, sample, dz, resolution)
     g = corr.correlation(t1) * np.exp(1j * coherence.carrier_phase(crystal, geometry, dz))
     delta = float(np.max(np.abs(np.abs(g) - np.abs(corr.coarse_correlation(t1)))))
     bound = float(np.max(np.abs(sample.r))) / (np.pi * coherence.TAIL_SINC_ARG)
@@ -822,17 +852,13 @@ def _series(scenario: Scenario, stem: str, columns: list[str], rows) -> dict:
     return {f"{stem}.{fmt}": export_series(columns, rows, fmt)}
 
 
-def _task_joint_spectrum(scenario: Scenario, points: int):
-    grid = _grid(scenario, points)
-    stride = scenario.jsi_stride
-    inten, marginal = biphoton.joint_spectrum_rows(
-        scenario.kernel, scenario.crystal, scenario.pump, grid, stride
-    )
+def _task_joint_spectrum(scenario: Scenario, plan: dict):
+    crystal, pump, stride = scenario.crystal, scenario.pump, scenario.jsi_stride
+    grid = make_frequency_grid(crystal, pump, **plan["grid"])
+    inten, marginal = biphoton.joint_spectrum_rows(scenario.kernel, crystal, pump, grid, stride)
     files = {"joint_spectrum.csv": _jsi_csv(grid.omega_s[::stride], inten)}
-    # convergence: the grid marginal's bandwidth against the Gaussian kernel's
-    # closed form, or the exact kernel's grid-free signal_spectrum
-    crystal, pump = scenario.crystal, scenario.pump
-    if scenario.kernel == "gaussian":
+    # convergence: the grid marginal's bandwidth against the planned reference's
+    if plan["route"] == "closed-form":
         width = biphoton.gaussian_marginal_fwhm(crystal, pump)
         ref_nm = biphoton.bandwidth_nm(width, crystal.lambda_s_nm)
     else:
@@ -842,19 +868,20 @@ def _task_joint_spectrum(scenario: Scenario, points: int):
     return files, {"delta": float(delta), "method": "reference"}, extras
 
 
-def _task_schmidt(scenario: Scenario, points: int):
-    if scenario.kernel == "gaussian":
-        # run_scenario has checked the grid; its points bound the mode count
+def _task_schmidt(scenario: Scenario, plan: dict):
+    if plan["route"] == "analytic":
+        # the plan has checked the grid; its points bound the mode count
         gamma = gamma_param(scenario.crystal, scenario.pump)
-        report = biphoton.schmidt_gaussian(gamma, max_modes=points)
+        report = biphoton.schmidt_gaussian(gamma, max_modes=plan["grid"]["n_points"])
         conv = {"delta": 0.0, "method": "analytic"}
     else:
         # the mode count is the state's, so the run grid starts at the Ritz block
         # the coarse grid accepted, and mostly streams its rows once
         state = (scenario.kernel, scenario.crystal, scenario.pump)
-        rough = biphoton.schmidt_rows(*state, _grid(scenario, _coarsen_points(scenario, points)))
+        rough = biphoton.schmidt_rows(*state, make_frequency_grid(*state[1:], **plan["coarse"]))
         first = rough.ritz_block or biphoton.SCHMIDT_BLOCK
-        report = biphoton.schmidt_rows(*state, _grid(scenario, points), first_block=first)
+        report = biphoton.schmidt_rows(*state, make_frequency_grid(*state[1:], **plan["grid"]),
+                                       first_block=first)
         k, k_coarse = report.schmidt_number_K, rough.schmidt_number_K
         conv = {"delta": float(abs(k - k_coarse) / k), "method": "coarsen"}
     floor = biphoton.SCHMIDT_COEFF_FLOOR
@@ -869,10 +896,10 @@ def _task_schmidt(scenario: Scenario, points: int):
     return files, conv, {"schmidt_number_K": float(report.schmidt_number_K)}
 
 
-def _task_g1_scan(scenario: Scenario, points: int):
-    dz = _scan_delays(scenario, 401)
-    if isinstance(scenario.sample, TabulatedSample):
-        g, conv = _numeric_g1(scenario, points, dz)
+def _task_g1_scan(scenario: Scenario, plan: dict):
+    dz = np.linspace(*plan["window_mm"], plan["delays"])
+    if plan["route"] == "numeric":
+        g, conv = _numeric_g1(scenario, plan["resolution"], dz)
     else:
         g = coherence.g1_closed_form(
             scenario.crystal, scenario.pump, scenario.effective_geometry(), scenario.sample, dz)
@@ -881,12 +908,12 @@ def _task_g1_scan(scenario: Scenario, points: int):
     return _series(scenario, "g1_scan", ["delta_z_mm", "g1_abs", "g1_phase"], rows), conv, {}
 
 
-def _task_oct_scan(scenario: Scenario, points: int):
-    dz = _scan_delays(scenario, None)
+def _task_oct_scan(scenario: Scenario, plan: dict):
+    dz = np.linspace(*plan["window_mm"], plan["delays"])
     fringes = scenario.scan.fringes
-    if isinstance(scenario.sample, TabulatedSample):
+    if plan["route"] == "numeric":
         # what interferogram_numeric does, from the correlator that also gives the check
-        g, conv = _numeric_g1(scenario, points, dz)
+        g, conv = _numeric_g1(scenario, plan["resolution"], dz)
         ifg = oct_scan._interferogram(scenario.crystal, dz, g, np.abs(g), fringes)
     else:
         ifg = oct_scan.interferogram_closed_form(
@@ -905,7 +932,7 @@ def _task_oct_scan(scenario: Scenario, points: int):
     return files, conv, {"n_peaks": len(report.positions_mm), "resolved": report.resolved}
 
 
-def _task_spectrum(scenario: Scenario, points: int):
+def _task_spectrum(scenario: Scenario, plan: dict):
     crystal = scenario.crystal
     # the spectrum, and the same rule on omega_s[::2] at half the nodes: the halved-resolution check
     spectrum, half = (biphoton.signal_spectrum(crystal, scenario.pump, kernel=scenario.kernel,
@@ -931,12 +958,17 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     """Execute every task of a scenario and write its outputs plus manifest.
 
     Deterministic: identical scenario text yields bit-identical data files and
-    an identical manifest digest. Tasks run one after another. A grid size below
-    MIN_GRID_POINTS, one the joint spectrum's stride leaves with fewer than two
-    points per axis, or one too coarse for a joint_spectrum or schmidt task's
-    spectrum, is rejected before anything is computed or written, and so is an
-    exact-kernel schmidt task whose coarsen grid (``_coarsen_points``) is not,
-    and an oct_scan whose pump path is not synchronized (T2 != 0). A task whose
+    an identical manifest digest. ``_plan`` first fixes each task's route and
+    sizes, and rejects, before anything is computed or written:
+    - grid points below MIN_GRID_POINTS (ScenarioError);
+    - a jsi_stride that leaves a joint spectrum fewer than two points per axis;
+    - a grid too coarse for the spectrum of a joint_spectrum or schmidt task
+      (GridResolutionError, noted with the first such task);
+    - an exact-kernel schmidt task whose coarsen grid, half the points but at
+      least MIN_GRID_POINTS, is not smaller or cannot resolve;
+    - an oct_scan whose pump path is not synchronized (T2 != 0);
+    - a scan of more than MAX_SCAN_POINTS delays.
+    Tasks then run one after another, each on its plan. A task whose
     written series holds a non-finite value fails with NumericalConsistencyError.
     A failed task's exception propagates with its type and a note naming the
     task. No file is written before every task has run; how the files are
@@ -944,23 +976,11 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     directory removes each directory it made, deepest first, while that one is
     empty.
     """
-    points = scenario.grid_points
-    if points < MIN_GRID_POINTS:
-        raise ScenarioError(f"grid points must be at least {MIN_GRID_POINTS}, got {points}")
-    _check_jsi_stride(scenario.tasks, scenario.jsi_stride, points)
-    grid_tasks = [task for task in scenario.tasks if task in ("joint_spectrum", "schmidt")]
-    if grid_tasks:  # checks the grid without building it
-        _noted(f"task {grid_tasks[0]}", _resolved_half_width, scenario.crystal, scenario.pump,
-               points, scenario.grid_half_width)
-    if "schmidt" in scenario.tasks and scenario.kernel == "exact":
-        _coarsen_points(scenario, points)
-    if "oct_scan" in scenario.tasks:  # a depth scan needs the pump and idler pulses to meet
-        _build("geometry", oct_scan._require_synchronized, scenario.effective_geometry(),
-               scenario.crystal)
+    plans = _plan(scenario)
     target = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)
     made = list(itertools.takewhile(lambda path: not path.exists(), (target, *target.parents)))
     try:
-        return _write_run(scenario, points, target)
+        return _write_run(scenario, plans, target)
     except BaseException:
         for path in made:
             try:
@@ -970,7 +990,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
         raise
 
 
-def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
+def _write_run(scenario: Scenario, plans: dict, target: Path) -> RunManifest:
     """run_scenario's tasks, written into target with their manifest.
 
     Every file, the manifest last, is first written as ``<name>.tmp``, and only
@@ -990,7 +1010,7 @@ def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
     data, names, seconds, convergence, extras = {}, {}, {}, {}, {}
     for task in scenario.tasks:
         t0 = time.perf_counter()
-        files, conv, extras[task] = _noted(f"task {task}", _TASK_FN[task], scenario, points)
+        files, conv, extras[task] = _noted(f"task {task}", _TASK_FN[task], scenario, plans[task])
         seconds[task] = round(time.perf_counter() - t0, 6)
         names[task] = sorted(files)
         for name in names[task]:  # the bytes hashed are the bytes written
@@ -1008,7 +1028,7 @@ def _write_run(scenario: Scenario, points: int, target: Path) -> RunManifest:
     for name in sorted(data):
         h.update(f"{name}:{hashlib.sha256(data[name]).hexdigest()}".encode())
     manifest = RunManifest(scenario_digest=scen.hexdigest(), digest=h.hexdigest(),
-                           grid_points=points, files=names, seconds=seconds,
+                           grid_points=scenario.grid_points, files=names, seconds=seconds,
                            convergence=convergence, extras=extras)
     record = dataclasses.asdict(manifest)  # a copy: the manifest keeps its NaN
     for conv in record["convergence"].values():

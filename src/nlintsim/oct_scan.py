@@ -103,13 +103,14 @@ def scan_axis(
 ) -> np.ndarray:
     """Delay axis for a depth scan; >= 8 samples per fringe when rendered."""
     lo, hi = window_mm if window_mm is not None else default_scan_range(crystal, sample)
-    if n_points is None:
-        if fringes:
-            step = crystal.lambda_s_nm * 1e-6 / 8.0
-            n_points = int(np.ceil((hi - lo) / step)) + 1
-        else:
-            n_points = 801
-    return np.linspace(lo, hi, n_points)
+    return np.linspace(lo, hi, int(scan_points(crystal, (lo, hi), fringes, n_points)))
+
+
+def scan_points(crystal: CrystalParams, window_mm: tuple, fringes: bool, n_points=None) -> float:
+    """``scan_axis``'s count: ``n_points``, else 8 per fringe or 801; a float, as inf may be."""
+    lo, hi = window_mm
+    default = np.ceil((hi - lo) / (crystal.lambda_s_nm * 1e-6 / 8.0)) + 1 if fringes else 801
+    return default if n_points is None else n_points
 
 
 def interferogram_bilayer(

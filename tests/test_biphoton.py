@@ -793,7 +793,7 @@ def test_schmidt_task_starts_the_run_grid_at_the_coarse_block(row_passes, points
         f"[grid]\npoints = {points}\nkernel = exact\n\n"
         "[tasks]\nrun = schmidt\n"
     )
-    files, _, _ = cli_runner._task_schmidt(scenario, points)
+    files, _, _ = cli_runner._task_schmidt(scenario, cli_runner._plan(scenario)["schmidt"])
     assert row_passes == passes
     # the same lambda, bit for bit, as doubling from SCHMIDT_BLOCK on the run grid
     doubled = schmidt_rows("exact", CRYSTAL, pump, make_frequency_grid(CRYSTAL, pump, points))

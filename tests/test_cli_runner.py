@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -29,7 +30,7 @@ from nlintsim.cli_runner import (
     run_scenario,
 )
 from nlintsim.optics_model import (
-    C_MM_FS, SINC_GAUSS_ALPHA, FrequencyGrid, TabulatedSample, _symmetric_axis,
+    C_MM_FS, SINC_GAUSS_ALPHA, FrequencyGrid, PumpPulse, TabulatedSample, _symmetric_axis,
     mgo_linbo3_crystal,
 )
 
@@ -380,6 +381,62 @@ def test_high_parametric_gain_rejected_before_compute(tmp_path, capsys, sigma, p
         return
     message = (f"[crystal] sigma: 2 pi sigma^2 L / |D| = {pairs} pairs per pulse "
                f"exceeds the low-gain bound {cli.MAX_PAIRS_PER_PULSE}")
+    _assert_rejected_before_compute(tmp_path, capsys, text, message)
+
+
+def _bandwidth_edge(estimate):
+    """The smallest positive x with estimate(x) within the first-order dispersion bound."""
+    bound = cli.MAX_BANDWIDTH_FRACTION * mgo_linbo3_crystal(5.0).omega_i0
+    x = float(estimate(1.0) / bound)  # estimate(x) = estimate(1) / x
+    while estimate(x) > bound:
+        x = float(np.nextafter(x, np.inf))
+    while estimate(float(np.nextafter(x, 0.0))) <= bound:
+        x = float(np.nextafter(x, 0.0))
+    return x
+
+
+T0_EDGE_FS = _bandwidth_edge(lambda t0: 1.0 / t0)
+LENGTH_EDGE_MM = _bandwidth_edge(lambda length: 1.0 / mgo_linbo3_crystal(length).dl)
+BELOW = lambda x: float(np.nextafter(x, 0.0))  # noqa: E731
+# the preset crystal given key by key, without preset
+FULL_CRYSTAL = ("d_fs_per_mm = -263.5\nd_plus_fs_per_mm = 780.0\nn_i_fs_per_mm = 7300.0\n"
+                "lambda_p_nm = 532.0\nlambda_s_nm = 810.0\nlambda_i_nm = 1550.0\n")
+
+
+@pytest.mark.parametrize("length_mm,pump_key,pump_value,field", [
+    # jsi_correlated's 10 fs pump: 0.082 of the idler carrier, the most of any bundled or
+    # benchmark scenario
+    pytest.param(5.0, "t0_fs", 10.0, None, id="jsi-correlated"),
+    pytest.param(5.0, "t0_fs", T0_EDGE_FS, None, id="pump-at-the-bound"),
+    pytest.param(5.0, "t0_fs", BELOW(T0_EDGE_FS), "[pump] t0_fs", id="pump-just-above"),
+    pytest.param(5.0, "t0_ps", BELOW(T0_EDGE_FS) / 1e3, "[pump] t0_ps", id="pump-in-ps-above"),
+    pytest.param(5.0, "t0_fs", 0.001, "[pump] t0_fs", id="1-as-pump"),
+    pytest.param(LENGTH_EDGE_MM, "t0_fs", 212.0, None, id="crystal-at-the-bound"),
+    pytest.param(BELOW(LENGTH_EDGE_MM), "t0_fs", 212.0, "[crystal] length_mm",
+                 id="crystal-just-above"),
+    pytest.param(1e-9, "t0_fs", 212.0, "[crystal] length_mm", id="1-pm-crystal"),
+    pytest.param(1e-9, "t0_fs", 0.001, "[crystal] length_mm", id="both-above-crystal-larger"),
+])
+@pytest.mark.parametrize("preset", [True, False], ids=["preset", "full-crystal"])
+def test_bandwidth_outside_the_first_order_model_rejected_before_compute(
+    tmp_path, capsys, length_mm, pump_key, pump_value, field, preset
+):
+    # the estimate max(1/T0, 1/(|D|L)) must stay within MAX_BANDWIDTH_FRACTION of the
+    # idler carrier; the field named is the one that sets the larger term
+    crystal = mgo_linbo3_crystal(length_mm)
+    text = MINIMAL.replace("length_mm = 5.0", f"length_mm = {length_mm!r}")
+    text = text.replace("t0_fs = 212.0", f"{pump_key} = {pump_value!r}")
+    if not preset:
+        text = text.replace("preset = mgo_linbo3\n", FULL_CRYSTAL)
+    bound = cli.MAX_BANDWIDTH_FRACTION * crystal.omega_i0
+    pump = PumpPulse(pump_value) if pump_key == "t0_fs" else PumpPulse.from_ps(pump_value)
+    estimate = max(1.0 / pump.t0_fs, 1.0 / crystal.dl)
+    if field is None:
+        s = parse_scenario(text)
+        assert (s.crystal, s.pump) == (crystal, pump) and estimate <= bound
+        return
+    message = (f"{field}: bandwidth estimate max(1/T0, 1/(|D|L)) = {estimate!r} rad/fs exceeds "
+               f"{cli.MAX_BANDWIDTH_FRACTION} omega_i0 = {bound!r} rad/fs")
     _assert_rejected_before_compute(tmp_path, capsys, text, message)
 
 
@@ -897,7 +954,7 @@ def test_csv_writer_leaves_unproven_roundings_to_format(monkeypatch):
 def _bundled_jsi(name):
     """The axis and the 512-point intensity slice a bundled scenario writes."""
     s = parse_scenario((SCENARIO_DIR / f"{name}.ini").read_text())
-    grid = cli._grid(s, s.grid_points)
+    grid = cli.make_frequency_grid(s.crystal, s.pump, s.grid_points)
     inten, _ = cli.biphoton.joint_spectrum_rows(s.kernel, s.crystal, s.pump, grid, s.jsi_stride)
     return grid.omega_s[::s.jsi_stride], inten
 
@@ -1527,14 +1584,66 @@ def test_grid_points_override_rejected_before_compute(tmp_path, capsys, scenario
     assert not out.exists()
 
 
-def test_unresolved_grid_fails_before_any_task(tmp_path, monkeypatch, capsys):
-    # a 1 as pump: the joint spectrum's grid cannot resolve it, and the g1 scan
-    # before it, on the numeric route, must not build its correlator first
-    (tmp_path / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n8,0.5,0.1\n")
-    text = (MINIMAL.replace("run = schmidt", "run = g1_scan, joint_spectrum")
-            .replace("t0_fs = 212.0", "t0_fs = 0.001") + TABULATED_SAMPLE)
+G1_SCAN = MINIMAL.replace("run = schmidt", "run = g1_scan")
+# 8 samples per fringe over +-1 m of delay: about 2e7 delays
+WIDE_FRINGES = (MINIMAL.replace("run = schmidt", "run = oct_scan")
+                + "\n[scan]\ndelta_z_min_mm = -1000.0\ndelta_z_max_mm = 1000.0\n")
+
+
+@pytest.mark.parametrize("text,task,field,delays", [
+    pytest.param(G1_SCAN + "\n[scan]\npoints = 100000000\n", "g1_scan", "points", "100000000",
+                 id="g1-scan-1e8-points"),
+    pytest.param(G1_SCAN + f"\n[scan]\npoints = {cli.MAX_SCAN_POINTS + 1}\n", "g1_scan",
+                 "points", str(cli.MAX_SCAN_POINTS + 1), id="g1-scan-just-above"),
+    pytest.param(WIDE_FRINGES, "oct_scan", "fringes", None, id="oct-scan-fringes"),
+    pytest.param(WIDE_FRINGES.replace("1000.0", "1e308"), "oct_scan", "fringes", "inf",
+                 id="oct-scan-fringes-inf"),  # a window wider than the float range
+])
+def test_scan_over_the_delay_budget_rejected_before_compute(tmp_path, monkeypatch, capsys, text,
+                                                           task, field, delays):
+    # the plan counts a scan's delays without building its axis, so a scan that would
+    # otherwise run until killed exits 1 at once
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a scan axis was built")
+
+    monkeypatch.setattr(cli.oct_scan, "scan_axis", forbidden)
+    monkeypatch.setattr(cli.np, "linspace", forbidden)
+    s = parse_scenario(text)
+    if delays is None:
+        window = (s.scan.delta_z_min_mm, s.scan.delta_z_max_mm)
+        delays = f"{cli.oct_scan.scan_points(s.crystal, window, True):.15g}"
+    message = (f"[scan] {field}: {task} takes {delays} delays, more than the "
+               f"{cli.MAX_SCAN_POINTS} allowed")
     scen = tmp_path / "s.ini"
     scen.write_text(text)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["run", str(scen), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        run_scenario(s, out_dir=out)
+    assert not out.exists()
+
+
+def test_scan_at_the_delay_budget_is_planned():
+    s = parse_scenario(G1_SCAN + f"\n[scan]\npoints = {cli.MAX_SCAN_POINTS}\n")
+    assert cli._plan(s)["g1_scan"]["delays"] == cli.MAX_SCAN_POINTS
+
+
+def test_unresolved_grid_fails_before_any_task(tmp_path, monkeypatch, capsys):
+    # a 10 fs pump on 512 points: the joint spectrum's grid cannot resolve it, and
+    # the g1 scan before it, on the numeric route, must not build its correlator first
+    (tmp_path / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n8,0.5,0.1\n")
+    text = (MINIMAL.replace("run = schmidt", "run = g1_scan, joint_spectrum")
+            .replace("t0_fs = 212.0", "t0_fs = 10.0") + TABULATED_SAMPLE)
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+    # a 1 as pump, which no grid of 512 points resolves either, is outside the
+    # model: parsing rejects it
+    with pytest.raises(ScenarioError, match=re.escape("[pump] t0_fs: bandwidth estimate")):
+        parse_scenario(text.replace("t0_fs = 10.0", "t0_fs = 0.001"), base_dir=tmp_path)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a correlator was built before the grid check")
@@ -1701,7 +1810,7 @@ def test_joint_spectrum_task_holds_no_full_grid_array():
     assert (s.grid_points, s.kernel, s.jsi_stride) == (4096, "gaussian", 8)
     tracemalloc.start()
     try:
-        files, conv, _ = cli._task_joint_spectrum(s, s.grid_points)
+        files, conv, _ = cli._task_joint_spectrum(s, cli._plan(s)["joint_spectrum"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1724,7 +1833,7 @@ def test_joint_spectrum_task_takes_the_gaussian_reference_in_closed_form(
     monkeypatch.setattr(cli.biphoton, "signal_spectrum", counted)
     s = parse_scenario(MINIMAL.replace("run = schmidt", "run = joint_spectrum")
                        .replace("kernel = gaussian", f"kernel = {kernel}"))
-    _, conv, extras = cli._task_joint_spectrum(s, s.grid_points)
+    _, conv, extras = cli._task_joint_spectrum(s, cli._plan(s)["joint_spectrum"])
     assert calls == [1.0] * spectra
     assert conv["method"] == "reference"
     if kernel == "gaussian":
@@ -1750,7 +1859,7 @@ def test_spectrum_task_takes_its_check_from_one_quadrature(monkeypatch):
         calls.clear()
         s = parse_scenario(MINIMAL.replace("run = schmidt", "run = spectrum")
                            .replace("kernel = gaussian", f"kernel = {kernel}"))
-        files, conv, extras = cli._task_spectrum(s, s.grid_points)
+        files, conv, extras = cli._task_spectrum(s, cli._plan(s)["spectrum"])
         assert calls == [1.0, 0.5]
         assert files["spectrum.csv"].count("\n") == 4098
         full = original(s.crystal, s.pump, kernel)
@@ -1772,7 +1881,7 @@ def test_exact_schmidt_task_holds_no_full_grid_array():
     s = parse_scenario(text)
     tracemalloc.start()
     try:
-        files, conv, _ = cli._task_schmidt(s, s.grid_points)
+        files, conv, _ = cli._task_schmidt(s, cli._plan(s)["schmidt"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1802,13 +1911,107 @@ def test_quasi_cw_tabulated_oct_scan_task_stays_in_its_blocks():
     )
     tracemalloc.start()
     try:
-        files, conv, _ = cli._task_oct_scan(s, s.grid_points)
+        files, conv, _ = cli._task_oct_scan(s, cli._plan(s)["oct_scan"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert files["interferogram.csv"].count("\n") == 402
     assert conv["method"] == "halved-resolution" and conv["delta"] <= cli.CONVERGENCE_GATE
     assert peak < 32 * 2 ** 20
+
+
+def _ci_tabulated_slab(tmp_path):
+    """CI's tabulated slab: a 20 um slab, 64 points per period of r over the correlator's band."""
+    crystal, pump = mgo_linbo3_crystal(0.5), PumpPulse(100.0)
+    slab = cli.BilayerSample.from_fresnel(1.0, 1.5, 1.3, 20.0, crystal.omega_i0)
+    ridge = cli.coherence._ridge(crystal, "exact")
+    band = 1.05 * (2.0 * cli.coherence.TAIL_SINC_ARG / crystal.dl
+                   + (ridge + 1.0) * 8.0 / pump.t0_fs)
+    w = np.linspace(-band, band, int(2.0 * band * slab.tau_fs * 64 / (2.0 * np.pi)) + 1)
+    r = slab.reflectivity(w)
+    np.savetxt(tmp_path / "slab.csv", np.column_stack([w, r.real, r.imag]), fmt="%.17g",
+               delimiter=",", header="omega_rad_fs,r_real,r_imag", comments="")
+    lo, hi = cli.oct_scan.default_scan_range(crystal, slab)
+    return ("[crystal]\npreset = mgo_linbo3\nlength_mm = 0.5\n\n[pump]\nt0_fs = 100.0\n\n"
+            "[sample]\ntype = tabulated\nfile = slab.csv\n\n"
+            f"[scan]\ndelta_z_min_mm = {lo!r}\ndelta_z_max_mm = {hi!r}\n\n"
+            "[tasks]\nrun = oct_scan, g1_scan\n")
+
+
+PLANNED = [pytest.param(path.name, id=path.stem) for path in sorted(SCENARIO_DIR.glob("*.ini"))]
+
+
+@pytest.mark.parametrize("name", [*PLANNED, pytest.param("exact", id="jsi_separable-exact"),
+                                  pytest.param("slab", id="ci-tabulated-slab")])
+def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
+    if name == "slab":
+        s = parse_scenario(_ci_tabulated_slab(tmp_path), base_dir=tmp_path)
+    else:
+        text = (SCENARIO_DIR / ("jsi_separable.ini" if name == "exact" else name)).read_text()
+        s = parse_scenario(text.replace("kernel = gaussian", f"kernel = {name}")
+                           if name == "exact" else text)
+    plans = cli._plan(s)
+    built = []
+    make_grid = cli.make_frequency_grid
+
+    def grid_spy(crystal, pump, n_points, half_width=None):
+        grid = make_grid(crystal, pump, n_points, half_width=half_width)
+        built.append(("grid", n_points, half_width))
+        assert grid.omega_s[-1] == half_width
+        return grid
+
+    def modes_spy(original):
+        def spy(gamma, max_modes=None):
+            built.append(("modes", max_modes))
+            return original(gamma, max_modes=max_modes)
+        return spy
+
+    def delays_spy(original, correlator=False):
+        def spy(*args, **kwargs):
+            dz = args[4]
+            built.append(("delays", dz.size, dz[0], dz[-1]))
+            if correlator:
+                built.append(("resolution", args[5]))
+            return original(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(cli, "make_frequency_grid", grid_spy)
+    monkeypatch.setattr(cli.biphoton, "schmidt_gaussian", modes_spy(cli.biphoton.schmidt_gaussian))
+    for owner, attr in [(cli.coherence, "g1_closed_form"),
+                        (cli.oct_scan, "interferogram_closed_form")]:
+        monkeypatch.setattr(owner, attr, delays_spy(getattr(owner, attr)))
+    monkeypatch.setattr(cli.coherence, "_scan_correlator",
+                        delays_spy(cli.coherence._scan_correlator, correlator=True))
+    for task in s.tasks:
+        plan, before = plans[task], len(built)
+        cli._TASK_FN[task](s, plan)
+        if task == "joint_spectrum":
+            expected = [("grid", *plan["grid"].values())]
+        elif task == "schmidt":
+            expected = ([("modes", plan["grid"]["n_points"])] if plan["route"] == "analytic" else
+                        [("grid", *plan["coarse"].values()), ("grid", *plan["grid"].values())])
+        elif task == "spectrum":
+            expected = []
+        else:
+            expected = [("delays", plan["delays"], *plan["window_mm"])]
+            expected += [("resolution", plan["resolution"])] if plan["route"] == "numeric" else []
+        assert built[before:] == expected, task
+    # the plan's sizes are the scenario's, resolved by the library's own rules
+    for task, plan in plans.items():
+        if "grid" in plan:
+            default = make_grid(s.crystal, s.pump, s.grid_points, half_width=s.grid_half_width)
+            assert plan["grid"] == {"n_points": s.grid_points, "half_width": default.omega_s[-1]}
+        if "coarse" in plan:
+            assert plan["coarse"] == plan["grid"] | {
+                "n_points": max(cli.MIN_GRID_POINTS, s.grid_points // 2)}
+        if "delays" in plan:
+            window = (s.scan.delta_z_min_mm, s.scan.delta_z_max_mm)
+            axis = cli.oct_scan.scan_axis(s.crystal, s.sample, s.scan.fringes,
+                                          s.scan.points or (401 if task == "g1_scan" else None),
+                                          None if window[0] is None else window)
+            assert (axis.size, axis[0], axis[-1]) == (plan["delays"], *plan["window_mm"])
+        assert plan.get("resolution") == (s.grid_points / 2048.0 if plan["route"] == "numeric"
+                                          else None)
 
 
 # ---------------------------------------------------------------- shipped recipes

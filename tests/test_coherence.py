@@ -815,9 +815,30 @@ def test_signal_spectrum_work_is_bounded_on_runaway_inputs(crystal, pump, monkey
         assert nodes[-1] <= min(np.ceil(rule), np.ceil(108 * resolution))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 36, 54, 64, 71, 72, 107, 108])
+def test_gauss_legendre_matches_golub_welsch_without_lapack(n, monkeypatch):
+    # the Jacobi matrix's eigenpairs (Golub & Welsch, Math. Comp. 23, 221, 1969) as the
+    # reference; the rule itself calls no LAPACK routine
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x_ref, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    x, w = biphoton._gauss_legendre(n)
+    assert np.max(np.abs(x - x_ref)) <= 2e-15
+    assert np.max(np.abs(w / (2.0 * v[0] ** 2) - 1.0)) <= 5e-12
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # exact for every even monomial of degree below 2n (the odd ones vanish by symmetry)
+    degree = np.arange(0, 2 * n, 2)
+    assert np.allclose(x ** degree[:, None] @ w, 2.0 / (degree + 1.0), rtol=1e-12, atol=0.0)
+
+
 def test_signal_spectrum_loads_no_polynomial_module():
-    # its Gauss-Legendre nodes come from np.linalg.eigh; numpy.polynomial costs
-    # milliseconds and about a MB to load
+    # its Gauss-Legendre nodes come from Newton's method on the Legendre recurrence;
+    # numpy.polynomial costs milliseconds and about a MB to load
     code = ("import sys\nimport nlintsim\n"
             "nlintsim.signal_spectrum(nlintsim.mgo_linbo3_crystal(5.0), nlintsim.PumpPulse(212.0))\n"
             "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'\n")
