@@ -789,8 +789,9 @@ def _csv_blocks(table, first=None) -> list[str]:
 def _plan(scenario: Scenario) -> dict:
     """Each task's ``route`` and the sizes it builds with, from the scenario alone, by task in
     run order: make_frequency_grid's arguments of its ``grid`` and ``coarse`` grid, a scan's
-    ``window_mm`` and ``delays``, the numeric correlator's ``resolution``. Nothing is built or
-    written; the checks raise in the order run_scenario lists them."""
+    ``window_mm`` and ``delays``, the numeric correlator's ``resolution`` and its
+    ``coherence.correlator_sizes`` ``n_s``, ``n_u`` and ``m``. Nothing is built or written; the
+    checks raise in the order run_scenario lists them."""
     n, tasks, crystal, pump = scenario.grid_points, scenario.tasks, scenario.crystal, scenario.pump
     if n < MIN_GRID_POINTS:
         raise ScenarioError(f"grid points must be at least {MIN_GRID_POINTS}, got {n}")
@@ -827,7 +828,13 @@ def _plan(scenario: Scenario) -> dict:
             raise ScenarioError(f"[scan] {'points' if scan.points else 'fringes'}: {task} takes"
                                 f" {delays:.15g} delays, more than the {MAX_SCAN_POINTS} allowed")
         plans[task] = {"route": "numeric" if numeric else "closed-form", "window_mm": window,
-                       "delays": int(delays), **({"resolution": n / 2048.0} if numeric else {})}
+                       "delays": int(delays)}
+        if numeric:  # the sizes of the correlator _numeric_g1 builds
+            dz = np.linspace(*window, int(delays))
+            _, n_s, n_u, m = coherence.correlator_sizes(
+                crystal, pump, resolution=n / 2048.0, **coherence._scan_arguments(
+                    crystal, scenario.effective_geometry(), scenario.sample, dz))
+            plans[task] |= {"resolution": n / 2048.0, "n_s": n_s, "n_u": n_u, "m": m}
     return {task: plans[task] for task in tasks}
 
 

@@ -36,7 +36,10 @@ at -ws is the row at ws reversed: only the rows ws <= 0 are built, each
 reduced against f(wi) for ws and against f(-wi) for -ws. The signal-frequency sum over a uniform delay axis
 is then a chirp-z transform (Bluestein's algorithm), so a scan of K delays over N signal
 frequencies costs O((N + K) log(N + K)) rather than O(N K). The route's convergence
-check is a coarse rule embedded in the same nodes. Every streamed kernel evaluation,
+check is a coarse rule embedded in the same nodes. The signal step h is sized by
+that sum alone: it repeats in the delay with period 2 pi / h, so h = 2 pi / (4 (P + |D|L)),
+P the largest delay it is taken at, keeps the sum and the coarse rule at 2h clear of
+aliasing (``correlator_sizes``). Every streamed kernel evaluation,
 here the idler reduction and the direct delay sum and in ``biphoton`` the
 joint-spectrum and Schmidt row blocks, works in blocks of about BLOCK_ELEMENTS
 elements, so its work arrays stay a few MB whatever the grid or the scan.
@@ -226,8 +229,9 @@ class PairCorrelator:
     below the accuracy contract (a shared square signal/idler grid cannot
     reach that while staying resolvable).
 
-    ``resolution`` scales step densities; spans are fixed by the physics so a
-    refinement ladder measures pure discretization error. ``omega_s`` is
+    ``resolution`` scales step densities (``correlator_sizes``); spans are
+    fixed by the physics so a refinement ladder measures pure discretization
+    error. ``omega_s`` is
     exactly antisymmetric, so the idler reduction builds the block rows of
     one half and reduces each for ws and for its mirror -ws. Its point count
     is odd, so ``coarse_correlation`` takes ``omega_s[::2]`` by the embedded
@@ -245,17 +249,10 @@ class PairCorrelator:
         resolution: float = 1.0,
         extra_idler_delay_fs: float = 0.0,
     ):
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
         self.t2_fs = float(t2_fs)
-        t0 = pump.t0_fs
-        dl = crystal.dl
-        length = crystal.length_mm
-        phase_rate = abs(t1_max_fs) + abs(t2_fs) + abs(extra_idler_delay_fs) + 1.0
-
-        half_s = 2.0 * TAIL_SINC_ARG / dl + _ridge(crystal, "exact") * 8.0 / t0
-        h_s = min(TWO_PI / dl / 8.0, 0.4 / phase_rate) / resolution
-        n_s = int(np.ceil(2.0 * half_s / h_s)) | 1
+        half_s, n_s, _, _ = correlator_sizes(
+            crystal, pump, t1_max_fs=t1_max_fs, t2_fs=t2_fs,
+            extra_idler_delay_fs=extra_idler_delay_fs, resolution=resolution)
         self.omega_s = _symmetric_axis(half_s, n_s)
         r_inner, r_coarse = _pump_quadrature(
             crystal, pump, self.omega_s,
@@ -265,7 +262,7 @@ class PairCorrelator:
             resolution=resolution,
         )
         # sigma cancels against the analytic flux normalization 2 pi sigma^2 L/|D|
-        norm = length * abs(crystal.D) / TWO_PI
+        norm = crystal.length_mm * abs(crystal.D) / TWO_PI
         self._reduced = r_inner * _trapezoid_weights(self.omega_s) * norm
         self._coarse = r_coarse * _trapezoid_weights(self.omega_s[::2]) * norm
 
@@ -349,17 +346,19 @@ def g1_scan(
 
 def _scan_correlator(crystal, pump, geometry, sample, delta_z_mm, resolution):
     """The correlator ``g1_scan`` builds for a path-delay scan, and the scan's delays T1."""
+    corr = PairCorrelator(crystal, pump, sample, resolution=resolution,
+                          **_scan_arguments(crystal, geometry, sample, delta_z_mm))
+    return corr, np.asarray(delta_z_mm, dtype=float) / C_MM_FS
+
+
+def _scan_arguments(crystal, geometry, sample, delta_z_mm) -> dict:
+    """The correlator's delay arguments for a path-delay scan over ``delta_z_mm``."""
     t1 = np.asarray(delta_z_mm, dtype=float) / C_MM_FS
-    corr = PairCorrelator(
-        crystal,
-        pump,
-        sample,
-        t2_fs=timing_from_geometry(geometry, crystal).t2_fs,
-        t1_max_fs=float(np.max(np.abs(t1))) if t1.size else 0.0,
-        resolution=resolution,
-        extra_idler_delay_fs=_max_sample_delay(sample),
-    )
-    return corr, t1
+    return {
+        "t2_fs": timing_from_geometry(geometry, crystal).t2_fs,
+        "t1_max_fs": float(np.max(np.abs(t1))) if t1.size else 0.0,
+        "extra_idler_delay_fs": _max_sample_delay(sample),
+    }
 
 
 def _axis_deviation(x: np.ndarray) -> float:
@@ -403,6 +402,43 @@ def _walkoff(crystal: CrystalParams, kernel: str) -> float:
 def _ridge(crystal: CrystalParams, kernel: str) -> float:
     """Signal detuning per unit pump detuning along the phase-matching ridge dk = 0."""
     return abs(1.0 - 2.0 * _walkoff(crystal, kernel) / crystal.D) / 2.0
+
+
+def correlator_sizes(
+    crystal: CrystalParams,
+    pump: PumpPulse,
+    *,
+    t1_max_fs: float,
+    t2_fs: float,
+    extra_idler_delay_fs: float = 0.0,
+    resolution: float = 1.0,
+) -> tuple[float, int, int, int]:
+    """``PairCorrelator``'s sizes for these arguments, (half_s, n_s, n_u, m): its signal
+    axis +-half_s [rad/fs] on n_s nodes, and ``_u_axis``'s n_u pump nodes at 1/m of its step.
+
+    The signal axis reaches the sinc^2 tail cut at TAIL_SINC_ARG, plus the pump
+    band +-8/T0 along the phase-matching ridge. Its step is
+
+        h_s = pi min(1 / (2 resolution), 1) / (P + |D|L),  P = |T1|max + |T2| + tau + 1 fs
+
+    with tau the sample's largest echo delay. The sum sum_n R_n e^{i T ws_n}
+    repeats in T with period 2 pi / h_s, and the integral it approximates lies
+    within |D|L of the delays it is taken at (``g1_envelope``'s triangle), so by
+    Poisson summation it is free of aliasing while 2 pi / h_s > P + |D|L: with
+    4x margin at resolution >= 1, and 2x for the embedded coarse rule at 2 h_s.
+    Below resolution 1 the step stops where the coarse rule meets the limit.
+    """
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
+    dl = crystal.dl
+    phase_rate = abs(t1_max_fs) + abs(t2_fs) + abs(extra_idler_delay_fs) + 1.0
+    half_s = 2.0 * TAIL_SINC_ARG / dl + _ridge(crystal, "exact") * 8.0 / pump.t0_fs
+    h_s = np.pi * min(0.5 / resolution, 1.0) / (phase_rate + dl)
+    n_s = int(np.ceil(2.0 * half_s / h_s)) | 1
+    # the step of _symmetric_axis(half_s, n_s), which ends at +-half_s exactly
+    u, m = _u_axis(crystal, pump, lattice_step=2.0 * half_s / (n_s - 1),
+                   delay_fs=abs(t2_fs) + abs(extra_idler_delay_fs), resolution=resolution)
+    return half_s, n_s, u.size, m
 
 
 def _u_axis(

@@ -101,9 +101,15 @@ def scan_axis(
     n_points: int | None = None,
     window_mm: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Delay axis for a depth scan; >= 8 samples per fringe when rendered."""
+    """Delay axis for a depth scan; >= 8 samples per fringe when rendered.
+
+    A window, window width or count that is not finite raises ValueError."""
     lo, hi = window_mm if window_mm is not None else default_scan_range(crystal, sample)
-    return np.linspace(lo, hi, int(scan_points(crystal, (lo, hi), fringes, n_points)))
+    count = scan_points(crystal, (lo, hi), fringes, n_points)
+    if not np.all(np.isfinite((lo, hi, hi - lo, count))):
+        raise ValueError(f"scan window ({lo}, {hi}) mm with {count} delays: "
+                         "the window, its width and the count must be finite")
+    return np.linspace(lo, hi, int(count))
 
 
 def scan_points(crystal: CrystalParams, window_mm: tuple, fringes: bool, n_points=None) -> float:

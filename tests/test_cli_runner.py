@@ -1731,6 +1731,29 @@ def test_numeric_convergence_reports_the_tail_bound(tmp_path, monkeypatch):
     assert again["tail_bound"] > again["gate"] and not again["flagged"]
 
 
+@pytest.mark.parametrize("points", [256, 512])
+def test_numeric_check_below_2048_points_reads_its_change(tmp_path, points):
+    # below resolution 1 the signal step stops where the embedded coarse rule meets
+    # its alias limit. At 512 points the check reads under the tail bound, as at
+    # 2048; at 256 the pump lattice is one signal step (m = 1), too coarse for the
+    # coarse rule, and the run stays flagged as it was before the step rule changed.
+    # Either way the check reads no less than the change against a 2048-point build.
+    (tmp_path / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n0,0.2,0\n8,0.5,0.1\n")
+    text = MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE
+    scans = {}
+    for n in (2048, points):
+        s = parse_scenario(text.replace("points = 512", f"points = {n}"), base_dir=tmp_path)
+        plan = cli._plan(s)["g1_scan"]
+        scans[n] = cli._numeric_g1(s, plan["resolution"], np.linspace(*plan["window_mm"],
+                                                                     plan["delays"]))
+    (g, entry), fine = scans[points], np.abs(scans[2048][0])
+    assert entry["delta"] >= np.max(np.abs(np.abs(g) - fine)) > 0
+    if points == 512:
+        assert entry["delta"] < entry["tail_bound"]
+    else:
+        assert entry["delta"] > cli.CONVERGENCE_GATE
+
+
 def test_jsi_stride_checked_against_grid_points_override(tmp_path, capsys):
     text = MINIMAL.replace("run = schmidt", "run = joint_spectrum") + "\n[output]\njsi_stride = 300\n"
     s = parse_scenario(text)  # two points per axis on the scenario's 512-point grid
@@ -1891,8 +1914,8 @@ def test_exact_schmidt_task_holds_no_full_grid_array():
 
 
 def test_quasi_cw_tabulated_oct_scan_task_stays_in_its_blocks():
-    # the benchmark's quasi-CW slab: 109,843 signal rows by 35 pump points, so
-    # 4 chunks of 1e6 elements (83 MiB traced) or 16 of coherence.BLOCK_ELEMENTS
+    # the benchmark's quasi-CW slab: 36,885 signal rows by 35 pump points, so
+    # 2 chunks of 1e6 elements (52 MiB traced) or 6 of coherence.BLOCK_ELEMENTS
     s = parse_scenario(OCT_SCENARIO.replace("run = oct_scan, g1_scan", "run = oct_scan"))
     crystal, slab = s.crystal, s.sample
     deepest = dataclasses.replace(slab, d0_um=25.0)
@@ -1942,10 +1965,12 @@ PLANNED = [pytest.param(path.name, id=path.stem) for path in sorted(SCENARIO_DIR
 
 
 @pytest.mark.parametrize("name", [*PLANNED, pytest.param("exact", id="jsi_separable-exact"),
-                                  pytest.param("slab", id="ci-tabulated-slab")])
+                                  pytest.param("slab", id="ci-tabulated-slab"),
+                                  pytest.param("slab-1024", id="ci-tabulated-slab-1024")])
 def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
-    if name == "slab":
-        s = parse_scenario(_ci_tabulated_slab(tmp_path), base_dir=tmp_path)
+    if name.startswith("slab"):
+        points = "\n[grid]\npoints = 1024\n" if name == "slab-1024" else ""
+        s = parse_scenario(_ci_tabulated_slab(tmp_path) + points, base_dir=tmp_path)
     else:
         text = (SCENARIO_DIR / ("jsi_separable.ini" if name == "exact" else name)).read_text()
         s = parse_scenario(text.replace("kernel = gaussian", f"kernel = {name}")
@@ -1966,13 +1991,26 @@ def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
             return original(gamma, max_modes=max_modes)
         return spy
 
+    lattices = []
+    u_axis = cli.coherence._u_axis
+
+    def lattice_spy(*args, **kwargs):
+        u, m = u_axis(*args, **kwargs)
+        lattices.append((u.size, m))
+        return u, m
+
     def delays_spy(original, correlator=False):
         def spy(*args, **kwargs):
             dz = args[4]
             built.append(("delays", dz.size, dz[0], dz[-1]))
-            if correlator:
-                built.append(("resolution", args[5]))
-            return original(*args, **kwargs)
+            if not correlator:
+                return original(*args, **kwargs)
+            built.append(("resolution", args[5]))
+            lattices.clear()
+            corr, t1 = original(*args, **kwargs)
+            # lattices: the build's sizing, the idler reduction's, its coarse rule's
+            built.append(("sizes", corr.omega_s.size, *lattices[1]))
+            return corr, t1
         return spy
 
     monkeypatch.setattr(cli, "make_frequency_grid", grid_spy)
@@ -1982,6 +2020,7 @@ def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
         monkeypatch.setattr(owner, attr, delays_spy(getattr(owner, attr)))
     monkeypatch.setattr(cli.coherence, "_scan_correlator",
                         delays_spy(cli.coherence._scan_correlator, correlator=True))
+    monkeypatch.setattr(cli.coherence, "_u_axis", lattice_spy)
     for task in s.tasks:
         plan, before = plans[task], len(built)
         cli._TASK_FN[task](s, plan)
@@ -1994,7 +2033,9 @@ def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
             expected = []
         else:
             expected = [("delays", plan["delays"], *plan["window_mm"])]
-            expected += [("resolution", plan["resolution"])] if plan["route"] == "numeric" else []
+            if plan["route"] == "numeric":
+                expected += [("resolution", plan["resolution"]),
+                             ("sizes", plan["n_s"], plan["n_u"], plan["m"])]
         assert built[before:] == expected, task
     # the plan's sizes are the scenario's, resolved by the library's own rules
     for task, plan in plans.items():
@@ -2012,6 +2053,8 @@ def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
             assert (axis.size, axis[0], axis[-1]) == (plan["delays"], *plan["window_mm"])
         assert plan.get("resolution") == (s.grid_points / 2048.0 if plan["route"] == "numeric"
                                           else None)
+        sized = {"n_s", "n_u", "m"}
+        assert sized & set(plan) == (sized if plan["route"] == "numeric" else set())
 
 
 # ---------------------------------------------------------------- shipped recipes

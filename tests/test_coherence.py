@@ -46,6 +46,7 @@ from nlintsim.optics_model import (
     TabulatedSample,
     UniformSample,
     _trapezoid_weights,
+    echoes,
     make_frequency_grid,
     mgo_linbo3_crystal,
     pump_amplitude,
@@ -341,9 +342,11 @@ CHIRP_Z_CASES = [
     pytest.param({"t1": []}, id="no-delays"),
     pytest.param({"t1": [123.0]}, id="one-delay"),
     pytest.param({"t1": [-50.0, 80.0]}, id="two-delays"),
-    # chirp phases reach a N^2 / 2 ~ 2e9 rad over N ~ 1e5 signal frequencies
+    # chirp phases reach a N^2 / 2 ~ 2e9 rad over N ~ 1e5 signal frequencies, which
+    # this band takes at resolution 3
     pytest.param(
-        {"t1": [-400.0, 0.0, 400.0], "crystal": mgo_linbo3_crystal(0.5), "pump": PumpPulse(1e5)},
+        {"t1": [-400.0, 0.0, 400.0], "crystal": mgo_linbo3_crystal(0.5), "pump": PumpPulse(1e5),
+         "resolution": 3.0},
         id="three-delays-wide-band",
     ),
 ]
@@ -846,12 +849,12 @@ def test_signal_spectrum_loads_no_polynomial_module():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def slab_table(crystal, pump, d_um=20.0):
+def slab_table(crystal, pump, d_um=20.0, per_period=64):
     """A tabulated glass slab over the whole correlator band, like the benchmark's, and its bilayer."""
     slab = BilayerSample.from_fresnel(1.0, 1.5, 1.3, d_um, crystal.omega_i0)
     ridge = coherence._ridge(crystal, "exact")
     band = 1.05 * (2.0 * coherence.TAIL_SINC_ARG / crystal.dl + (ridge + 1.0) * 8.0 / pump.t0_fs)
-    w = np.linspace(-band, band, int(2.0 * band * slab.tau_fs * 64 / (2.0 * np.pi)) + 1)
+    w = np.linspace(-band, band, int(2.0 * band * slab.tau_fs * per_period / (2.0 * np.pi)) + 1)
     return TabulatedSample(omega=w, r=slab.reflectivity(w)), slab
 
 
@@ -888,6 +891,55 @@ def test_embedded_check_tracks_a_halved_build(length_mm, t0_fs):
     standalone = np.max(np.abs(fine - np.abs(half)))
     assert np.max(fine) > 0.1 and standalone > 0
     assert 0.5 <= embedded / standalone <= 2.0
+
+
+# crystal [mm], pump T0 [fs], sample, T2 [fs], and the flag the embedded check must raise;
+# "slab-<d>um" is a glass slab of that thickness as a bilayer, "table-<p>" CI's 20 um slab
+# tabulated at p points per period of r
+STEP_RULE_CASES = [
+    pytest.param(2.5, 100.0, "slab-20um", 0.0, False, id="bilayer-2.5mm-100fs"),
+    pytest.param(10.0, 1e5, "slab-20um", 0.0, False, id="bilayer-10mm-100ps"),
+    pytest.param(0.5, 20.0, "slab-20um", 0.0, False, id="bilayer-0.5mm-20fs"),
+    pytest.param(5.0, 100.0, "slab-200um", 0.0, False, id="bilayer-200um-5mm-100fs"),
+    pytest.param(5.0, 212.0, "mirror", 0.0, False, id="mirror-5mm-212fs"),
+    pytest.param(0.5, 100.0, "lossy", -100.0, False, id="lossy-uniform-t2"),
+    pytest.param(0.5, 100.0, "table-64", 0.0, False, id="ci-tabulated-slab"),
+    # too coarse a table: flagged before the step rule changed and after it
+    pytest.param(0.5, 100.0, "table-8", 0.0, True, id="table-8-per-period"),
+]
+
+
+@pytest.mark.parametrize("length_mm,t0_fs,sample,t2_fs,flagged", STEP_RULE_CASES)
+def test_signal_step_rule_keeps_the_closed_form(length_mm, t0_fs, sample, t2_fs, flagged):
+    # g1_scan stays within the sinc^2 tail cut's max|r| / (pi TAIL_SINC_ARG) of the
+    # closed form, plus, for a table, the h^2/8 max|r''| of its linear interpolation;
+    # the embedded coarse rule's change of |g1| passes the gate unless flagged
+    crystal, pump = mgo_linbo3_crystal(length_mm), PumpPulse(t0_fs)
+    kind, _, arg = sample.partition("-")
+    if kind == "mirror":
+        layered = routed = MIRROR
+    elif kind == "lossy":
+        layered = routed = LOSSY
+    elif kind == "slab":
+        layered = routed = BilayerSample.from_fresnel(
+            1.0, 1.5, 1.3, float(arg[:-2]), crystal.omega_i0)
+    else:
+        routed, layered = slab_table(crystal, pump, per_period=int(arg))
+    synced = synced_geometry(crystal)
+    geom = dataclasses.replace(synced, zp2_mm=synced.zp2_mm + t2_fs * C_MM_FS)
+    dz = np.linspace(*default_scan_range(crystal, layered), 161)
+    closed = g1_closed_form(crystal, pump, geom, layered, dz)
+    bound = sum(abs(r) for r, _, _ in echoes(layered)) / (np.pi * coherence.TAIL_SINC_ARG)
+    if routed is not layered:
+        second = np.diff(routed.r, 2)
+        bound = (np.max(np.abs(routed.r)) / (np.pi * coherence.TAIL_SINC_ARG)
+                 + np.hypot(np.max(np.abs(second.real)), np.max(np.abs(second.imag))) / 8.0)
+    corr, t1 = coherence._scan_correlator(crystal, pump, geom, routed, dz, 1.0)
+    g = corr.correlation(t1) * np.exp(1j * carrier_phase(crystal, geom, dz))
+    delta = np.max(np.abs(np.abs(g) - np.abs(corr.coarse_correlation(t1))))
+    assert np.max(np.abs(closed)) > 0.1  # the comparison is not between zeros
+    assert np.max(np.abs(g - closed)) <= bound
+    assert bool(delta > cli_runner.CONVERGENCE_GATE) is flagged
 
 
 # ---------------------------------------------------------------- photon number

@@ -51,6 +51,28 @@ def test_requires_synchronized_pump_path():
         interferogram_bilayer(crystal, QUASI_CW, geom, glass_slab(crystal), dz)
 
 
+@pytest.mark.parametrize("window,fringes,n_points", [
+    pytest.param((-1e308, 1e308), True, None, id="float-range-window"),
+    pytest.param((-1e308, 1e308), False, 801, id="float-range-window-counted"),
+    pytest.param((float("nan"), 1.0), True, None, id="nan-window"),
+    pytest.param((float("nan"), 1.0), False, None, id="nan-window-no-fringes"),
+    pytest.param((0.0, float("inf")), True, None, id="inf-window"),
+    pytest.param((-float("inf"), 0.0), False, 11, id="inf-window-counted"),
+    pytest.param((-0.1, 0.1), False, float("inf"), id="inf-count"),
+    pytest.param((-0.1, 0.1), False, float("nan"), id="nan-count"),
+])
+def test_scan_axis_rejects_a_nonfinite_window_or_count(monkeypatch, window, fringes, n_points):
+    # a ValueError naming the window and the count, before np.linspace runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linspace ran")
+
+    crystal = mgo_linbo3_crystal(0.5)
+    monkeypatch.setattr(np, "linspace", forbidden)
+    with pytest.raises(ValueError, match=r"^scan window \(.+, .+\) mm with .+ delays"):
+        scan_axis(crystal, glass_slab(crystal), fringes=fringes, n_points=n_points,
+                  window_mm=window)
+
+
 def test_thin_crystal_quasi_cw_resolves_slab():
     crystal = mgo_linbo3_crystal(0.5)
     sample = glass_slab(crystal)
