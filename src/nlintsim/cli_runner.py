@@ -831,10 +831,10 @@ def _plan(scenario: Scenario) -> dict:
                        "delays": int(delays)}
         if numeric:  # the sizes of the correlator _numeric_g1 builds
             dz = np.linspace(*window, int(delays))
-            _, n_s, n_u, m = coherence.correlator_sizes(
+            _, n_s, u, m, _ = coherence.correlator_sizes(
                 crystal, pump, resolution=n / 2048.0, **coherence._scan_arguments(
                     crystal, scenario.effective_geometry(), scenario.sample, dz))
-            plans[task] |= {"resolution": n / 2048.0, "n_s": n_s, "n_u": n_u, "m": m}
+            plans[task] |= {"resolution": n / 2048.0, "n_s": n_s, "n_u": u.size, "m": m}
     return {task: plans[task] for task in tasks}
 
 

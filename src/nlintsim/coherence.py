@@ -37,9 +37,11 @@ reduced against f(wi) for ws and against f(-wi) for -ws. The signal-frequency su
 is then a chirp-z transform (Bluestein's algorithm), so a scan of K delays over N signal
 frequencies costs O((N + K) log(N + K)) rather than O(N K). The route's convergence
 check is a coarse rule embedded in the same nodes. The signal step h is sized by
-that sum alone: it repeats in the delay with period 2 pi / h, so h = 2 pi / (4 (P + |D|L)),
-P the largest delay it is taken at, keeps the sum and the coarse rule at 2h clear of
-aliasing (``correlator_sizes``). Every streamed kernel evaluation,
+that sum alone: it repeats in the delay with period 2 pi / h, so at resolution 1
+h = 2 pi / (4 (P + |D|L)), P the largest delay it is taken at plus the sample's
+(``correlator_sizes``), keeps the sum and the coarse rule at 2h clear of aliasing.
+A table has no echoes; its delay is where its r(w) holds content (``_table_delay``).
+Every streamed kernel evaluation,
 here the idler reduction and the direct delay sum and in ``biphoton`` the
 joint-spectrum and Schmidt row blocks, works in blocks of about BLOCK_ELEMENTS
 elements, so its work arrays stay a few MB whatever the grid or the scan.
@@ -61,6 +63,7 @@ from .optics_model import (
     SINC_GAUSS_ALPHA,
     SampleModel,
     TWO_PI,
+    TabulatedSample,
     _symmetric_axis,
     _trapezoid_weights,
     echoes,
@@ -229,9 +232,9 @@ class PairCorrelator:
     below the accuracy contract (a shared square signal/idler grid cannot
     reach that while staying resolvable).
 
-    ``resolution`` scales step densities (``correlator_sizes``); spans are
-    fixed by the physics so a refinement ladder measures pure discretization
-    error. ``omega_s`` is
+    ``resolution`` scales step densities down to 0.5, and a lower one builds as
+    0.5 does (``correlator_sizes``); spans are fixed by the physics so a
+    refinement ladder measures pure discretization error. ``omega_s`` is
     exactly antisymmetric, so the idler reduction builds the block rows of
     one half and reduces each for ws and for its mirror -ws. Its point count
     is odd, so ``coarse_correlation`` takes ``omega_s[::2]`` by the embedded
@@ -250,17 +253,12 @@ class PairCorrelator:
         extra_idler_delay_fs: float = 0.0,
     ):
         self.t2_fs = float(t2_fs)
-        half_s, n_s, _, _ = correlator_sizes(
+        half_s, n_s, *lattice = correlator_sizes(
             crystal, pump, t1_max_fs=t1_max_fs, t2_fs=t2_fs,
             extra_idler_delay_fs=extra_idler_delay_fs, resolution=resolution)
         self.omega_s = _symmetric_axis(half_s, n_s)
         r_inner, r_coarse = _pump_quadrature(
-            crystal, pump, self.omega_s,
-            sample=sample,
-            t2_fs=t2_fs,
-            extra_delay_fs=extra_idler_delay_fs,
-            resolution=resolution,
-        )
+            crystal, pump, self.omega_s, lattice, sample=sample, t2_fs=t2_fs)
         # sigma cancels against the analytic flux normalization 2 pi sigma^2 L/|D|
         norm = crystal.length_mm * abs(crystal.D) / TWO_PI
         self._reduced = r_inner * _trapezoid_weights(self.omega_s) * norm
@@ -357,7 +355,9 @@ def _scan_arguments(crystal, geometry, sample, delta_z_mm) -> dict:
     return {
         "t2_fs": timing_from_geometry(geometry, crystal).t2_fs,
         "t1_max_fs": float(np.max(np.abs(t1))) if t1.size else 0.0,
-        "extra_idler_delay_fs": _max_sample_delay(sample),
+        "extra_idler_delay_fs": (_table_delay(sample, crystal.dl)
+                                 if isinstance(sample, TabulatedSample)
+                                 else _max_sample_delay(sample)),
     }
 
 
@@ -390,6 +390,66 @@ def _max_sample_delay(sample: SampleModel) -> float:
     return max((tau for _, _, tau in echoes(sample)), default=0.0)
 
 
+# the last table's (table, dl, delay), kept by identity: a run's plan and its build
+# read the same table, and a table's arrays never change, so a hit returns what the
+# FFT would
+_LAST_TABLE_DELAY = [(None, None, None)]
+
+
+def _table_delay(table: TabulatedSample, dl: float) -> float:
+    """The largest delay [fs] at which a table's r(w) holds content, the echo delay of a table.
+
+    The transform G(T) = (dl / 2 pi) integral sinc^2(dl w / 2) r(w) e^{-i w T} dw takes
+    an echo r_k e^{i w tau_k} to r_k tri((T - tau_k) / dl): the correlation at T2 = 0
+    with a CW pump, which a pulsed pump narrows. It is summed over the table's samples,
+    or over its linear interpolant on a uniform grid of its smallest step, at most 16
+    times finer than its mean step, and taken by FFT at delays at most dl/8 apart over
+    the period 2 pi/step; the interpolant's images beyond it are not counted. The delay
+    is the largest |T| where |G| exceeds the tail cut's max|r| / (pi TAIL_SINC_ARG),
+    plus that spacing, less dl: so an echo reads its own tau_k. A table narrower than
+    the signal band +-2 TAIL_SINC_ARG / dl, which the reduction rejects, reads 0. The
+    last table's delay is kept, so a plan and its build take the FFT once.
+    """
+    last, last_dl, delay = _LAST_TABLE_DELAY[0]
+    if last is table and last_dl == dl:
+        return delay
+    w = table.omega
+    span = w[-1] - w[0]
+    if span < 4.0 * TAIL_SINC_ARG / dl:
+        return 0.0
+    n = min(int(round(span / np.min(np.diff(w)))), 16 * (w.size - 1)) + 1
+    step = span / (n - 1)
+    bins = int(np.ceil(16.0 * np.pi / (step * dl)))
+    uniform = n == w.size and np.array_equal(w, np.linspace(w[0], w[-1], n))
+    # sample j = q bins + k sits in row q, column k, and the sum over rows is the
+    # DFT at the bins' delays; sin(dl w / 2) comes from the row and column phases,
+    # in about a sixth of the time np.sin takes on a whole table
+    half_dl = 0.5 * dl
+    cols = half_dl * step * np.arange(bins)
+    col_phase = np.exp(1j * cols)
+    n_rows, block = -(-n // bins), max(1, BLOCK_ELEMENTS // bins)
+    folded = np.zeros(bins, dtype=complex)
+    for q in range(0, n_rows, block):
+        rows = half_dl * (w[0] + step * bins * np.arange(q, min(q + block, n_rows)))
+        arg = np.add.outer(rows, cols)
+        lo, hi = q * bins, min(q * bins + arg.size, n)
+        r = np.zeros(arg.size, dtype=complex)
+        if uniform:
+            r[: hi - lo] = table.r[lo:hi]
+        else:
+            r[: hi - lo] = table.reflectivity(arg.ravel()[: hi - lo] / half_dl)
+        sin = (np.exp(1j * rows)[:, None] * col_phase).imag
+        # sinc^2, and 1 to 1e-12 where the argument is below 1e-6
+        weight = np.divide(sin, arg, out=np.ones_like(arg), where=np.abs(arg) > 1e-6) ** 2
+        folded += np.sum(r.reshape(arg.shape) * weight, axis=0)
+    g = np.abs(np.fft.fft(folded)) * (step * dl / TWO_PI)
+    t = np.abs(TWO_PI * np.fft.fftfreq(bins, step))
+    floor = np.max(np.abs(table.r)) / (np.pi * TAIL_SINC_ARG)
+    delay = max(0.0, float(t[g > floor].max(initial=-np.inf)) + TWO_PI / (bins * step) - dl)
+    _LAST_TABLE_DELAY[0] = (table, dl, delay)
+    return delay
+
+
 def _walkoff(crystal: CrystalParams, kernel: str) -> float:
     """Pump walk-off D_plus kept by ``kernel``; the Gaussian stand-in drops it."""
     if kernel == "exact":
@@ -412,33 +472,51 @@ def correlator_sizes(
     t2_fs: float,
     extra_idler_delay_fs: float = 0.0,
     resolution: float = 1.0,
-) -> tuple[float, int, int, int]:
-    """``PairCorrelator``'s sizes for these arguments, (half_s, n_s, n_u, m): its signal
-    axis +-half_s [rad/fs] on n_s nodes, and ``_u_axis``'s n_u pump nodes at 1/m of its step.
+) -> tuple[float, int, np.ndarray, int, int]:
+    """``PairCorrelator``'s sizes for these arguments, (half_s, n_s, u, m, stride): its
+    signal axis +-half_s [rad/fs] on n_s nodes, and the pump lattice (u, m, stride) of
+    ``_lattice`` that ``_pump_quadrature`` reduces on.
 
     The signal axis reaches the sinc^2 tail cut at TAIL_SINC_ARG, plus the pump
     band +-8/T0 along the phase-matching ridge. Its step is
 
-        h_s = pi min(1 / (2 resolution), 1) / (P + |D|L),  P = |T1|max + |T2| + tau + 1 fs
+        h_s = pi / (2 max(resolution, 1/2) (P + |D|L)),  P = |T1|max + |T2| + tau + 1 fs
 
-    with tau the sample's largest echo delay. The sum sum_n R_n e^{i T ws_n}
-    repeats in T with period 2 pi / h_s, and the integral it approximates lies
-    within |D|L of the delays it is taken at (``g1_envelope``'s triangle), so by
-    Poisson summation it is free of aliasing while 2 pi / h_s > P + |D|L: with
-    4x margin at resolution >= 1, and 2x for the embedded coarse rule at 2 h_s.
-    Below resolution 1 the step stops where the coarse rule meets the limit.
+    with tau the sample's delay: its largest echo delay, or a table's ``_table_delay``.
+    The sum sum_n R_n e^{i T ws_n} repeats in T with period 2 pi / h_s, and the
+    integral it approximates lies within |D|L of the sample's delays (``g1_envelope``'s
+    triangle), so by Poisson summation it is free of aliasing while 2 pi / h_s > P + |D|L:
+    with 4x margin at resolution >= 1, and 2x for the embedded coarse rule at 2 h_s. At
+    resolution 0.5 the coarse rule meets the limit, so a lower resolution builds as 0.5
+    does: the signal step and the pump lattice alike.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    resolution = max(resolution, 0.5)
     dl = crystal.dl
     phase_rate = abs(t1_max_fs) + abs(t2_fs) + abs(extra_idler_delay_fs) + 1.0
     half_s = 2.0 * TAIL_SINC_ARG / dl + _ridge(crystal, "exact") * 8.0 / pump.t0_fs
-    h_s = np.pi * min(0.5 / resolution, 1.0) / (phase_rate + dl)
+    h_s = np.pi / (2.0 * resolution * (phase_rate + dl))
     n_s = int(np.ceil(2.0 * half_s / h_s)) | 1
     # the step of _symmetric_axis(half_s, n_s), which ends at +-half_s exactly
-    u, m = _u_axis(crystal, pump, lattice_step=2.0 * half_s / (n_s - 1),
-                   delay_fs=abs(t2_fs) + abs(extra_idler_delay_fs), resolution=resolution)
-    return half_s, n_s, u.size, m
+    return half_s, n_s, *_lattice(crystal, pump, 2.0 * half_s / (n_s - 1),
+                                  delay_fs=abs(t2_fs) + abs(extra_idler_delay_fs),
+                                  resolution=resolution)
+
+
+def _lattice(
+    crystal: CrystalParams, pump: PumpPulse, signal_step: float, *, delay_fs: float,
+    resolution: float,
+) -> tuple[np.ndarray, int, int]:
+    """The idler reduction's pump lattice for a signal step: ``_u_axis``'s (u, m), and
+    the stride of the embedded coarse rule over u. That is 2, or 1 where ``_u_axis`` at
+    half the resolution and twice the step keeps its 33-point floor, so that halving u
+    would not halve its resolution."""
+    u, m = _u_axis(crystal, pump, lattice_step=signal_step, delay_fs=delay_fs,
+                   resolution=resolution)
+    half = _u_axis(crystal, pump, lattice_step=2.0 * signal_step, delay_fs=delay_fs,
+                   resolution=resolution / 2.0)[0].size
+    return u, m, 2 if abs(half - (u.size + 1) // 2) < abs(half - u.size) else 1
 
 
 def _u_axis(
@@ -559,18 +637,18 @@ def _pump_quadrature(
     crystal: CrystalParams,
     pump: PumpPulse,
     omega_s: np.ndarray,
+    lattice: tuple[np.ndarray, int, int],
     *,
     sample: SampleModel,
     t2_fs: float = 0.0,
-    extra_delay_fs: float = 0.0,
-    resolution: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Idler-side integral of the pair kernel over the pump detuning u = ws + wi.
 
         R(ws) = sum_u w_u |F(u)|^2 sinc^2(dk L / 2) f(wi),  f(wi) = r*(wi) e^{i wi T2},  wi = u - ws
 
-    sinc^2 is the square of ``_kernel_block`` over the lattice u of ``_u_axis``,
-    in chunks of rows of about BLOCK_ELEMENTS block elements.
+    sinc^2 is the square of ``_kernel_block`` over the lattice (u, m, stride) that
+    ``_lattice`` sizes for ``omega_s``'s step (``correlator_sizes``), in chunks of rows
+    of about BLOCK_ELEMENTS block elements.
 
     ``omega_s`` must be ``_symmetric_axis``'s, ws_{N-1-n} = -ws_n bit for bit,
     as PairCorrelator's is. Both the pump and sinc^2 are even, and the u axis
@@ -589,15 +667,11 @@ def _pump_quadrature(
 
     Returns R, and R on ``omega_s[::2]`` by the embedded coarse rule of Romberg
     integration: the trapezoid rule at twice the step on nodes of this one, at
-    u[::2] with twice the weights from the values each chunk holds, or, where
-    ``_u_axis`` at half the resolution keeps its 33-point floor, R[::2].
+    u[::2] with twice the weights from the values each chunk holds, or, at
+    stride 1, R[::2].
     """
-    n_s = omega_s.size
-    step, delay = (omega_s[-1] - omega_s[0]) / (n_s - 1), abs(t2_fs) + abs(extra_delay_fs)
-    u, m = _u_axis(crystal, pump, lattice_step=step, delay_fs=delay, resolution=resolution)
-    half = _u_axis(crystal, pump, lattice_step=2.0 * step, delay_fs=delay,
-                   resolution=resolution / 2.0)[0].size
-    thin = abs(half - (u.size + 1) // 2) < abs(half - u.size)
+    n_s, (u, m, stride) = omega_s.size, lattice
+    thin = stride == 2
     t0 = pump.t0_fs
     n_u = u.size
     pump_row = (t0 / np.sqrt(np.pi)) * np.exp(-((u * t0) ** 2)) * _trapezoid_weights(u)

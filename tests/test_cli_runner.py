@@ -1732,26 +1732,28 @@ def test_numeric_convergence_reports_the_tail_bound(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("points", [256, 512])
-def test_numeric_check_below_2048_points_reads_its_change(tmp_path, points):
-    # below resolution 1 the signal step stops where the embedded coarse rule meets
-    # its alias limit. At 512 points the check reads under the tail bound, as at
-    # 2048; at 256 the pump lattice is one signal step (m = 1), too coarse for the
-    # coarse rule, and the run stays flagged as it was before the step rule changed.
-    # Either way the check reads no less than the change against a 2048-point build.
-    (tmp_path / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n0,0.2,0\n8,0.5,0.1\n")
-    text = MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE
+@pytest.mark.parametrize("table", ["three-row", "ci-slab"])
+def test_numeric_check_below_1024_points_reads_its_change(tmp_path, table, points):
+    # at 1024 points the embedded coarse rule meets its alias limit, so fewer points build
+    # as 1024 do, the pump lattice with the signal step: the smooth three-row table's
+    # 256-point check read 0.08 while its pump lattice alone kept coarsening, and CI's
+    # slab table's read 1.6e-7 against a change of 1.0e-5. Now the check reads under
+    # the tail bound and no less than the change against a 2048-point build.
+    if table == "three-row":
+        (tmp_path / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n0,0.2,0\n8,0.5,0.1\n")
+        text = MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE
+    else:
+        text = _ci_tabulated_slab(tmp_path).replace("run = oct_scan, g1_scan", "run = g1_scan")
+        text += "\n[grid]\npoints = 512\n"
     scans = {}
-    for n in (2048, points):
+    for n in (2048, 1024, points):
         s = parse_scenario(text.replace("points = 512", f"points = {n}"), base_dir=tmp_path)
         plan = cli._plan(s)["g1_scan"]
         scans[n] = cli._numeric_g1(s, plan["resolution"], np.linspace(*plan["window_mm"],
                                                                      plan["delays"]))
     (g, entry), fine = scans[points], np.abs(scans[2048][0])
-    assert entry["delta"] >= np.max(np.abs(np.abs(g) - fine)) > 0
-    if points == 512:
-        assert entry["delta"] < entry["tail_bound"]
-    else:
-        assert entry["delta"] > cli.CONVERGENCE_GATE
+    assert g.tobytes() == scans[1024][0].tobytes() and entry == scans[1024][1]
+    assert entry["tail_bound"] > entry["delta"] >= np.max(np.abs(np.abs(g) - fine)) > 0
 
 
 def test_jsi_stride_checked_against_grid_points_override(tmp_path, capsys):
@@ -1914,8 +1916,8 @@ def test_exact_schmidt_task_holds_no_full_grid_array():
 
 
 def test_quasi_cw_tabulated_oct_scan_task_stays_in_its_blocks():
-    # the benchmark's quasi-CW slab: 36,885 signal rows by 35 pump points, so
-    # 2 chunks of 1e6 elements (52 MiB traced) or 6 of coherence.BLOCK_ELEMENTS
+    # the benchmark's quasi-CW slab: 51,277 signal rows by 35 pump points, so
+    # 1 chunk of 1e6 elements (71 MiB traced) or 4 of coherence.BLOCK_ELEMENTS
     s = parse_scenario(OCT_SCENARIO.replace("run = oct_scan, g1_scan", "run = oct_scan"))
     crystal, slab = s.crystal, s.sample
     deepest = dataclasses.replace(slab, d0_um=25.0)
@@ -1992,12 +1994,11 @@ def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
         return spy
 
     lattices = []
-    u_axis = cli.coherence._u_axis
+    quadrature = cli.coherence._pump_quadrature
 
-    def lattice_spy(*args, **kwargs):
-        u, m = u_axis(*args, **kwargs)
-        lattices.append((u.size, m))
-        return u, m
+    def lattice_spy(crystal, pump, omega_s, lattice, **kwargs):
+        lattices.append((omega_s.size, lattice[0].size, lattice[1]))
+        return quadrature(crystal, pump, omega_s, lattice, **kwargs)
 
     def delays_spy(original, correlator=False):
         def spy(*args, **kwargs):
@@ -2008,8 +2009,8 @@ def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
             built.append(("resolution", args[5]))
             lattices.clear()
             corr, t1 = original(*args, **kwargs)
-            # lattices: the build's sizing, the idler reduction's, its coarse rule's
-            built.append(("sizes", corr.omega_s.size, *lattices[1]))
+            # the signal axis and the pump lattice the idler reduction ran on
+            built.append(("sizes", *lattices[0]))
             return corr, t1
         return spy
 
@@ -2020,7 +2021,7 @@ def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
         monkeypatch.setattr(owner, attr, delays_spy(getattr(owner, attr)))
     monkeypatch.setattr(cli.coherence, "_scan_correlator",
                         delays_spy(cli.coherence._scan_correlator, correlator=True))
-    monkeypatch.setattr(cli.coherence, "_u_axis", lattice_spy)
+    monkeypatch.setattr(cli.coherence, "_pump_quadrature", lattice_spy)
     for task in s.tasks:
         plan, before = plans[task], len(built)
         cli._TASK_FN[task](s, plan)

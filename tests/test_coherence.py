@@ -544,6 +544,20 @@ def reference_quadrature(crystal, pump, omega_s, u, *, kernel="exact", sample=No
     return np.concatenate(rows)
 
 
+def sized_lattice(crystal, pump, omega_s, *, t2_fs=0.0, extra_delay_fs=0.0, resolution=1.0,
+                  **_):
+    """The pump lattice (u, m, stride) that ``correlator_sizes`` gives ``_pump_quadrature``
+    for ``omega_s``'s step and the same call."""
+    return coherence._lattice(crystal, pump, (omega_s[-1] - omega_s[0]) / (omega_s.size - 1),
+                              delay_fs=abs(t2_fs) + abs(extra_delay_fs), resolution=resolution)
+
+
+def quadrature(crystal, pump, omega_s, *, sample, t2_fs=0.0, **sizing):
+    """``_pump_quadrature`` on ``sized_lattice``'s lattice."""
+    lattice = sized_lattice(crystal, pump, omega_s, t2_fs=t2_fs, **sizing)
+    return _pump_quadrature(crystal, pump, omega_s, lattice, sample=sample, t2_fs=t2_fs)
+
+
 def build_axes(crystal, pump, omega_s, *, sample, t2_fs=0.0, extra_delay_fs=0.0, resolution=1.0):
     """The u axis ``_pump_quadrature`` builds for the same call, and its coarse rule's u nodes.
 
@@ -558,24 +572,28 @@ def build_axes(crystal, pump, omega_s, *, sample, t2_fs=0.0, extra_delay_fs=0.0,
     return u, u[::2] if thin else u
 
 
-def reference_on_build_axes(crystal, pump, omega_s, *, sample, t2_fs=0.0, extra_delay_fs=0.0,
-                            resolution=1.0):
-    """``reference_quadrature`` on the nodes ``_pump_quadrature`` takes for the same call.
+def reference_on_build_axes(crystal, pump, omega_s, lattice, *, sample, t2_fs=0.0):
+    """``reference_quadrature`` on the nodes ``_pump_quadrature`` takes for the same call:
+    the lattice's u, and its coarse rule's u[::stride].
 
     As that does, it returns R on ``omega_s`` and on ``omega_s[::2]`` by the coarse rule.
     """
-    u, u_coarse = build_axes(crystal, pump, omega_s, sample=sample, t2_fs=t2_fs,
-                             extra_delay_fs=extra_delay_fs, resolution=resolution)
+    u, _, stride = lattice
     return tuple(
         reference_quadrature(crystal, pump, ws, nodes, sample=sample, t2_fs=t2_fs)
-        for ws, nodes in ((omega_s, u), (omega_s[::2], u_coarse))
+        for ws, nodes in ((omega_s, u), (omega_s[::2], u[::stride]))
     )
 
 
 def assert_matches_reference(omega_s, *, crystal=CRYSTAL, pump=PumpPulse(500.0), **kw):
     # the embedded coarse rule as well as the fine one: a direct sum on the same nodes
-    for fast, ref in zip(_pump_quadrature(crystal, pump, omega_s, **kw),
-                         reference_on_build_axes(crystal, pump, omega_s, **kw)):
+    # the lattice's nodes are build_axes's, derived on their own
+    lattice = sized_lattice(crystal, pump, omega_s, **kw)
+    u, u_coarse = build_axes(crystal, pump, omega_s, **kw)
+    assert np.array_equal(lattice[0], u) and np.array_equal(lattice[0][::lattice[2]], u_coarse)
+    reference = reference_on_build_axes(crystal, pump, omega_s, lattice, sample=kw["sample"],
+                                        t2_fs=kw.get("t2_fs", 0.0))
+    for fast, ref in zip(quadrature(crystal, pump, omega_s, **kw), reference):
         assert fast.dtype == ref.dtype and fast.shape == ref.shape
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(ref)) > 0  # the comparison is not between zeros
@@ -648,8 +666,9 @@ def test_symmetric_axes_are_exactly_antisymmetric():
 def test_coarse_rule_takes_the_even_fine_nodes(t0_fs, half_width, n, thin, half_j, monkeypatch):
     monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", 20_000)
     pump, omega_s = PumpPulse(t0_fs), _symmetric_axis(half_width, n)
+    lattice = sized_lattice(CRYSTAL, pump, omega_s)
     u, u_coarse = build_axes(CRYSTAL, pump, omega_s, sample=TABULATED)
-    m = _u_axis(CRYSTAL, pump, lattice_step=omega_s[1] - omega_s[0])[1]
+    m = lattice[1]
     assert u.size // 2 == half_j and (m == 1 if thin else m > u.size)
     # the coarse signal axis built on its own is the fine axis's even nodes
     assert np.array_equal(_symmetric_axis(half_width, (n + 1) // 2), omega_s[::2])
@@ -663,7 +682,7 @@ def test_coarse_rule_takes_the_even_fine_nodes(t0_fs, half_width, n, thin, half_
         return reflectivity(self, omega_i)
 
     monkeypatch.setattr(TabulatedSample, "reflectivity", spy)
-    fine, coarse = _pump_quadrature(CRYSTAL, pump, omega_s, sample=TABULATED)
+    fine, coarse = _pump_quadrature(CRYSTAL, pump, omega_s, lattice, sample=TABULATED)
     # the lattice points wi = kappa h of the coarse rule's rows 2k and columns
     # are points the fine build read: r is interpolated nowhere else
     h = u[-1] / half_j
@@ -688,7 +707,7 @@ def test_reduction_builds_half_the_rows_of_a_symmetric_axis(sample, monkeypatch)
     monkeypatch.setattr(coherence, "_kernel_block", counting)
     for omega_s in SYMMETRIC_AXES.values():
         rows.clear()
-        _pump_quadrature(CRYSTAL, PumpPulse(500.0), omega_s, sample=sample)
+        quadrature(CRYSTAL, PumpPulse(500.0), omega_s, sample=sample)
         assert sum(rows) == -(-omega_s.size // 2)
         assert len(rows) > 1
 
@@ -736,7 +755,7 @@ def test_reduction_reads_each_chunks_lattice_points(t0_fs, axis, monkeypatch):
         return reflectivity(self, omega_i)
 
     monkeypatch.setattr(TabulatedSample, "reflectivity", counting)
-    _pump_quadrature(CRYSTAL, pump, omega_s, sample=TABULATED)
+    quadrature(CRYSTAL, pump, omega_s, sample=TABULATED)
     h_s = (omega_s[-1] - omega_s[0]) / (omega_s.size - 1)
     u, m = _u_axis(CRYSTAL, pump, lattice_step=h_s)
     top = (omega_s.size + 1) // 2
@@ -753,7 +772,7 @@ def test_reduction_is_bit_identical_for_every_block_size(case, axis, monkeypatch
     for block in BLOCK_SIZES:
         monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", block)
         kw = {"pump": PumpPulse(500.0), **case}
-        results.append(_pump_quadrature(CRYSTAL, kw.pop("pump"), LATTICE_AXES[axis], **kw))
+        results.append(quadrature(CRYSTAL, kw.pop("pump"), LATTICE_AXES[axis], **kw))
     for fine, coarse in results[1:]:
         assert fine.tobytes() == results[0][0].tobytes()
         assert coarse.tobytes() == results[0][1].tobytes()
@@ -893,6 +912,14 @@ def test_embedded_check_tracks_a_halved_build(length_mm, t0_fs):
     assert 0.5 <= embedded / standalone <= 2.0
 
 
+def table_bound(table):
+    """The sinc^2 tail cut's max|r| / (pi TAIL_SINC_ARG) plus the h^2/8 max|r''| of the
+    table's linear interpolation: how far a table's g1_scan may be off its closed form."""
+    second = np.diff(table.r, 2)
+    return (np.max(np.abs(table.r)) / (np.pi * coherence.TAIL_SINC_ARG)
+            + np.hypot(np.max(np.abs(second.real)), np.max(np.abs(second.imag))) / 8.0)
+
+
 # crystal [mm], pump T0 [fs], sample, T2 [fs], and the flag the embedded check must raise;
 # "slab-<d>um" is a glass slab of that thickness as a bilayer, "table-<p>" CI's 20 um slab
 # tabulated at p points per period of r
@@ -931,15 +958,51 @@ def test_signal_step_rule_keeps_the_closed_form(length_mm, t0_fs, sample, t2_fs,
     closed = g1_closed_form(crystal, pump, geom, layered, dz)
     bound = sum(abs(r) for r, _, _ in echoes(layered)) / (np.pi * coherence.TAIL_SINC_ARG)
     if routed is not layered:
-        second = np.diff(routed.r, 2)
-        bound = (np.max(np.abs(routed.r)) / (np.pi * coherence.TAIL_SINC_ARG)
-                 + np.hypot(np.max(np.abs(second.real)), np.max(np.abs(second.imag))) / 8.0)
+        bound = table_bound(routed)
     corr, t1 = coherence._scan_correlator(crystal, pump, geom, routed, dz, 1.0)
     g = corr.correlation(t1) * np.exp(1j * carrier_phase(crystal, geom, dz))
     delta = np.max(np.abs(np.abs(g) - np.abs(corr.coarse_correlation(t1))))
     assert np.max(np.abs(closed)) > 0.1  # the comparison is not between zeros
     assert np.max(np.abs(g - closed)) <= bound
     assert bool(delta > cli_runner.CONVERGENCE_GATE) is flagged
+
+
+@pytest.mark.parametrize("table,tau_fs", [
+    pytest.param("slab-20um", 200.1, id="slab-20um"),
+    pytest.param("slab-120um", 1200.8, id="slab-120um"),
+    pytest.param("uniform", 0.0, id="uniform"),
+    pytest.param("three-row", 0.0, id="three-row"),
+    pytest.param("narrow", 0.0, id="narrower-than-the-band"),
+])
+def test_table_delay_reads_the_echo_delay(table, tau_fs):
+    # a table of a bilayer reads its back face's delay to within the dl/8 spacing of its
+    # transform; a table without echoes reads none, and so does one too narrow for the
+    # reduction, whose 1e-9 rad/fs step would ask for a transform of 4e8 delays
+    crystal, pump = mgo_linbo3_crystal(0.5), PumpPulse(1e5)
+    if table.startswith("slab"):
+        routed, slab = slab_table(crystal, pump, d_um=float(table[5:-2]), per_period=16)
+        assert slab.tau_fs == pytest.approx(tau_fs, abs=0.1)
+    elif table == "uniform":
+        routed = TabulatedSample(omega=np.linspace(-60.0, 60.0, 20001), r=np.full(20001, LOSSY.r))
+    elif table == "three-row":
+        routed = TABULATED
+    else:
+        routed = TabulatedSample(omega=[0.0, 1e-9], r=[0.5, 0.5j])
+    assert tau_fs <= coherence._table_delay(routed, crystal.dl) <= tau_fs + crystal.dl / 8
+
+
+def test_table_echo_outside_the_window_is_not_folded_in():
+    # a quasi-CW scan of +-0.05 mm over a tabulated 120 um slab: the back face, about
+    # 1200 fs deep, lies outside the window. Sized without the table's delay the signal
+    # step's period, 4 (max|T1| + 1 fs + dl), is about 1200 fs, and the back face folds
+    # into the window as a ghost of about |r1| = 0.07
+    crystal, pump = mgo_linbo3_crystal(0.5), PumpPulse(1e5)
+    table, slab = slab_table(crystal, pump, d_um=120.0)
+    geom = synced_geometry(crystal)
+    dz = np.linspace(-0.05, 0.05, 161)
+    closed = g1_closed_form(crystal, pump, geom, slab, dz)
+    assert np.max(np.abs(closed)) > 0.1
+    assert np.max(np.abs(g1_scan(crystal, pump, geom, table, dz) - closed)) <= table_bound(table)
 
 
 # ---------------------------------------------------------------- photon number
