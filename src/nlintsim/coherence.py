@@ -390,12 +390,6 @@ def _max_sample_delay(sample: SampleModel) -> float:
     return max((tau for _, _, tau in echoes(sample)), default=0.0)
 
 
-# the last table's (table, dl, delay), kept by identity: a run's plan and its build
-# read the same table, and a table's arrays never change, so a hit returns what the
-# FFT would
-_LAST_TABLE_DELAY = [(None, None, None)]
-
-
 def _table_delay(table: TabulatedSample, dl: float) -> float:
     """The largest delay [fs] at which a table's r(w) holds content, the echo delay of a table.
 
@@ -408,11 +402,10 @@ def _table_delay(table: TabulatedSample, dl: float) -> float:
     is the largest |T| where |G| exceeds the tail cut's max|r| / (pi TAIL_SINC_ARG),
     plus that spacing, less dl: so an echo reads its own tau_k. A table narrower than
     the signal band +-2 TAIL_SINC_ARG / dl, which the reduction rejects, reads 0. The
-    last table's delay is kept, so a plan and its build take the FFT once.
+    table keeps the delay, so a plan and its build take the FFT once.
     """
-    last, last_dl, delay = _LAST_TABLE_DELAY[0]
-    if last is table and last_dl == dl:
-        return delay
+    if dl in table._delays:
+        return table._delays[dl]
     w = table.omega
     span = w[-1] - w[0]
     if span < 4.0 * TAIL_SINC_ARG / dl:
@@ -446,7 +439,7 @@ def _table_delay(table: TabulatedSample, dl: float) -> float:
     t = np.abs(TWO_PI * np.fft.fftfreq(bins, step))
     floor = np.max(np.abs(table.r)) / (np.pi * TAIL_SINC_ARG)
     delay = max(0.0, float(t[g > floor].max(initial=-np.inf)) + TWO_PI / (bins * step) - dl)
-    _LAST_TABLE_DELAY[0] = (table, dl, delay)
+    table._delays[dl] = delay
     return delay
 
 

@@ -324,12 +324,15 @@ class TabulatedSample:
     table is copied once into two private writable arrays, since ``np.interp``
     copies a read-only table on every call, and ``omega`` and ``r`` are
     read-only views of them. Equality and the hash go by the values.
+    ``_delays`` keeps the delays ``coherence._table_delay`` read from the table,
+    by |D|L, so a run's plan and its build transform it once.
     """
 
     omega: np.ndarray
     r: np.ndarray
     _omega: np.ndarray = field(init=False, repr=False)
     _r: np.ndarray = field(init=False, repr=False)
+    _delays: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         w = np.array(self.omega, dtype=float)
