@@ -30,6 +30,7 @@ from . import biphoton, coherence, oct_scan
 from .optics_model import (
     AnalysisError,
     BilayerSample,
+    C_MM_FS,
     C_NM_FS,
     CrystalParams,
     GridResolutionError,
@@ -789,9 +790,10 @@ def _csv_blocks(table, first=None) -> list[str]:
 def _plan(scenario: Scenario) -> dict:
     """Each task's ``route`` and the sizes it builds with, from the scenario alone, by task in
     run order: make_frequency_grid's arguments of its ``grid`` and ``coarse`` grid, a scan's
-    ``window_mm`` and ``delays``, the numeric correlator's ``resolution`` and its
-    ``coherence.correlator_sizes`` ``n_s``, ``n_u`` and ``m``. Nothing is built or written; the
-    checks raise in the order run_scenario lists them."""
+    ``window_mm`` and ``delays``, and the numeric correlator's ``resolution``, ``correlator``
+    arguments (a table's delay among them, read here once per run) and their
+    ``coherence.correlator_sizes`` ``n_s``, ``n_u`` and ``m``. Nothing is built or written;
+    the checks raise in the order run_scenario lists them."""
     n, tasks, crystal, pump = scenario.grid_points, scenario.tasks, scenario.crystal, scenario.pump
     if n < MIN_GRID_POINTS:
         raise ScenarioError(f"grid points must be at least {MIN_GRID_POINTS}, got {n}")
@@ -818,39 +820,53 @@ def _plan(scenario: Scenario) -> dict:
         _build("geometry", oct_scan._require_synchronized, scenario.effective_geometry(), crystal)
     # a scan's delays: the [scan] window, else oct_scan's, at [scan] points, else 401 for
     # g1_scan and as many as scan_axis takes for oct_scan
-    scan, numeric = scenario.scan, isinstance(scenario.sample, TabulatedSample)
+    scan, scans = scenario.scan, [task for task in tasks if task in ("g1_scan", "oct_scan")]
+    sample, numeric = scenario.sample, {}
     window = ((scan.delta_z_min_mm, scan.delta_z_max_mm) if scan.delta_z_min_mm is not None
-              else oct_scan.default_scan_range(crystal, scenario.sample))
-    for task in [task for task in tasks if task in ("g1_scan", "oct_scan")]:
+              else oct_scan.default_scan_range(crystal, sample))
+    if scans and isinstance(sample, TabulatedSample):
+        # one correlator for every scan: max|dz| of np.linspace(*window, k) is a window end
+        correlator = coherence._scan_arguments(
+            crystal, scenario.effective_geometry(), sample, np.asarray(window))
+        _, n_s, u, m, _ = coherence.correlator_sizes(
+            crystal, pump, resolution=n / 2048.0, **correlator)
+        # the largest |wi| at which the idler reduction reads r
+        band = float(((n_s - 1) // 2 * m + u.size // 2) * (u[-1] / (u.size // 2)))
+        if sample.omega[0] > -band or sample.omega[-1] < band:
+            raise ScenarioError(
+                f"[sample] file: the table spans [{float(sample.omega[0])!r},"
+                f" {float(sample.omega[-1])!r}] rad/fs, short of the band +-{band!r} rad/fs"
+                " at which the numeric scan's idler reduction reads r")
+        numeric = {"resolution": n / 2048.0, "correlator": correlator,
+                   "n_s": n_s, "n_u": u.size, "m": m}
+    for task in scans:
         delays = oct_scan.scan_points(crystal, window, scan.fringes,
                                       scan.points or (401 if task == "g1_scan" else None))
         if delays > MAX_SCAN_POINTS:
             raise ScenarioError(f"[scan] {'points' if scan.points else 'fringes'}: {task} takes"
                                 f" {delays:.15g} delays, more than the {MAX_SCAN_POINTS} allowed")
         plans[task] = {"route": "numeric" if numeric else "closed-form", "window_mm": window,
-                       "delays": int(delays)}
-        if numeric:  # the sizes of the correlator _numeric_g1 builds
-            dz = np.linspace(*window, int(delays))
-            _, n_s, u, m, _ = coherence.correlator_sizes(
-                crystal, pump, resolution=n / 2048.0, **coherence._scan_arguments(
-                    crystal, scenario.effective_geometry(), scenario.sample, dz))
-            plans[task] |= {"resolution": n / 2048.0, "n_s": n_s, "n_u": u.size, "m": m}
+                       "delays": int(delays), **numeric}
     return {task: plans[task] for task in tasks}
 
 
-def _numeric_g1(scenario: Scenario, resolution: float, dz: np.ndarray):
-    """g1 with its carrier on ``dz`` from ``g1_scan``'s correlator, and its convergence entry.
+def _numeric_g1(scenario: Scenario, plan: dict, dz: np.ndarray):
+    """g1 with its carrier on ``dz`` from the plan's correlator, and its convergence entry.
 
     The entry holds the largest change of |g1| against the correlator's embedded
-    coarse rule, and the sinc^2 tail cut's bound max|r| / (pi TAIL_SINC_ARG),
-    which is not gated.
+    coarse rule, and two bounds that are not gated: the sinc^2 tail cut's
+    max|r| / (pi TAIL_SINC_ARG), and the table's linear interpolation error
+    h^2/8 max|r''| (``coherence._interpolation_bound``).
     """
     crystal, geometry, sample = scenario.crystal, scenario.effective_geometry(), scenario.sample
-    corr, t1 = coherence._scan_correlator(crystal, scenario.pump, geometry, sample, dz, resolution)
+    corr = coherence.PairCorrelator(crystal, scenario.pump, sample,
+                                    resolution=plan["resolution"], **plan["correlator"])
+    t1 = dz / C_MM_FS
     g = corr.correlation(t1) * np.exp(1j * coherence.carrier_phase(crystal, geometry, dz))
     delta = float(np.max(np.abs(np.abs(g) - np.abs(corr.coarse_correlation(t1)))))
-    bound = float(np.max(np.abs(sample.r))) / (np.pi * coherence.TAIL_SINC_ARG)
-    return g, {"delta": delta, "method": "halved-resolution", "tail_bound": bound}
+    return g, {"delta": delta, "method": "halved-resolution",
+               "tail_bound": float(np.max(np.abs(sample.r))) / (np.pi * coherence.TAIL_SINC_ARG),
+               "interpolation_bound": coherence._interpolation_bound(sample)}
 
 
 def _series(scenario: Scenario, stem: str, columns: list[str], rows) -> dict:
@@ -906,7 +922,7 @@ def _task_schmidt(scenario: Scenario, plan: dict):
 def _task_g1_scan(scenario: Scenario, plan: dict):
     dz = np.linspace(*plan["window_mm"], plan["delays"])
     if plan["route"] == "numeric":
-        g, conv = _numeric_g1(scenario, plan["resolution"], dz)
+        g, conv = _numeric_g1(scenario, plan, dz)
     else:
         g = coherence.g1_closed_form(
             scenario.crystal, scenario.pump, scenario.effective_geometry(), scenario.sample, dz)
@@ -920,7 +936,7 @@ def _task_oct_scan(scenario: Scenario, plan: dict):
     fringes = scenario.scan.fringes
     if plan["route"] == "numeric":
         # what interferogram_numeric does, from the correlator that also gives the check
-        g, conv = _numeric_g1(scenario, plan["resolution"], dz)
+        g, conv = _numeric_g1(scenario, plan, dz)
         ifg = oct_scan._interferogram(scenario.crystal, dz, g, np.abs(g), fringes)
     else:
         ifg = oct_scan.interferogram_closed_form(
@@ -974,6 +990,9 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     - an exact-kernel schmidt task whose coarsen grid, half the points but at
       least MIN_GRID_POINTS, is not smaller or cannot resolve;
     - an oct_scan whose pump path is not synchronized (T2 != 0);
+    - a scan on the numeric route whose table does not cover the band
+      +-((n_s - 1) // 2 m + n_u // 2) h at which its correlator's idler
+      reduction reads r, h the pump lattice step (``[sample] file``);
     - a scan of more than MAX_SCAN_POINTS delays.
     Tasks then run one after another, each on its plan. A task whose
     written series holds a non-finite value fails with NumericalConsistencyError.

@@ -401,11 +401,8 @@ def _table_delay(table: TabulatedSample, dl: float) -> float:
     the period 2 pi/step; the interpolant's images beyond it are not counted. The delay
     is the largest |T| where |G| exceeds the tail cut's max|r| / (pi TAIL_SINC_ARG),
     plus that spacing, less dl: so an echo reads its own tau_k. A table narrower than
-    the signal band +-2 TAIL_SINC_ARG / dl, which the reduction rejects, reads 0. The
-    table keeps the delay, so a plan and its build take the FFT once.
+    the signal band +-2 TAIL_SINC_ARG / dl, which the reduction rejects, reads 0.
     """
-    if dl in table._delays:
-        return table._delays[dl]
     w = table.omega
     span = w[-1] - w[0]
     if span < 4.0 * TAIL_SINC_ARG / dl:
@@ -429,8 +426,8 @@ def _table_delay(table: TabulatedSample, dl: float) -> float:
         r = np.zeros(arg.size, dtype=complex)
         if uniform:
             r[: hi - lo] = table.r[lo:hi]
-        else:
-            r[: hi - lo] = table.reflectivity(arg.ravel()[: hi - lo] / half_dl)
+        else:  # rounding can put the end samples an ulp outside the table
+            r[: hi - lo] = table.reflectivity(np.clip(arg.ravel()[: hi - lo] / half_dl, w[0], w[-1]))
         sin = (np.exp(1j * rows)[:, None] * col_phase).imag
         # sinc^2, and 1 to 1e-12 where the argument is below 1e-6
         weight = np.divide(sin, arg, out=np.ones_like(arg), where=np.abs(arg) > 1e-6) ** 2
@@ -438,9 +435,24 @@ def _table_delay(table: TabulatedSample, dl: float) -> float:
     g = np.abs(np.fft.fft(folded)) * (step * dl / TWO_PI)
     t = np.abs(TWO_PI * np.fft.fftfreq(bins, step))
     floor = np.max(np.abs(table.r)) / (np.pi * TAIL_SINC_ARG)
-    delay = max(0.0, float(t[g > floor].max(initial=-np.inf)) + TWO_PI / (bins * step) - dl)
-    table._delays[dl] = delay
-    return delay
+    return max(0.0, float(t[g > floor].max(initial=-np.inf)) + TWO_PI / (bins * step) - dl)
+
+
+def _interpolation_bound(table: TabulatedSample) -> float:
+    """h^2/8 max|r''|, the error bound of a table's linear interpolation, estimated from
+    second divided differences at each inner node's larger step: on a uniform table
+    hypot(max|Re D2 r|, max|Im D2 r|) / 8 with D2 r the second difference. 0 below three
+    rows. Taken over chunks of BLOCK_ELEMENTS / 8 rows, whose complex temporaries stay in
+    cache."""
+    w, r, chunk = table.omega, table.r, BLOCK_ELEMENTS // 8
+    peak = np.zeros(2)
+    for lo in range(0, w.size - 2, chunk):
+        h = np.diff(w[lo:lo + chunk + 2])
+        wide = np.maximum(h[:-1], h[1:])
+        slope = np.diff(r[lo:lo + chunk + 2]) / h
+        second = np.diff(slope) * (2.0 * wide * wide / (h[:-1] + h[1:]))
+        peak = np.maximum(peak, [np.max(np.abs(second.real)), np.max(np.abs(second.imag))])
+    return float(np.hypot(*peak)) / 8.0
 
 
 def _walkoff(crystal: CrystalParams, kernel: str) -> float:

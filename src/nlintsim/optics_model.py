@@ -320,19 +320,17 @@ class TabulatedSample:
 
     Queries are linearly interpolated; anything outside the tabulated range
     raises. Tables must cover the full quadrature band of the kernel that
-    consumes them. ``omega`` and ``r`` may be given as any 1-d sequences. The
-    table is copied once into two private writable arrays, since ``np.interp``
-    copies a read-only table on every call, and ``omega`` and ``r`` are
-    read-only views of them. Equality and the hash go by the values.
-    ``_delays`` keeps the delays ``coherence._table_delay`` read from the table,
-    by |D|L, so a run's plan and its build transform it once.
+    consumes them; a scenario run checks that band in its plan. ``omega`` and
+    ``r`` may be given as any 1-d sequences. The table is copied once into two
+    private writable arrays, since ``np.interp`` copies a read-only table on
+    every call, and ``omega`` and ``r`` are read-only views of them. Equality
+    and the hash go by the values.
     """
 
     omega: np.ndarray
     r: np.ndarray
     _omega: np.ndarray = field(init=False, repr=False)
     _r: np.ndarray = field(init=False, repr=False)
-    _delays: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         w = np.array(self.omega, dtype=float)

@@ -1632,6 +1632,74 @@ def test_scan_at_the_delay_budget_is_planned():
     assert cli._plan(s)["g1_scan"]["delays"] == cli.MAX_SCAN_POINTS
 
 
+# a table's ends, as a share of the band at which the idler reduction reads r, and whether
+# its low and its high end then move one ulp inward; and whether the run goes ahead
+TABLE_COVERAGE = {
+    "at-the-band": (1.0, False, False, True),
+    "low-end-an-ulp-inside": (1.0, True, False, False),
+    "high-end-an-ulp-inside": (1.0, False, True, False),
+    "0.98-of-the-band": (0.98, False, False, False),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_COVERAGE)
+def test_table_short_of_the_reduction_band_fails_in_the_plan(tmp_path, monkeypatch, capsys,
+                                                             case):
+    # the plan rejects a table that does not reach the largest |wi| at which the idler
+    # reduction reads r, before the spectrum task ahead of the scan runs and before any
+    # directory is made; a table that reaches it bit for bit runs, and one an ulp short
+    # fails the unplanned build itself. For a 0.5 mm crystal and a 100 fs pump on 512
+    # points, half_s + u[-1] lies an ulp below that band
+    share, low, high, runs = TABLE_COVERAGE[case]
+    text = (MINIMAL.replace("run = schmidt", "run = spectrum, g1_scan")
+            .replace("length_mm = 5.0", "length_mm = 0.5").replace("t0_fs = 212.0", "t0_fs = 100.0")
+            + TABULATED_SAMPLE)
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+
+    def with_table(lo, hi):
+        (tmp_path / "r.csv").write_text(f"omega,re,im\n{lo!r},0.5,0.1\n0,0.2,0\n{hi!r},0.5,0.1\n")
+        return parse_scenario(text, base_dir=tmp_path)
+
+    reads, idler_factor = [], cli.coherence._idler_factor
+
+    def read_spy(sample, t2_fs, wi, f):
+        reads.append(float(np.max(np.abs(wi))))
+        idler_factor(sample, t2_fs, wi, f)
+
+    s = with_table(-80.0, 80.0)
+    plan = cli._plan(s)["g1_scan"]
+    dz = np.linspace(*plan["window_mm"], plan["delays"])
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.coherence, "_idler_factor", read_spy)
+        cli._numeric_g1(s, plan, dz)
+    band = max(reads)
+    lo = float(np.nextafter(-share * band, 0.0)) if low else -share * band
+    hi = float(np.nextafter(share * band, 0.0)) if high else share * band
+    s = with_table(lo, hi)
+    out = tmp_path / "out"
+    if runs:
+        assert cli._plan(s)["g1_scan"] == plan
+        assert main(["run", str(scen), "--out", str(out)]) == 0
+        return
+    with pytest.raises(ValueError, match="reflectivity query outside tabulated range"):
+        cli._numeric_g1(s, plan, dz)
+
+    def forbidden(*args):
+        raise AssertionError("a task ran")
+
+    for task in cli._TASK_FN:
+        monkeypatch.setitem(cli._TASK_FN, task, forbidden)
+    message = (f"[sample] file: the table spans [{lo!r}, {hi!r}] rad/fs, short of the band"
+               f" +-{band!r} rad/fs at which the numeric scan's idler reduction reads r")
+    assert main(["run", str(scen), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        run_scenario(s, out_dir=out)
+    assert not out.exists()
+
+
 def test_unresolved_grid_fails_before_any_task(tmp_path, monkeypatch, capsys):
     # a 10 fs pump on 512 points: the joint spectrum's grid cannot resolve it, and
     # the g1 scan before it, on the numeric route, must not build its correlator first
@@ -1717,8 +1785,9 @@ def test_hand_built_unsynchronized_oct_scan_rejected_before_compute(tmp_path, mo
 
 
 def test_numeric_convergence_reports_the_tail_bound(tmp_path, monkeypatch):
-    # max|r| / (pi TAIL_SINC_ARG) bounds the sinc^2 tail cut that the check cannot
-    # see; it is reported beside the delta and takes no part in the gate
+    # max|r| / (pi TAIL_SINC_ARG) bounds the sinc^2 tail cut, and h^2/8 max|r''| the
+    # table's linear interpolation, which the check cannot see; both are reported beside
+    # the delta and take no part in the gate
     (tmp_path / "r.csv").write_text("omega,re,im\n-8,0.5,0.1\n0,0.2,0\n8,0.5,0.1\n")
     s = parse_scenario(MINIMAL.replace("run = schmidt", "run = g1_scan") + TABULATED_SAMPLE,
                        base_dir=tmp_path)
@@ -1726,6 +1795,9 @@ def test_numeric_convergence_reports_the_tail_bound(tmp_path, monkeypatch):
     entry = run_scenario(s, out_dir=tmp_path / "a").convergence["g1_scan"]
     assert entry["tail_bound"] == pytest.approx(bound, rel=1e-15)
     assert entry["delta"] < bound
+    # the second difference (0.5 + 0.1j) - 2 (0.2) + (0.5 + 0.1j)
+    assert entry["interpolation_bound"] == pytest.approx(abs(0.6 + 0.2j) / 8.0, rel=1e-15)
+    assert entry["interpolation_bound"] > entry["gate"] and not entry["flagged"]
     monkeypatch.setattr(cli, "CONVERGENCE_GATE", 0.5 * (entry["delta"] + bound))
     again = run_scenario(s, out_dir=tmp_path / "b").convergence["g1_scan"]
     assert again["tail_bound"] > again["gate"] and not again["flagged"]
@@ -1749,8 +1821,7 @@ def test_numeric_check_below_1024_points_reads_its_change(tmp_path, table, point
     for n in (2048, 1024, points):
         s = parse_scenario(text.replace("points = 512", f"points = {n}"), base_dir=tmp_path)
         plan = cli._plan(s)["g1_scan"]
-        scans[n] = cli._numeric_g1(s, plan["resolution"], np.linspace(*plan["window_mm"],
-                                                                     plan["delays"]))
+        scans[n] = cli._numeric_g1(s, plan, np.linspace(*plan["window_mm"], plan["delays"]))
     (g, entry), fine = scans[points], np.abs(scans[2048][0])
     assert g.tobytes() == scans[1024][0].tobytes() and entry == scans[1024][1]
     assert entry["tail_bound"] > entry["delta"] >= np.max(np.abs(np.abs(g) - fine)) > 0
@@ -1977,7 +2048,21 @@ def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
         text = (SCENARIO_DIR / ("jsi_separable.ini" if name == "exact" else name)).read_text()
         s = parse_scenario(text.replace("kernel = gaussian", f"kernel = {name}")
                            if name == "exact" else text)
+    planned = []
+
+    def count_spy(original):
+        def spy(*args, **kwargs):
+            planned.append(original.__name__)
+            return original(*args, **kwargs)
+        return spy
+
+    for attr in ("_table_delay", "correlator_sizes"):
+        monkeypatch.setattr(cli.coherence, attr, count_spy(getattr(cli.coherence, attr)))
     plans = cli._plan(s)
+    numeric = [task for task, plan in plans.items() if plan["route"] == "numeric"]
+    # the plan reads a table's delay and sizes its correlator once for every scan
+    assert planned == (["_table_delay", "correlator_sizes"] if numeric else [])
+    planned.clear()
     built = []
     make_grid = cli.make_frequency_grid
 
@@ -2000,27 +2085,30 @@ def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
         lattices.append((omega_s.size, lattice[0].size, lattice[1]))
         return quadrature(crystal, pump, omega_s, lattice, **kwargs)
 
-    def delays_spy(original, correlator=False):
+    def delays_spy(original, at=4):
         def spy(*args, **kwargs):
-            dz = args[4]
+            dz = args[at]
             built.append(("delays", dz.size, dz[0], dz[-1]))
-            if not correlator:
-                return original(*args, **kwargs)
-            built.append(("resolution", args[5]))
-            lattices.clear()
-            corr, t1 = original(*args, **kwargs)
-            # the signal axis and the pump lattice the idler reduction ran on
-            built.append(("sizes", *lattices[0]))
-            return corr, t1
+            return original(*args, **kwargs)
         return spy
+
+    correlator = cli.coherence.PairCorrelator
+
+    def correlator_spy(crystal, pump, sample, *args, **kwargs):
+        built.append(("build", args, kwargs))
+        lattices.clear()
+        corr = correlator(crystal, pump, sample, *args, **kwargs)
+        # the signal axis and the pump lattice the idler reduction ran on
+        built.append(("sizes", *lattices[0]))
+        return corr
 
     monkeypatch.setattr(cli, "make_frequency_grid", grid_spy)
     monkeypatch.setattr(cli.biphoton, "schmidt_gaussian", modes_spy(cli.biphoton.schmidt_gaussian))
     for owner, attr in [(cli.coherence, "g1_closed_form"),
                         (cli.oct_scan, "interferogram_closed_form")]:
         monkeypatch.setattr(owner, attr, delays_spy(getattr(owner, attr)))
-    monkeypatch.setattr(cli.coherence, "_scan_correlator",
-                        delays_spy(cli.coherence._scan_correlator, correlator=True))
+    monkeypatch.setattr(cli, "_numeric_g1", delays_spy(cli._numeric_g1, at=2))
+    monkeypatch.setattr(cli.coherence, "PairCorrelator", correlator_spy)
     monkeypatch.setattr(cli.coherence, "_pump_quadrature", lattice_spy)
     for task in s.tasks:
         plan, before = plans[task], len(built)
@@ -2035,9 +2123,12 @@ def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
         else:
             expected = [("delays", plan["delays"], *plan["window_mm"])]
             if plan["route"] == "numeric":
-                expected += [("resolution", plan["resolution"]),
+                expected += [("build", (), {"resolution": plan["resolution"],
+                                            **plan["correlator"]}),
                              ("sizes", plan["n_s"], plan["n_u"], plan["m"])]
         assert built[before:] == expected, task
+    # each build sizes itself once, from the plan's arguments, and reads no table delay
+    assert planned == ["correlator_sizes"] * len(numeric)
     # the plan's sizes are the scenario's, resolved by the library's own rules
     for task, plan in plans.items():
         if "grid" in plan:
@@ -2054,8 +2145,13 @@ def test_every_build_uses_the_planned_sizes(tmp_path, monkeypatch, name):
             assert (axis.size, axis[0], axis[-1]) == (plan["delays"], *plan["window_mm"])
         assert plan.get("resolution") == (s.grid_points / 2048.0 if plan["route"] == "numeric"
                                           else None)
-        sized = {"n_s", "n_u", "m"}
+        sized = {"correlator", "n_s", "n_u", "m"}
         assert sized & set(plan) == (sized if plan["route"] == "numeric" else set())
+    # one correlator for every scan, with the arguments g1_scan's own build takes
+    for task in numeric:
+        dz = np.linspace(*plans[task]["window_mm"], plans[task]["delays"])
+        assert plans[task]["correlator"] == cli.coherence._scan_arguments(
+            s.crystal, s.effective_geometry(), s.sample, dz)
 
 
 # ---------------------------------------------------------------- shipped recipes

@@ -915,9 +915,44 @@ def test_embedded_check_tracks_a_halved_build(length_mm, t0_fs):
 def table_bound(table):
     """The sinc^2 tail cut's max|r| / (pi TAIL_SINC_ARG) plus the h^2/8 max|r''| of the
     table's linear interpolation: how far a table's g1_scan may be off its closed form."""
-    second = np.diff(table.r, 2)
     return (np.max(np.abs(table.r)) / (np.pi * coherence.TAIL_SINC_ARG)
-            + np.hypot(np.max(np.abs(second.real)), np.max(np.abs(second.imag))) / 8.0)
+            + coherence._interpolation_bound(table))
+
+
+@pytest.mark.parametrize("steps", [
+    pytest.param((1.0,), id="uniform"),
+    pytest.param((1.0, 2.0), id="alternating-steps"),
+    pytest.param((0.3, 1.0, 0.6), id="three-steps"),
+])
+def test_interpolation_bound_holds_the_linear_interpolation_error(steps):
+    # r = 0.3 e^{i w tau} interpolated linearly between nodes h apart is off by up to
+    # 0.3 (1 - cos(h tau / 2)), about 0.3 h^2 tau^2 / 8, in the middle of its widest
+    # step; the bound reads that at most sqrt(2) times over, from its real and
+    # imaginary parts apart
+    tau, h = 200.0, 2.0 * np.pi / 200.0 / 16.0
+    w = np.concatenate(([0.0], np.cumsum(np.resize(np.array(steps) * h, 600)))) - 1.0
+    table = TabulatedSample(omega=w, r=0.3 * np.exp(1j * w * tau))
+    mid = np.linspace(w[0], w[-1], 200_001)
+    error = np.max(np.abs(table.reflectivity(mid) - 0.3 * np.exp(1j * mid * tau)))
+    widest = 0.3 * (1.0 - np.cos(max(steps) * h * tau / 2.0))
+    assert error <= widest * (1.0 + 1e-9)
+    assert widest <= coherence._interpolation_bound(table) <= 1.5 * widest
+    # a straight line is interpolated exactly, and two rows hold no second difference
+    assert coherence._interpolation_bound(TabulatedSample(omega=w, r=0.2 + 0.001j * w)) < 1e-15
+    assert coherence._interpolation_bound(TabulatedSample(omega=[-1.0, 1.0], r=[0.5, 0.1j])) == 0.0
+
+
+def test_interpolation_bound_reads_every_row_across_its_chunks():
+    # a spike of 0.5j on unit steps has the second differences 0.5j, -1j and 0.5j at its
+    # node and the two beside it: the bound reads 1/8 wherever the spike sits, at a
+    # chunk's first or last node, or beside it, and 1/16 for a spike on an end row
+    chunk = coherence.BLOCK_ELEMENTS // 8
+    n = 3 * chunk + 7
+    for node in (0, 1, chunk - 1, chunk, chunk + 1, chunk + 2, 2 * chunk + 1, n - 2, n - 1):
+        r = np.zeros(n, dtype=complex)
+        r[node] = 0.5j
+        bound = coherence._interpolation_bound(TabulatedSample(omega=np.arange(n, dtype=float), r=r))
+        assert bound == (0.0625 if node in (0, n - 1) else 0.125), node
 
 
 # crystal [mm], pump T0 [fs], sample, T2 [fs], and the flag the embedded check must raise;
@@ -973,6 +1008,8 @@ def test_signal_step_rule_keeps_the_closed_form(length_mm, t0_fs, sample, t2_fs,
     pytest.param("uniform", 0.0, id="uniform"),
     pytest.param("three-row", 0.0, id="three-row"),
     pytest.param("narrow", 0.0, id="narrower-than-the-band"),
+    # its resampling grid's last point rounds an ulp past the table's end
+    pytest.param("past-its-end", 0.0, id="non-uniform-grid-past-its-end"),
 ])
 def test_table_delay_reads_the_echo_delay(table, tau_fs):
     # a table of a bilayer reads its back face's delay to within the dl/8 spacing of its
@@ -986,8 +1023,11 @@ def test_table_delay_reads_the_echo_delay(table, tau_fs):
         routed = TabulatedSample(omega=np.linspace(-60.0, 60.0, 20001), r=np.full(20001, LOSSY.r))
     elif table == "three-row":
         routed = TABULATED
-    else:
+    elif table == "narrow":
         routed = TabulatedSample(omega=[0.0, 1e-9], r=[0.5, 0.5j])
+    else:
+        routed = TabulatedSample(omega=[-53.30033687915395, 0.0, 53.30033687915396],
+                                 r=[0.5 + 0.1j, 0.2, 0.5 + 0.1j])
     assert tau_fs <= coherence._table_delay(routed, crystal.dl) <= tau_fs + crystal.dl / 8
 
 
