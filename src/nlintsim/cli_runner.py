@@ -824,14 +824,21 @@ def _plan(scenario: Scenario) -> dict:
     sample, numeric = scenario.sample, {}
     window = ((scan.delta_z_min_mm, scan.delta_z_max_mm) if scan.delta_z_min_mm is not None
               else oct_scan.default_scan_range(crystal, sample))
+    delays = {}
+    for task in scans:  # counted before anything is sized from the window
+        delays[task] = oct_scan.scan_points(crystal, window, scan.fringes,
+                                            scan.points or (401 if task == "g1_scan" else None))
+        if delays[task] > MAX_SCAN_POINTS:
+            raise ScenarioError(f"[scan] {'points' if scan.points else 'fringes'}: {task} takes"
+                                f" {delays[task]:.15g} delays, more than the {MAX_SCAN_POINTS}"
+                                " allowed")
     if scans and isinstance(sample, TabulatedSample):
         # one correlator for every scan: max|dz| of np.linspace(*window, k) is a window end
         correlator = coherence._scan_arguments(
             crystal, scenario.effective_geometry(), sample, np.asarray(window))
-        _, n_s, u, m, _ = coherence.correlator_sizes(
-            crystal, pump, resolution=n / 2048.0, **correlator)
-        # the largest |wi| at which the idler reduction reads r
-        band = float(((n_s - 1) // 2 * m + u.size // 2) * (u[-1] / (u.size // 2)))
+        _, n_s, u, m, _ = _build("scan", coherence.correlator_sizes,
+                                 crystal, pump, resolution=n / 2048.0, **correlator)
+        band = coherence._reduction_band(n_s, u, m)
         if sample.omega[0] > -band or sample.omega[-1] < band:
             raise ScenarioError(
                 f"[sample] file: the table spans [{float(sample.omega[0])!r},"
@@ -840,13 +847,8 @@ def _plan(scenario: Scenario) -> dict:
         numeric = {"resolution": n / 2048.0, "correlator": correlator,
                    "n_s": n_s, "n_u": u.size, "m": m}
     for task in scans:
-        delays = oct_scan.scan_points(crystal, window, scan.fringes,
-                                      scan.points or (401 if task == "g1_scan" else None))
-        if delays > MAX_SCAN_POINTS:
-            raise ScenarioError(f"[scan] {'points' if scan.points else 'fringes'}: {task} takes"
-                                f" {delays:.15g} delays, more than the {MAX_SCAN_POINTS} allowed")
         plans[task] = {"route": "numeric" if numeric else "closed-form", "window_mm": window,
-                       "delays": int(delays), **numeric}
+                       "delays": int(delays[task]), **numeric}
     return {task: plans[task] for task in tasks}
 
 
@@ -990,10 +992,10 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
     - an exact-kernel schmidt task whose coarsen grid, half the points but at
       least MIN_GRID_POINTS, is not smaller or cannot resolve;
     - an oct_scan whose pump path is not synchronized (T2 != 0);
+    - a scan of more than MAX_SCAN_POINTS delays;
     - a scan on the numeric route whose table does not cover the band
       +-((n_s - 1) // 2 m + n_u // 2) h at which its correlator's idler
-      reduction reads r, h the pump lattice step (``[sample] file``);
-    - a scan of more than MAX_SCAN_POINTS delays.
+      reduction reads r, h the pump lattice step (``[sample] file``).
     Tasks then run one after another, each on its plan. A task whose
     written series holds a non-finite value fails with NumericalConsistencyError.
     A failed task's exception propagates with its type and a note naming the

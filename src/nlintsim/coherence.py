@@ -442,17 +442,14 @@ def _interpolation_bound(table: TabulatedSample) -> float:
     """h^2/8 max|r''|, the error bound of a table's linear interpolation, estimated from
     second divided differences at each inner node's larger step: on a uniform table
     hypot(max|Re D2 r|, max|Im D2 r|) / 8 with D2 r the second difference. 0 below three
-    rows. Taken over chunks of BLOCK_ELEMENTS / 8 rows, whose complex temporaries stay in
-    cache."""
-    w, r, chunk = table.omega, table.r, BLOCK_ELEMENTS // 8
-    peak = np.zeros(2)
-    for lo in range(0, w.size - 2, chunk):
-        h = np.diff(w[lo:lo + chunk + 2])
-        wide = np.maximum(h[:-1], h[1:])
-        slope = np.diff(r[lo:lo + chunk + 2]) / h
-        second = np.diff(slope) * (2.0 * wide * wide / (h[:-1] + h[1:]))
-        peak = np.maximum(peak, [np.max(np.abs(second.real)), np.max(np.abs(second.imag))])
-    return float(np.hypot(*peak)) / 8.0
+    rows."""
+    w, r = table.omega, table.r
+    if w.size < 3:
+        return 0.0
+    h = np.diff(w)
+    wide = np.maximum(h[:-1], h[1:])
+    second = np.diff(np.diff(r) / h) * (2.0 * wide * wide / (h[:-1] + h[1:]))
+    return float(np.hypot(np.max(np.abs(second.real)), np.max(np.abs(second.imag)))) / 8.0
 
 
 def _walkoff(crystal: CrystalParams, kernel: str) -> float:
@@ -500,6 +497,9 @@ def correlator_sizes(
     resolution = max(resolution, 0.5)
     dl = crystal.dl
     phase_rate = abs(t1_max_fs) + abs(t2_fs) + abs(extra_idler_delay_fs) + 1.0
+    if not np.isfinite(phase_rate):
+        raise ValueError(f"delays must be finite, got t1_max_fs = {t1_max_fs!r}, t2_fs ="
+                         f" {t2_fs!r} and extra_idler_delay_fs = {extra_idler_delay_fs!r}")
     half_s = 2.0 * TAIL_SINC_ARG / dl + _ridge(crystal, "exact") * 8.0 / pump.t0_fs
     h_s = np.pi / (2.0 * resolution * (phase_rate + dl))
     n_s = int(np.ceil(2.0 * half_s / h_s)) | 1
@@ -638,6 +638,13 @@ def _span(mask: np.ndarray) -> slice:
     return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
 
 
+def _reduction_band(n_s: int, u: np.ndarray, m: int) -> float:
+    """The largest |wi| [rad/fs] at which ``_pump_quadrature`` reads r for n_s signal
+    nodes on the lattice (u, m): row 0's last index, (n_s - 1) // 2 m + n_u // 2, times
+    the lattice step h, in the reduction's own float arithmetic."""
+    return float(((n_s - 1) // 2 * m + u.size // 2) * (u[-1] / (u.size // 2)))
+
+
 def _pump_quadrature(
     crystal: CrystalParams,
     pump: PumpPulse,
@@ -662,7 +669,8 @@ def _pump_quadrature(
     R(ws_n) against f(wi) and R(ws_{N-1-n}) against f(-wi). The middle row
     of an odd axis reduces once.
 
-    Row n reads the lattice indices kappa = ((N-1)/2 - n) m - n_u // 2 + j.
+    Row n reads the lattice indices kappa = ((N-1)/2 - n) m - n_u // 2 + j, so r is
+    read on +-``_reduction_band`` and nowhere beyond.
     Each chunk of c rows evaluates f(wi) and f(-wi) on the (c - 1) p + n_u
     points its rows read, p = min(m, n_u), into one buffer pair allocated for
     the largest chunk, and sees them as the (ws, u) block through a

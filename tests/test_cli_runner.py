@@ -1588,6 +1588,8 @@ G1_SCAN = MINIMAL.replace("run = schmidt", "run = g1_scan")
 # 8 samples per fringe over +-1 m of delay: about 2e7 delays
 WIDE_FRINGES = (MINIMAL.replace("run = schmidt", "run = oct_scan")
                 + "\n[scan]\ndelta_z_min_mm = -1000.0\ndelta_z_max_mm = 1000.0\n")
+WIDE_TABULATED = (TABULATED_OCT
+                  + "\n[scan]\ndelta_z_min_mm = -1000.0\ndelta_z_max_mm = 1000.0\n")
 
 
 @pytest.mark.parametrize("text,task,field,delays", [
@@ -1598,17 +1600,25 @@ WIDE_FRINGES = (MINIMAL.replace("run = schmidt", "run = oct_scan")
     pytest.param(WIDE_FRINGES, "oct_scan", "fringes", None, id="oct-scan-fringes"),
     pytest.param(WIDE_FRINGES.replace("1000.0", "1e308"), "oct_scan", "fringes", "inf",
                  id="oct-scan-fringes-inf"),  # a window wider than the float range
+    # on the numeric route, whose correlator the window would size: gigabytes of signal
+    # nodes at +-1 m, and a step of 0 from an infinite delay at +-1e308 mm
+    pytest.param(WIDE_TABULATED, "oct_scan", "fringes", None, id="tabulated-oct-scan-fringes"),
+    pytest.param(WIDE_TABULATED.replace("1000.0", "1e308"), "oct_scan", "fringes", "inf",
+                 id="tabulated-oct-scan-fringes-inf"),
 ])
 def test_scan_over_the_delay_budget_rejected_before_compute(tmp_path, monkeypatch, capsys, text,
                                                            task, field, delays):
-    # the plan counts a scan's delays without building its axis, so a scan that would
-    # otherwise run until killed exits 1 at once
+    # the plan counts a scan's delays without building its axis or sizing its correlator,
+    # so a scan that would otherwise run until killed exits 1 at once
     def forbidden(*args, **kwargs):
-        raise AssertionError("a scan axis was built")
+        raise AssertionError("a scan axis was built or a correlator sized")
 
+    (tmp_path / "r.csv").write_text("omega,re,im\n-80,0.5,0.1\n0,0.2,0\n80,0.5,0.1\n")
     monkeypatch.setattr(cli.oct_scan, "scan_axis", forbidden)
     monkeypatch.setattr(cli.np, "linspace", forbidden)
-    s = parse_scenario(text)
+    monkeypatch.setattr(cli.coherence, "_scan_arguments", forbidden)
+    monkeypatch.setattr(cli.coherence, "correlator_sizes", forbidden)
+    s = parse_scenario(text, base_dir=tmp_path)
     if delays is None:
         window = (s.scan.delta_z_min_mm, s.scan.delta_z_max_mm)
         delays = f"{cli.oct_scan.scan_points(s.crystal, window, True):.15g}"
@@ -1630,6 +1640,31 @@ def test_scan_over_the_delay_budget_rejected_before_compute(tmp_path, monkeypatc
 def test_scan_at_the_delay_budget_is_planned():
     s = parse_scenario(G1_SCAN + f"\n[scan]\npoints = {cli.MAX_SCAN_POINTS}\n")
     assert cli._plan(s)["g1_scan"]["delays"] == cli.MAX_SCAN_POINTS
+
+
+def test_numeric_scan_whose_delay_overflows_fails_in_the_plan(tmp_path, monkeypatch, capsys):
+    # 11 points over +-1e308 mm are within the delay budget, but the window's delay
+    # overflows to inf, which would size the correlator's signal step at 0
+    (tmp_path / "r.csv").write_text("omega,re,im\n-80,0.5,0.1\n0,0.2,0\n80,0.5,0.1\n")
+    text = WIDE_TABULATED.replace("1000.0", "1e308") + "points = 11\n"
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+
+    def forbidden(*args):
+        raise AssertionError("a task ran")
+
+    for task in cli._TASK_FN:
+        monkeypatch.setitem(cli._TASK_FN, task, forbidden)
+    message = ("[scan] invalid parameters: delays must be finite, got t1_max_fs = inf, t2_fs ="
+               " 0.0 and extra_idler_delay_fs = 0.0")
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["run", str(scen), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(ScenarioError, match=re.escape(message)), pytest.warns(RuntimeWarning):
+        run_scenario(parse_scenario(text, base_dir=tmp_path), out_dir=out)
+    assert not out.exists()
 
 
 # a table's ends, as a share of the band at which the idler reduction reads r, and whether

@@ -942,19 +942,6 @@ def test_interpolation_bound_holds_the_linear_interpolation_error(steps):
     assert coherence._interpolation_bound(TabulatedSample(omega=[-1.0, 1.0], r=[0.5, 0.1j])) == 0.0
 
 
-def test_interpolation_bound_reads_every_row_across_its_chunks():
-    # a spike of 0.5j on unit steps has the second differences 0.5j, -1j and 0.5j at its
-    # node and the two beside it: the bound reads 1/8 wherever the spike sits, at a
-    # chunk's first or last node, or beside it, and 1/16 for a spike on an end row
-    chunk = coherence.BLOCK_ELEMENTS // 8
-    n = 3 * chunk + 7
-    for node in (0, 1, chunk - 1, chunk, chunk + 1, chunk + 2, 2 * chunk + 1, n - 2, n - 1):
-        r = np.zeros(n, dtype=complex)
-        r[node] = 0.5j
-        bound = coherence._interpolation_bound(TabulatedSample(omega=np.arange(n, dtype=float), r=r))
-        assert bound == (0.0625 if node in (0, n - 1) else 0.125), node
-
-
 # crystal [mm], pump T0 [fs], sample, T2 [fs], and the flag the embedded check must raise;
 # "slab-<d>um" is a glass slab of that thickness as a bilayer, "table-<p>" CI's 20 um slab
 # tabulated at p points per period of r
