@@ -57,6 +57,12 @@ MAX_BANDWIDTH_FRACTION = 0.25
 # a scan of more delays is rejected before compute (the bundled and benchmark scans take
 # at most 17,494)
 MAX_SCAN_POINTS = 200_000
+# a numeric scan whose correlator's idler reduction takes more (ws, u) elements (about 6 s
+# on two CPUs), or whose signal-axis arrays take more bytes (coherence._correlator_cost), is
+# rejected before compute (the benchmark, CI and test scans take at most 6,139,985 elements
+# and 7.0 MB; no bundled scenario takes the numeric route)
+MAX_REDUCTION_ELEMENTS = 1_000_000_000
+MAX_SIGNAL_AXIS_BYTES = 1 << 30
 
 CRYSTAL_PRESETS = {
     "mgo_linbo3": mgo_linbo3_crystal,
@@ -836,8 +842,19 @@ def _plan(scenario: Scenario) -> dict:
         # one correlator for every scan: max|dz| of np.linspace(*window, k) is a window end
         correlator = coherence._scan_arguments(
             crystal, scenario.effective_geometry(), sample, np.asarray(window))
-        _, n_s, u, m, _ = _build("scan", coherence.correlator_sizes,
-                                 crystal, pump, resolution=n / 2048.0, **correlator)
+        # its cost before its sizes: the pump lattice alone is gigabytes at +-1e6 mm
+        elements, nbytes = _build("scan", coherence._correlator_cost, crystal, pump,
+                                  int(max(delays.values())), resolution=n / 2048.0, **correlator)
+        for cost, bound, what in (
+            (elements, MAX_REDUCTION_ELEMENTS, "idler reduction elements"),
+            (nbytes, MAX_SIGNAL_AXIS_BYTES, "bytes of signal-axis arrays"),
+        ):
+            if cost > bound:
+                lo, hi = map(float, window)
+                raise ScenarioError(f"[scan] window [{lo!r}, {hi!r}] mm: the numeric correlator"
+                                    f" takes {cost} {what}, more than the {bound} allowed")
+        _, n_s, u, m, _ = coherence.correlator_sizes(crystal, pump, resolution=n / 2048.0,
+                                                     **correlator)
         band = coherence._reduction_band(n_s, u, m)
         if sample.omega[0] > -band or sample.omega[-1] < band:
             raise ScenarioError(
@@ -993,6 +1010,9 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunMa
       least MIN_GRID_POINTS, is not smaller or cannot resolve;
     - an oct_scan whose pump path is not synchronized (T2 != 0);
     - a scan of more than MAX_SCAN_POINTS delays;
+    - a scan on the numeric route whose correlator's idler reduction takes more than
+      MAX_REDUCTION_ELEMENTS (ws, u) elements, or whose signal-axis arrays take more
+      than MAX_SIGNAL_AXIS_BYTES (``coherence._correlator_cost``; ``[scan]``);
     - a scan on the numeric route whose table does not cover the band
       +-((n_s - 1) // 2 m + n_u // 2) h at which its correlator's idler
       reduction reads r, h the pump lattice step (``[sample] file``).

@@ -44,12 +44,17 @@ A table has no echoes; its delay is where its r(w) holds content (``_table_delay
 Every streamed kernel evaluation,
 here the idler reduction and the direct delay sum and in ``biphoton`` the
 joint-spectrum and Schmidt row blocks, works in blocks of about BLOCK_ELEMENTS
-elements, so its work arrays stay a few MB whatever the grid or the scan.
+elements, so its work arrays stay a few MB whatever the grid or the scan. The
+idler reduction splits its chunks over up to two CPUs (``_reduction_threads``),
+each thread with BLOCK_ELEMENTS / T elements of its own scratch: the scratch
+summed over the threads is unchanged, and R does not depend on T, bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +92,10 @@ CHIRP_Z_PHASE_TOL = 1e-9
 DIRECT_SINC_ARG = 1e-2
 
 # Elements of one block of every streamed kernel evaluation: the idler
-# reduction's (ws, u) chunks, the direct delay sum's (t1, ws) chunks and the
-# row blocks of biphoton's joint-spectrum and Schmidt streams. About 2 MB per
-# float64 work array, which stays in cache; 1e6-element blocks ran slower and
-# held four times the memory.
+# reduction's (ws, u) chunks, summed over its threads, the direct delay sum's
+# (t1, ws) chunks and the row blocks of biphoton's joint-spectrum and Schmidt
+# streams. About 2 MB per float64 work array, which stays in cache; 1e6-element
+# blocks ran slower and held four times the memory.
 BLOCK_ELEMENTS = 250_000
 
 
@@ -320,12 +325,17 @@ class PairCorrelator:
         chirp_n = _chirp(c, np.arange(n_w, dtype=float))
         chirp_k = _chirp(c, np.arange(n_t, dtype=float))
         y = reduced * np.exp(1j * (t1[0] + self.t2_fs) * h * np.arange(n_w)) * chirp_n
-        size = 1 << (n_w + n_t - 2).bit_length()
+        size = _transform_length(n_w, n_t)
         kernel = np.zeros(size, dtype=complex)
         np.conjugate(chirp_k, out=kernel[:n_t])
         np.conjugate(chirp_n[:0:-1], out=kernel[size - n_w + 1 :])
         conv = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(kernel))[:n_t]
         return conv * chirp_k * np.exp(1j * (t1 + self.t2_fs) * ws[0])
+
+
+def _transform_length(n_w: int, n_t: int) -> int:
+    """The chirp-z transform's FFT length: a power of two above its n_w + n_t - 1 points."""
+    return 1 << (n_w + n_t - 2).bit_length()
 
 
 def g1_scan(
@@ -492,6 +502,15 @@ def correlator_sizes(
     resolution 0.5 the coarse rule meets the limit, so a lower resolution builds as 0.5
     does: the signal step and the pump lattice alike.
     """
+    half_s, n_s, (step, delay_fs, resolution) = _signal_sizes(
+        crystal, pump, t1_max_fs=t1_max_fs, t2_fs=t2_fs,
+        extra_idler_delay_fs=extra_idler_delay_fs, resolution=resolution)
+    return half_s, n_s, *_lattice(crystal, pump, step, delay_fs=delay_fs, resolution=resolution)
+
+
+def _signal_sizes(crystal, pump, *, t1_max_fs, t2_fs, extra_idler_delay_fs=0.0, resolution=1.0):
+    """``correlator_sizes``'s signal axis (half_s, n_s), and the signal step, idler delay
+    and resolution of its pump lattice, which is not built."""
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     resolution = max(resolution, 0.5)
@@ -504,9 +523,8 @@ def correlator_sizes(
     h_s = np.pi / (2.0 * resolution * (phase_rate + dl))
     n_s = int(np.ceil(2.0 * half_s / h_s)) | 1
     # the step of _symmetric_axis(half_s, n_s), which ends at +-half_s exactly
-    return half_s, n_s, *_lattice(crystal, pump, 2.0 * half_s / (n_s - 1),
-                                  delay_fs=abs(t2_fs) + abs(extra_idler_delay_fs),
-                                  resolution=resolution)
+    step = 2.0 * half_s / (n_s - 1)
+    return half_s, n_s, (step, abs(t2_fs) + abs(extra_idler_delay_fs), resolution)
 
 
 def _lattice(
@@ -519,20 +537,27 @@ def _lattice(
     would not halve its resolution."""
     u, m = _u_axis(crystal, pump, lattice_step=signal_step, delay_fs=delay_fs,
                    resolution=resolution)
-    half = _u_axis(crystal, pump, lattice_step=2.0 * signal_step, delay_fs=delay_fs,
-                   resolution=resolution / 2.0)[0].size
+    half = 2 * _u_lattice(crystal, pump, lattice_step=2.0 * signal_step, delay_fs=delay_fs,
+                          resolution=resolution / 2.0)[0] + 1
     return u, m, 2 if abs(half - (u.size + 1) // 2) < abs(half - u.size) else 1
 
 
-def _u_axis(
+def _u_axis(crystal: CrystalParams, pump: PumpPulse, **lattice) -> tuple[np.ndarray, int]:
+    """``_u_lattice``'s pump-detuning lattice u_j = j h, |j| <= half_j, built, and m."""
+    half_j, h, m = _u_lattice(crystal, pump, **lattice)
+    return np.arange(-half_j, half_j + 1) * h, m
+
+
+def _u_lattice(
     crystal: CrystalParams,
     pump: PumpPulse,
     *,
     lattice_step: float,
     delay_fs: float = 0.0,
     resolution: float = 1.0,
-) -> tuple[np.ndarray, int]:
-    """Pump-detuning lattice u_j = j h of the idler reduction, and its ratio m = h_s / h.
+) -> tuple[int, float, int]:
+    """Pump-detuning lattice u_j = j h, |j| <= half_j, of the idler reduction, as
+    (half_j, h, m) with m = h_s / h.
 
     The lattice spans the pump band +-8/T0 with at least 33 points, at a step,
     divided by ``resolution``, that resolves the pump Gaussian, the phase
@@ -551,8 +576,7 @@ def _u_axis(
     n_u = max(33, int(np.ceil(2.0 * half_u / h_u)) | 1)
     m = int(np.ceil(lattice_step / (2.0 * half_u / (n_u - 1))))
     h = lattice_step / m
-    half_j = int(np.ceil(half_u / h))
-    return np.arange(-half_j, half_j + 1) * h, m
+    return int(np.ceil(half_u / h)), h, m
 
 
 def _kernel_args(
@@ -645,6 +669,30 @@ def _reduction_band(n_s: int, u: np.ndarray, m: int) -> float:
     return float(((n_s - 1) // 2 * m + u.size // 2) * (u[-1] / (u.size // 2)))
 
 
+def _correlator_cost(crystal: CrystalParams, pump: PumpPulse, delays: int,
+                     **sizing) -> tuple[int, int]:
+    """What ``PairCorrelator(crystal, pump, sample, **sizing)`` costs for ``delays`` delays,
+    from its sizes alone, nothing built: the (ws, u) elements its idler reduction builds,
+    (n_s + 1) // 2 n_u, and the bytes its signal-axis arrays reach, in the chirp-z
+    transform: R and its coarse rule, 32 bytes a node, and five complex arrays of the
+    transform's length. tracemalloc read 0.96 of this at 0.46 and 1.8 million nodes, a
+    scan's peak there."""
+    _, n_s, (step, delay_fs, resolution) = _signal_sizes(crystal, pump, **sizing)
+    half_j = _u_lattice(crystal, pump, lattice_step=step, delay_fs=delay_fs,
+                        resolution=resolution)[0]
+    return (n_s + 1) // 2 * (2 * half_j + 1), 16 * (2 * n_s + 5 * _transform_length(n_s, delays))
+
+
+def _reduction_threads() -> int:
+    """Threads of the idler reduction: the CPUs this process may run on, at most two, the
+    count at which the split was measured to gain."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
 def _pump_quadrature(
     crystal: CrystalParams,
     pump: PumpPulse,
@@ -660,7 +708,12 @@ def _pump_quadrature(
 
     sinc^2 is the square of ``_kernel_block`` over the lattice (u, m, stride) that
     ``_lattice`` sizes for ``omega_s``'s step (``correlator_sizes``), in chunks of rows
-    of about BLOCK_ELEMENTS block elements.
+    of about BLOCK_ELEMENTS / T block elements on T threads: ``_reduction_threads``, at
+    most the number of chunks. Thread t takes chunks t, t + T, ... on its own scratch,
+    the caller's thread the chunks from 0, so the scratch summed over the threads is
+    the serial one's. Each row's sums depend on its row alone, not on its chunk, and
+    the chunks write disjoint rows of R, so R is the same bit for bit for every T. The
+    caller joins the other threads, and raises again what one of them raised.
 
     ``omega_s`` must be ``_symmetric_axis``'s, ws_{N-1-n} = -ws_n bit for bit,
     as PairCorrelator's is. Both the pump and sinc^2 are even, and the u axis
@@ -693,43 +746,73 @@ def _pump_quadrature(
     # rows n < paired also give row N-1-n; rows from top on are not built
     paired = n_s // 2
     top = n_s - paired
-    chunk = min(top, max(1, BLOCK_ELEMENTS // n_u))
-    work = np.empty((2, chunk, n_u))
+    threads = _reduction_threads()
+    chunk = min(top, max(1, BLOCK_ELEMENTS // threads // n_u))
+    threads = min(threads, -(-top // chunk))
     p = min(m, n_u)
     h = u[-1] / (n_u // 2)
     out = np.empty(n_s, dtype=complex)
     coarse = np.empty(n_s, dtype=complex) if thin else out
-    buffers = np.empty((2, (chunk - 1) * p + n_u), dtype=complex)
-    # window w of each buffer reads its (re, im) pairs from w p to w p + n_u - 1
-    windows = np.lib.stride_tricks.sliding_window_view(
-        buffers.view(np.float64).reshape(2, -1, 2), (n_u, 2), axis=(1, 2))[:, ::p, 0]
-    for lo in range(0, top, chunk):
-        hi = min(lo + chunk, top)
-        rows = hi - lo
-        size = (rows - 1) * p + n_u
-        # position q holds column q % p of row hi - 1 - q // p, so row lo + r
-        # reads window rows - 1 - r
-        start = ((n_s - 1) / 2.0 - (hi - 1)) * m - n_u // 2  # row hi - 1's first kappa
-        kappa = np.add.outer(np.arange(-(-size // p)) * float(m) + start, np.arange(p, dtype=float))
-        wi = kappa.ravel()[:size]
-        wi *= h
-        fs = buffers[:, :size]
-        _idler_factor(sample, t2_fs, wi, fs[0])
-        _idler_factor(sample, t2_fs, -wi, fs[1])
-        block = _kernel_block("exact", b[lo:hi], columns, work[:, :rows])
-        block *= block
-        block *= pump_row
-        views = windows[:, rows - 1 :: -1]
-        out[lo:hi] = (block[:, None, :] @ views[0]).view(complex).ravel()
-        k = min(hi, paired) - lo
-        mirror = (block[:k, None, :] @ views[1][:k]).view(complex).ravel()
-        out[n_s - lo - k : n_s - lo] = mirror[::-1]
-        if thin:  # the rows of even index, and the rows whose mirrors have one
-            for view, ev, target in (
-                (views[0], slice(lo % 2, None, 2), coarse[lo:hi]),
-                (views[1], slice((n_s - 1 - lo) % 2, k, 2), coarse[n_s - hi : n_s - lo][::-1]),
-            ):
-                target[ev] = 2.0 * (block[ev, None, ::2] @ view[ev, ::2]).view(complex).ravel()
+
+    def share(first: int) -> None:
+        """Chunks first, first + threads, ..., on this thread's own scratch."""
+        work = np.empty((2, chunk, n_u))
+        buffers = np.empty((2, (chunk - 1) * p + n_u), dtype=complex)
+        # window w of each buffer reads its (re, im) pairs from w p to w p + n_u - 1
+        windows = np.lib.stride_tricks.sliding_window_view(
+            buffers.view(np.float64).reshape(2, -1, 2), (n_u, 2), axis=(1, 2))[:, ::p, 0]
+        for lo in range(first * chunk, top, threads * chunk):
+            hi = min(lo + chunk, top)
+            rows = hi - lo
+            size = (rows - 1) * p + n_u
+            # position q holds column q % p of row hi - 1 - q // p, so row lo + r
+            # reads window rows - 1 - r
+            start = ((n_s - 1) / 2.0 - (hi - 1)) * m - n_u // 2  # row hi - 1's first kappa
+            kappa = np.add.outer(np.arange(-(-size // p)) * float(m) + start,
+                                 np.arange(p, dtype=float))
+            wi = kappa.ravel()[:size]
+            wi *= h
+            fs = buffers[:, :size]
+            _idler_factor(sample, t2_fs, wi, fs[0])
+            _idler_factor(sample, t2_fs, -wi, fs[1])
+            block = _kernel_block("exact", b[lo:hi], columns, work[:, :rows])
+            block *= block
+            block *= pump_row
+            views = windows[:, rows - 1 :: -1]
+            out[lo:hi] = (block[:, None, :] @ views[0]).view(complex).ravel()
+            k = min(hi, paired) - lo
+            mirror = (block[:k, None, :] @ views[1][:k]).view(complex).ravel()
+            out[n_s - lo - k : n_s - lo] = mirror[::-1]
+            if thin:  # the rows of even index, and the rows whose mirrors have one
+                for view, ev, target in (
+                    (views[0], slice(lo % 2, None, 2), coarse[lo:hi]),
+                    (views[1], slice((n_s - 1 - lo) % 2, k, 2),
+                     coarse[n_s - hi : n_s - lo][::-1]),
+                ):
+                    target[ev] = 2.0 * (block[ev, None, ::2] @ view[ev, ::2]).view(
+                        complex).ravel()
+
+    errors = [None] * threads
+
+    def worker(first: int) -> None:
+        """``share(first)`` on a thread of its own, keeping what it raises."""
+        try:
+            share(first)
+        except BaseException as exc:  # raised again by the caller once joined
+            errors[first] = exc
+
+    started = []
+    try:
+        for first in range(1, threads):
+            thread = threading.Thread(target=worker, args=(first,), name=f"reduction-{first}")
+            thread.start()
+            started.append(thread)
+        share(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in filter(None, errors):
+        raise exc
     return out, coarse[::2]
 
 

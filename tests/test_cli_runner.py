@@ -1667,6 +1667,72 @@ def test_numeric_scan_whose_delay_overflows_fails_in_the_plan(tmp_path, monkeypa
     assert not out.exists()
 
 
+# a 0.5 mm crystal, a 100 fs pump and a three-row table, 11 points over +-1 m: within the
+# delay budget, but 226,835,445 signal nodes by 339,781 pump points for the correlator, and
+# a thousand times each over +-1 km, where building the pump lattice alone takes gigabytes
+BUDGET_PROBE = ("[crystal]\npreset = mgo_linbo3\nlength_mm = 0.5\n\n[pump]\nt0_fs = 100.0\n"
+                + TABULATED_SAMPLE
+                + "\n[scan]\ndelta_z_min_mm = -1000.0\ndelta_z_max_mm = 1000.0\npoints = 11\n"
+                + "\n[tasks]\nrun = g1_scan\n")
+# the scan's half width [mm], the bound set to the scan's own estimate less an amount, and
+# whether the plan passes; the probes meet the default bounds with the elements given
+CORRELATOR_BUDGET = {
+    "probe": ("1000.0", None, 113_417_723 * 339_781, False),
+    "probe-1e6-mm": ("1000000.0", None, 38_533_909_805_646_366_991, False),
+    "elements-at-the-bound": ("0.05", "MAX_REDUCTION_ELEMENTS", 0, True),
+    "one-element-over": ("0.05", "MAX_REDUCTION_ELEMENTS", 1, False),
+    "bytes-at-the-bound": ("0.05", "MAX_SIGNAL_AXIS_BYTES", 0, True),
+    "one-byte-over": ("0.05", "MAX_SIGNAL_AXIS_BYTES", 1, False),
+}
+
+
+@pytest.mark.parametrize("case", CORRELATOR_BUDGET)
+def test_numeric_correlator_over_its_budget_rejected_before_compute(tmp_path, monkeypatch, capsys,
+                                                                    case):
+    # the plan estimates the correlator's idler reduction elements and signal-axis bytes
+    # from its sizes and rejects either over its bound, before any directory or task
+    half_mm, bound, less, passes = CORRELATOR_BUDGET[case]
+    (tmp_path / "r.csv").write_text("omega,re,im\n-80,0.5,0.1\n0,0.2,0\n80,0.5,0.1\n")
+    text = BUDGET_PROBE.replace("1000.0", half_mm)
+    scen = tmp_path / "s.ini"
+    scen.write_text(text)
+    s = parse_scenario(text, base_dir=tmp_path)
+    if bound is None:
+        message = (f"[scan] window [-{half_mm}, {half_mm}] mm: the numeric correlator takes"
+                   f" {less} idler reduction elements, more than the {cli.MAX_REDUCTION_ELEMENTS}"
+                   " allowed")
+    else:
+        # the estimate from the sizes alone is that of the lattice and axis the plan builds
+        plan = cli._plan(s)["g1_scan"]
+        transform = 1 << 15  # the power of two above n_s + 11 - 1
+        estimates = {"MAX_REDUCTION_ELEMENTS": (plan["n_s"] + 1) // 2 * plan["n_u"],
+                     "MAX_SIGNAL_AXIS_BYTES": 16 * (2 * plan["n_s"] + 5 * transform)}
+        assert plan["n_s"] + 10 <= transform < 2 * (plan["n_s"] + 10)
+        monkeypatch.setattr(cli, bound, estimates[bound] - less)
+        if passes:
+            assert cli._plan(s)["g1_scan"] == plan
+            return
+        what = ("idler reduction elements" if bound == "MAX_REDUCTION_ELEMENTS"
+                else "bytes of signal-axis arrays")
+        message = (f"[scan] window [-0.05, 0.05] mm: the numeric correlator takes"
+                   f" {estimates[bound]} {what}, more than the {estimates[bound] - less} allowed")
+
+    def forbidden(*args):
+        raise AssertionError("a task ran")
+
+    for task in cli._TASK_FN:
+        monkeypatch.setitem(cli._TASK_FN, task, forbidden)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["run", str(scen), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        run_scenario(s, out_dir=out)
+    assert not out.exists()
+
+
 # a table's ends, as a share of the band at which the idler reduction reads r, and whether
 # its low and its high end then move one ulp inward; and whether the run goes ahead
 TABLE_COVERAGE = {
@@ -2023,7 +2089,8 @@ def test_exact_schmidt_task_holds_no_full_grid_array():
 
 def test_quasi_cw_tabulated_oct_scan_task_stays_in_its_blocks():
     # the benchmark's quasi-CW slab: 51,277 signal rows by 35 pump points, so
-    # 1 chunk of 1e6 elements (71 MiB traced) or 4 of coherence.BLOCK_ELEMENTS
+    # 1 chunk of 1e6 elements (71 MiB traced) or 4 of coherence.BLOCK_ELEMENTS, or on
+    # two threads 8 of half that; two threads of full-size chunks fail the bound
     s = parse_scenario(OCT_SCENARIO.replace("run = oct_scan, g1_scan", "run = oct_scan"))
     crystal, slab = s.crystal, s.sample
     deepest = dataclasses.replace(slab, d0_um=25.0)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -744,8 +745,10 @@ LATTICE_AXES = {**SYMMETRIC_AXES, "signal-axis": SIGNAL_AXIS}
 @LATTICE_PUMPS
 def test_reduction_reads_each_chunks_lattice_points(t0_fs, axis, monkeypatch):
     # each chunk of rows_c rows reads f(wi), then f(-wi), on the
-    # (rows_c - 1) p + n_u lattice points its rows read, p = min(m, n_u)
+    # (rows_c - 1) p + n_u lattice points its rows read, p = min(m, n_u); two
+    # threads take chunks of BLOCK_ELEMENTS // 2 // n_u rows, and interleave
     monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", 20_000)
+    monkeypatch.setattr(coherence, "_reduction_threads", lambda: 2)
     omega_s, pump = LATTICE_AXES[axis], PumpPulse(t0_fs)
     seen = []
     reflectivity = TabulatedSample.reflectivity
@@ -759,9 +762,10 @@ def test_reduction_reads_each_chunks_lattice_points(t0_fs, axis, monkeypatch):
     h_s = (omega_s[-1] - omega_s[0]) / (omega_s.size - 1)
     u, m = _u_axis(CRYSTAL, pump, lattice_step=h_s)
     top = (omega_s.size + 1) // 2
-    chunk = 20_000 // u.size
+    chunk = 20_000 // 2 // u.size
     reads = [(min(chunk, top - lo) - 1) * min(m, u.size) + u.size for lo in range(0, top, chunk)]
-    assert seen == [n for n in reads for _ in range(2)]
+    assert len(reads) > 1  # both threads take chunks
+    assert sorted(seen) == sorted(n for n in reads for _ in range(2))
     assert sum(seen) == 2 * sum(reads)
 
 
@@ -776,6 +780,78 @@ def test_reduction_is_bit_identical_for_every_block_size(case, axis, monkeypatch
     for fine, coarse in results[1:]:
         assert fine.tobytes() == results[0][0].tobytes()
         assert coarse.tobytes() == results[0][1].tobytes()
+
+
+def joined(fn, *args, timeout=60.0, **kwargs):
+    """``fn(*args, **kwargs)`` on a thread of its own, joined within ``timeout`` seconds: its
+    result, or what it raised, raised again."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = fn(*args, **kwargs)
+        except BaseException as exc:  # raised again below
+            box["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"not done within {timeout} s"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+@pytest.mark.parametrize("axis", LATTICE_AXES)
+@pytest.mark.parametrize("case", REDUCTION_CASES)
+def test_reduction_is_bit_identical_for_every_thread_count(case, axis, monkeypatch):
+    # 1, 2 and 4 threads over chunks of BLOCK_ELEMENTS // T // n_u rows; 4 is more threads
+    # than CPUs, switching every 10 us, so chunks interleave. A row written by two threads,
+    # or scratch that two threads share, changes the bytes; every thread is joined on return
+    monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", 20_000)
+    kw = {"pump": PumpPulse(500.0), **case}
+    pump = kw.pop("pump")
+    baseline = threading.active_count()
+    results = []
+    for threads in (1, 2, 4):
+        monkeypatch.setattr(coherence, "_reduction_threads", lambda t=threads: t)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5 if threads == 4 else interval)
+        try:
+            results.append(joined(quadrature, CRYSTAL, pump, LATTICE_AXES[axis], **kw))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == baseline
+    for fine, coarse in results[1:]:
+        assert fine.tobytes() == results[0][0].tobytes()
+        assert coarse.tobytes() == results[0][1].tobytes()
+
+
+def test_reduction_raises_what_a_worker_raised_as_the_serial_run_does(monkeypatch):
+    # the middle row alone reads wi = 0, and r fails there: on one thread the caller's one
+    # chunk fails, on two the worker's chunk 1 of 2; the same exception, and no thread left
+    omega_s, pump = SYMMETRIC_AXES["odd-n"], PumpPulse(1e5)
+    n_u = sized_lattice(CRYSTAL, pump, omega_s)[0].size
+    monkeypatch.setattr(coherence, "BLOCK_ELEMENTS", 2 * 751 * n_u)  # two chunks of 751 rows
+    reflectivity, failed_in = TabulatedSample.reflectivity, []
+
+    def failing(self, omega_i):
+        if np.any(omega_i == 0.0):
+            failed_in.append(threading.current_thread().name)
+            raise NumericalConsistencyError("r is undefined at wi = 0")
+        return reflectivity(self, omega_i)
+
+    monkeypatch.setattr(TabulatedSample, "reflectivity", failing)
+    baseline = threading.active_count()
+    raised = []
+    for threads in (1, 2):
+        monkeypatch.setattr(coherence, "_reduction_threads", lambda t=threads: t)
+        with pytest.raises(Exception) as info:
+            joined(quadrature, CRYSTAL, pump, omega_s, sample=TABULATED)
+        raised.append((info.type, str(info.value)))
+        assert threading.active_count() == baseline
+    assert raised == [(NumericalConsistencyError, "r is undefined at wi = 0")] * 2
+    assert failed_in[0] != "reduction-1" and failed_in[1:] == ["reduction-1"]
 
 
 # ---------------------------------------------------------------- signal spectrum
